@@ -228,13 +228,6 @@ class GroupHom:
             raise DimensionMismatch("element not in hom target")
         return self._section(e)
 
-    def compose(self, inner: "GroupHom") -> "GroupHom":
-        """self o inner."""
-        if inner.target is not self.source:
-            raise DimensionMismatch("homs not composable")
-        return GroupHom(inner.source, self.target,
-                        [self(img) for img in inner.images])
-
 
 def from_presentation(n_generators: int, relations: Sequence[Sequence[int]]):
     """Cokernel Z^n / rowspan(relations) plus the quotient map Z^n -> group."""

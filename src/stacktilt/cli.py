@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -28,24 +27,34 @@ from .stacky_geom import (CohomologyOracle, StackyPolytope, gale_dual,
 SCHEMA_VERSION = 1
 
 
-def _default_max_classes() -> int:
-    raw = os.environ.get("STACKTILT_MAX_CLASSES")
-    return int(raw) if raw else 10_000
-
-
 def _emit(doc: dict) -> None:
     doc = {"schema_version": SCHEMA_VERSION, **doc}
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
+def _int_vector(value, what: str) -> list:
+    """value, checked to be a list of JSON integers (no bool, no float)."""
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise InputError(f"{what}: expected JSON integers", value=value)
+    return value
+
+
+def _json_flag(text: str, flag: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{flag} is not valid JSON: {exc}") from None
+
+
 def _parse_field(spec) -> Optional[int]:
     if spec is None or spec == "Q":
         return None
+    p = None
     if isinstance(spec, dict) and set(spec) == {"Fp"}:
-        p = int(spec["Fp"])
-    elif isinstance(spec, str) and spec.startswith("F"):
+        p = spec["Fp"]
+    elif isinstance(spec, str) and spec[:1] == "F" and spec[1:].isdecimal():
         p = int(spec[1:])
-    else:
+    if type(p) is not int:
         raise InputError(f"unrecognized field spec {spec!r}")
     if p < 2:
         raise InputError("field characteristic must be at least 2")
@@ -55,11 +64,14 @@ def _parse_field(spec) -> Optional[int]:
 def _load_document(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read input file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"input is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InputError("input must be a JSON object")
+    return doc
 
 
 def _build_context(doc: dict):
@@ -70,19 +82,22 @@ def _build_context(doc: dict):
         raise InputError("input needs exactly one of 'polytope' or 'group'")
     if has_polytope:
         spec = doc["polytope"]
-        vertices = spec.get("vertices")
+        vertices = spec.get("vertices") if isinstance(spec, dict) else None
         if not isinstance(vertices, list) or not vertices:
             raise InputError("polytope.vertices must be a nonempty list")
+        vertices = [_int_vector(v, "a polytope vertex") for v in vertices]
         if "dim" in spec and any(len(v) != spec["dim"] for v in vertices):
             raise InputError("vertex length disagrees with polytope.dim")
         polytope = parse_polytope(vertices)
         return gale_dual(polytope), polytope
     spec = doc["group"]
     try:
-        free_rank = int(spec["free_rank"])
-        torsion = [int(t) for t in spec.get("torsion_orders", [])]
-        degree_vecs = spec["degrees"]
-    except (KeyError, TypeError, ValueError) as exc:
+        free_rank, = _int_vector([spec["free_rank"]], "group.free_rank")
+        torsion = _int_vector(spec.get("torsion_orders", []),
+                              "group.torsion_orders")
+        degree_vecs = [_int_vector(v, "a group degree")
+                       for v in spec["degrees"]]
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed group spec: {exc}") from None
     if not degree_vecs:
         raise InputError("group.degrees must be nonempty")
@@ -95,30 +110,25 @@ def _ensure_polytope(ctx, polytope) -> StackyPolytope:
     return polytope if polytope is not None else group_to_polytope(ctx)
 
 
-def _quiver_json(quiver) -> dict:
-    return quiver.to_json()
+def _class_entry(tc) -> dict:
+    neighbors = []
+    for m in us.mutable_elements(tc.rep):
+        canon = us.canonical_form(us.mutate(tc.rep, m), tc.translation)
+        neighbors.append({
+            "at": list(m.coords),
+            "to": tilting._class_id(tc.rank, canon.elements),
+        })
+    return {
+        "id": tc.class_id,
+        "line_bundles": tc.degrees_json(),
+        "quiver": tc.quiver.to_json(),
+        "mutation_neighbors": neighbors,
+    }
 
 
 def _rank1_report(classes, mode: str) -> dict:
-    entries = []
-    for tc in classes:
-        neighbors = []
-        for m in us.mutable_elements(tc.rep):
-            mutated = us.mutate(tc.rep, m)
-            canon = us.canonical_form(
-                mutated, "full" if mode == "paper" else "zp")
-            neighbors.append({
-                "at": list(m.coords),
-                "to": tilting._class_id(1, canon.elements),
-            })
-        entries.append({
-            "id": tc.class_id,
-            "line_bundles": tc.degrees_json(),
-            "quiver": _quiver_json(tc.quiver),
-            "mutation_neighbors": neighbors,
-        })
-    return {"rank": 1, "mode": mode, "class_count": len(entries),
-            "classes": entries}
+    return {"rank": 1, "mode": mode, "class_count": len(classes),
+            "classes": [_class_entry(tc) for tc in classes]}
 
 
 def _rank2_report(result) -> dict:
@@ -126,27 +136,12 @@ def _rank2_report(result) -> dict:
     h_group = split.h_ctx.group
     j_entries = []
     for grp in result.groups:
-        class_entries = []
-        for tc in grp.classes:
-            neighbors = []
-            for m in us.mutable_elements(tc.rep):
-                canon = us.canonical_form(us.mutate(tc.rep, m), "zp")
-                neighbors.append({
-                    "at": list(m.coords),
-                    "to": tilting._class_id(2, canon.elements),
-                })
-            class_entries.append({
-                "id": tc.class_id,
-                "line_bundles": tc.degrees_json(),
-                "quiver": _quiver_json(tc.quiver),
-                "mutation_neighbors": neighbors,
-            })
         j_entries.append({
             "id": grp.base_id,
             "elements": [list(e.coords) for e in grp.base.elements],
             "class_count": len(grp.classes),
             "merged_class_count": grp.merged_class_count,
-            "classes": class_entries,
+            "classes": [_class_entry(tc) for tc in grp.classes],
         })
     return {
         "rank": 2,
@@ -211,7 +206,7 @@ def cmd_mutate(args) -> int:
     if (args.at is None) == (args.walk_to is None):
         raise InputError("mutate needs exactly one of --at or --walk-to")
     if args.at is not None:
-        coords = tuple(json.loads(args.at))
+        coords = tuple(_int_vector(_json_flag(args.at, "--at"), "--at"))
         m = next((e for e in tc.elements if e.coords == coords), None)
         if m is None:
             raise InputError(f"no line bundle with coordinates {list(coords)}",
@@ -226,8 +221,7 @@ def cmd_mutate(args) -> int:
     if tc.rank == 2 and (tc.base is not target.base):
         raise InputError("classes live over different base classes",
                          source=tc.class_id, target=target.class_id)
-    mode = "full" if (tc.rank == 1 and args.mode == "paper") else "zp"
-    moves = us.connect(tc.rep, target.rep, mode=mode)
+    moves = us.connect(tc.rep, target.rep, mode=tc.translation)
     _emit({"command": "mutate", "from": tc.class_id, "walk_to": target.class_id,
            "moves": [{"fiber": list(f), "direction": d} for f, d in moves],
            "length": len(moves)})
@@ -240,14 +234,14 @@ def cmd_cohomology(args) -> int:
     polytope = _ensure_polytope(ctx, polytope)
     oracle = CohomologyOracle(polytope, ctx)
     field = _parse_field(args.field if args.field else doc.get("field"))
-    exponents = json.loads(args.twist)
-    if not isinstance(exponents, list) or len(exponents) != ctx.n:
+    exponents = _int_vector(_json_flag(args.twist, "--twist"), "--twist")
+    if len(exponents) != ctx.n:
         raise InputError(
             f"--twist must be an integer vector of length {ctx.n} "
             "(coefficients over the degrees x1..xn)")
     g = ctx.group.zero()
     for a, x in zip(exponents, ctx.degrees):
-        g = g + int(a) * x
+        g = g + a * x
     if args.all_r:
         table = oracle.all_r(g, field)
     else:
@@ -268,9 +262,12 @@ def cmd_verify(args) -> int:
     entries = []
     ok = True
     if args.set is not None:
-        elements = [ctx.group.from_coords(v) for v in json.loads(args.set)]
-        report = tilting.verify_class(oracle, elements, field=field,
-                                      jobs=args.jobs)
+        vectors = _json_flag(args.set, "--set")
+        if not isinstance(vectors, list):
+            raise InputError("--set must be a list of coordinate vectors")
+        elements = [ctx.group.from_coords(_int_vector(v, "a --set vector"))
+                    for v in vectors]
+        report = tilting.verify_class(oracle, elements, field=field)
         ok = report.ok
         entries.append({"id": "explicit", **report.to_json()})
     else:
@@ -278,8 +275,7 @@ def cmd_verify(args) -> int:
         if args.class_id is not None:
             classes = [_find_class(classes, args.class_id)]
         for tc in classes:
-            report = tilting.verify_class(oracle, tc.elements, field=field,
-                                          jobs=args.jobs)
+            report = tilting.verify_class(oracle, tc.elements, field=field)
             ok = ok and report.ok
             entries.append({"id": tc.class_id, **report.to_json()})
     _emit({"command": "verify", "ok": ok, "classes": entries})
@@ -290,8 +286,15 @@ def cmd_cuts(args) -> int:
     doc = _load_document(args.input)
     if "lattice" in doc:
         spec = doc["lattice"]
-        lq = cuts_mod.build_quotient(int(spec["d"]), spec["b_generators"])
-        gamma = tuple(int(x) for x in spec["gamma"]) if "gamma" in spec else None
+        try:
+            d, = _int_vector([spec["d"]], "lattice.d")
+            b_gens = [_int_vector(v, "a B generator")
+                      for v in spec["b_generators"]]
+            gamma = (tuple(_int_vector(spec["gamma"], "lattice.gamma"))
+                     if "gamma" in spec else None)
+        except (KeyError, TypeError) as exc:
+            raise InputError(f"malformed lattice spec: {exc}") from None
+        lq = cuts_mod.build_quotient(d, b_gens)
     elif "group" in doc:
         ctx, _ = _build_context(doc)
         if ctx.group.free_rank != 1:
@@ -345,14 +348,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "of Picard rank one and two")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_mode=True):
+    def common(p, classifies=True):
         p.add_argument("input", help="path to the JSON input document")
-        if with_mode:
+        if classifies:
             p.add_argument("--mode", choices=("paper", "zp"), default="paper",
                            help="class counting: full translations (paper) "
                                 "or shifts by p only")
-        p.add_argument("--max-classes", type=int,
-                       default=_default_max_classes())
+            p.add_argument("--max-classes", type=int, default=10_000)
 
     p = sub.add_parser("classify", help="enumerate all tilting classes")
     common(p)
@@ -368,8 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mutate)
 
     p = sub.add_parser("cohomology", help="line bundle cohomology dimensions")
-    common(p, with_mode=False)
-    p.set_defaults(mode="paper")
+    common(p, classifies=False)
     p.add_argument("--twist", required=True,
                    help="JSON exponent vector over the degrees x1..xn")
     p.add_argument("--all-r", action="store_true")
@@ -383,12 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", help="JSON list of canonical coordinate vectors "
                                  "to verify instead of classified classes")
     p.add_argument("--field", help='"Q" or "F<p>"')
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("cuts", help="cut/detector enumeration for (B, gamma)")
-    common(p, with_mode=False)
-    p.set_defaults(mode="paper")
+    common(p, classifies=False)
     p.set_defaults(func=cmd_cuts)
     return parser
 

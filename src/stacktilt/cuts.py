@@ -151,6 +151,34 @@ def cut_type(lq: LatticeQuotient, cut: frozenset) -> tuple[int, ...]:
     return tuple(gamma)
 
 
+def _spanning_tree(lq: LatticeQuotient) -> list[tuple[tuple, tuple, int, int]]:
+    """BFS spanning tree of the undirected Cayley graph from the zero vertex.
+
+    Edges are (parent, child, type, sign): sign +1 when child is
+    parent + alpha_type, -1 when child is parent - alpha_type.
+    """
+    zero = lq.group.zero().coords
+    tree = []
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in range(lq.d + 1):
+                w = lq.arrow_target(v, i)
+                if w not in seen:
+                    seen.add(w)
+                    tree.append((v, w, i, +1))
+                    nxt.append(w)
+                u = (lq.vertex_element(v) - lq.alpha_images[i]).coords
+                if u not in seen:
+                    seen.add(u)
+                    tree.append((v, u, i, -1))
+                    nxt.append(u)
+        frontier = nxt
+    return tree
+
+
 def detector_from_cut(lq: LatticeQuotient, cut: Iterable) -> CutDetector:
     """Path-summation potential of a cut; rejects non-cuts.
 
@@ -172,22 +200,10 @@ def detector_from_cut(lq: LatticeQuotient, cut: Iterable) -> CutDetector:
     def inc(v: tuple, i: int) -> int:
         return gamma[i] - m if (v, i) in cut else gamma[i]
 
-    zero = lq.group.zero().coords
-    table = {zero: 0}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(lq.d + 1):
-                w = lq.arrow_target(v, i)
-                if w not in table:
-                    table[w] = table[v] + inc(v, i)
-                    nxt.append(w)
-                back = lq.vertex_element(v) - lq.alpha_images[i]
-                if back.coords not in table:
-                    table[back.coords] = table[v] - inc(back.coords, i)
-                    nxt.append(back.coords)
-        frontier = nxt
+    table = {lq.group.zero().coords: 0}
+    for parent, child, i, sign in _spanning_tree(lq):
+        source = parent if sign > 0 else child
+        table[child] = table[parent] + sign * inc(source, i)
     for (v, i) in lq.all_arrows():
         if table[lq.arrow_target(v, i)] - table[v] != inc(v, i):
             raise NotACut("path sums are inconsistent; not a cut",
@@ -289,25 +305,7 @@ def enumerate_detectors(lq: LatticeQuotient,
     """
     gamma = tuple(gamma)
     zero = lq.group.zero().coords
-    # build a spanning tree of the (undirected) Cayley graph
-    tree: list[tuple[tuple, tuple, int, int]] = []  # (parent, child, type, sign)
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(lq.d + 1):
-                w = lq.arrow_target(v, i)
-                if w not in seen:
-                    seen.add(w)
-                    tree.append((v, w, i, +1))
-                    nxt.append(w)
-                u = (lq.vertex_element(v) - lq.alpha_images[i]).coords
-                if u not in seen:
-                    seen.add(u)
-                    tree.append((v, u, i, -1))
-                    nxt.append(u)
-        frontier = nxt
+    tree = _spanning_tree(lq)
     m = lq.m
     out = []
     for choices in itertools.product((0, 1), repeat=len(tree)):

@@ -167,10 +167,6 @@ class GradedDegreeGroup:
     def theta_val(self, e: GroupElement) -> int:
         return _dot(self.theta, e.free_part())
 
-    @property
-    def theta_p(self) -> int:
-        return self.theta_val(self.p)
-
     def hom_dim(self, g: GroupElement) -> int:
         """dim S_g: number of exponent vectors a >= 0 with sum a_i x_i = g."""
         return self._count(0, g)
@@ -225,9 +221,6 @@ class GradedDegreeGroup:
 
     def leq(self, g: GroupElement, h: GroupElement) -> bool:
         return self._count(0, h - g) > 0
-
-    def geq(self, g: GroupElement, h: GroupElement) -> bool:
-        return self.leq(h, g)
 
     # -- cosets modulo a shift -------------------------------------------
 

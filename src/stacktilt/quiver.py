@@ -7,7 +7,6 @@ arrow per irreducible monomial, so parallel arrows carry multiplicity.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -20,10 +19,6 @@ def monomial_label(exponents: Sequence[int]) -> str:
         elif a > 1:
             parts.append(f"x{i + 1}^{a}")
     return "*".join(parts) if parts else "1"
-
-
-def monomial_degree(exponents: Sequence[int]) -> int:
-    return sum(exponents)
 
 
 @dataclass(frozen=True, order=True)
@@ -95,21 +90,3 @@ def to_dot(qp: QuiverPresentation, name: str = "quiver") -> str:
             f' [label="{a.label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-_NODE_RE = re.compile(r"^\s*(\w+)\s*\[label=")
-_EDGE_RE = re.compile(r"^\s*(\w+)\s*->\s*(\w+)\s*\[label=\"([^\"]*)\"\];")
-
-
-def parse_dot(text: str) -> tuple[list[str], list[tuple[str, str, str]]]:
-    """Minimal re-parser for emitted DOT (round-trip checks only)."""
-    nodes, edges = [], []
-    for line in text.splitlines():
-        m = _EDGE_RE.match(line)
-        if m:
-            edges.append((m.group(1), m.group(2), m.group(3)))
-            continue
-        m = _NODE_RE.match(line)
-        if m:
-            nodes.append(m.group(1))
-    return nodes, edges

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import _intlinalg as la
@@ -31,10 +30,6 @@ class StackyPolytope:
     @property
     def n(self) -> int:
         return len(self.vertices)
-
-    def is_face(self, indices) -> bool:
-        s = set(indices)
-        return any(s <= set(f) for f in self.facets)
 
 
 def parse_polytope(vertices: Sequence[Sequence[int]]) -> StackyPolytope:
@@ -154,38 +149,32 @@ class HomologyProfile:
         return all(v == 0 for _, v in self.dims)
 
 
-def _rank_rational(rows: list[list[int]]) -> int:
-    mat = [[Fraction(x) for x in row] for row in rows]
-    rank, ncols = 0, len(mat[0]) if mat else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+def _rank(rows: list[list[int]], p: Optional[int] = None) -> int:
+    """Rank over Q, or over F_p when p is given, by fraction-free elimination.
+
+    Over Q this is Bareiss's method: after each pivot every lower row is
+    a row of minors of the input, so the division by the previous pivot
+    is exact and the entries stay bounded by Hadamard's bound.  Over F_p
+    the entries are reduced mod p instead and no division is needed.
+    """
+    mat = [row if p is None else [x % p for x in row] for row in rows]
+    rank, prev = 0, 1
+    for col in range(len(mat[0]) if mat else 0):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
-
-
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    mat = [[x % p for x in row] for row in rows]
-    rank, ncols = 0, len(mat[0]) if mat else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] % p), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][col], -1, p)
-        mat[rank] = [(x * inv) % p for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[rank])]
+        top = mat[rank]
+        a = top[col]
+        for r in range(rank + 1, len(mat)):
+            f = mat[r][col]
+            if p is None:
+                mat[r] = [(a * x - f * y) // prev
+                          for x, y in zip(mat[r], top)]
+            else:
+                mat[r] = [(a * x - f * y) % p for x, y in zip(mat[r], top)]
+        if p is None:
+            prev = a
         rank += 1
     return rank
 
@@ -206,8 +195,6 @@ def reduced_homology(complex_: XaComplex, ambient_dim: int,
         by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
     for k in by_dim:
         by_dim[k] = sorted(by_dim[k])
-    rank = _rank_rational if field is None else (
-        lambda rows: _rank_mod_p(rows, field))
 
     def boundary_rank(k: int) -> int:
         # rank of C_k -> C_{k-1}
@@ -223,7 +210,7 @@ def reduced_homology(complex_: XaComplex, ambient_dim: int,
                 sub = f[:drop] + f[drop + 1:]
                 row[lower[sub]] = (-1) ** drop
             rows.append(row)
-        return rank(rows)
+        return _rank(rows, field)
 
     dims = []
     top = ambient_dim - 1
@@ -234,14 +221,6 @@ def reduced_homology(complex_: XaComplex, ambient_dim: int,
         ck = len(by_dim.get(k, []))
         dims.append((k, ck - ranks[k] - ranks.get(k + 1, 0)))
     return HomologyProfile(field=field, dims=tuple(dims))
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
-def _floor_div(a: int, b: int) -> int:
-    return a // b
 
 
 class _Unbounded(Exception):
@@ -284,10 +263,10 @@ def _count_lattice_points(constraints: list[tuple[tuple[int, ...], int]],
                 continue
             val = sum(coeffs[j] * x[j] for j in range(k)) + const
             if a > 0:
-                bound = _ceil_div(-val, a)
+                bound = -(val // a)
                 lo = bound if lo is None else max(lo, bound)
             else:
-                bound = _floor_div(val, -a)
+                bound = val // -a
                 hi = bound if hi is None else min(hi, bound)
         if lo is None or hi is None:
             raise _Unbounded()
@@ -378,9 +357,3 @@ class CohomologyOracle:
     def all_r(self, g: GroupElement, field: Optional[int] = None) -> dict:
         return {r: self.cohomology_dim(g, r, field)
                 for r in range(self.polytope.d + 1)}
-
-
-def euler_characteristic_boundary(p: StackyPolytope) -> int:
-    """Euler characteristic of the boundary complex, from homology dims."""
-    profile = reduced_homology(xa_complex(p, range(p.n)), p.d)
-    return 1 + sum(((-1) ** k) * v for k, v in profile.dims if k >= 0)

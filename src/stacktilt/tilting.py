@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -26,38 +25,6 @@ from .quiver import Arrow, QuiverPresentation, Relation, monomial_label
 from .stacky_geom import CohomologyOracle
 
 
-class FiberedPoset:
-    """q^{-1}(J) inside G: one shift orbit per element of the base class J."""
-
-    def __init__(self, ctx: GradedDegreeGroup, split: SignSplit,
-                 base: us.AntichainRep):
-        self.ctx = ctx
-        self.split = split
-        self.base = base
-        self.shift_element = ctx.p
-        self.theta_p = ctx.theta_val(ctx.p)
-        self._samples = {}
-        for h in base.elements:
-            self._samples[h.coords] = split.q.section(h)
-        self.fibers = tuple(sorted(self._samples))
-        self.supports_local_check = False
-
-    def leq(self, a: GroupElement, b: GroupElement) -> bool:
-        return self.ctx.leq(a, b)
-
-    def shift(self, a: GroupElement, n: int) -> GroupElement:
-        return a + n * self.shift_element
-
-    def fiber_key(self, a: GroupElement):
-        return self.split.q(a).coords
-
-    def fiber_sample(self, key) -> GroupElement:
-        return self._samples[key]
-
-    def theta(self, a: GroupElement) -> int:
-        return self.ctx.theta_val(a)
-
-
 @dataclass
 class TiltingClass:
     rank: int
@@ -65,6 +32,7 @@ class TiltingClass:
     rep: us.AntichainRep
     quiver: QuiverPresentation
     class_id: str
+    translation: str = "zp"    # the canonical_form mode it is counted in
     base: Optional[us.AntichainRep] = None     # rank two: the J-class over H
     split: Optional[SignSplit] = None
 
@@ -76,20 +44,24 @@ class TiltingClass:
         return [list(e.coords) for e in self.elements]
 
 
+def _translation(mode: str) -> str:
+    """Paper mode counts classes up to all translations, zp mode up to p."""
+    return "full" if mode == "paper" else "zp"
+
+
 def _class_id(rank: int, elements: Sequence[GroupElement]) -> str:
     payload = json.dumps([rank] + [list(e.coords) for e in elements])
     return hashlib.sha1(payload.encode()).hexdigest()[:12]
 
 
 def endomorphism_quiver(ctx: GradedDegreeGroup,
-                        elements: Sequence[GroupElement],
-                        with_relations: bool = False) -> QuiverPresentation:
+                        elements: Sequence[GroupElement]) -> QuiverPresentation:
     """Arrows are the irreducible monomials between members of the class.
 
     A monomial m from g to h is irreducible when no proper factorization
     passes through another member; arrow multiplicity is the number of
-    such monomials.  Commutativity relations are emitted on request
-    (rank one only, where they present the algebra).
+    such monomials.  Commutativity relations are emitted in rank one
+    only, where they present the algebra.
     """
     verts = sorted({e.coords for e in elements})
     members = {e.coords: e for e in elements}
@@ -103,7 +75,7 @@ def endomorphism_quiver(ctx: GradedDegreeGroup,
             if _is_irreducible(ctx, members, g, a):
                 arrows.append(Arrow(g.coords, h.coords, monomial_label(a)))
     relations: list[Relation] = []
-    if with_relations:
+    if ctx.group.free_rank == 1:
         for g in elems:
             for i in range(ctx.n):
                 for j in range(i + 1, ctx.n):
@@ -164,23 +136,37 @@ def _certify_rank1(ctx: GradedDegreeGroup, rep: us.AntichainRep,
             "relations disagree with the cut presentation")
 
 
+def _certified_class(ctx: GradedDegreeGroup, rep: us.AntichainRep,
+                     translation: str, cut_data: Optional[tuple] = None,
+                     split: Optional[SignSplit] = None,
+                     base: Optional[us.AntichainRep] = None) -> TiltingClass:
+    """The class of rep with its endomorphism quiver, re-certified.
+
+    Rank one checks the quiver against the cut (cut_data is (lq, gamma));
+    rank two checks rigidity and top-Ext vanishing through the split.
+    """
+    rank = ctx.group.free_rank
+    quiver = endomorphism_quiver(ctx, rep.elements)
+    if rank == 1:
+        _certify_rank1(ctx, rep, quiver, *cut_data)
+    else:
+        _certify_rank2(ctx, split, rep)
+    return TiltingClass(rank=rank, ctx=ctx, rep=rep, quiver=quiver,
+                        class_id=_class_id(rank, rep.elements),
+                        translation=translation, base=base, split=split)
+
+
 def classify_rank1(ctx: GradedDegreeGroup, mode: str = "paper",
                    max_classes: int = 10_000,
                    rng=None) -> list[TiltingClass]:
     """All tilting classes of line bundles for a rank-one graded group."""
     if ctx.group.free_rank != 1:
         raise InputError("classify_rank1 needs a rank-one graded group")
-    translation = "full" if mode == "paper" else "zp"
+    translation = _translation(mode)
     poset = us.GroupPoset(ctx)
     reps = us.enumerate_classes(poset, translation, max_classes, rng=rng)
-    lq, gamma = cuts_mod.data_of_group(ctx)
-    out = []
-    for rep in reps:
-        quiver = endomorphism_quiver(ctx, rep.elements, with_relations=True)
-        _certify_rank1(ctx, rep, quiver, lq, gamma)
-        out.append(TiltingClass(rank=1, ctx=ctx, rep=rep, quiver=quiver,
-                                class_id=_class_id(1, rep.elements)))
-    return out
+    cut_data = cuts_mod.data_of_group(ctx)
+    return [_certified_class(ctx, rep, translation, cut_data) for rep in reps]
 
 
 @dataclass
@@ -216,44 +202,37 @@ def _certify_rank2(ctx: GradedDegreeGroup, split: SignSplit,
                 "top-Ext certificate failed: S_{g-h-p} != 0")
 
 
-def _stabilizer_merged_count(split: SignSplit, fp: FiberedPoset,
+def _stabilizer_merged_count(split: SignSplit, base: us.AntichainRep,
                              inner: list[us.AntichainRep]) -> int:
     """Inner classes identified also under translations fixing the base.
 
     A translation fixing the finite base class setwise preserves its theta
-    multiset, so it must be torsion in H; only those are tried.
+    multiset, so it must be torsion in H; only those are tried.  They form
+    a group, so the translates of one class are its whole orbit.
     """
     h_group = split.h_ctx.group
-    base_set = set(rep_h.coords for rep_h in fp.base.elements)
+    base_set = set(rep_h.coords for rep_h in base.elements)
     stab = []
     for tors in itertools.product(*(range(o) for o in h_group.torsion_orders)):
         cand = h_group.from_coords(tors + (0,) * h_group.free_rank)
         if cand.is_zero():
             continue
-        if {(e + cand).coords for e in fp.base.elements} == base_set:
+        if {(e + cand).coords for e in base.elements} == base_set:
             stab.append(cand)
-    keys = {rep.key(): i for i, rep in enumerate(inner)}
-    parent = list(range(len(inner)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, rep in enumerate(inner):
+    known = {rep.key() for rep in inner}
+    orbits = set()
+    for rep in inner:
+        orbit = {rep.key()}
         for t in stab:
             lift = split.q.section(t)
-            moved = us.AntichainRep(fp, [e + lift for e in rep.elements])
-            canon = us.canonical_form(moved, "zp")
-            j = keys.get(canon.key())
-            if j is None:
-                raise InternalInvariantBroken(
-                    "stabilizer translate left the class list")
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    return len({find(i) for i in range(len(inner))})
+            moved = us.AntichainRep(rep.poset,
+                                    [e + lift for e in rep.elements])
+            orbit.add(us.canonical_form(moved, "zp").key())
+        if not orbit <= known:
+            raise InternalInvariantBroken(
+                "stabilizer translate left the class list")
+        orbits.add(frozenset(orbit))
+    return len(orbits)
 
 
 def classify_rank2(ctx: GradedDegreeGroup, mode: str = "paper",
@@ -268,21 +247,15 @@ def classify_rank2(ctx: GradedDegreeGroup, mode: str = "paper",
         raise InputError("classify_rank2 needs a rank-two graded group")
     split = ctx.sign_split()
     h_poset = us.GroupPoset(split.h_ctx, shift_element=split.s)
-    translation = "full" if mode == "paper" else "zp"
-    base_classes = us.enumerate_classes(h_poset, translation, max_classes,
-                                        rng=rng)
+    base_classes = us.enumerate_classes(h_poset, _translation(mode),
+                                        max_classes, rng=rng)
     groups = []
     for base in base_classes:
-        fp = FiberedPoset(ctx, split, base)
-        inner = us.enumerate_classes(fp, "zp", max_classes, rng=rng)
-        classes = []
-        for rep in inner:
-            _certify_rank2(ctx, split, rep)
-            quiver = endomorphism_quiver(ctx, rep.elements)
-            classes.append(TiltingClass(
-                rank=2, ctx=ctx, rep=rep, quiver=quiver,
-                class_id=_class_id(2, rep.elements), base=base, split=split))
-        merged = _stabilizer_merged_count(split, fp, inner)
+        poset = us.GroupPoset(ctx, over=(split, base))
+        inner = us.enumerate_classes(poset, "zp", max_classes, rng=rng)
+        classes = [_certified_class(ctx, rep, "zp", split=split, base=base)
+                   for rep in inner]
+        merged = _stabilizer_merged_count(split, base, inner)
         groups.append(Rank2Group(base=base,
                                  base_id=_class_id(0, base.elements),
                                  classes=classes,
@@ -290,11 +263,10 @@ def classify_rank2(ctx: GradedDegreeGroup, mode: str = "paper",
     return Rank2Classification(split=split, groups=groups)
 
 
-def is_presilting(ctx: GradedDegreeGroup, elements: Sequence[GroupElement],
-                  split: Optional[SignSplit] = None):
+def is_presilting(ctx: GradedDegreeGroup, elements: Sequence[GroupElement]):
     """(ok, witness): the antichain condition, plus base rigidity in rank two."""
     rank = ctx.group.free_rank
-    if rank == 2 and split is None:
+    if rank == 2:
         split = ctx.sign_split()
     for g, h in itertools.product(elements, repeat=2):
         if ctx.leq(h + ctx.p, g):
@@ -311,18 +283,10 @@ def is_presilting(ctx: GradedDegreeGroup, elements: Sequence[GroupElement],
 def apr_mutate(tclass: TiltingClass, m: GroupElement) -> TiltingClass:
     """Tilting mutation at a minimal member: replace m by m + p, recertify."""
     rep = us.mutate(tclass.rep, m)
-    if tclass.rank == 1:
-        quiver = endomorphism_quiver(tclass.ctx, rep.elements,
-                                     with_relations=True)
-        lq, gamma = cuts_mod.data_of_group(tclass.ctx)
-        _certify_rank1(tclass.ctx, rep, quiver, lq, gamma)
-        return TiltingClass(rank=1, ctx=tclass.ctx, rep=rep, quiver=quiver,
-                            class_id=_class_id(1, rep.elements))
-    _certify_rank2(tclass.ctx, tclass.split, rep)
-    quiver = endomorphism_quiver(tclass.ctx, rep.elements)
-    return TiltingClass(rank=2, ctx=tclass.ctx, rep=rep, quiver=quiver,
-                        class_id=_class_id(2, rep.elements),
-                        base=tclass.base, split=tclass.split)
+    cut_data = (cuts_mod.data_of_group(tclass.ctx) if tclass.rank == 1
+                else None)
+    return _certified_class(tclass.ctx, rep, tclass.translation, cut_data,
+                            tclass.split, tclass.base)
 
 
 def component_of(rep: us.AntichainRep, g: GroupElement) -> str:
@@ -350,26 +314,16 @@ class VerificationReport:
 
 
 def verify_class(oracle: CohomologyOracle, elements: Sequence[GroupElement],
-                 field: Optional[int] = None, jobs: int = 1) -> VerificationReport:
+                 field: Optional[int] = None) -> VerificationReport:
     """Ext^r(E, E) = 0 for 1 <= r <= d, through the homology oracle.
 
     Thick generation is not re-checked (asserted by the classification
     theorems); the report records that explicitly.
     """
     d = oracle.polytope.d
-    triples = [(g, h, r)
+    results = [(g.coords, h.coords, r, oracle.ext_dim(g, h, r, field))
                for g, h in itertools.product(elements, repeat=2)
                for r in range(1, d + 1)]
-
-    def compute(t):
-        g, h, r = t
-        return (g.coords, h.coords, r, oracle.ext_dim(g, h, r, field))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(compute, triples))
-    else:
-        results = [compute(t) for t in triples]
     failures = [row for row in results if row[3] != 0]
     return VerificationReport(ok=not failures, checked=results,
                               failures=failures)

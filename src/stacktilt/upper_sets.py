@@ -10,7 +10,6 @@ rank-two J-class (shift p).
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Optional, Sequence
 
 from .abgroup import GroupElement
@@ -22,23 +21,35 @@ _SEARCH_CAP = 10_000
 
 
 class GroupPoset:
-    """The whole group as a shifted poset; shift defaults to p.
+    """A shifted poset inside G: fibers, one sample per fiber, and a shift.
 
-    Fibers are the cosets modulo the shift; the fiber index must be finite,
-    which for the in-scope inputs means free rank one.
+    Whole-group form (over=None): the fibers are the cosets of G modulo the
+    shift, which defaults to p; their number must be finite, which for the
+    in-scope inputs means free rank one.  Fibered form (over=(split, base)):
+    q^{-1}(J) inside a rank-two G, one shift orbit per element h of the base
+    class J over H = G/Zp, with projection split.q and samples
+    split.q.section(h).
     """
 
     def __init__(self, ctx: GradedDegreeGroup,
-                 shift_element: Optional[GroupElement] = None):
+                 shift_element: Optional[GroupElement] = None,
+                 over: Optional[tuple] = None):
         self.ctx = ctx
         self.shift_element = ctx.p if shift_element is None else shift_element
-        reps, quot, proj = ctx.coset_reps(self.shift_element)
-        self._proj = proj
-        self._reps = {proj(r).coords: r for r in reps}
-        self.fibers = tuple(sorted(self._reps))
+        if over is None:
+            reps, _, self._proj = ctx.coset_reps(self.shift_element)
+            self._samples = {self._proj(r).coords: r for r in reps}
+        else:
+            split, base = over
+            self._proj = split.q
+            self._samples = {h.coords: split.q.section(h)
+                             for h in base.elements}
+        self.fibers = tuple(sorted(self._samples))
         self.theta_p = ctx.theta_val(self.shift_element)
-        # Prop-GJX local test is only valid when the shift is p = sum x_i
-        self.supports_local_check = self.shift_element == ctx.p
+        # the Prop-GJX local test is only valid on the whole group with
+        # shift p = sum x_i
+        self.supports_local_check = (over is None
+                                     and self.shift_element == ctx.p)
 
     def leq(self, a: GroupElement, b: GroupElement) -> bool:
         return self.ctx.leq(a, b)
@@ -50,17 +61,10 @@ class GroupPoset:
         return self._proj(a).coords
 
     def fiber_sample(self, key) -> GroupElement:
-        return self._reps[key]
+        return self._samples[key]
 
     def theta(self, a: GroupElement) -> int:
         return self.ctx.theta_val(a)
-
-    def translate(self, a: GroupElement, t: GroupElement) -> GroupElement:
-        return a + t
-
-    def full_translations(self) -> list[GroupElement]:
-        """Coset representatives generating all translations modulo shift."""
-        return [self._reps[k] for k in self.fibers]
 
     def local_check(self, rep: "AntichainRep") -> bool:
         """g + x_i in J or J + p, for every g in J and every degree."""
@@ -125,7 +129,7 @@ def is_antichain_rep(poset, elements: Sequence[GroupElement]):
                 break
         if not ok:
             break
-    if getattr(poset, "supports_local_check", False):
+    if poset.supports_local_check:
         rep = AntichainRep(poset, elements)
         if poset.local_check(rep) != ok:
             raise InternalInvariantBroken(
@@ -245,8 +249,9 @@ def canonical_form(rep: AntichainRep, mode: str = "zp") -> AntichainRep:
     """Deterministic orbit representative.
 
     mode "zp": translate by a multiple of p so min theta lands in [0, theta_p).
-    mode "full": additionally minimize over ambient translations modulo p
-    (the "up to translations" counting used for class reporting).
+    mode "full": additionally minimize over the translations by the fiber
+    samples, i.e. all translations modulo the shift (the "up to
+    translations" counting used for class reporting).
     """
     if mode == "zp":
         return _slab_shift(rep)
@@ -254,9 +259,9 @@ def canonical_form(rep: AntichainRep, mode: str = "zp") -> AntichainRep:
         raise ValueError(f"unknown canonical form mode {mode!r}")
     poset = rep.poset
     best = None
-    for t in poset.full_translations():
+    for t in map(poset.fiber_sample, poset.fibers):
         cand = _slab_shift(AntichainRep(
-            poset, [poset.translate(e, t) for e in rep.elements]))
+            poset, [e + t for e in rep.elements]))
         if best is None or cand.key() < best.key():
             best = cand
     return best
@@ -347,53 +352,3 @@ def apply_moves(rep: AntichainRep, moves: Sequence[tuple]) -> AntichainRep:
         m = rep.by_fiber[fiber]
         rep = mutate(rep, m) if direction == 1 else mutate_up(rep, m)
     return rep
-
-
-def _enumerate_classes_window(poset, mode: str = "full",
-                              window: int = 4) -> list[AntichainRep]:
-    """Brute-force oracle: all shift vectors in [-window, window]^fibers.
-
-    Test-only cross-check for enumerate_classes; the window is not a
-    completeness proof.  Prefix pruning is sound because an antichain
-    violation between two chosen elements dooms every extension.
-    """
-    base = [poset.fiber_sample(k) for k in poset.fibers]
-    found: dict = {}
-
-    def rec(i: int, chosen: list[GroupElement]) -> None:
-        if i == len(base):
-            ok, _ = is_antichain_rep(poset, chosen)
-            if ok:
-                c = canonical_form(AntichainRep(poset, chosen), mode)
-                found.setdefault(c.key(), c)
-            return
-        for n in range(-window, window + 1):
-            e = poset.shift(base[i], n)
-            bad = any(
-                poset.leq(poset.shift(x, 1), e) or poset.leq(poset.shift(e, 1), x)
-                for x in chosen)
-            if not bad:
-                chosen.append(e)
-                rec(i + 1, chosen)
-                chosen.pop()
-
-    rec(0, [])
-    return [found[k] for k in sorted(found)]
-
-
-def admits_proper_superset(rep: AntichainRep, window: int = 3) -> bool:
-    """Test helper: try to grow J by any shifted fiber element (must fail)."""
-    poset = rep.poset
-    for key in poset.fibers:
-        base = rep.by_fiber[key]
-        for n in range(-window, window + 1):
-            cand = poset.shift(base, n)
-            if cand == base:
-                continue
-            extended = list(rep.elements) + [cand]
-            ok = not any(
-                poset.leq(poset.shift(y, 1), x)
-                for x, y in itertools.product(extended, repeat=2))
-            if ok:
-                return True
-    return False

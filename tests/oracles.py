@@ -1,0 +1,84 @@
+"""Brute-force reference implementations that the tests compare against."""
+
+from __future__ import annotations
+
+import itertools
+import re
+
+from stacktilt import stacky_geom as sg
+from stacktilt.abgroup import GroupElement
+from stacktilt.upper_sets import AntichainRep, canonical_form, is_antichain_rep
+
+
+def enumerate_classes_window(poset, mode: str = "full",
+                             window: int = 4) -> list[AntichainRep]:
+    """Brute-force oracle: all shift vectors in [-window, window]^fibers.
+
+    Cross-check for upper_sets.enumerate_classes; the window is not a
+    completeness proof.  Prefix pruning is sound because an antichain
+    violation between two chosen elements dooms every extension.
+    """
+    base = [poset.fiber_sample(k) for k in poset.fibers]
+    found: dict = {}
+
+    def rec(i: int, chosen: list[GroupElement]) -> None:
+        if i == len(base):
+            ok, _ = is_antichain_rep(poset, chosen)
+            if ok:
+                c = canonical_form(AntichainRep(poset, chosen), mode)
+                found.setdefault(c.key(), c)
+            return
+        for n in range(-window, window + 1):
+            e = poset.shift(base[i], n)
+            bad = any(
+                poset.leq(poset.shift(x, 1), e) or poset.leq(poset.shift(e, 1), x)
+                for x in chosen)
+            if not bad:
+                chosen.append(e)
+                rec(i + 1, chosen)
+                chosen.pop()
+
+    rec(0, [])
+    return [found[k] for k in sorted(found)]
+
+
+def admits_proper_superset(rep: AntichainRep, window: int = 3) -> bool:
+    """Try to grow J by any shifted fiber element (must fail)."""
+    poset = rep.poset
+    for key in poset.fibers:
+        base = rep.by_fiber[key]
+        for n in range(-window, window + 1):
+            cand = poset.shift(base, n)
+            if cand == base:
+                continue
+            extended = list(rep.elements) + [cand]
+            ok = not any(
+                poset.leq(poset.shift(y, 1), x)
+                for x, y in itertools.product(extended, repeat=2))
+            if ok:
+                return True
+    return False
+
+
+_NODE_RE = re.compile(r"^\s*(\w+)\s*\[label=")
+_EDGE_RE = re.compile(r"^\s*(\w+)\s*->\s*(\w+)\s*\[label=\"([^\"]*)\"\];")
+
+
+def parse_dot(text: str) -> tuple[list[str], list[tuple[str, str, str]]]:
+    """Minimal re-parser for emitted DOT (round-trip checks only)."""
+    nodes, edges = [], []
+    for line in text.splitlines():
+        m = _EDGE_RE.match(line)
+        if m:
+            edges.append((m.group(1), m.group(2), m.group(3)))
+            continue
+        m = _NODE_RE.match(line)
+        if m:
+            nodes.append(m.group(1))
+    return nodes, edges
+
+
+def euler_characteristic_boundary(p: sg.StackyPolytope) -> int:
+    """Euler characteristic of the boundary complex, from homology dims."""
+    profile = sg.reduced_homology(sg.xa_complex(p, range(p.n)), p.d)
+    return 1 + sum(((-1) ** k) * v for k, v in profile.dims if k >= 0)

@@ -9,6 +9,7 @@ import itertools
 import random
 import time
 
+from oracles import enumerate_classes_window
 from stacktilt import cuts, tilting, upper_sets as us
 from stacktilt.stacky_geom import CohomologyOracle, group_to_polytope
 
@@ -379,13 +380,13 @@ def test_criterion_10_property_suites(ctx_p23, ctx_zz2_d1, ctx_zz2_d2,
             for mode in ("full", "zp"):
                 assert [r.key() for r in us.enumerate_classes(poset, mode)] \
                     == [r.key() for r in
-                        us._enumerate_classes_window(poset, mode, 4)]
+                        enumerate_classes_window(poset, mode, 4)]
         for ctx in (ctx_p1p1, ctx_sigma1, ctx_stacky):
             split = ctx.sign_split()
             h_poset = us.GroupPoset(split.h_ctx, shift_element=split.s)
             for base in us.enumerate_classes(h_poset, "full"):
-                fp = tilting.FiberedPoset(ctx, split, base)
+                fp = us.GroupPoset(ctx, over=(split, base))
                 assert [r.key() for r in us.enumerate_classes(fp, "zp")] \
                     == [r.key() for r in
-                        us._enumerate_classes_window(fp, "zp", 4)]
+                        enumerate_classes_window(fp, "zp", 4)]
     _timed(10, 120.0, body)

@@ -1,7 +1,9 @@
 import json
 
+import pytest
+
+from oracles import parse_dot
 from stacktilt.cli import main
-from stacktilt.quiver import parse_dot
 
 P23 = {"group": {"free_rank": 1, "torsion_orders": [], "degrees": [[2], [3]]}}
 P1 = {"group": {"free_rank": 1, "torsion_orders": [], "degrees": [[1], [1]]}}
@@ -77,6 +79,42 @@ def test_classify_malformed_inputs(tmp_path, capsys):
     assert code == 2
     code, doc = _run(capsys, ["classify", str(tmp_path / "missing.json")])
     assert code == 2
+
+
+LATTICE = {"d": 1, "b_generators": [[5, -5]], "gamma": [2, 3]}
+
+
+@pytest.mark.parametrize("doc, argv", [
+    (P23, ["cohomology", "--twist", "[1,"]),
+    (P23, ["mutate", "--class", "0", "--at", "[0"]),
+    (P23, ["verify", "--set", "[[0]"]),
+    ({"lattice": {"b_generators": [[5, -5]], "gamma": [2, 3]}}, ["cuts"]),
+    ({"lattice": {**LATTICE, "gamma": ["a", 3]}}, ["cuts"]),
+    ({"lattice": {**LATTICE, "gamma": [2.5, 2.5]}}, ["cuts"]),
+    (P23, ["cohomology", "--twist", "[1, 0]", "--field", "Fx"]),
+    ({**P23, "field": {"Fp": "q"}}, ["cohomology", "--twist", "[1, 0]"]),
+    (5, ["classify"]),
+    ({"polytope": []}, ["classify"]),
+    ({"polytope": {"vertices": [["a"], [1]]}}, ["classify"]),
+    ({"group": {"free_rank": 1, "degrees": [5, 2]}}, ["classify"]),
+    ({"group": {**P23["group"], "free_rank": 1.5}}, ["classify"]),
+    ({"lattice": {**LATTICE, "d": 1.9}}, ["cuts"]),
+    (P23, ["cohomology", "--twist", "[1.5, 0]"]),
+    (P23, ["cohomology", "--twist", "[true, 0]"]),
+    (P23, ["mutate", "--class", "0", "--at", "[0.0]"]),
+    (P23, ["verify", "--set", "[[0], 7]"]),
+], ids=["twist-json", "at-json", "set-json", "lattice-no-d", "gamma-str",
+        "gamma-float", "field-flag", "field-doc", "doc-number",
+        "polytope-list", "vertex-str", "degree-number", "free-rank-float",
+        "d-float", "twist-float",
+        "twist-bool", "at-float", "set-entry"])
+def test_malformed_input_exits_2(tmp_path, capsys, doc, argv):
+    path = _write(tmp_path, doc)
+    code = main(argv[:1] + [path] + argv[1:])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["error"]["type"] == "InputError"
+    assert "Traceback" not in captured.err
 
 
 def test_classify_dot_output(tmp_path, capsys):
@@ -156,7 +194,7 @@ def test_verify_ok_and_failure(tmp_path, capsys):
 
 def test_verify_single_class(tmp_path, capsys):
     path = _write(tmp_path, P1)
-    code, doc = _run(capsys, ["verify", path, "--class", "0", "--jobs", "2"])
+    code, doc = _run(capsys, ["verify", path, "--class", "0"])
     assert code == 0 and doc["ok"]
 
 
@@ -184,9 +222,9 @@ def test_cuts_from_group(tmp_path, capsys):
     assert doc["m"] == 5 and doc["type"] == [2, 3] and doc["admissible"]
 
 
-def test_max_classes_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("STACKTILT_MAX_CLASSES", "1")
-    code, doc = _run(capsys, ["classify", _write(tmp_path, P23)])
+def test_max_classes_env(tmp_path, capsys):
+    code, doc = _run(capsys, ["classify", _write(tmp_path, P23),
+                              "--max-classes", "1"])
     assert code == 2 and doc["error"]["type"] == "ClassCountExceeded"
     code, doc = _run(capsys, ["classify", _write(tmp_path, P23, "b.json"),
                               "--max-classes", "50"])

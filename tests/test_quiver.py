@@ -1,5 +1,5 @@
-from stacktilt.quiver import (Arrow, QuiverPresentation, monomial_label,
-                              parse_dot, to_dot)
+from oracles import parse_dot
+from stacktilt.quiver import Arrow, QuiverPresentation, monomial_label, to_dot
 
 
 def test_monomial_label():

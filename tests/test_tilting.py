@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import enumerate_classes_window
 from stacktilt import tilting, upper_sets as us
 from stacktilt.errors import NotMinimal
 from stacktilt.stacky_geom import CohomologyOracle, group_to_polytope
@@ -95,10 +96,10 @@ def test_rank2_inner_enumeration_matches_window(ctx_p1p1, ctx_sigma1):
         split = ctx.sign_split()
         h_poset = us.GroupPoset(split.h_ctx, shift_element=split.s)
         for base in us.enumerate_classes(h_poset, "full"):
-            fp = tilting.FiberedPoset(ctx, split, base)
+            fp = us.GroupPoset(ctx, over=(split, base))
             bfs = [r.key() for r in us.enumerate_classes(fp, "zp")]
             window = [r.key() for r in
-                      us._enumerate_classes_window(fp, "zp", window=4)]
+                      enumerate_classes_window(fp, "zp", window=4)]
             assert bfs == window
 
 
@@ -257,10 +258,3 @@ def test_verify_class(make_pd, ctx_p1p1, ctx_p23):
     broken = tilting.verify_class(oracle, [z.zero(), z.canonicalize([7])])
     assert not broken.ok
     assert any(r == 1 and dim > 0 for (_, _, r, dim) in broken.failures)
-
-
-def test_verify_class_jobs(make_pd):
-    ctx = make_pd(1)
-    oracle = CohomologyOracle(group_to_polytope(ctx), ctx)
-    els = [ctx.group.canonicalize([v]) for v in (0, 1)]
-    assert tilting.verify_class(oracle, els, jobs=3).ok

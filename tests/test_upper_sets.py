@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import admits_proper_superset, enumerate_classes_window
 from stacktilt import upper_sets as us
 from stacktilt.errors import NotAntichain, NotMinimal, TrivialUpperSet
 
@@ -105,7 +106,7 @@ def test_enumerate_matches_window_oracle(ctx_p23, ctx_zz2_d1, ctx_zz2_d2,
         for mode in ("full", "zp"):
             bfs = [r.key() for r in us.enumerate_classes(poset, mode)]
             window = [r.key() for r in
-                      us._enumerate_classes_window(poset, mode, window=4)]
+                      enumerate_classes_window(poset, mode, window=4)]
             assert bfs == window
 
 
@@ -143,7 +144,7 @@ def test_maximality_for_free(ctx_p23, ctx_zz2_d1):
         poset = _poset(ctx)
         for rep in us.enumerate_classes(poset, "zp"):
             assert len(rep.elements) == len(poset.fibers)
-            assert not us.admits_proper_superset(rep, window=3)
+            assert not admits_proper_superset(rep, window=3)
 
 
 def test_connect(ctx_p23, make_pd):
