@@ -18,16 +18,6 @@ def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    if a and b:
-        assert len(a[0]) == len(b)
-    ncols = len(b[0]) if b else 0
-    return [
-        [sum(ra[k] * b[k][j] for k in range(len(b))) for j in range(ncols)]
-        for ra in a
-    ]
-
-
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> Vector:
     return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
 
@@ -189,6 +179,17 @@ def image_basis(vectors: Sequence[Sequence[int]], dim: int) -> list[Vector]:
     return basis
 
 
+def _with_slack(rows_exact: Sequence[Sequence[int]],
+                rows_mod: Sequence[tuple[Sequence[int], int]]) -> Matrix:
+    """The exact rows, then each row mod m with a slack column m * e_k."""
+    nmod = len(rows_mod)
+    m: Matrix = [list(row) + [0] * nmod for row in rows_exact]
+    for k, (row, mod) in enumerate(rows_mod):
+        assert mod >= 1
+        m.append(list(row) + [mod if j == k else 0 for j in range(nmod)])
+    return m
+
+
 def kernel_with_moduli(rows_exact: Sequence[Sequence[int]],
                        rows_mod: Sequence[tuple[Sequence[int], int]],
                        nvars: int) -> list[Vector]:
@@ -197,14 +198,8 @@ def kernel_with_moduli(rows_exact: Sequence[Sequence[int]],
     Each congruence gets a slack variable; the slack block is projected away,
     then the projection is reduced back to an honest lattice basis.
     """
-    nmod = len(rows_mod)
-    m: Matrix = []
-    for row in rows_exact:
-        m.append(list(row) + [0] * nmod)
-    for k, (row, mod) in enumerate(rows_mod):
-        assert mod >= 1
-        m.append(list(row) + [mod if j == k else 0 for j in range(nmod)])
-    full = integer_kernel(m, nvars + nmod)
+    full = integer_kernel(_with_slack(rows_exact, rows_mod),
+                          nvars + len(rows_mod))
     projected = [vec[:nvars] for vec in full]
     return image_basis(projected, nvars)
 
@@ -215,21 +210,6 @@ def solve_with_moduli(rows_exact: Sequence[Sequence[int]],
                       b_mod: Sequence[int],
                       nvars: int) -> Optional[Vector]:
     """One x with rows_exact @ x == b_exact and row . x == b mod m per row."""
-    nmod = len(rows_mod)
-    m: Matrix = []
-    for row in rows_exact:
-        m.append(list(row) + [0] * nmod)
-    for k, (row, mod) in enumerate(rows_mod):
-        m.append(list(row) + [mod if j == k else 0 for j in range(nmod)])
-    b = list(b_exact) + list(b_mod)
-    sol = solve_integer(m, nvars + nmod, b)
+    sol = solve_integer(_with_slack(rows_exact, rows_mod),
+                        nvars + len(rows_mod), list(b_exact) + list(b_mod))
     return None if sol is None else sol[:nvars]
-
-
-def lattice_contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
-    """Whether vec lies in the lattice spanned by basis (vectors in Z^n)."""
-    if not basis:
-        return all(x == 0 for x in vec)
-    n = len(basis[0])
-    a = [[b[i] for b in basis] for i in range(n)]  # columns = basis vectors
-    return solve_integer(a, len(basis), list(vec)) is not None

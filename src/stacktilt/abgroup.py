@@ -247,19 +247,22 @@ def direct_sum_group(free_rank: int, torsion_orders: Sequence[int]) -> FgAbelian
     return FgAbelianGroup(n, relations)
 
 
+def _relation_rows(elements: Sequence[GroupElement]) -> tuple[list, list]:
+    """Rows of sum v_i * elements_i: exact on free coordinates, mod orders."""
+    group = elements[0].group
+    nt = len(group.torsion_orders)
+    rows_exact = [[e.coords[nt + j] for e in elements]
+                  for j in range(group.free_rank)]
+    rows_mod = [([e.coords[i] for e in elements], o)
+                for i, o in enumerate(group.torsion_orders)]
+    return rows_exact, rows_mod
+
+
 def relation_kernel(elements: Sequence[GroupElement]) -> list[list[int]]:
     """Basis of {v in Z^k : sum v_i * elements_i == 0}."""
     if not elements:
         return []
-    group = elements[0].group
-    nt = len(group.torsion_orders)
-    rows_exact = []
-    for j in range(group.free_rank):
-        rows_exact.append([e.coords[nt + j] for e in elements])
-    rows_mod = []
-    for i, o in enumerate(group.torsion_orders):
-        rows_mod.append(([e.coords[i] for e in elements], o))
-    return la.kernel_with_moduli(rows_exact, rows_mod, len(elements))
+    return la.kernel_with_moduli(*_relation_rows(elements), len(elements))
 
 
 def solve_combination(elements: Sequence[GroupElement],
@@ -267,17 +270,6 @@ def solve_combination(elements: Sequence[GroupElement],
     """Integer v with sum v_i * elements_i == target, or None."""
     if not elements:
         return [] if target.is_zero() else None
-    group = elements[0].group
-    nt = len(group.torsion_orders)
-    rows_exact = []
-    b_exact = []
-    for j in range(group.free_rank):
-        rows_exact.append([e.coords[nt + j] for e in elements])
-        b_exact.append(target.coords[nt + j])
-    rows_mod = []
-    b_mod = []
-    for i, o in enumerate(group.torsion_orders):
-        rows_mod.append(([e.coords[i] for e in elements], o))
-        b_mod.append(target.coords[i])
-    return la.solve_with_moduli(rows_exact, b_exact, rows_mod, b_mod,
-                                len(elements))
+    rows_exact, rows_mod = _relation_rows(elements)
+    return la.solve_with_moduli(rows_exact, target.free_part(), rows_mod,
+                                target.torsion_part(), len(elements))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import isqrt
 from pathlib import Path
 from typing import Optional
 
@@ -56,8 +57,9 @@ def _parse_field(spec) -> Optional[int]:
         p = int(spec[1:])
     if type(p) is not int:
         raise InputError(f"unrecognized field spec {spec!r}")
-    if p < 2:
-        raise InputError("field characteristic must be at least 2")
+    if not 2 <= p < 2**31 or any(p % k == 0 for k in range(2, isqrt(p) + 1)):
+        raise InputError("field characteristic must be a prime below 2^31",
+                         characteristic=p)
     return p
 
 
@@ -111,18 +113,14 @@ def _ensure_polytope(ctx, polytope) -> StackyPolytope:
 
 
 def _class_entry(tc) -> dict:
-    neighbors = []
-    for m in us.mutable_elements(tc.rep):
-        canon = us.canonical_form(us.mutate(tc.rep, m), tc.translation)
-        neighbors.append({
-            "at": list(m.coords),
-            "to": tilting._class_id(tc.rank, canon.elements),
-        })
+    """A class with its quiver and the downward edges of the enumeration."""
     return {
         "id": tc.class_id,
         "line_bundles": tc.degrees_json(),
         "quiver": tc.quiver.to_json(),
-        "mutation_neighbors": neighbors,
+        "mutation_neighbors": [{"at": list(m.coords),
+                                "to": tilting._class_id(tc.rank, n.elements)}
+                               for m, n in tc.rep.edges],
     }
 
 
@@ -162,12 +160,13 @@ def _rank2_report(result) -> dict:
 
 
 def _classify(ctx, mode: str, max_classes: int):
+    """(classes, report): the report is built only when called."""
     if ctx.group.free_rank == 1:
         classes = tilting.classify_rank1(ctx, mode=mode,
                                          max_classes=max_classes)
-        return _rank1_report(classes, mode), classes
+        return classes, lambda: _rank1_report(classes, mode)
     result = tilting.classify_rank2(ctx, mode=mode, max_classes=max_classes)
-    return _rank2_report(result), result.classes
+    return result.classes, lambda: _rank2_report(result)
 
 
 def _write_dots(classes, dot_dir: str) -> None:
@@ -179,7 +178,7 @@ def _write_dots(classes, dot_dir: str) -> None:
 
 
 def _find_class(classes, token: str):
-    for i, tc in enumerate(classes):
+    for tc in classes:
         if tc.class_id == token:
             return tc
     try:
@@ -191,17 +190,17 @@ def _find_class(classes, token: str):
 def cmd_classify(args) -> int:
     doc = _load_document(args.input)
     ctx, _ = _build_context(doc)
-    report, classes = _classify(ctx, args.mode, args.max_classes)
+    classes, report = _classify(ctx, args.mode, args.max_classes)
     if args.dot_dir:
         _write_dots(classes, args.dot_dir)
-    _emit({"command": "classify", **report})
+    _emit({"command": "classify", **report()})
     return 0
 
 
 def cmd_mutate(args) -> int:
     doc = _load_document(args.input)
     ctx, _ = _build_context(doc)
-    _, classes = _classify(ctx, args.mode, args.max_classes)
+    classes, _ = _classify(ctx, args.mode, args.max_classes)
     tc = _find_class(classes, args.class_id)
     if (args.at is None) == (args.walk_to is None):
         raise InputError("mutate needs exactly one of --at or --walk-to")
@@ -271,7 +270,7 @@ def cmd_verify(args) -> int:
         ok = report.ok
         entries.append({"id": "explicit", **report.to_json()})
     else:
-        _, classes = _classify(ctx, args.mode, args.max_classes)
+        classes, _ = _classify(ctx, args.mode, args.max_classes)
         if args.class_id is not None:
             classes = [_find_class(classes, args.class_id)]
         for tc in classes:

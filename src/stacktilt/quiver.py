@@ -7,8 +7,8 @@ arrow per irreducible monomial, so parallel arrows carry multiplicity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 
 def monomial_label(exponents: Sequence[int]) -> str:
@@ -43,7 +43,6 @@ class QuiverPresentation:
     vertices: tuple
     arrows: tuple[Arrow, ...]
     relations: tuple[Relation, ...] = ()
-    hom_matrix: Optional[dict] = field(default=None, repr=False)
 
     def __post_init__(self):
         self.vertices = tuple(sorted(self.vertices))

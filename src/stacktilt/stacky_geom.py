@@ -145,9 +145,6 @@ class HomologyProfile:
     def dim(self, k: int) -> int:
         return dict(self.dims).get(k, 0)
 
-    def is_trivial(self) -> bool:
-        return all(v == 0 for _, v in self.dims)
-
 
 def _rank(rows: list[list[int]], p: Optional[int] = None) -> int:
     """Rank over Q, or over F_p when p is given, by fraction-free elimination.

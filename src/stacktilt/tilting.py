@@ -67,12 +67,9 @@ def endomorphism_quiver(ctx: GradedDegreeGroup,
     members = {e.coords: e for e in elements}
     elems = [members[v] for v in verts]
     arrows = []
-    hom_matrix = {}
     for g, h in itertools.product(elems, repeat=2):
-        monos = [a for a in ctx.monomials(h - g) if any(a)]
-        hom_matrix[(g.coords, h.coords)] = len(monos) + (1 if g == h else 0)
-        for a in monos:
-            if _is_irreducible(ctx, members, g, a):
+        for a in ctx.monomials(h - g):
+            if any(a) and _is_irreducible(ctx, members, g, a):
                 arrows.append(Arrow(g.coords, h.coords, monomial_label(a)))
     relations: list[Relation] = []
     if ctx.group.free_rank == 1:
@@ -89,8 +86,7 @@ def endomorphism_quiver(ctx: GradedDegreeGroup,
                             path_a=(f"x{i + 1}", f"x{j + 1}"),
                             path_b=(f"x{j + 1}", f"x{i + 1}")))
     return QuiverPresentation(vertices=tuple(verts), arrows=tuple(arrows),
-                              relations=tuple(relations),
-                              hom_matrix=hom_matrix)
+                              relations=tuple(relations))
 
 
 def _is_irreducible(ctx: GradedDegreeGroup, members: dict,

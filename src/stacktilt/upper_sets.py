@@ -80,7 +80,8 @@ class GroupPoset:
 class AntichainRep:
     """One chosen element per fiber, pairwise satisfying x >= y + p nowhere."""
 
-    __slots__ = ("poset", "elements", "by_fiber")
+    # edges: (site, neighbour class) per downward mutation, set by _walk
+    __slots__ = ("poset", "elements", "by_fiber", "edges")
 
     def __init__(self, poset, elements: Iterable[GroupElement]):
         self.poset = poset
@@ -267,6 +268,51 @@ def canonical_form(rep: AntichainRep, mode: str = "zp") -> AntichainRep:
     return best
 
 
+def _walk(start: AntichainRep, mode: str, max_classes: Optional[int] = None,
+          rng=None, in_target=None) -> tuple[dict, dict, Optional[tuple]]:
+    """Mutation BFS over mode-canonical states: (seen, parents, goal).
+
+    parents maps each key to (parent key, fiber key, +1 | -1), or None at
+    start.  With in_target it stops at start, or after expanding the first
+    state with a child in the target, whose last such child is the goal.
+    Otherwise it closes the component and sets every state's edges.
+    """
+    seen = {start.key(): start}
+    parents: dict = {start.key(): None}
+    goal = start.key() if in_target is not None and in_target(start) else None
+    frontier = [start]
+    while frontier and goal is None:
+        nxt = []
+        for rep in frontier:
+            moves = [(m, 1) for m in mutable_elements(rep)]
+            moves += [(m, -1) for m in upward_mutable_elements(rep)]
+            if rng is not None:
+                rng.shuffle(moves)
+            edges = []
+            for m, direction in moves:
+                c = canonical_form(mutate(rep, m) if direction == 1
+                                   else mutate_up(rep, m), mode)
+                k = c.key()
+                if k not in seen:
+                    seen[k] = c
+                    parents[k] = (rep.key(), rep.poset.fiber_key(m), direction)
+                    nxt.append(c)
+                    if max_classes is not None and len(seen) > max_classes:
+                        raise ClassCountExceeded(
+                            "class enumeration exceeded the ceiling",
+                            ceiling=max_classes)
+                    if in_target is not None and in_target(c):
+                        goal = k
+                if direction == 1:
+                    edges.append((m, seen[k]))
+            if goal is not None:
+                break
+            if in_target is None:   # connect's start may be a listed class
+                rep.edges = tuple(sorted(edges, key=lambda e: e[0].coords))
+        frontier = nxt
+    return seen, parents, goal
+
+
 def enumerate_classes(poset, mode: str = "full", max_classes: int = 10_000,
                       rng=None) -> list[AntichainRep]:
     """All antichain classes up to the chosen translations, by mutation BFS.
@@ -275,27 +321,8 @@ def enumerate_classes(poset, mode: str = "full", max_classes: int = 10_000,
     seed slab under mutations in both directions.  rng, when given, shuffles
     the expansion order (results must not depend on it).
     """
-    start = canonical_form(seed_slab(poset), mode)
-    seen = {start.key(): start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for rep in frontier:
-            neighbors = [mutate(rep, m) for m in mutable_elements(rep)]
-            neighbors += [mutate_up(rep, m)
-                          for m in upward_mutable_elements(rep)]
-            if rng is not None:
-                rng.shuffle(neighbors)
-            for n in neighbors:
-                c = canonical_form(n, mode)
-                if c.key() not in seen:
-                    seen[c.key()] = c
-                    nxt.append(c)
-                    if len(seen) > max_classes:
-                        raise ClassCountExceeded(
-                            "class enumeration exceeded the ceiling",
-                            ceiling=max_classes)
-        frontier = nxt
+    seen, _, _ = _walk(canonical_form(seed_slab(poset), mode), mode,
+                       max_classes, rng)
     return [seen[k] for k in sorted(seen)]
 
 
@@ -306,43 +333,25 @@ def connect(rep1: AntichainRep, rep2: AntichainRep,
     Returns [(fiber_key, +1 | -1), ...]; +1 is a downward mutation (remove a
     minimal element of the upper set).  The search walks shift-canonical
     states (whose fiber keys are shift-invariant, so the moves replay
-    verbatim) and stops at any state in the target's mode-orbit.
+    verbatim) and stops at a state in the target's mode-orbit.
     """
     if rep1.poset is not rep2.poset:
         raise NotAntichain("antichains live on different posets")
-    poset = rep1.poset
     target = canonical_form(rep2, mode).key()
+
+    def in_target(rep: AntichainRep) -> bool:
+        return canonical_form(rep, mode).key() == target
+
     start = canonical_form(rep1, "zp")
-    parents: dict = {start.key(): None}
-    goal = start.key() if canonical_form(start, mode).key() == target else None
-    frontier = [start]
-    while goal is None and frontier:
-        nxt = []
-        for rep in frontier:
-            moves = [(m, 1) for m in mutable_elements(rep)]
-            moves += [(m, -1) for m in upward_mutable_elements(rep)]
-            for m, direction in moves:
-                child = mutate(rep, m) if direction == 1 else mutate_up(rep, m)
-                c = canonical_form(child, "zp")
-                if c.key() not in parents:
-                    parents[c.key()] = (rep.key(), poset.fiber_key(m), direction)
-                    nxt.append(c)
-                    if canonical_form(c, mode).key() == target:
-                        goal = c.key()
-            if goal is not None:
-                break
-        frontier = nxt
+    _, parents, goal = _walk(start, "zp", in_target=in_target)
     if goal is None:
         raise InternalInvariantBroken("mutation graph is not connected")
     moves = []
-    cur = goal
-    while parents[cur] is not None:
-        prev, fiber, direction = parents[cur]
+    while parents[goal] is not None:
+        goal, fiber, direction = parents[goal]
         moves.append((fiber, direction))
-        cur = prev
     moves.reverse()
-    replayed = apply_moves(canonical_form(rep1, "zp"), moves)
-    if canonical_form(replayed, mode).key() != target:
+    if not in_target(apply_moves(start, moves)):
         raise InternalInvariantBroken("replaying the mutation walk failed")
     return moves
 

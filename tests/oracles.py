@@ -1,10 +1,11 @@
-"""Brute-force reference implementations that the tests compare against."""
+"""Brute-force reference implementations and helpers used only by the tests."""
 
 from __future__ import annotations
 
 import itertools
 import re
 
+from stacktilt import _intlinalg as la
 from stacktilt import stacky_geom as sg
 from stacktilt.abgroup import GroupElement
 from stacktilt.upper_sets import AntichainRep, canonical_form, is_antichain_rep
@@ -82,3 +83,28 @@ def euler_characteristic_boundary(p: sg.StackyPolytope) -> int:
     """Euler characteristic of the boundary complex, from homology dims."""
     profile = sg.reduced_homology(sg.xa_complex(p, range(p.n)), p.d)
     return 1 + sum(((-1) ** k) * v for k, v in profile.dims if k >= 0)
+
+
+def mat_mul(a, b) -> list[list[int]]:
+    """Plain integer matrix product."""
+    if a and b:
+        assert len(a[0]) == len(b)
+    ncols = len(b[0]) if b else 0
+    return [
+        [sum(ra[k] * b[k][j] for k in range(len(b))) for j in range(ncols)]
+        for ra in a
+    ]
+
+
+def lattice_contains(basis, vec) -> bool:
+    """Whether vec lies in the lattice spanned by basis (vectors in Z^n)."""
+    if not basis:
+        return all(x == 0 for x in vec)
+    n = len(basis[0])
+    a = [[b[i] for b in basis] for i in range(n)]  # columns = basis vectors
+    return la.solve_integer(a, len(basis), list(vec)) is not None
+
+
+def is_trivial(profile: sg.HomologyProfile) -> bool:
+    """Whether every reduced homology group of the profile vanishes."""
+    return all(v == 0 for _, v in profile.dims)

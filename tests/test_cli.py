@@ -3,10 +3,13 @@ import json
 import pytest
 
 from oracles import parse_dot
-from stacktilt.cli import main
+from stacktilt import tilting, upper_sets as us
+from stacktilt.cli import _build_context, _classify, main
 
 P23 = {"group": {"free_rank": 1, "torsion_orders": [], "degrees": [[2], [3]]}}
 P1 = {"group": {"free_rank": 1, "torsion_orders": [], "degrees": [[1], [1]]}}
+ZZ2_D1 = {"group": {"free_rank": 1, "torsion_orders": [2],
+                    "degrees": [[1, 0], [1, 1]]}}
 P1P1_POLYTOPE = {"polytope": {"dim": 2, "vertices": [[1, 0], [-1, 0],
                                                      [0, 1], [0, -1]]}}
 BAD_POLYTOPE = {"polytope": {"dim": 1, "vertices": [[1], [3]]}}
@@ -24,16 +27,36 @@ def _run(capsys, argv):
     return code, json.loads(out)
 
 
-def test_classify_p23(tmp_path, capsys):
-    path = _write(tmp_path, P23)
-    code, doc = _run(capsys, ["classify", path])
+def _mutated_neighbors(tc):
+    """The report's neighbours, by mutating and canonicalising afresh."""
+    return [{"at": list(m.coords),
+             "to": tilting._class_id(tc.rank, us.canonical_form(
+                 us.mutate(tc.rep, m), tc.translation).elements)}
+            for m in us.mutable_elements(tc.rep)]
+
+
+@pytest.mark.parametrize("doc_in, mode", [
+    (P23, "paper"), (P23, "zp"), (ZZ2_D1, "paper"), (P1P1_POLYTOPE, "paper"),
+], ids=["p23-paper", "p23-zp", "zz2_d1", "p1p1"])
+def test_classify_p23(tmp_path, capsys, doc_in, mode):
+    path = _write(tmp_path, doc_in)
+    code, doc = _run(capsys, ["classify", path, "--mode", mode])
     assert code == 0
     assert doc["schema_version"] == 1
-    assert doc["rank"] == 1 and doc["class_count"] == 2
-    bundles = [c["line_bundles"] for c in doc["classes"]]
-    assert bundles == [[[0], [1], [2], [3], [4]], [[0], [2], [3], [4], [6]]]
-    neighbors = doc["classes"][0]["mutation_neighbors"]
-    assert {n["to"] for n in neighbors} <= {c["id"] for c in doc["classes"]}
+    entries = (doc["classes"] if doc["rank"] == 1 else
+               [c for g in doc["j_classes"] for c in g["classes"]])
+    if doc_in is P23 and mode == "paper":
+        assert doc["rank"] == 1 and doc["class_count"] == 2
+        bundles = [c["line_bundles"] for c in entries]
+        assert bundles == [[[0], [1], [2], [3], [4]],
+                           [[0], [2], [3], [4], [6]]]
+    ids = {c["id"] for c in entries}
+    assert all(n["to"] in ids
+               for c in entries for n in c["mutation_neighbors"])
+    ctx, _ = _build_context(doc_in)
+    classes, _ = _classify(ctx, mode, 10_000)
+    assert ([(c["id"], c["mutation_neighbors"]) for c in entries]
+            == [(tc.class_id, _mutated_neighbors(tc)) for tc in classes])
 
 
 def test_classify_zp_mode(tmp_path, capsys):
@@ -103,11 +126,14 @@ LATTICE = {"d": 1, "b_generators": [[5, -5]], "gamma": [2, 3]}
     (P23, ["cohomology", "--twist", "[true, 0]"]),
     (P23, ["mutate", "--class", "0", "--at", "[0.0]"]),
     (P23, ["verify", "--set", "[[0], 7]"]),
+    (P23, ["cohomology", "--twist", "[1, 0]", "--field", "F4"]),
+    ({**P23, "field": {"Fp": 6}}, ["cohomology", "--twist", "[1, 0]"]),
+    (P23, ["verify", "--field", "F9"]),
 ], ids=["twist-json", "at-json", "set-json", "lattice-no-d", "gamma-str",
         "gamma-float", "field-flag", "field-doc", "doc-number",
         "polytope-list", "vertex-str", "degree-number", "free-rank-float",
         "d-float", "twist-float",
-        "twist-bool", "at-float", "set-entry"])
+        "twist-bool", "at-float", "set-entry", "F4", "Fp-6", "verify-F9"])
 def test_malformed_input_exits_2(tmp_path, capsys, doc, argv):
     path = _write(tmp_path, doc)
     code = main(argv[:1] + [path] + argv[1:])

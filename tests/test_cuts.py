@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from stacktilt import _intlinalg as la
+from oracles import lattice_contains
 from stacktilt import cuts, upper_sets as us
 from stacktilt.errors import (InputError, InvalidDetector, NotACut,
                               NotAdmissible, NotBounding, NotCofinite)
@@ -160,8 +160,8 @@ def _graded_iso(ctx1, ctx2):
         return False
     b1 = [list(c) for c in lq1.b_gens_alpha]
     b2 = [list(c) for c in lq2.b_gens_alpha]
-    return (all(la.lattice_contains(b1, v) for v in b2)
-            and all(la.lattice_contains(b2, v) for v in b1))
+    return (all(lattice_contains(b1, v) for v in b2)
+            and all(lattice_contains(b2, v) for v in b1))
 
 
 def test_group_of_data_of_group_round_trip(ctx_p23, ctx_zz2_d1, ctx_zz2_d2,

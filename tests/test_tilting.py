@@ -128,15 +128,6 @@ def test_endomorphism_quiver_examples(ctx_p23, ctx_sigma1):
     assert composite_labels == {"x1*x4", "x2*x4"}
 
 
-def test_hom_matrix_emitted(ctx_p1p1):
-    res = tilting.classify_rank2(ctx_p1p1)
-    tc = res.classes[0]
-    hm = tc.quiver.hom_matrix
-    assert hm is not None
-    for e in tc.elements:
-        assert hm[(e.coords, e.coords)] == 1
-
-
 def test_is_presilting(ctx_p23, ctx_p1p1):
     z = ctx_p23.group
     ok, _ = tilting.is_presilting(ctx_p23, [z.zero(), z.canonicalize([2])])
