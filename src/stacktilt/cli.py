@@ -181,10 +181,9 @@ def _find_class(classes, token: str):
     for tc in classes:
         if tc.class_id == token:
             return tc
-    try:
+    if token.isdecimal() and int(token) < len(classes):
         return classes[int(token)]
-    except (ValueError, IndexError):
-        raise InputError(f"no class {token!r} in the classification") from None
+    raise InputError(f"no class {token!r} in the classification")
 
 
 def cmd_classify(args) -> int:
@@ -261,6 +260,8 @@ def cmd_verify(args) -> int:
     entries = []
     ok = True
     if args.set is not None:
+        if args.class_id is not None:
+            raise InputError("verify takes at most one of --set or --class")
         vectors = _json_flag(args.set, "--set")
         if not isinstance(vectors, list):
             raise InputError("--set must be a list of coordinate vectors")

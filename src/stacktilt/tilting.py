@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 from . import cuts as cuts_mod
 from . import upper_sets as us
 from .abgroup import GroupElement
-from .errors import InputError, InternalInvariantBroken
+from .errors import (ClassCountExceeded, InputError,
+                     InternalInvariantBroken)
 from .graded_order import GradedDegreeGroup, SignSplit
 from .quiver import Arrow, QuiverPresentation, Relation, monomial_label
 from .stacky_geom import CohomologyOracle
@@ -66,11 +67,15 @@ def endomorphism_quiver(ctx: GradedDegreeGroup,
     verts = sorted({e.coords for e in elements})
     members = {e.coords: e for e in elements}
     elems = [members[v] for v in verts]
+    top = max((ctx.theta_val(e) for e in elems), default=0)
     arrows = []
-    for g, h in itertools.product(elems, repeat=2):
-        for a in ctx.monomials(h - g):
-            if any(a) and _is_irreducible(ctx, members, g, a):
-                arrows.append(Arrow(g.coords, h.coords, monomial_label(a)))
+    for g in elems:
+        for h, a in _arrows_from(ctx, members, g, top):
+            if not _is_irreducible(ctx, members, g, a):
+                raise InternalInvariantBroken(
+                    f"arrow search met a reducible monomial {a} "
+                    f"out of {g.coords}")
+            arrows.append(Arrow(g.coords, h, monomial_label(a)))
     relations: list[Relation] = []
     if ctx.group.free_rank == 1:
         for g in elems:
@@ -87,6 +92,43 @@ def endomorphism_quiver(ctx: GradedDegreeGroup,
                             path_b=(f"x{j + 1}", f"x{i + 1}")))
     return QuiverPresentation(vertices=tuple(verts), arrows=tuple(arrows),
                               relations=tuple(relations))
+
+
+def _arrows_from(ctx: GradedDegreeGroup, members: dict, g: GroupElement,
+                 top: int) -> list[tuple[tuple, tuple[int, ...]]]:
+    """The irreducible monomials out of g, as (target coords, exponents).
+
+    An exponent vector b is open when no nonzero b' <= b lands on a
+    member (the zero vector counts as open).  Open vectors are
+    down-closed, so the search goes one degree at a time and admits c
+    only when every c - e_j is open, all of which lie on the level just
+    done; an admitted c landing on a member is an arrow and is not
+    extended.  Each c is met once, from c - e_i with i its last nonzero
+    index.  theta(x_i) > 0 and no member lies above theta = top, so the
+    search ends.
+    """
+    n = ctx.n
+    steps = [(x, ctx.theta_val(x)) for x in ctx.degrees]
+    found = []
+    level = {(0,) * n: (g, ctx.theta_val(g))}
+    while level:
+        nxt = {}
+        for b, (mid, t) in level.items():
+            last = max((j for j in range(n) if b[j]), default=0)
+            for i in range(last, n):
+                x, tx = steps[i]
+                c = b[:i] + (b[i] + 1,) + b[i + 1:]
+                if t + tx > top or any(
+                        c[j] and c[:j] + (c[j] - 1,) + c[j + 1:] not in level
+                        for j in range(n)):
+                    continue
+                h = mid + x
+                if h.coords in members:
+                    found.append((h.coords, c))
+                else:
+                    nxt[c] = (h, t + tx)
+        level = nxt
+    return found
 
 
 def _is_irreducible(ctx: GradedDegreeGroup, members: dict,
@@ -237,7 +279,8 @@ def classify_rank2(ctx: GradedDegreeGroup, mode: str = "paper",
     """d-tilting classes for a rank-two graded group, grouped by base class.
 
     The base classes over H are counted up to full translation in "paper"
-    mode; inner classes are always counted up to shifts by p.
+    mode; inner classes are always counted up to shifts by p.  max_classes
+    bounds the total number of inner classes over all bases.
     """
     if ctx.group.free_rank != 2:
         raise InputError("classify_rank2 needs a rank-two graded group")
@@ -246,9 +289,15 @@ def classify_rank2(ctx: GradedDegreeGroup, mode: str = "paper",
     base_classes = us.enumerate_classes(h_poset, _translation(mode),
                                         max_classes, rng=rng)
     groups = []
+    budget = max_classes
     for base in base_classes:
         poset = us.GroupPoset(ctx, over=(split, base))
-        inner = us.enumerate_classes(poset, "zp", max_classes, rng=rng)
+        try:
+            inner = us.enumerate_classes(poset, "zp", budget, rng=rng)
+        except ClassCountExceeded:
+            raise ClassCountExceeded("class enumeration exceeded the ceiling",
+                                     ceiling=max_classes) from None
+        budget -= len(inner)
         classes = [_certified_class(ctx, rep, "zp", split=split, base=base)
                    for rep in inner]
         merged = _stabilizer_merged_count(split, base, inner)

@@ -8,6 +8,8 @@ import re
 from stacktilt import _intlinalg as la
 from stacktilt import stacky_geom as sg
 from stacktilt.abgroup import GroupElement
+from stacktilt.quiver import Arrow, QuiverPresentation, monomial_label
+from stacktilt.tilting import _is_irreducible
 from stacktilt.upper_sets import AntichainRep, canonical_form, is_antichain_rep
 
 
@@ -59,6 +61,21 @@ def admits_proper_superset(rep: AntichainRep, window: int = 3) -> bool:
             if ok:
                 return True
     return False
+
+
+def endomorphism_quiver_bruteforce(ctx, elements) -> QuiverPresentation:
+    """Vertices and arrows of the endomorphism quiver, without relations.
+
+    Every monomial of every difference h - g, kept when it is nonzero and
+    irreducible: the enumerate-then-filter reference for the arrow search.
+    """
+    members = {e.coords: e for e in elements}
+    elems = [members[v] for v in sorted(members)]
+    arrows = [Arrow(g.coords, h.coords, monomial_label(a))
+              for g, h in itertools.product(elems, repeat=2)
+              for a in ctx.monomials(h - g)
+              if any(a) and _is_irreducible(ctx, members, g, a)]
+    return QuiverPresentation(vertices=tuple(members), arrows=tuple(arrows))
 
 
 _NODE_RE = re.compile(r"^\s*(\w+)\s*\[label=")

@@ -140,11 +140,14 @@ LATTICE = {"d": 1, "b_generators": [[5, -5]], "gamma": [2, 3]}
     (P23, ["cohomology", "--twist", "[1, 0]", "--field", "F4"]),
     ({**P23, "field": {"Fp": 6}}, ["cohomology", "--twist", "[1, 0]"]),
     (P23, ["verify", "--field", "F9"]),
+    (P23, ["verify", "--set", "[[0], [1]]", "--class", "0"]),
+    (P23, ["mutate", "--class", "-1", "--walk-to", "0"]),
 ], ids=["twist-json", "at-json", "set-json", "lattice-no-d", "gamma-str",
         "gamma-float", "field-flag", "field-doc", "doc-number",
         "polytope-list", "vertex-str", "degree-number", "free-rank-float",
         "d-float", "twist-float",
-        "twist-bool", "at-float", "set-entry", "F4", "Fp-6", "verify-F9"])
+        "twist-bool", "at-float", "set-entry", "F4", "Fp-6", "verify-F9",
+        "set-and-class", "class-negative"])
 def test_malformed_input_exits_2(tmp_path, capsys, doc, argv):
     path = _write(tmp_path, doc)
     code = main(argv[:1] + [path] + argv[1:])
@@ -266,6 +269,20 @@ def test_max_classes_env(tmp_path, capsys):
     code, doc = _run(capsys, ["classify", _write(tmp_path, P23, "b.json"),
                               "--max-classes", "50"])
     assert code == 0
+
+
+P1P2 = {"group": {"free_rank": 2, "torsion_orders": [],
+                  "degrees": [[1, 0]] * 2 + [[0, 1]] * 3}}
+
+
+def test_max_classes_bounds_rank2_total(tmp_path, capsys):
+    path = _write(tmp_path, P1P2)
+    code, doc = _run(capsys, ["classify", path, "--max-classes", "16"])
+    assert code == 0 and doc["total_classes"] == 16
+    code, doc = _run(capsys, ["classify", path, "--max-classes", "15"])
+    assert code == 2
+    assert doc["error"]["type"] == "ClassCountExceeded"
+    assert doc["error"]["details"] == {"ceiling": 15}
 
 
 def test_cuts_enumerate_all_types(tmp_path, capsys):

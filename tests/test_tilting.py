@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from oracles import enumerate_classes_window
-from stacktilt import tilting, upper_sets as us
+from oracles import endomorphism_quiver_bruteforce, enumerate_classes_window
+from stacktilt import graded_order, tilting, upper_sets as us
+from stacktilt.abgroup import direct_sum_group
 from stacktilt.errors import NotMinimal
 from stacktilt.stacky_geom import CohomologyOracle, group_to_polytope
 
@@ -126,6 +127,62 @@ def test_endomorphism_quiver_examples(ctx_p23, ctx_sigma1):
             if "*" in a.label:
                 composite_labels.add(a.label)
     assert composite_labels == {"x1*x4", "x2*x4"}
+
+
+def _ctx(free_rank, torsion, degrees):
+    group = direct_sum_group(free_rank, torsion)
+    return graded_order.build(group, [group.canonicalize(list(v))
+                                      for v in degrees])
+
+
+def _one_class_per_base(ctx):
+    """The seed class over every base class: no inner enumeration."""
+    split = ctx.sign_split()
+    h_poset = us.GroupPoset(split.h_ctx, shift_element=split.s)
+    return [us.canonical_form(us.seed_slab(us.GroupPoset(
+                ctx, over=(split, base))), "zp").elements
+            for base in us.enumerate_classes(h_poset, "full")]
+
+
+_P1P1 = [(1, 0)] * 2 + [(0, 1)] * 2
+_BRUTEFORCE_GROUPS = {   # case: (free rank, torsion orders, degrees)
+    "p23": (1, [], [(2,), (3,)]),
+    "p345-zp": (1, [], [(3,), (4,), (5,)]),
+    "zz2_b": (1, [2], [(1, 0), (2, 1), (3, 0)]),
+    "zz3": (1, [3], [(1, 0), (1, 1), (1, 2)]),
+    "p1p1": (2, [], _P1P1),
+    "p1p2": (2, [], [(1, 0)] * 2 + [(0, 1)] * 3),
+    "sigma1": (2, [], [(1, 0), (1, 0), (1, 1), (0, 1)]),
+    "stacky": (2, [], [(1, -1), (1, 0), (1, 1), (0, 1)]),
+    "p2p2-bases": (2, [], [(1, 0)] * 3 + [(0, 1)] * 3),
+    "p1p1-powers": (2, [], _P1P1),
+}
+
+
+@pytest.mark.parametrize("case", list(_BRUTEFORCE_GROUPS))
+def test_endomorphism_quiver_matches_bruteforce(case):
+    """The arrow search meets exactly the irreducible monomials, in the
+    order the enumerate-then-filter path emits them.  No tilting class of
+    these inputs has an arrow with a squared variable, so p1p1-powers
+    takes sets that are not tilting and have such arrows."""
+    ctx = _ctx(*_BRUTEFORCE_GROUPS[case])
+    mode = "zp" if case == "p345-zp" else "paper"
+    if case == "p2p2-bases":
+        sets = _one_class_per_base(ctx)
+    elif case == "p1p1-powers":
+        sets = [[ctx.group.from_coords(v) for v in vs] for vs in (
+            [(0, 0), (2, 0), (0, 2), (2, 2)],
+            [(0, 0), (1, 0), (3, 1), (1, 3)])]
+    elif ctx.group.free_rank == 1:
+        sets = [tc.elements for tc in tilting.classify_rank1(ctx, mode)]
+    else:
+        sets = [tc.elements for tc in tilting.classify_rank2(ctx, mode).classes]
+    assert sets
+    for elements in sets:
+        fast = tilting.endomorphism_quiver(ctx, elements).to_json()
+        slow = endomorphism_quiver_bruteforce(ctx, elements).to_json()
+        assert fast["arrows"] and fast["arrows"] == slow["arrows"]
+        assert fast["vertices"] == slow["vertices"]
 
 
 def test_is_presilting(ctx_p23, ctx_p1p1):
