@@ -25,7 +25,7 @@ def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> Vector:
 def smith(m: Sequence[Sequence[int]], ncols: int):
     """Smith normal form with transforms.
 
-    Returns (u, d, v, uinv, vinv) with u*m*v == d, u and v unimodular,
+    Returns (u, d, v, uinv) with u*m*v == d, u and v unimodular,
     d diagonal with nonnegative entries satisfying d[k] | d[k+1].
     """
     nrows = len(m)
@@ -33,7 +33,7 @@ def smith(m: Sequence[Sequence[int]], ncols: int):
     for row in d:
         assert len(row) == ncols
     u, uinv = identity(nrows), identity(nrows)
-    v, vinv = identity(ncols), identity(ncols)
+    v = identity(ncols)
 
     def row_add(i: int, j: int, c: int) -> None:
         # D <- E D with E = I + c*E_ij; U <- E U; Uinv <- Uinv E^-1
@@ -45,13 +45,11 @@ def smith(m: Sequence[Sequence[int]], ncols: int):
             uinv[k][j] -= c * uinv[k][i]
 
     def col_add(j: int, i: int, c: int) -> None:
-        # col j += c * col i; V <- V F; Vinv <- F^-1 Vinv
+        # col j += c * col i; V <- V F
         for k in range(nrows):
             d[k][j] += c * d[k][i]
         for k in range(ncols):
             v[k][j] += c * v[k][i]
-        for k in range(ncols):
-            vinv[i][k] -= c * vinv[j][k]
 
     def row_swap(i: int, j: int) -> None:
         if i == j:
@@ -68,7 +66,6 @@ def smith(m: Sequence[Sequence[int]], ncols: int):
             d[k][i], d[k][j] = d[k][j], d[k][i]
         for k in range(ncols):
             v[k][i], v[k][j] = v[k][j], v[k][i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def row_neg(i: int) -> None:
         d[i] = [-x for x in d[i]]
@@ -131,7 +128,7 @@ def smith(m: Sequence[Sequence[int]], ncols: int):
         for k in range(min(nrows, ncols)):
             if d[k][k] < 0:
                 row_neg(k)
-    return u, d, v, uinv, vinv
+    return u, d, v, uinv
 
 
 def diagonal(d: Sequence[Sequence[int]], length: int) -> Vector:
@@ -143,7 +140,7 @@ def diagonal(d: Sequence[Sequence[int]], length: int) -> Vector:
 
 def integer_kernel(m: Sequence[Sequence[int]], ncols: int) -> list[Vector]:
     """Basis of {x in Z^ncols : m @ x == 0}."""
-    _, d, v, _, _ = smith(m, ncols)
+    _, d, v, _ = smith(m, ncols)
     diag = diagonal(d, ncols)
     return [[v[r][k] for r in range(ncols)] for k in range(ncols) if diag[k] == 0]
 
@@ -152,7 +149,7 @@ def solve_integer(m: Sequence[Sequence[int]], ncols: int,
                   b: Sequence[int]) -> Optional[Vector]:
     """One integer solution x of m @ x == b, or None."""
     nrows = len(m)
-    u, d, v, _, _ = smith(m, ncols)
+    u, d, v, _ = smith(m, ncols)
     c = mat_vec(u, list(b))
     z = [0] * ncols
     for k in range(nrows):
@@ -171,7 +168,7 @@ def image_basis(vectors: Sequence[Sequence[int]], dim: int) -> list[Vector]:
     if not vectors:
         return []
     a = [[vec[i] for vec in vectors] for i in range(dim)]  # columns = vectors
-    _, d, _, uinv, _ = smith(a, len(vectors))
+    _, d, _, uinv = smith(a, len(vectors))
     basis = []
     for k in range(min(dim, len(vectors))):
         if d[k][k] != 0:

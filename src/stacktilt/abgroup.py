@@ -78,9 +78,8 @@ class FgAbelianGroup:
                 raise DimensionMismatch(
                     f"relation has {len(row)} entries, expected {n_gens}")
         self.n_gens = n_gens
-        self.relations = tuple(tuple(r) for r in relations)
         m = [[row[i] for row in relations] for i in range(n_gens)]
-        u, d, _, uinv, _ = la.smith(m, len(relations))
+        u, d, _, uinv = la.smith(m, len(relations))
         self._u = u
         self._uinv = uinv
         orders = la.diagonal(d, n_gens) if len(relations) else [0] * n_gens
@@ -139,15 +138,6 @@ class FgAbelianGroup:
         if self.free_rank > 0:
             return None
         return math.prod(self.torsion_orders) if self.torsion_orders else 1
-
-    def element_order(self, e: GroupElement) -> Optional[int]:
-        """Order of e, or None when infinite."""
-        if any(c != 0 for c in e.free_part()):
-            return None
-        n = 1
-        for c, o in zip(e.torsion_part(), self.torsion_orders):
-            n = math.lcm(n, o // math.gcd(o, c))
-        return n
 
     def enumerate_finite(self) -> list[GroupElement]:
         if self.free_rank > 0:
@@ -227,12 +217,6 @@ class GroupHom:
         if e.group is not self.target:
             raise DimensionMismatch("element not in hom target")
         return self._section(e)
-
-
-def from_presentation(n_generators: int, relations: Sequence[Sequence[int]]):
-    """Cokernel Z^n / rowspan(relations) plus the quotient map Z^n -> group."""
-    group = FgAbelianGroup(n_generators, relations)
-    return group, group.canonicalize
 
 
 def direct_sum_group(free_rank: int, torsion_orders: Sequence[int]) -> FgAbelianGroup:

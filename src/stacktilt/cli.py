@@ -198,11 +198,11 @@ def cmd_classify(args) -> int:
 
 def cmd_mutate(args) -> int:
     doc = _load_document(args.input)
+    if (args.at is None) == (args.walk_to is None):
+        raise InputError("mutate needs exactly one of --at or --walk-to")
     ctx, _ = _build_context(doc)
     classes, _ = _classify(ctx, args.mode, args.max_classes)
     tc = _find_class(classes, args.class_id)
-    if (args.at is None) == (args.walk_to is None):
-        raise InputError("mutate needs exactly one of --at or --walk-to")
     if args.at is not None:
         coords = tuple(_int_vector(_json_flag(args.at, "--at"), "--at"))
         m = next((e for e in tc.elements if e.coords == coords), None)
@@ -312,6 +312,12 @@ def cmd_cuts(args) -> int:
             report["reason"] = f"inadmissible: {reason}"
             _emit(report)
             return 0
+        # one candidate table per choice along the m - 1 tree edges, each
+        # checked on m * (d + 1) arrows
+        candidates = 2 ** (lq.m - 1)
+        if candidates * lq.m * (lq.d + 1) > 2 ** 24:
+            raise InputError("too many candidate tables for detector "
+                             "enumeration", m=lq.m, candidates=candidates)
         detectors = cuts_mod.enumerate_detectors(lq, gamma)
         entries = []
         for det in detectors:

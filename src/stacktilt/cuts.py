@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from . import _intlinalg as la
-from .abgroup import (FgAbelianGroup, GroupElement, relation_kernel)
+from .abgroup import FgAbelianGroup, GroupElement, relation_kernel
 from .errors import (InputError, InternalInvariantBroken, InvalidDetector,
-                     NotACut, NotAdmissible, NotBounding, NotCofinite)
+                     NotACut, NotBounding, NotCofinite)
 from .graded_order import GradedDegreeGroup
 from .quiver import Arrow, QuiverPresentation, Relation
 from .upper_sets import AntichainRep
@@ -326,39 +325,6 @@ def enumerate_detectors(lq: LatticeQuotient,
     return out
 
 
-@dataclass
-class GradedGroupOf:
-    """G(B, gamma) with its degrees; order context present iff gamma > 0."""
-
-    group: FgAbelianGroup
-    degrees: tuple[GroupElement, ...]
-    order: Optional[GradedDegreeGroup]
-
-
-def group_of(lq: LatticeQuotient, gamma: Sequence[int]) -> GradedGroupOf:
-    """The group generated by (gamma_i, alpha_i + B) inside Z + L/B."""
-    gamma = tuple(gamma)
-    ok, reason = is_admissible_type(lq, gamma)
-    if not ok:
-        raise NotAdmissible(reason, type=list(gamma))
-    rows_mod = []
-    for t, order in enumerate(lq.group.torsion_orders):
-        rows_mod.append(
-            ([lq.alpha_images[i].coords[t] for i in range(lq.d + 1)], order))
-    kernel = la.kernel_with_moduli([list(gamma)], rows_mod, lq.d + 1)
-    group = FgAbelianGroup(lq.d + 1, kernel)
-    unit = lambda i: [1 if k == i else 0 for k in range(lq.d + 1)]
-    degrees = tuple(group.canonicalize(unit(i)) for i in range(lq.d + 1))
-    if group.free_rank != 1:
-        raise InternalInvariantBroken("G(B, gamma) must have free rank one")
-    order = None
-    if all(g > 0 for g in gamma):
-        order = GradedDegreeGroup.build(group, list(degrees))
-        if order.theta_val(order.p) <= 0:
-            raise InternalInvariantBroken("p must be theta-positive")
-    return GradedGroupOf(group=group, degrees=degrees, order=order)
-
-
 def data_of_group(ctx: GradedDegreeGroup):
     """(LatticeQuotient, gamma) reconstructed from a rank-one graded group.
 
@@ -370,7 +336,7 @@ def data_of_group(ctx: GradedDegreeGroup):
     if ctx.n < 2:
         raise InputError("need at least two degrees (d >= 1)")
     d = ctx.n - 1
-    reps, quot, proj = ctx.coset_reps_mod_p()
+    reps, quot, proj = ctx.coset_reps(ctx.p)
     m = quot.size()
     qx = [proj(x) for x in ctx.degrees]
     basis = relation_kernel(qx[1:])
@@ -390,7 +356,7 @@ def data_of_group(ctx: GradedDegreeGroup):
 
 def fiber_map(lq: LatticeQuotient, ctx: GradedDegreeGroup) -> dict:
     """Vertex coords of L/B -> coords of G/Zp, along alpha_i -> x_i + Zp."""
-    _, _, proj = ctx.coset_reps_mod_p()
+    _, _, proj = ctx.coset_reps(ctx.p)
     qx = [proj(x) for x in ctx.degrees]
     out = {}
     for v in lq.vertices:
@@ -405,12 +371,12 @@ def fiber_map(lq: LatticeQuotient, ctx: GradedDegreeGroup) -> dict:
 
 
 def cut_of_antichain(ctx: GradedDegreeGroup, rep: AntichainRep,
-                     lq: Optional[LatticeQuotient] = None,
-                     gamma: Optional[tuple] = None):
-    """(cut, detector) of the antichain class, via f_J(x) = pi(g) - n*m."""
-    if lq is None or gamma is None:
-        lq, gamma = data_of_group(ctx)
-    reps, quot, proj = ctx.coset_reps_mod_p()
+                     lq: LatticeQuotient, gamma: Sequence[int]):
+    """(cut, detector) of the antichain class, via f_J(x) = pi(g) - n*m.
+
+    (lq, gamma) is the cut data of ctx, as data_of_group returns it.
+    """
+    reps, quot, proj = ctx.coset_reps(ctx.p)
     m = quot.size()
     by_fiber = {proj(g).coords: g for g in rep.elements}
     if set(by_fiber) != {proj(r).coords for r in reps}:

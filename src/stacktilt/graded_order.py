@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .abgroup import FgAbelianGroup, GroupElement, GroupHom
 from .errors import (DegenerateSplit, DimensionMismatch, G1Violation,
@@ -224,13 +224,12 @@ class GradedDegreeGroup:
 
     # -- cosets modulo a shift -------------------------------------------
 
-    def coset_reps(self, shift: Optional[GroupElement] = None):
+    def coset_reps(self, shift: GroupElement):
         """(representatives, finite quotient, projection) for group/Z*shift.
 
         Requires free rank one and a non-torsion shift; representatives are
         the elements with free coordinate in [0, |shift_free|).
         """
-        shift = self.p if shift is None else shift
         key = shift.coords
         if key in self._reps_cache:
             return self._reps_cache[key]
@@ -253,9 +252,6 @@ class GradedDegreeGroup:
         result = (reps, quot, proj)
         self._reps_cache[key] = result
         return result
-
-    def coset_reps_mod_p(self):
-        return self.coset_reps(self.p)
 
     # -- rank-two preprocessing -------------------------------------------
 
@@ -294,7 +290,3 @@ class GradedDegreeGroup:
         degs = ", ".join(str(x.coords) for x in self.degrees)
         return f"GradedDegreeGroup({self.group!r}; [{degs}])"
 
-
-def build(group: FgAbelianGroup,
-          degrees: Sequence[GroupElement]) -> GradedDegreeGroup:
-    return GradedDegreeGroup.build(group, degrees)

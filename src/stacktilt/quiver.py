@@ -49,12 +49,6 @@ class QuiverPresentation:
         self.arrows = tuple(sorted(self.arrows))
         self.relations = tuple(sorted(self.relations))
 
-    def arrow_multiset(self) -> dict:
-        out: dict = {}
-        for a in self.arrows:
-            out.setdefault((a.source, a.target), []).append(a.label)
-        return {k: sorted(v) for k, v in out.items()}
-
     def to_json(self) -> dict:
         return {
             "vertices": [list(v) for v in self.vertices],
@@ -79,7 +73,7 @@ def _vertex_label(v: tuple) -> str:
     return "(" + ",".join(str(c) for c in v) + ")" if len(v) != 1 else str(v[0])
 
 
-def to_dot(qp: QuiverPresentation, name: str = "quiver") -> str:
+def to_dot(qp: QuiverPresentation, name: str) -> str:
     lines = [f'digraph "{name}" {{']
     for v in qp.vertices:
         lines.append(f'  {_vertex_name(v)} [label="{_vertex_label(v)}"];')

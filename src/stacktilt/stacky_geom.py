@@ -25,7 +25,6 @@ class StackyPolytope:
     d: int
     vertices: tuple[tuple[int, ...], ...]
     facets: tuple[tuple[int, ...], ...]          # sorted index tuples, 0-based
-    facet_data: tuple[tuple[tuple[int, ...], int], ...]  # (outer normal, offset)
 
     @property
     def n(self) -> int:
@@ -45,7 +44,6 @@ def parse_polytope(vertices: Sequence[Sequence[int]]) -> StackyPolytope:
     if len(set(verts)) != n:
         raise InputError("duplicate vertices")
     facets = []
-    facet_data = []
     for subset in itertools.combinations(range(n), d):
         base = verts[subset[0]]
         rows = [[verts[i][k] - base[k] for k in range(d)] for i in subset[1:]]
@@ -55,13 +53,10 @@ def parse_polytope(vertices: Sequence[Sequence[int]]) -> StackyPolytope:
         u = kernel[0]
         c = sum(u[k] * base[k] for k in range(d))
         values = [sum(u[k] * v[k] for k in range(d)) for v in verts]
-        if all(val <= c for val in values):
-            pass
-        elif all(val >= c for val in values):
-            u, c = [-x for x in u], -c
-            values = [-val for val in values]
-        else:
-            continue  # not a supporting hyperplane
+        if not all(val <= c for val in values):
+            if not all(val >= c for val in values):
+                continue  # not a supporting hyperplane
+            c, values = -c, [-val for val in values]
         on = tuple(sorted(i for i, val in enumerate(values) if val == c))
         if on != tuple(sorted(subset)):
             raise NotSimplicial(
@@ -73,7 +68,6 @@ def parse_polytope(vertices: Sequence[Sequence[int]]) -> StackyPolytope:
                 facet=[list(verts[i]) for i in on], offset=c)
         if on not in facets:
             facets.append(on)
-            facet_data.append((tuple(u), c))
     if not facets:
         raise OriginNotInterior("hull is degenerate (no facets found)")
     covered = {i for f in facets for i in f}
@@ -81,21 +75,7 @@ def parse_polytope(vertices: Sequence[Sequence[int]]) -> StackyPolytope:
         if i not in covered:
             raise NotAVertex(f"point {list(verts[i])} is not a vertex of the hull",
                              index=i, point=list(verts[i]))
-    order = sorted(range(len(facets)), key=lambda k: facets[k])
-    return StackyPolytope(d=d, vertices=verts,
-                          facets=tuple(facets[k] for k in order),
-                          facet_data=tuple(facet_data[k] for k in order))
-
-
-def sr_generators(p: StackyPolytope) -> list[tuple[int, ...]]:
-    """Minimal Stanley-Reisner monomial generators, as vertex index sets.
-
-    The ideal is generated by the products over complements of proper
-    faces; complements of facets already generate.
-    """
-    gens = {tuple(sorted(set(range(p.n)) - set(f))) for f in p.facets}
-    return sorted(g for g in gens
-                  if not any(set(h) < set(g) for h in gens if h != g))
+    return StackyPolytope(d=d, vertices=verts, facets=tuple(sorted(facets)))
 
 
 def gale_dual(p: StackyPolytope) -> GradedDegreeGroup:
@@ -117,16 +97,8 @@ def group_to_polytope(ctx: GradedDegreeGroup) -> StackyPolytope:
     return parse_polytope(vertices)
 
 
-@dataclass(frozen=True)
-class XaComplex:
-    """Faces of the boundary complex supported on a sign pattern T."""
-
-    n: int
-    support: frozenset
-    maximal_faces: tuple[tuple[int, ...], ...]
-
-
-def xa_complex(p: StackyPolytope, support) -> XaComplex:
+def xa_complex(p: StackyPolytope, support) -> tuple[tuple[int, ...], ...]:
+    """Maximal faces of the boundary complex supported on a sign pattern T."""
     t = frozenset(support)
     if not t <= set(range(p.n)):
         raise InputError("support must be a subset of the vertex indices")
@@ -134,12 +106,11 @@ def xa_complex(p: StackyPolytope, support) -> XaComplex:
     gens.discard(())
     maximal = [g for g in gens
                if not any(set(g) < set(h) for h in gens if h != g)]
-    return XaComplex(n=p.n, support=t, maximal_faces=tuple(sorted(maximal)))
+    return tuple(sorted(maximal))
 
 
 @dataclass(frozen=True)
 class HomologyProfile:
-    field: Optional[int]            # None = Q, p = F_p
     dims: tuple[tuple[int, int], ...]  # (degree k, dim H~_k), k = -1..top
 
     def dim(self, k: int) -> int:
@@ -176,7 +147,8 @@ def _rank(rows: list[list[int]], p: Optional[int] = None) -> int:
     return rank
 
 
-def reduced_homology(complex_: XaComplex, ambient_dim: int,
+def reduced_homology(maximal_faces: Sequence[tuple[int, ...]],
+                     ambient_dim: int,
                      field: Optional[int] = None) -> HomologyProfile:
     """Reduced simplicial homology dims in degrees -1..ambient_dim-1.
 
@@ -184,7 +156,7 @@ def reduced_homology(complex_: XaComplex, ambient_dim: int,
     convention automatic.
     """
     faces: set = set()
-    for g in complex_.maximal_faces:
+    for g in maximal_faces:
         for r in range(1, len(g) + 1):
             faces.update(itertools.combinations(g, r))
     by_dim: dict = {}
@@ -217,7 +189,7 @@ def reduced_homology(complex_: XaComplex, ambient_dim: int,
     for k in range(0, top + 1):
         ck = len(by_dim.get(k, []))
         dims.append((k, ck - ranks[k] - ranks.get(k + 1, 0)))
-    return HomologyProfile(field=field, dims=tuple(dims))
+    return HomologyProfile(dims=tuple(dims))
 
 
 class _Unbounded(Exception):
@@ -286,10 +258,9 @@ class CohomologyOracle:
     dim H~_{d-r-1} of the support complex.
     """
 
-    def __init__(self, polytope: StackyPolytope,
-                 ctx: Optional[GradedDegreeGroup] = None):
+    def __init__(self, polytope: StackyPolytope, ctx: GradedDegreeGroup):
         self.polytope = polytope
-        self.ctx = gale_dual(polytope) if ctx is None else ctx
+        self.ctx = ctx
         if self.ctx.n != polytope.n:
             raise InputError("degree count does not match the vertex count")
         for k in range(polytope.d):

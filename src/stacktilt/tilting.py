@@ -151,7 +151,7 @@ def _certify_rank1(ctx: GradedDegreeGroup, rep: us.AntichainRep,
     cut, _ = cuts_mod.cut_of_antichain(ctx, rep, lq, gamma)
     algebra = cuts_mod.algebra_presentation(lq, cut)
     psi = cuts_mod.fiber_map(lq, ctx)
-    _, _, proj = ctx.coset_reps_mod_p()
+    _, _, proj = ctx.coset_reps(ctx.p)
     algebra_arrows = {(psi[a.source], int(a.label[1:]) - 1)
                       for a in algebra.arrows}
     endo_arrows = set()
@@ -195,14 +195,13 @@ def _certified_class(ctx: GradedDegreeGroup, rep: us.AntichainRep,
 
 
 def classify_rank1(ctx: GradedDegreeGroup, mode: str = "paper",
-                   max_classes: int = 10_000,
-                   rng=None) -> list[TiltingClass]:
+                   max_classes: int = 10_000) -> list[TiltingClass]:
     """All tilting classes of line bundles for a rank-one graded group."""
     if ctx.group.free_rank != 1:
         raise InputError("classify_rank1 needs a rank-one graded group")
     translation = _translation(mode)
     poset = us.GroupPoset(ctx)
-    reps = us.enumerate_classes(poset, translation, max_classes, rng=rng)
+    reps = us.enumerate_classes(poset, translation, max_classes)
     cut_data = cuts_mod.data_of_group(ctx)
     return [_certified_class(ctx, rep, translation, cut_data) for rep in reps]
 
@@ -274,8 +273,7 @@ def _stabilizer_merged_count(split: SignSplit, base: us.AntichainRep,
 
 
 def classify_rank2(ctx: GradedDegreeGroup, mode: str = "paper",
-                   max_classes: int = 10_000,
-                   rng=None) -> Rank2Classification:
+                   max_classes: int = 10_000) -> Rank2Classification:
     """d-tilting classes for a rank-two graded group, grouped by base class.
 
     The base classes over H are counted up to full translation in "paper"
@@ -287,13 +285,13 @@ def classify_rank2(ctx: GradedDegreeGroup, mode: str = "paper",
     split = ctx.sign_split()
     h_poset = us.GroupPoset(split.h_ctx, shift_element=split.s)
     base_classes = us.enumerate_classes(h_poset, _translation(mode),
-                                        max_classes, rng=rng)
+                                        max_classes)
     groups = []
     budget = max_classes
     for base in base_classes:
         poset = us.GroupPoset(ctx, over=(split, base))
         try:
-            inner = us.enumerate_classes(poset, "zp", budget, rng=rng)
+            inner = us.enumerate_classes(poset, "zp", budget)
         except ClassCountExceeded:
             raise ClassCountExceeded("class enumeration exceeded the ceiling",
                                      ceiling=max_classes) from None
@@ -308,23 +306,6 @@ def classify_rank2(ctx: GradedDegreeGroup, mode: str = "paper",
     return Rank2Classification(split=split, groups=groups)
 
 
-def is_presilting(ctx: GradedDegreeGroup, elements: Sequence[GroupElement]):
-    """(ok, witness): the antichain condition, plus base rigidity in rank two."""
-    rank = ctx.group.free_rank
-    if rank == 2:
-        split = ctx.sign_split()
-    for g, h in itertools.product(elements, repeat=2):
-        if ctx.leq(h + ctx.p, g):
-            return False, {"reason": "self_extension", "greater": list(g.coords),
-                           "lesser": list(h.coords)}
-        if rank == 2:
-            if split.h_ctx.leq(split.q(h) + split.s, split.q(g)):
-                return False, {"reason": "intermediate_extension",
-                               "greater": list(g.coords),
-                               "lesser": list(h.coords)}
-    return True, None
-
-
 def apr_mutate(tclass: TiltingClass, m: GroupElement) -> TiltingClass:
     """Tilting mutation at a minimal member: replace m by m + p, recertify."""
     rep = us.mutate(tclass.rep, m)
@@ -332,11 +313,6 @@ def apr_mutate(tclass: TiltingClass, m: GroupElement) -> TiltingClass:
                 else None)
     return _certified_class(tclass.ctx, rep, tclass.translation, cut_data,
                             tclass.split, tclass.base)
-
-
-def component_of(rep: us.AntichainRep, g: GroupElement) -> str:
-    """Preprojective iff the line bundle degree lies in the upper set I(J)."""
-    return "Preprojective" if us.i_contains(rep, g) else "Preinjective"
 
 
 @dataclass

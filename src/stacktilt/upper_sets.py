@@ -14,10 +14,8 @@ from typing import Iterable, Optional, Sequence
 
 from .abgroup import GroupElement
 from .errors import (InternalInvariantBroken, NotAntichain, NotMinimal,
-                     ClassCountExceeded, TrivialUpperSet)
+                     ClassCountExceeded)
 from .graded_order import GradedDegreeGroup
-
-_SEARCH_CAP = 10_000
 
 
 class GroupPoset:
@@ -80,7 +78,8 @@ class GroupPoset:
 class AntichainRep:
     """One chosen element per fiber, pairwise satisfying x >= y + p nowhere."""
 
-    # edges: (site, neighbour class) per downward mutation, set by _walk
+    # edges: (site, neighbour class) per downward mutation, set by _walk;
+    # sites come in element order, as mutable_elements lists them
     __slots__ = ("poset", "elements", "by_fiber", "edges")
 
     def __init__(self, poset, elements: Iterable[GroupElement]):
@@ -143,40 +142,6 @@ def checked(poset, elements: Iterable[GroupElement]) -> AntichainRep:
     if not ok:
         raise NotAntichain("not a complete-representative antichain", **witness)
     return AntichainRep(poset, elements)
-
-
-def i_contains(rep: AntichainRep, g: GroupElement) -> bool:
-    """Membership of g in the upper set I(J)."""
-    return any(rep.poset.leq(j, g) for j in rep.elements)
-
-
-def j_of_upper(poset, generators: Sequence[GroupElement]) -> AntichainRep:
-    """J(I) for the upper set I generated by the given minimal elements."""
-    if not generators:
-        raise TrivialUpperSet("an upper set needs at least one generator")
-
-    def member(e: GroupElement) -> bool:
-        return any(poset.leq(g, e) for g in generators)
-
-    chosen = []
-    for key in poset.fibers:
-        e = poset.fiber_sample(key)
-        steps = 0
-        if member(e):
-            while member(poset.shift(e, -1)):
-                e = poset.shift(e, -1)
-                steps += 1
-                if steps > _SEARCH_CAP:
-                    raise InternalInvariantBroken("membership walk did not stop")
-        else:
-            while not member(e):
-                e = poset.shift(e, 1)
-                steps += 1
-                if steps > _SEARCH_CAP:
-                    raise InternalInvariantBroken(
-                        "orbit cofinality violated in membership walk")
-        chosen.append(e)
-    return checked(poset, chosen)
 
 
 def mutable_elements(rep: AntichainRep) -> list[GroupElement]:
@@ -269,7 +234,7 @@ def canonical_form(rep: AntichainRep, mode: str = "zp") -> AntichainRep:
 
 
 def _walk(start: AntichainRep, mode: str, max_classes: Optional[int] = None,
-          rng=None, in_target=None) -> tuple[dict, dict, Optional[tuple]]:
+          in_target=None) -> tuple[dict, dict, Optional[tuple]]:
     """Mutation BFS over mode-canonical states: (seen, parents, goal).
 
     parents maps each key to (parent key, fiber key, +1 | -1), or None at
@@ -286,8 +251,6 @@ def _walk(start: AntichainRep, mode: str, max_classes: Optional[int] = None,
         for rep in frontier:
             moves = [(m, 1) for m in mutable_elements(rep)]
             moves += [(m, -1) for m in upward_mutable_elements(rep)]
-            if rng is not None:
-                rng.shuffle(moves)
             edges = []
             for m, direction in moves:
                 c = canonical_form(mutate(rep, m) if direction == 1
@@ -308,21 +271,20 @@ def _walk(start: AntichainRep, mode: str, max_classes: Optional[int] = None,
             if goal is not None:
                 break
             if in_target is None:   # connect's start may be a listed class
-                rep.edges = tuple(sorted(edges, key=lambda e: e[0].coords))
+                rep.edges = tuple(edges)
         frontier = nxt
     return seen, parents, goal
 
 
-def enumerate_classes(poset, mode: str = "full", max_classes: int = 10_000,
-                      rng=None) -> list[AntichainRep]:
+def enumerate_classes(poset, mode: str = "full",
+                      max_classes: int = 10_000) -> list[AntichainRep]:
     """All antichain classes up to the chosen translations, by mutation BFS.
 
     Connectivity of the mutation graph is theorem-backed; the BFS closes the
-    seed slab under mutations in both directions.  rng, when given, shuffles
-    the expansion order (results must not depend on it).
+    seed slab under mutations in both directions.
     """
     seen, _, _ = _walk(canonical_form(seed_slab(poset), mode), mode,
-                       max_classes, rng)
+                       max_classes)
     return [seen[k] for k in sorted(seen)]
 
 

@@ -1,7 +1,7 @@
 import pytest
 
-from stacktilt import graded_order
 from stacktilt.abgroup import FgAbelianGroup, direct_sum_group
+from stacktilt.graded_order import GradedDegreeGroup
 
 
 @pytest.fixture(scope="session")
@@ -21,7 +21,7 @@ def zz2_group():
 
 @pytest.fixture(scope="session")
 def ctx_p23(z_group):
-    return graded_order.build(
+    return GradedDegreeGroup.build(
         z_group, [z_group.canonicalize([2]), z_group.canonicalize([3])])
 
 
@@ -29,20 +29,20 @@ def ctx_p23(z_group):
 def make_pd(z_group):
     def factory(d):
         one = z_group.canonicalize([1])
-        return graded_order.build(z_group, [one] * (d + 1))
+        return GradedDegreeGroup.build(z_group, [one] * (d + 1))
     return factory
 
 
 @pytest.fixture(scope="session")
 def ctx_zz2_d1(zz2_group):
-    return graded_order.build(
+    return GradedDegreeGroup.build(
         zz2_group,
         [zz2_group.canonicalize([1, 0]), zz2_group.canonicalize([1, 1])])
 
 
 @pytest.fixture(scope="session")
 def ctx_zz2_d2(zz2_group):
-    return graded_order.build(
+    return GradedDegreeGroup.build(
         zz2_group,
         [zz2_group.canonicalize([1, 0]), zz2_group.canonicalize([1, 0]),
          zz2_group.canonicalize([1, 1])])
@@ -51,19 +51,19 @@ def ctx_zz2_d2(zz2_group):
 @pytest.fixture(scope="session")
 def ctx_p1p1(z2_group):
     c = z2_group.canonicalize
-    return graded_order.build(
+    return GradedDegreeGroup.build(
         z2_group, [c([1, 0]), c([1, 0]), c([0, 1]), c([0, 1])])
 
 
 @pytest.fixture(scope="session")
 def ctx_sigma1(z2_group):
     c = z2_group.canonicalize
-    return graded_order.build(
+    return GradedDegreeGroup.build(
         z2_group, [c([1, 0]), c([1, 0]), c([1, 1]), c([0, 1])])
 
 
 @pytest.fixture(scope="session")
 def ctx_stacky(z2_group):
     c = z2_group.canonicalize
-    return graded_order.build(
+    return GradedDegreeGroup.build(
         z2_group, [c([1, -1]), c([1, 0]), c([1, 1]), c([0, 1])])

@@ -3,14 +3,24 @@
 from __future__ import annotations
 
 import itertools
+import math
 import re
+from dataclasses import dataclass
+from typing import Optional
 
 from stacktilt import _intlinalg as la
 from stacktilt import stacky_geom as sg
-from stacktilt.abgroup import GroupElement
+from stacktilt.abgroup import FgAbelianGroup, GroupElement
+from stacktilt.cuts import LatticeQuotient, is_admissible_type
+from stacktilt.errors import (InternalInvariantBroken, NotAdmissible,
+                              TrivialUpperSet)
+from stacktilt.graded_order import GradedDegreeGroup
 from stacktilt.quiver import Arrow, QuiverPresentation, monomial_label
 from stacktilt.tilting import _is_irreducible
-from stacktilt.upper_sets import AntichainRep, canonical_form, is_antichain_rep
+from stacktilt.upper_sets import (AntichainRep, canonical_form, checked,
+                                  is_antichain_rep)
+
+_SEARCH_CAP = 10_000
 
 
 def enumerate_classes_window(poset, mode: str = "full",
@@ -125,3 +135,110 @@ def lattice_contains(basis, vec) -> bool:
 def is_trivial(profile: sg.HomologyProfile) -> bool:
     """Whether every reduced homology group of the profile vanishes."""
     return all(v == 0 for _, v in profile.dims)
+
+
+def determinant(m) -> int:
+    """Determinant of a square integer matrix, by fraction-free elimination."""
+    mat = [list(row) for row in m]
+    n, sign, prev = len(mat), 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if mat[r][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            mat[k], mat[piv] = mat[piv], mat[k]
+            sign = -sign
+        for r in range(k + 1, n):
+            for c in range(k + 1, n):
+                mat[r][c] = (mat[k][k] * mat[r][c]
+                             - mat[r][k] * mat[k][c]) // prev
+        prev = mat[k][k]
+    return sign * prev if n else 1
+
+
+def element_order(group: FgAbelianGroup, e: GroupElement) -> Optional[int]:
+    """Order of e, or None when infinite."""
+    if any(c != 0 for c in e.free_part()):
+        return None
+    n = 1
+    for c, o in zip(e.torsion_part(), group.torsion_orders):
+        n = math.lcm(n, o // math.gcd(o, c))
+    return n
+
+
+def arrow_multiset(qp: QuiverPresentation) -> dict:
+    """{(source, target): sorted arrow labels} of a quiver."""
+    out: dict = {}
+    for a in qp.arrows:
+        out.setdefault((a.source, a.target), []).append(a.label)
+    return {k: sorted(v) for k, v in out.items()}
+
+
+def i_contains(rep: AntichainRep, g: GroupElement) -> bool:
+    """Membership of g in the upper set I(J)."""
+    return any(rep.poset.leq(j, g) for j in rep.elements)
+
+
+def j_of_upper(poset, generators) -> AntichainRep:
+    """J(I) for the upper set I generated by the given minimal elements."""
+    if not generators:
+        raise TrivialUpperSet("an upper set needs at least one generator")
+
+    def member(e: GroupElement) -> bool:
+        return any(poset.leq(g, e) for g in generators)
+
+    chosen = []
+    for key in poset.fibers:
+        e = poset.fiber_sample(key)
+        steps = 0
+        if member(e):
+            while member(poset.shift(e, -1)):
+                e = poset.shift(e, -1)
+                steps += 1
+                if steps > _SEARCH_CAP:
+                    raise InternalInvariantBroken("membership walk did not stop")
+        else:
+            while not member(e):
+                e = poset.shift(e, 1)
+                steps += 1
+                if steps > _SEARCH_CAP:
+                    raise InternalInvariantBroken(
+                        "orbit cofinality violated in membership walk")
+        chosen.append(e)
+    return checked(poset, chosen)
+
+
+@dataclass
+class GradedGroupOf:
+    """G(B, gamma) with its degrees; order context present iff gamma > 0."""
+
+    group: FgAbelianGroup
+    degrees: tuple[GroupElement, ...]
+    order: Optional[GradedDegreeGroup]
+
+
+def group_of(lq: LatticeQuotient, gamma) -> GradedGroupOf:
+    """The group generated by (gamma_i, alpha_i + B) inside Z + L/B.
+
+    The inverse of cuts.data_of_group, for round-trip checks.
+    """
+    gamma = tuple(gamma)
+    ok, reason = is_admissible_type(lq, gamma)
+    if not ok:
+        raise NotAdmissible(reason, type=list(gamma))
+    rows_mod = []
+    for t, order in enumerate(lq.group.torsion_orders):
+        rows_mod.append(
+            ([lq.alpha_images[i].coords[t] for i in range(lq.d + 1)], order))
+    kernel = la.kernel_with_moduli([list(gamma)], rows_mod, lq.d + 1)
+    group = FgAbelianGroup(lq.d + 1, kernel)
+    unit = lambda i: [1 if k == i else 0 for k in range(lq.d + 1)]
+    degrees = tuple(group.canonicalize(unit(i)) for i in range(lq.d + 1))
+    if group.free_rank != 1:
+        raise InternalInvariantBroken("G(B, gamma) must have free rank one")
+    order = None
+    if all(g > 0 for g in gamma):
+        order = GradedDegreeGroup.build(group, list(degrees))
+        if order.theta_val(order.p) <= 0:
+            raise InternalInvariantBroken("p must be theta-positive")
+    return GradedGroupOf(group=group, degrees=degrees, order=order)

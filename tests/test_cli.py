@@ -3,7 +3,7 @@ import json
 import pytest
 
 from oracles import parse_dot
-from stacktilt import tilting, upper_sets as us
+from stacktilt import cuts, tilting, upper_sets as us
 from stacktilt.cli import _build_context, _classify, main
 
 P23 = {"group": {"free_rank": 1, "torsion_orders": [], "degrees": [[2], [3]]}}
@@ -185,6 +185,19 @@ def test_mutate_walk(tmp_path, capsys):
     assert doc["length"] >= 1
 
 
+def test_mutate_flags_checked_before_classifying(tmp_path, capsys,
+                                                monkeypatch):
+    def classify(*args, **kwargs):
+        raise AssertionError("mutate classified before checking its flags")
+
+    monkeypatch.setattr(tilting, "classify_rank1", classify)
+    path = _write(tmp_path, P23)
+    for flags in ([], ["--at", "[0]", "--walk-to", "1"]):
+        code, doc = _run(capsys, ["mutate", path, "--class", "0"] + flags)
+        assert code == 2 and doc["error"]["type"] == "InputError"
+        assert "exactly one of --at or --walk-to" in doc["error"]["message"]
+
+
 def test_mutate_not_minimal(tmp_path, capsys):
     path = _write(tmp_path, P23)
     code, doc = _run(capsys, ["mutate", path, "--class", "0", "--at", "[2]"])
@@ -260,6 +273,19 @@ def test_cuts_from_group(tmp_path, capsys):
     code, doc = _run(capsys, ["cuts", _write(tmp_path, P23)])
     assert code == 0
     assert doc["m"] == 5 and doc["type"] == [2, 3] and doc["admissible"]
+
+
+def test_cuts_detector_guard(tmp_path, capsys, monkeypatch):
+    """P(5,7,11) has m = 23: 2^22 candidate tables of 69 arrows each."""
+    def enumerate_detectors(*args):
+        raise AssertionError("the guard let the enumeration start")
+
+    monkeypatch.setattr(cuts, "enumerate_detectors", enumerate_detectors)
+    p5711 = {"group": {"free_rank": 1, "torsion_orders": [],
+                       "degrees": [[5], [7], [11]]}}
+    code, doc = _run(capsys, ["cuts", _write(tmp_path, p5711)])
+    assert code == 2 and doc["error"]["type"] == "InputError"
+    assert doc["error"]["details"] == {"m": 23, "candidates": 2 ** 22}
 
 
 def test_max_classes_env(tmp_path, capsys):

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from stacktilt import graded_order
-from stacktilt.abgroup import from_presentation
+from stacktilt.abgroup import FgAbelianGroup
+from stacktilt.graded_order import GradedDegreeGroup
 from stacktilt.errors import (DegenerateSplit, G1Violation, G2Violation,
                               G3Violation, UnsupportedRank)
 
@@ -13,25 +13,26 @@ def test_build_examples(z_group, ctx_p23, ctx_zz2_d1):
     assert ctx_p23.p.coords == (5,)
     assert ctx_zz2_d1.p.free_part() == (2,) and ctx_zz2_d1.p.torsion_part() == (1,)
     with pytest.raises(G3Violation) as err:
-        graded_order.build(z_group, [z_group.canonicalize([1]),
-                                     z_group.canonicalize([-1])])
+        GradedDegreeGroup.build(z_group, [z_group.canonicalize([1]),
+                                          z_group.canonicalize([-1])])
     assert "witness" in err.value.details
 
 
 def test_build_violations(z_group, zz2_group):
     with pytest.raises(G1Violation):
-        graded_order.build(z_group, [z_group.zero(), z_group.canonicalize([1])])
+        GradedDegreeGroup.build(z_group, [z_group.zero(),
+                                          z_group.canonicalize([1])])
     with pytest.raises(G2Violation):
-        graded_order.build(z_group, [z_group.canonicalize([2]),
-                                     z_group.canonicalize([4])])
+        GradedDegreeGroup.build(z_group, [z_group.canonicalize([2]),
+                                          z_group.canonicalize([4])])
     # torsion degree
     with pytest.raises(G3Violation):
-        graded_order.build(zz2_group, [zz2_group.canonicalize([1, 0]),
-                                       zz2_group.canonicalize([0, 1])])
-    big, _ = from_presentation(3, [])
+        GradedDegreeGroup.build(zz2_group, [zz2_group.canonicalize([1, 0]),
+                                            zz2_group.canonicalize([0, 1])])
+    big = FgAbelianGroup(3, [])
     with pytest.raises(UnsupportedRank):
-        graded_order.build(big, [big.canonicalize(v) for v in
-                                 ([1, 0, 0], [0, 1, 0], [0, 0, 1])])
+        GradedDegreeGroup.build(big, [big.canonicalize(v) for v in
+                                      ([1, 0, 0], [0, 1, 0], [0, 0, 1])])
 
 
 def test_find_theta_certificates():
@@ -63,7 +64,8 @@ def test_find_theta_certificates():
 def test_rank2_g3_witness(z2_group):
     c = z2_group.canonicalize
     with pytest.raises(G3Violation) as err:
-        graded_order.build(z2_group, [c([1, 0]), c([-1, 1]), c([0, -1])])
+        GradedDegreeGroup.build(z2_group,
+                                [c([1, 0]), c([-1, 1]), c([0, -1])])
     w = err.value.details["witness"]
     assert w != [0, 0]
 
@@ -144,10 +146,11 @@ def test_monomial_convolution_p23(ctx_p23):
 
 
 def test_coset_reps(ctx_p23, ctx_zz2_d1, make_pd):
-    reps, quot, proj = ctx_p23.coset_reps_mod_p()
+    reps, quot, proj = ctx_p23.coset_reps(ctx_p23.p)
     assert len(reps) == 5 and quot.size() == 5
-    assert len(ctx_zz2_d1.coset_reps_mod_p()[0]) == 4
-    assert len(make_pd(1).coset_reps_mod_p()[0]) == 2
+    assert len(ctx_zz2_d1.coset_reps(ctx_zz2_d1.p)[0]) == 4
+    pd1 = make_pd(1)
+    assert len(pd1.coset_reps(pd1.p)[0]) == 2
     assert len({proj(r).coords for r in reps}) == len(reps)
 
 
@@ -171,7 +174,7 @@ def test_sign_split_examples(ctx_p1p1, ctx_sigma1, ctx_stacky):
 def test_sign_split_degenerate(z2_group, ctx_p23):
     c = z2_group.canonicalize
     # a degree inside Zp: pi value 0
-    ctx = graded_order.build(
+    ctx = GradedDegreeGroup.build(
         z2_group, [c([1, 0]), c([1, 0]), c([0, 1]), c([0, 1]), c([1, 1])])
     with pytest.raises(DegenerateSplit):
         ctx.sign_split()

@@ -3,7 +3,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import lattice_contains, mat_mul
+from oracles import determinant, lattice_contains, mat_mul
 from stacktilt import _intlinalg as la
 
 matrices = st.integers(1, 6).flatmap(
@@ -22,10 +22,10 @@ def is_identity(m):
 @given(matrices)
 def test_smith_properties(m):
     ncols = len(m[0])
-    u, d, v, uinv, vinv = la.smith(m, ncols)
+    u, d, v, uinv = la.smith(m, ncols)
     assert mat_mul(mat_mul(u, m), v) == d
     assert is_identity(mat_mul(u, uinv))
-    assert is_identity(mat_mul(vinv, v))
+    assert abs(determinant(v)) == 1
     diag = la.diagonal(d, min(len(m), ncols))
     for i, row in enumerate(d):
         for j, x in enumerate(row):

@@ -1,4 +1,4 @@
-from oracles import parse_dot
+from oracles import arrow_multiset, parse_dot
 from stacktilt.quiver import Arrow, QuiverPresentation, monomial_label, to_dot
 
 
@@ -26,4 +26,4 @@ def test_arrow_multiset():
     qp = QuiverPresentation(
         vertices=((0,), (1,)),
         arrows=(Arrow((0,), (1,), "x1"), Arrow((0,), (1,), "x2")))
-    assert qp.arrow_multiset() == {((0,), (1,)): ["x1", "x2"]}
+    assert arrow_multiset(qp) == {((0,), (1,)): ["x1", "x2"]}

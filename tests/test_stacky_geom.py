@@ -37,14 +37,6 @@ def test_parse_polytope_errors():
         sg.parse_polytope([[1]])
 
 
-def test_sr_generators():
-    p2 = sg.parse_polytope(P2_VERTICES)
-    assert sg.sr_generators(p2) == [(0,), (1,), (2,)]
-    p1p1 = sg.parse_polytope(P1P1_VERTICES)
-    # the product ideal (x1, x2)(x3, x4): all four mixed pairs
-    assert sg.sr_generators(p1p1) == [(0, 2), (0, 3), (1, 2), (1, 3)]
-
-
 def test_gale_dual_examples(ctx_p1p1):
     ctx = sg.gale_dual(sg.parse_polytope(P2_VERTICES))
     assert ctx.group.free_rank == 1 and ctx.group.torsion_orders == ()
@@ -102,7 +94,7 @@ def test_euler_characteristic():
 
 def test_cohomology_p1():
     p = sg.parse_polytope([[1], [-1]])
-    oracle = sg.CohomologyOracle(p)
+    oracle = sg.CohomologyOracle(p, sg.gale_dual(p))
     ctx = oracle.ctx
     two = ctx.group.canonicalize([0, 0]) + 2 * ctx.degrees[0]
     assert oracle.cohomology_dim(two, 0) == 3
@@ -114,7 +106,8 @@ def test_cohomology_p1():
 
 
 def test_cohomology_p1p1_kunneth():
-    oracle = sg.CohomologyOracle(sg.parse_polytope(P1P1_VERTICES))
+    p = sg.parse_polytope(P1P1_VERTICES)
+    oracle = sg.CohomologyOracle(p, sg.gale_dual(p))
     ctx = oracle.ctx
     # O(-2, 0) in the bidegree of the first factor
     g = -2 * ctx.degrees[0]
@@ -132,7 +125,8 @@ def test_ext_dim_examples(ctx_p23):
     zero = z.zero()
     assert oracle.ext_dim(zero, zero, 0) == 1
     assert oracle.ext_dim(zero, z.canonicalize([6]), 0) == 2
-    p1 = sg.CohomologyOracle(sg.parse_polytope([[1], [-1]]))
+    seg = sg.parse_polytope([[1], [-1]])
+    p1 = sg.CohomologyOracle(seg, sg.gale_dual(seg))
     o1 = p1.ctx.degrees[0]
     assert p1.ext_dim(p1.ctx.group.zero(), o1, 0) == 2
 
