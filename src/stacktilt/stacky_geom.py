@@ -149,7 +149,7 @@ def _rank(rows: list[list[int]], p: Optional[int] = None) -> int:
 
 def reduced_homology(maximal_faces: Sequence[tuple[int, ...]],
                      ambient_dim: int,
-                     field: Optional[int] = None) -> HomologyProfile:
+                     field: Optional[int]) -> HomologyProfile:
     """Reduced simplicial homology dims in degrees -1..ambient_dim-1.
 
     The empty complex has H~_{-1} = 1; the augmentation map makes that
@@ -239,6 +239,9 @@ def _count_lattice_points(constraints: list[tuple[tuple[int, ...], int]],
                 hi = bound if hi is None else min(hi, bound)
         if lo is None or hi is None:
             raise _Unbounded()
+        if k == nvars - 1:
+            count += max(0, hi - lo + 1)
+            return
         for v in range(lo, hi + 1):
             x[k] = v
             rec(k + 1)
@@ -256,6 +259,11 @@ class CohomologyOracle:
     H^r of the twist g is the sum over sign supports T of the number of
     exponent vectors in the fiber of g with that sign pattern, times
     dim H~_{d-r-1} of the support complex.
+
+    An oracle does each piece of work once: the supports with nonzero
+    homology are tabled per (homological degree, field), the integer
+    preimage of a twist is solved once per twist, and a fiber count,
+    which depends on neither r nor the field, once per (twist, support).
     """
 
     def __init__(self, polytope: StackyPolytope, ctx: GradedDegreeGroup):
@@ -274,19 +282,42 @@ class CohomologyOracle:
         if len(self.kernel) != polytope.d:
             raise InternalInvariantBroken("fiber lattice has wrong rank")
         self._profiles: dict = {}
+        self._supports: dict = {}   # (k, field) -> [(support, dim H~_k)]
+        self._bases: dict = {}      # twist coords -> integer preimage
+        self._counts: dict = {}     # (twist coords, support) -> count or None
 
     def profile(self, support: frozenset,
-                field: Optional[int] = None) -> HomologyProfile:
+                field: Optional[int]) -> HomologyProfile:
         key = (support, field)
         if key not in self._profiles:
             self._profiles[key] = reduced_homology(
                 xa_complex(self.polytope, support), self.polytope.d, field)
         return self._profiles[key]
 
-    def _fiber_count(self, g: GroupElement, support: frozenset) -> int:
-        base = solve_combination(list(self.ctx.degrees), g)
-        if base is None:
-            raise InternalInvariantBroken("degrees fail to generate the group")
+    def _nonzero_supports(self, k: int, field: Optional[int]) -> list:
+        """(support, dim H~_k) with dim nonzero, in sign-pattern order."""
+        key = (k, field)
+        if key not in self._supports:
+            table = []
+            for bits in itertools.product((0, 1), repeat=self.polytope.n):
+                support = frozenset(i for i, b in enumerate(bits) if b)
+                dim = self.profile(support, field).dim(k)
+                if dim:
+                    table.append((support, dim))
+            self._supports[key] = table
+        return self._supports[key]
+
+    def _base(self, g: GroupElement) -> list[int]:
+        """An integer vector a with sum a_i x_i == g."""
+        if g.coords not in self._bases:
+            base = solve_combination(list(self.ctx.degrees), g)
+            if base is None:
+                raise InternalInvariantBroken(
+                    "degrees fail to generate the group")
+            self._bases[g.coords] = base
+        return self._bases[g.coords]
+
+    def _fiber_count(self, base: Sequence[int], support: frozenset) -> int:
         d = self.polytope.d
         constraints = []
         for i in range(self.polytope.n):
@@ -299,29 +330,32 @@ class CohomologyOracle:
         return _count_lattice_points(constraints, d)
 
     def cohomology_dim(self, g: GroupElement, r: int,
-                       field: Optional[int] = None) -> int:
+                       field: Optional[int]) -> int:
         if not 0 <= r <= self.polytope.d:
             raise InputError(f"cohomological degree r={r} outside 0..d")
-        k = self.polytope.d - r - 1
         total = 0
-        for bits in itertools.product((0, 1), repeat=self.polytope.n):
-            support = frozenset(i for i, b in enumerate(bits) if b)
-            dim = self.profile(support, field).dim(k)
-            if dim == 0:
-                continue
-            try:
-                total += dim * self._fiber_count(g, support)
-            except _Unbounded:
+        for support, dim in self._nonzero_supports(self.polytope.d - r - 1,
+                                                   field):
+            key = (g.coords, support)
+            if key not in self._counts:
+                try:
+                    self._counts[key] = self._fiber_count(self._base(g),
+                                                          support)
+                except _Unbounded:
+                    self._counts[key] = None
+            count = self._counts[key]
+            if count is None:
                 raise UnboundedContribution(
                     "infinite fiber meets a homologically nontrivial support",
-                    support=sorted(support), r=r) from None
+                    support=sorted(support), r=r)
+            total += dim * count
         return total
 
     def ext_dim(self, g: GroupElement, h: GroupElement, r: int,
-                field: Optional[int] = None) -> int:
+                field: Optional[int]) -> int:
         """dim Ext^r(O(g), O(h)) = dim H^r of the twist h - g."""
         return self.cohomology_dim(h - g, r, field)
 
-    def all_r(self, g: GroupElement, field: Optional[int] = None) -> dict:
+    def all_r(self, g: GroupElement, field: Optional[int]) -> dict:
         return {r: self.cohomology_dim(g, r, field)
                 for r in range(self.polytope.d + 1)}

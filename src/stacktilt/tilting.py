@@ -335,7 +335,7 @@ class VerificationReport:
 
 
 def verify_class(oracle: CohomologyOracle, elements: Sequence[GroupElement],
-                 field: Optional[int] = None) -> VerificationReport:
+                 field: Optional[int]) -> VerificationReport:
     """Ext^r(E, E) = 0 for 1 <= r <= d, through the homology oracle.
 
     Thick generation is not re-checked (asserted by the classification

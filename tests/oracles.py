@@ -10,10 +10,11 @@ from typing import Optional
 
 from stacktilt import _intlinalg as la
 from stacktilt import stacky_geom as sg
-from stacktilt.abgroup import FgAbelianGroup, GroupElement
+from stacktilt.abgroup import (FgAbelianGroup, GroupElement,
+                               solve_combination)
 from stacktilt.cuts import LatticeQuotient, is_admissible_type
 from stacktilt.errors import (InternalInvariantBroken, NotAdmissible,
-                              TrivialUpperSet)
+                              TrivialUpperSet, UnboundedContribution)
 from stacktilt.graded_order import GradedDegreeGroup
 from stacktilt.quiver import Arrow, QuiverPresentation, monomial_label
 from stacktilt.tilting import _is_irreducible
@@ -108,8 +109,44 @@ def parse_dot(text: str) -> tuple[list[str], list[tuple[str, str, str]]]:
 
 def euler_characteristic_boundary(p: sg.StackyPolytope) -> int:
     """Euler characteristic of the boundary complex, from homology dims."""
-    profile = sg.reduced_homology(sg.xa_complex(p, range(p.n)), p.d)
+    profile = sg.reduced_homology(sg.xa_complex(p, range(p.n)), p.d, None)
     return 1 + sum(((-1) ** k) * v for k, v in profile.dims if k >= 0)
+
+
+def cohomology_dim_scan(oracle: sg.CohomologyOracle, g: GroupElement, r: int,
+                        field: Optional[int], profiles: dict) -> int:
+    """CohomologyOracle.cohomology_dim by a plain scan, without its memos.
+
+    Every one of the 2^n sign supports is visited, and each support with
+    homology in degree d - r - 1 solves the twist afresh.  `profiles`
+    carries homology profiles from call to call, keyed on
+    (support, field); the caller owns it, so the oracle's memo is not used.
+    """
+    p = oracle.polytope
+    total = 0
+    for bits in itertools.product((0, 1), repeat=p.n):
+        support = frozenset(i for i, b in enumerate(bits) if b)
+        if (support, field) not in profiles:
+            profiles[support, field] = sg.reduced_homology(
+                sg.xa_complex(p, support), p.d, field)
+        dim = profiles[support, field].dim(p.d - r - 1)
+        if dim == 0:
+            continue
+        base = solve_combination(list(oracle.ctx.degrees), g)
+        constraints = []
+        for i in range(p.n):
+            coeffs = tuple(oracle.kernel[k][i] for k in range(p.d))
+            if i in support:
+                constraints.append((coeffs, base[i]))
+            else:
+                constraints.append((tuple(-c for c in coeffs), -base[i] - 1))
+        try:
+            total += dim * sg._count_lattice_points(constraints, p.d)
+        except sg._Unbounded:
+            raise UnboundedContribution(
+                "infinite fiber meets a homologically nontrivial support",
+                support=sorted(support), r=r) from None
+    return total
 
 
 def mat_mul(a, b) -> list[list[int]]:

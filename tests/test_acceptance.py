@@ -241,7 +241,7 @@ def test_criterion_07_oracle_equivalence(make_pd, ctx_p23, ctx_zz2_d1,
             for tc in tilting.classify_rank2(ctx).classes:
                 all_classes.append((oracle, tc))
         for oracle, tc in all_classes:
-            report = tilting.verify_class(oracle, tc.elements)
+            report = tilting.verify_class(oracle, tc.elements, None)
             assert report.ok, (tc.class_id, report.failures)
     _timed(7, 60.0, body)
 
@@ -345,8 +345,8 @@ def test_criterion_10_property_suites(ctx_p23, ctx_zz2_d1, ctx_zz2_d2,
             for _ in range(30):
                 g = _random_element(ctx, rng)
                 for r in range(d + 1):
-                    assert oracle.cohomology_dim(g, r) == \
-                        oracle.cohomology_dim(-ctx.p - g, d - r)
+                    assert oracle.cohomology_dim(g, r, None) == \
+                        oracle.cohomology_dim(-ctx.p - g, d - r, None)
         # intermediate-cohomology vanishing vs the quotient order
         # (the all-twists quantifier is checked on the window n in [-4, 4])
         for ctx in (ctx_p1p1, ctx_sigma1, ctx_stacky):
@@ -360,7 +360,7 @@ def test_criterion_10_property_suites(ctx_p23, ctx_zz2_d1, ctx_zz2_d2,
                 order_side = (not h.leq(split.s, qg)) and \
                     (not h.leq(qg, -split.s))
                 homology_side = all(
-                    oracle.cohomology_dim(g + n * ctx.p, r) == 0
+                    oracle.cohomology_dim(g + n * ctx.p, r, None) == 0
                     for n in range(-4, 5) for r in range(1, d))
                 assert order_side == homology_side, list(g.coords)
         # order axioms incl. (A1)-(A3) spot checks

@@ -1,11 +1,18 @@
+import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from oracles import euler_characteristic_boundary, is_trivial
+from oracles import (cohomology_dim_scan, euler_characteristic_boundary,
+                     is_trivial)
 from stacktilt import stacky_geom as sg
+from stacktilt import tilting
+from stacktilt.abgroup import direct_sum_group
 from stacktilt.errors import (InputError, NotAVertex, NotSimplicial,
-                              OriginNotInterior)
+                              OriginNotInterior, UnboundedContribution)
+from stacktilt.graded_order import GradedDegreeGroup
 
 
 P2_VERTICES = [[1, 0], [0, 1], [-1, -1]]
@@ -66,22 +73,22 @@ def test_group_to_polytope_round_trip(ctx_p23, ctx_p1p1, ctx_sigma1,
 def test_xa_homology_profiles():
     p2 = sg.parse_polytope(P2_VERTICES)
     # full support: boundary of the simplex is a circle
-    prof = sg.reduced_homology(sg.xa_complex(p2, range(3)), p2.d)
+    prof = sg.reduced_homology(sg.xa_complex(p2, range(3)), p2.d, None)
     assert prof.dim(1) == 1 and prof.dim(0) == 0 and prof.dim(-1) == 0
     # empty support
-    prof = sg.reduced_homology(sg.xa_complex(p2, ()), p2.d)
+    prof = sg.reduced_homology(sg.xa_complex(p2, ()), p2.d, None)
     assert prof.dim(-1) == 1 and prof.dim(0) == 0
     # an edge is contractible
-    prof = sg.reduced_homology(sg.xa_complex(p2, (0, 1)), p2.d)
+    prof = sg.reduced_homology(sg.xa_complex(p2, (0, 1)), p2.d, None)
     assert is_trivial(prof)
     # two antipodal vertices of the square: S^0
     p1p1 = sg.parse_polytope(P1P1_VERTICES)
-    prof = sg.reduced_homology(sg.xa_complex(p1p1, (0, 1)), p1p1.d)
+    prof = sg.reduced_homology(sg.xa_complex(p1p1, (0, 1)), p1p1.d, None)
     assert prof.dim(0) == 1
 
     for p in (p2, p1p1):
         d = p.d
-        full = sg.reduced_homology(sg.xa_complex(p, range(p.n)), d)
+        full = sg.reduced_homology(sg.xa_complex(p, range(p.n)), d, None)
         assert full.dim(d - 1) == 1
         assert all(full.dim(k) == 0 for k in range(-1, d - 1))
 
@@ -97,12 +104,12 @@ def test_cohomology_p1():
     oracle = sg.CohomologyOracle(p, sg.gale_dual(p))
     ctx = oracle.ctx
     two = ctx.group.canonicalize([0, 0]) + 2 * ctx.degrees[0]
-    assert oracle.cohomology_dim(two, 0) == 3
-    assert oracle.cohomology_dim(two, 1) == 0
+    assert oracle.cohomology_dim(two, 0, None) == 3
+    assert oracle.cohomology_dim(two, 1, None) == 0
     minus2 = -2 * ctx.degrees[0]
-    assert oracle.cohomology_dim(minus2, 0) == 0
-    assert oracle.cohomology_dim(minus2, 1) == 1
-    assert oracle.all_r(minus2) == {0: 0, 1: 1}
+    assert oracle.cohomology_dim(minus2, 0, None) == 0
+    assert oracle.cohomology_dim(minus2, 1, None) == 1
+    assert oracle.all_r(minus2, None) == {0: 0, 1: 1}
 
 
 def test_cohomology_p1p1_kunneth():
@@ -111,24 +118,24 @@ def test_cohomology_p1p1_kunneth():
     ctx = oracle.ctx
     # O(-2, 0) in the bidegree of the first factor
     g = -2 * ctx.degrees[0]
-    assert oracle.cohomology_dim(g, 1) == 1
-    assert oracle.cohomology_dim(g, 0) == 0
-    assert oracle.cohomology_dim(g, 2) == 0
+    assert oracle.cohomology_dim(g, 1, None) == 1
+    assert oracle.cohomology_dim(g, 0, None) == 0
+    assert oracle.cohomology_dim(g, 2, None) == 0
     # O(-2,-2) has only H^2, of dimension 1
     g = -2 * ctx.degrees[0] - 2 * ctx.degrees[2]
-    assert oracle.all_r(g) == {0: 0, 1: 0, 2: 1}
+    assert oracle.all_r(g, None) == {0: 0, 1: 0, 2: 1}
 
 
 def test_ext_dim_examples(ctx_p23):
     oracle = sg.CohomologyOracle(sg.group_to_polytope(ctx_p23), ctx_p23)
     z = ctx_p23.group
     zero = z.zero()
-    assert oracle.ext_dim(zero, zero, 0) == 1
-    assert oracle.ext_dim(zero, z.canonicalize([6]), 0) == 2
+    assert oracle.ext_dim(zero, zero, 0, None) == 1
+    assert oracle.ext_dim(zero, z.canonicalize([6]), 0, None) == 2
     seg = sg.parse_polytope([[1], [-1]])
     p1 = sg.CohomologyOracle(seg, sg.gale_dual(seg))
     o1 = p1.ctx.degrees[0]
-    assert p1.ext_dim(p1.ctx.group.zero(), o1, 0) == 2
+    assert p1.ext_dim(p1.ctx.group.zero(), o1, 0, None) == 2
 
 
 def test_h0_agrees_with_hom_dim(ctx_p23, ctx_p1p1, ctx_zz2_d1):
@@ -139,7 +146,7 @@ def test_h0_agrees_with_hom_dim(ctx_p23, ctx_p1p1, ctx_zz2_d1):
             coords = [rng.randrange(o) for o in ctx.group.torsion_orders]
             coords += [rng.randint(-5, 5) for _ in range(ctx.group.free_rank)]
             g = ctx.group.from_coords(coords)
-            assert oracle.cohomology_dim(g, 0) == ctx.hom_dim(g)
+            assert oracle.cohomology_dim(g, 0, None) == ctx.hom_dim(g)
 
 
 def test_serre_duality_samples(ctx_p23, ctx_p1p1):
@@ -152,8 +159,8 @@ def test_serre_duality_samples(ctx_p23, ctx_p1p1):
             coords += [rng.randint(-5, 5) for _ in range(ctx.group.free_rank)]
             g = ctx.group.from_coords(coords)
             for r in range(d + 1):
-                assert oracle.cohomology_dim(g, r) == \
-                    oracle.cohomology_dim(-ctx.p - g, d - r)
+                assert oracle.cohomology_dim(g, r, None) == \
+                    oracle.cohomology_dim(-ctx.p - g, d - r, None)
 
 
 def test_field_independence(ctx_p23, ctx_p1p1):
@@ -179,3 +186,141 @@ def test_unbounded_detection():
     assert _count_lattice_points(
         [((1, 0), 0), ((-1, 0), 2), ((0, 1), 0), ((0, -1), 2),
          ((1, 1), -1)], 2) == 8
+
+
+def test_count_lattice_points_matches_box_scan():
+    """The closed-form count of the last variable agrees with a scan of a
+    box that holds the region, empty last ranges included."""
+    from stacktilt.stacky_geom import _count_lattice_points
+    rng = random.Random(53)
+    for nvars in (1, 2, 3):
+        for _ in range(40):
+            box = [(tuple(s if j == i else 0 for j in range(nvars)), 4)
+                   for i in range(nvars) for s in (1, -1)]
+            extra = [(tuple(rng.randint(-3, 3) for _ in range(nvars)),
+                      rng.randint(-4, 6)) for _ in range(rng.randint(0, 3))]
+            rows = box + extra
+            expected = sum(
+                all(sum(c * v for c, v in zip(coeffs, x)) + const >= 0
+                    for coeffs, const in rows)
+                for x in itertools.product(range(-4, 5), repeat=nvars))
+            assert _count_lattice_points(rows, nvars) == expected
+
+
+def test_h0_of_a_large_twist_on_p2():
+    """h^0(O(40000)) on P2 is C(40002, 2); the last variable is counted in
+    closed form, so the 40001 first-level values take well under a second."""
+    p = sg.parse_polytope(P2_VERTICES)
+    oracle = sg.CohomologyOracle(p, sg.gale_dual(p))
+    g = 40000 * oracle.ctx.degrees[0]
+    assert oracle.all_r(g, None) == {0: 800_060_001, 1: 0, 2: 0}
+
+
+_SCAN_CASES = {   # case: (free rank, torsion orders, degrees, free box)
+    "p2p2": (2, [], [(1, 0)] * 3 + [(0, 1)] * 3, range(-4, 2)),
+    "stacky": (2, [], [(1, -1), (1, 0), (1, 1), (0, 1)], range(-4, 3)),
+    "sigma1": (2, [], [(1, 0), (1, 0), (1, 1), (0, 1)], range(-4, 3)),
+    "p23571": (1, [], [(2,), (3,), (5,), (7,), (11,)], range(-31, 4)),
+    "zz2_b": (1, [2], [(1, 0), (2, 1), (3, 0)], range(-8, 4)),
+}
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except UnboundedContribution as exc:
+        return ("unbounded", exc.details)
+
+
+@pytest.mark.parametrize("homology", ["exact", "scaled"])
+@pytest.mark.parametrize("case", list(_SCAN_CASES))
+def test_cohomology_dim_matches_scan(case, homology, monkeypatch):
+    """One shared oracle answers every (twist, r, field) of a box as the
+    plain scan does, queried in shuffled order with the fields interleaved.
+    These support complexes have no torsion, so their homology is the same
+    over Q, F2 and F3; the scaled run multiplies each dim by the
+    characteristic, so that a memo keyed without the field fails too.
+    The oracle solves each twist at most once."""
+    free_rank, torsion, degrees, box = _SCAN_CASES[case]
+    group = direct_sum_group(free_rank, torsion)
+    ctx = GradedDegreeGroup.build(
+        group, [group.canonicalize(list(v)) for v in degrees])
+    if homology == "scaled":
+        exact = sg.reduced_homology
+
+        def scaled(faces, ambient_dim, field):
+            dims = exact(faces, ambient_dim, field).dims
+            return sg.HomologyProfile(
+                tuple((k, v * (field or 1)) for k, v in dims))
+        monkeypatch.setattr(sg, "reduced_homology", scaled)
+    solved = []
+    solve = sg.solve_combination
+
+    def counted_solve(degrees, g):
+        solved.append(g.coords)
+        return solve(degrees, g)
+    monkeypatch.setattr(sg, "solve_combination", counted_solve)
+    oracle = sg.CohomologyOracle(sg.group_to_polytope(ctx), ctx)
+    twists = [group.from_coords(t + f)
+              for t in itertools.product(*(range(o) for o in torsion))
+              for f in itertools.product(box, repeat=free_rank)]
+    queries = [(g, r, field) for g in twists
+               for r in range(oracle.polytope.d + 1) for field in (None, 2, 3)]
+    random.Random(59).shuffle(queries)
+    profiles: dict = {}
+    for g, r, field in queries:
+        assert _outcome(oracle.cohomology_dim, g, r, field) == \
+            _outcome(cohomology_dim_scan, oracle, g, r, field, profiles), \
+            (g.coords, r, field)
+    assert len(solved) == len(set(solved)) > 0
+
+
+def test_verify_solves_each_twist_once(monkeypatch):
+    """Verifying a stored P(2,3,5,7,11) set solves each twist h - g at most
+    once, over all pairs and all r, and counts each fiber at most once."""
+    stored = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                         / "data" / "classes.json").read_text())["p23571"][0]
+    group = direct_sum_group(1, [])
+    ctx = GradedDegreeGroup.build(
+        group, [group.canonicalize([w]) for w in (2, 3, 5, 7, 11)])
+    elements = [group.from_coords(v) for v in stored]
+    solves, counts = [], []
+    solve, count = sg.solve_combination, sg.CohomologyOracle._fiber_count
+
+    def counted_solve(*args):
+        solves.append(args)
+        return solve(*args)
+
+    def counted_count(self, base, support):
+        counts.append((tuple(base), support))
+        return count(self, base, support)
+    monkeypatch.setattr(sg, "solve_combination", counted_solve)
+    monkeypatch.setattr(sg.CohomologyOracle, "_fiber_count", counted_count)
+    oracle = sg.CohomologyOracle(sg.group_to_polytope(ctx), ctx)
+    report = tilting.verify_class(oracle, elements, None)
+    assert report.ok and len(report.checked) == 4 * len(elements) ** 2
+    twists = {(h - g).coords for g in elements for h in elements}
+    assert 0 < len(solves) <= len(twists)
+    assert len(counts) == len(set(counts)) > 0
+
+
+def test_unbounded_contribution_names_the_first_support(monkeypatch):
+    """No fiber of these inputs is infinite, so every count is made to
+    raise: each r reports the first nonzero support in sign-pattern order,
+    as the scan does, also when the memoized outcome is asked again."""
+    def unbounded(constraints, nvars):
+        raise sg._Unbounded()
+    monkeypatch.setattr(sg, "_count_lattice_points", unbounded)
+    raised = 0
+    for verts in (P1P1_VERTICES, P2_VERTICES):
+        p = sg.parse_polytope(verts)
+        oracle = sg.CohomologyOracle(p, sg.gale_dual(p))
+        g = oracle.ctx.degrees[0]
+        for field in (None, 2, None):
+            for r in range(p.d + 1):
+                expected = _outcome(cohomology_dim_scan, oracle, g, r, field,
+                                    {})
+                assert _outcome(oracle.cohomology_dim, g, r, field) == \
+                    expected
+                raised += expected != 0
+    assert raised == 15   # every r but H^1 of P2, whose sum is empty

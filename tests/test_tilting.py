@@ -248,17 +248,18 @@ def test_verify_class(make_pd, ctx_p1p1, ctx_p23):
     ctx = make_pd(2)
     oracle = CohomologyOracle(group_to_polytope(ctx), ctx)
     els = [ctx.group.canonicalize([v]) for v in (0, 1, 2)]
-    report = tilting.verify_class(oracle, els)
+    report = tilting.verify_class(oracle, els, None)
     assert report.ok and len(report.checked) == 9 * 2
     assert report.thick_generation == "by theorem"
 
     oracle = CohomologyOracle(group_to_polytope(ctx_p1p1), ctx_p1p1)
     c = ctx_p1p1.group.canonicalize
     square = [c([0, 0]), c([1, 0]), c([0, 1]), c([1, 1])]
-    assert tilting.verify_class(oracle, square).ok
+    assert tilting.verify_class(oracle, square, None).ok
 
     oracle = CohomologyOracle(group_to_polytope(ctx_p23), ctx_p23)
     z = ctx_p23.group
-    broken = tilting.verify_class(oracle, [z.zero(), z.canonicalize([7])])
+    broken = tilting.verify_class(oracle, [z.zero(), z.canonicalize([7])],
+                                    None)
     assert not broken.ok
     assert any(r == 1 and dim > 0 for (_, _, r, dim) in broken.failures)
