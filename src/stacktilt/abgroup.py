@@ -117,13 +117,6 @@ class FgAbelianGroup:
     def zero(self) -> GroupElement:
         return GroupElement(self, (0,) * self.n_coords)
 
-    def generators(self) -> list[GroupElement]:
-        """The canonical generators (unit vectors in canonical coordinates)."""
-        return [
-            self.from_coords([1 if j == i else 0 for j in range(self.n_coords)])
-            for i in range(self.n_coords)
-        ]
-
     def section_vector(self, e: GroupElement) -> list[int]:
         """A generator-coordinate representative of e (canonicalize-inverse)."""
         full = [0] * self.n_gens

@@ -30,7 +30,11 @@ SCHEMA_VERSION = 1
 
 def _emit(doc: dict) -> None:
     doc = {"schema_version": SCHEMA_VERSION, **doc}
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True)
+    except ValueError as exc:   # Python prints no int over 4300 digits
+        raise InputError(f"the report cannot be printed: {exc}") from None
+    print(text)
 
 
 def _int_vector(value, what: str) -> list:
@@ -40,11 +44,11 @@ def _int_vector(value, what: str) -> list:
     return value
 
 
-def _json_flag(text: str, flag: str):
+def _json_flag(text: str, what: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{flag} is not valid JSON: {exc}") from None
+    except ValueError as exc:   # bad JSON, or an int over 4300 digits
+        raise InputError(f"{what} is not valid JSON: {exc}") from None
 
 
 def _parse_field(spec) -> Optional[int]:
@@ -65,12 +69,10 @@ def _parse_field(spec) -> Optional[int]:
 
 def _load_document(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read input file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"input is not valid JSON: {exc}") from None
+    doc = _json_flag(text, "input")
     if not isinstance(doc, dict):
         raise InputError("input must be a JSON object")
     return doc
@@ -181,7 +183,8 @@ def _find_class(classes, token: str):
     for tc in classes:
         if tc.class_id == token:
             return tc
-    if token.isdecimal() and int(token) < len(classes):
+    # int() refuses over 4300 digits, and no index has 20
+    if token.isdecimal() and len(token) < 20 and int(token) < len(classes):
         return classes[int(token)]
     raise InputError(f"no class {token!r} in the classification")
 
@@ -312,12 +315,11 @@ def cmd_cuts(args) -> int:
             report["reason"] = f"inadmissible: {reason}"
             _emit(report)
             return 0
-        # one candidate table per choice along the m - 1 tree edges, each
-        # checked on m * (d + 1) arrows
-        candidates = 2 ** (lq.m - 1)
-        if candidates * lq.m * (lq.d + 1) > 2 ** 24:
+        # 2^(m - 1) candidate tables, one per choice along the tree edges,
+        # of m * (d + 1) arrows each; the detail is the log, printable at any m
+        if 2 ** (lq.m - 1) * lq.m * (lq.d + 1) > 2 ** 24:
             raise InputError("too many candidate tables for detector "
-                             "enumeration", m=lq.m, candidates=candidates)
+                             "enumeration", m=lq.m, candidates_log2=lq.m - 1)
         detectors = cuts_mod.enumerate_detectors(lq, gamma)
         entries = []
         for det in detectors:

@@ -374,24 +374,22 @@ def cut_of_antichain(ctx: GradedDegreeGroup, rep: AntichainRep,
                      lq: LatticeQuotient, gamma: Sequence[int]):
     """(cut, detector) of the antichain class, via f_J(x) = pi(g) - n*m.
 
-    (lq, gamma) is the cut data of ctx, as data_of_group returns it.
+    (lq, gamma) is the cut data of ctx, as data_of_group returns it; rep
+    must come from GroupPoset(ctx) with shift p, whose fibers are G/Zp.
     """
-    reps, quot, proj = ctx.coset_reps(ctx.p)
-    m = quot.size()
-    by_fiber = {proj(g).coords: g for g in rep.elements}
-    if set(by_fiber) != {proj(r).coords for r in reps}:
+    psi = fiber_map(lq, ctx)
+    if (rep.poset.ctx is not ctx or not rep.poset.supports_local_check
+            or set(rep.by_fiber) != set(psi.values())):
         raise InputError("antichain does not represent G/Zp")
-    j0 = by_fiber[quot.zero().coords]
+    j0 = rep.by_fiber[psi[lq.group.zero().coords]]
     tp = ctx.theta_val(ctx.p)
     n0, r0 = divmod(ctx.theta_val(j0), tp)
     if r0 != 0 or n0 * ctx.p != j0:
         raise InternalInvariantBroken("zero-fiber representative is not n*p")
-    scale = m // tp
-    psi = fiber_map(lq, ctx)
-    table = {v: scale * ctx.theta_val(by_fiber[psi[v]]) - n0 * m
+    scale = lq.m // tp
+    table = {v: scale * ctx.theta_val(rep.by_fiber[psi[v]]) - n0 * lq.m
              for v in lq.vertices}
     det = CutDetector(lq, tuple(gamma), table)
-    det.validate()
     return cut_from_detector(det), det
 
 

@@ -196,13 +196,21 @@ class _Unbounded(Exception):
     pass
 
 
+class _TooManySteps(Exception):
+    pass
+
+
+_MAX_PREFIX_STEPS = 1 << 20   # loop values of one fiber count: a few seconds
+
+
 def _count_lattice_points(constraints: list[tuple[tuple[int, ...], int]],
                           nvars: int) -> int:
     """Integer points satisfying coeff . x + const >= 0 for every row.
 
     Fourier-Motzkin elimination from the last variable down gives exact
     bounds per level; an unbounded level reached by a feasible prefix
-    raises _Unbounded.
+    raises _Unbounded.  The last variable is counted in closed form; loops
+    over the others past _MAX_PREFIX_STEPS values raise _TooManySteps.
     """
     systems = [None] * (nvars + 1)
     systems[nvars] = list(constraints)
@@ -217,11 +225,11 @@ def _count_lattice_points(constraints: list[tuple[tuple[int, ...], int]],
                 coeffs = tuple(b * cl[j] + a * cu[j] for j in range(nvars))
                 combined.append((coeffs, b * el + a * eu))
         systems[k - 1] = rest + combined
-    count = 0
+    count = steps = 0
     x = [0] * nvars
 
     def rec(k: int) -> None:
-        nonlocal count
+        nonlocal count, steps
         if k == nvars:
             count += 1
             return
@@ -242,6 +250,9 @@ def _count_lattice_points(constraints: list[tuple[tuple[int, ...], int]],
         if k == nvars - 1:
             count += max(0, hi - lo + 1)
             return
+        steps += max(0, hi - lo + 1)
+        if steps > _MAX_PREFIX_STEPS:
+            raise _TooManySteps()
         for v in range(lo, hi + 1):
             x[k] = v
             rec(k + 1)
@@ -343,6 +354,11 @@ class CohomologyOracle:
                                                           support)
                 except _Unbounded:
                     self._counts[key] = None
+                except _TooManySteps:
+                    raise InputError(
+                        "twist too large: its fiber count would try more "
+                        "than `bound` values of the first d - 1 coordinates",
+                        support=sorted(support), bound=_MAX_PREFIX_STEPS)
             count = self._counts[key]
             if count is None:
                 raise UnboundedContribution(

@@ -64,12 +64,13 @@ class GroupPoset:
     def theta(self, a: GroupElement) -> int:
         return self.ctx.theta_val(a)
 
-    def local_check(self, rep: "AntichainRep") -> bool:
-        """g + x_i in J or J + p, for every g in J and every degree."""
-        for g in rep.elements:
+    def local_check(self, by_fiber: dict) -> bool:
+        """g + x_i in J or J + p, for every g in J and every degree; by_fiber
+        maps each fiber key to the member of J over it."""
+        for g in by_fiber.values():
             for x in self.ctx.degrees:
                 h = g + x
-                r = rep.by_fiber[self.fiber_key(h)]
+                r = by_fiber[self.fiber_key(h)]
                 if h != r and h != self.shift(r, 1):
                     return False
         return True
@@ -129,11 +130,9 @@ def is_antichain_rep(poset, elements: Sequence[GroupElement]):
                 break
         if not ok:
             break
-    if poset.supports_local_check:
-        rep = AntichainRep(poset, elements)
-        if poset.local_check(rep) != ok:
-            raise InternalInvariantBroken(
-                "local J-condition disagrees with the antichain condition")
+    if poset.supports_local_check and poset.local_check(seen) != ok:
+        raise InternalInvariantBroken(
+            "local J-condition disagrees with the antichain condition")
     return ok, witness
 
 

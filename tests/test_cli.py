@@ -113,6 +113,10 @@ def test_classify_malformed_inputs(tmp_path, capsys):
     assert code == 2
     code, doc = _run(capsys, ["classify", str(tmp_path / "missing.json")])
     assert code == 2
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"group": "\xe9"}')
+    code, doc = _run(capsys, ["classify", str(not_utf8)])
+    assert code == 2 and doc["error"]["type"] == "InputError"
 
 
 LATTICE = {"d": 1, "b_generators": [[5, -5]], "gamma": [2, 3]}
@@ -142,12 +146,16 @@ LATTICE = {"d": 1, "b_generators": [[5, -5]], "gamma": [2, 3]}
     (P23, ["verify", "--field", "F9"]),
     (P23, ["verify", "--set", "[[0], [1]]", "--class", "0"]),
     (P23, ["mutate", "--class", "-1", "--walk-to", "0"]),
+    ({"group": {"free_rank": 1, "degrees": [[1], [1], [1]]}},
+     ["cohomology", "--twist", "[1000000000000, 0, 0]", "--r", "0"]),
+    (P23, ["cohomology", "--twist", "[" + "9" * 4300 + ", 0]", "--r", "0"]),
 ], ids=["twist-json", "at-json", "set-json", "lattice-no-d", "gamma-str",
         "gamma-float", "field-flag", "field-doc", "doc-number",
         "polytope-list", "vertex-str", "degree-number", "free-rank-float",
         "d-float", "twist-float",
         "twist-bool", "at-float", "set-entry", "F4", "Fp-6", "verify-F9",
-        "set-and-class", "class-negative"])
+        "set-and-class", "class-negative", "twist-fiber-too-large",
+        "twist-coords-unprintable"])
 def test_malformed_input_exits_2(tmp_path, capsys, doc, argv):
     path = _write(tmp_path, doc)
     code = main(argv[:1] + [path] + argv[1:])
@@ -285,7 +293,7 @@ def test_cuts_detector_guard(tmp_path, capsys, monkeypatch):
                        "degrees": [[5], [7], [11]]}}
     code, doc = _run(capsys, ["cuts", _write(tmp_path, p5711)])
     assert code == 2 and doc["error"]["type"] == "InputError"
-    assert doc["error"]["details"] == {"m": 23, "candidates": 2 ** 22}
+    assert doc["error"]["details"] == {"m": 23, "candidates_log2": 22}
 
 
 def test_max_classes_env(tmp_path, capsys):

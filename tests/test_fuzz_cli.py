@@ -9,13 +9,18 @@ classify and cuts grow exponentially with |G/Zp| (cuts on Z + Z/3 with
 degrees (2, 2), (4, 0), (5, 1), where |G/Zp| = 33, does not finish in
 20 s).  Rank-two classify is left out for the same reason.  The examples
 are derandomized, so every run checks the same inputs.
+
+A second test feeds inputs that must all exit 2: integers over Python's
+4300-digit limit in degrees and flags, and `cuts` inputs with |L/B| up to
+20,000.  It draws no parseable huge degree, as classify on one would run
+for long.
 """
 
 import contextlib
 import io
 import json
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stacktilt.cli import main
 
@@ -115,3 +120,98 @@ def test_cli_fuzz_exit_codes(tmp_path_factory, case):
     assert isinstance(report, dict)
     assert ("error" in report) == (code == 2)
     assert code != 1 or argv[0] == "verify"
+
+
+# Small rank-one documents for the oversize flags: (degrees, coordinates).
+SMALL = st.sampled_from([([[1], [1], [1]], 1), ([[2], [3]], 1),
+                         ([[1, 0], [1, 1]], 2)])
+
+
+@st.composite
+def huge_integers(draw):
+    """JSON text of an integer over Python's 4300-digit int() limit."""
+    digits = draw(st.sampled_from("123456789")) * draw(st.integers(4301,
+                                                                   6000))
+    return draw(st.sampled_from(["", "-"])) + digits
+
+
+def _text_vector(draw, length, huge):
+    """JSON text of an integer vector with huge at a drawn position."""
+    parts = [str(draw(st.integers(-4, 8))) for _ in range(length)]
+    parts[draw(st.integers(0, length - 1))] = huge
+    return "[" + ", ".join(parts) + "]"
+
+
+@st.composite
+def oversize_cases(draw):
+    """(document text, argv after the input path), all refused with exit 2.
+
+    Huge integers go into a degree, --twist, --at, --set or --class;
+    `cuts` gets lattices and groups with m = |L/B| in 24..20,000, past
+    both of its guards (typed: 2^(m-1) m (d+1) > 2^24, untyped:
+    m (d+1) > 36).
+    """
+    where = draw(st.sampled_from(["degree", "--twist", "--at", "--set",
+                                  "--class", "lattice", "group"]))
+    degrees, n_coords = draw(SMALL)
+    group = {"free_rank": 1, "degrees": degrees,
+             "torsion_orders": [2] * (n_coords - 1)}
+    if where == "degree":
+        group = {**group, "degrees": degrees[:-1] + [["HUGE"]]}
+        doc = json.dumps({"group": group}).replace('"HUGE"',
+                                                    draw(huge_integers()))
+        return doc, draw(st.sampled_from([
+            ["classify"], ["verify"], ["cuts"],
+            ["mutate", "--class", "0", "--walk-to", "0"],
+            ["cohomology", "--twist", "[0, 0, 0]", "--r", "0"]]))
+    doc = json.dumps({"group": group})
+    if where == "--twist":
+        return doc, ["cohomology", "--twist",
+                     _text_vector(draw, len(degrees), draw(huge_integers()))]
+    if where == "--at":
+        return doc, ["mutate", "--class", "0", "--at",
+                     _text_vector(draw, n_coords, draw(huge_integers()))]
+    if where == "--set":
+        return doc, ["verify", "--set",
+                     "[" + _text_vector(draw, n_coords,
+                                        draw(huge_integers())) + "]"]
+    if where == "--class":
+        token = draw(huge_integers()).lstrip("-")
+        return doc, draw(st.sampled_from([
+            ["verify", "--class", token],
+            ["mutate", "--class", token, "--walk-to", "0"],
+            ["mutate", "--class", "0", "--walk-to", token]]))
+    m = draw(st.integers(24, 20_000))
+    if where == "group":
+        return json.dumps({"group": {"free_rank": 1,
+                                     "degrees": [[1], [m - 1]]}}), ["cuts"]
+    lattice = {"d": 1, "b_generators": [[m, -m]]}
+    if draw(st.booleans()):
+        a = draw(st.integers(0, m))
+        lattice["gamma"] = [a, m - a]
+    return json.dumps({"lattice": lattice}), ["cuts"]
+
+
+def _cuts_case(spec):
+    return json.dumps(spec), ["cuts"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=oversize_cases())
+@example(case=_cuts_case({"lattice": {"d": 1, "b_generators": [[20_000,
+                                                                 -20_000]],
+                                      "gamma": [1, 19_999]}}))
+@example(case=_cuts_case({"lattice": {"d": 1, "b_generators": [[20_000,
+                                                                 -20_000]]}}))
+@example(case=_cuts_case({"group": {"free_rank": 1,
+                                    "degrees": [[1], [20_000]]}}))
+def test_cli_fuzz_oversize_inputs(tmp_path_factory, case):
+    doc, argv = case
+    path = tmp_path_factory.mktemp("oversize") / "input.json"
+    path.write_text(doc, encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv[:1] + [str(path)] + argv[1:])
+    assert code == 2
+    report = json.loads(out.getvalue())
+    assert isinstance(report, dict) and "error" in report

@@ -216,6 +216,22 @@ def test_h0_of_a_large_twist_on_p2():
     assert oracle.all_r(g, None) == {0: 800_060_001, 1: 0, 2: 0}
 
 
+def test_fiber_count_guard(monkeypatch):
+    """A fiber count refuses to loop over more than _MAX_PREFIX_STEPS values
+    of its first d - 1 coordinates: h^0(O(t)) on P2 loops over t + 1."""
+    p = sg.parse_polytope(P2_VERTICES)
+    oracle = sg.CohomologyOracle(p, sg.gale_dual(p))
+    x = oracle.ctx.degrees[0]
+    with pytest.raises(InputError) as info:
+        oracle.cohomology_dim(10 ** 12 * x, 0, None)
+    assert info.value.details == {"support": [0, 1, 2],
+                                  "bound": sg._MAX_PREFIX_STEPS}
+    monkeypatch.setattr(sg, "_MAX_PREFIX_STEPS", 100)
+    assert oracle.cohomology_dim(99 * x, 0, None) == 101 * 100 // 2
+    with pytest.raises(InputError):
+        oracle.cohomology_dim(100 * x, 0, None)
+
+
 _SCAN_CASES = {   # case: (free rank, torsion orders, degrees, free box)
     "p2p2": (2, [], [(1, 0)] * 3 + [(0, 1)] * 3, range(-4, 2)),
     "stacky": (2, [], [(1, -1), (1, 0), (1, 1), (0, 1)], range(-4, 3)),

@@ -1,10 +1,12 @@
+import dataclasses
+
 import pytest
 
 from oracles import (arrow_multiset, endomorphism_quiver_bruteforce,
                      enumerate_classes_window, i_contains, j_of_upper)
-from stacktilt import tilting, upper_sets as us
+from stacktilt import cuts, tilting, upper_sets as us
 from stacktilt.abgroup import direct_sum_group
-from stacktilt.errors import NotMinimal
+from stacktilt.errors import InternalInvariantBroken, NotMinimal
 from stacktilt.graded_order import GradedDegreeGroup
 from stacktilt.stacky_geom import CohomologyOracle, group_to_polytope
 
@@ -169,6 +171,44 @@ def test_endomorphism_quiver_matches_bruteforce(case):
         slow = endomorphism_quiver_bruteforce(ctx, elements).to_json()
         assert fast["arrows"] and fast["arrows"] == slow["arrows"]
         assert fast["vertices"] == slow["vertices"]
+
+
+def _retarget(qp, field, k):
+    """qp with the target of its k-th arrow or relation moved elsewhere."""
+    items = list(getattr(qp, field))
+    item = items[k]
+    other = next(v for v in qp.vertices
+                 if v not in (item.source, item.target))
+    items[k] = dataclasses.replace(item, target=other)
+    return dataclasses.replace(qp, **{field: tuple(items)})
+
+
+_PERTURBATIONS = {
+    "retarget-arrow": lambda qp: _retarget(qp, "arrows", 0),
+    "retarget-relation": lambda qp: _retarget(qp, "relations", 0),
+    "drop-arrow": lambda qp: dataclasses.replace(qp, arrows=qp.arrows[1:]),
+    "add-composite-arrow": lambda qp: dataclasses.replace(
+        qp, arrows=qp.arrows + (dataclasses.replace(
+            qp.arrows[0], label="x1*x2"),)),
+    "drop-relation": lambda qp: dataclasses.replace(
+        qp, relations=qp.relations[1:]),
+}
+
+
+def test_certify_rank1_rejects_perturbed_quivers():
+    """The rank-one certificate compares whole presentations: a quiver
+    that differs from the cut's algebra in one arrow target, one relation
+    target, one arrow or one relation is refused."""
+    ctx = _ctx(1, [], [(3,), (4,), (5,)])
+    cut_data = cuts.data_of_group(ctx)
+    tc = next(tc for tc in tilting.classify_rank1(ctx, mode="zp")
+              if tc.quiver.relations)
+    tilting._certify_rank1(ctx, tc.rep, tc.quiver, *cut_data)
+    for name, perturb in _PERTURBATIONS.items():
+        quiver = perturb(tc.quiver)
+        assert quiver != tc.quiver, name
+        with pytest.raises(InternalInvariantBroken):
+            tilting._certify_rank1(ctx, tc.rep, quiver, *cut_data)
 
 
 def test_apr_mutate(make_pd, ctx_p23, ctx_p1p1):
