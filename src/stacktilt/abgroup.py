@@ -160,16 +160,6 @@ class FgAbelianGroup:
 
         return quot, GroupHom(self, quot, images, section=section)
 
-    def free_projection(self) -> "GroupHom":
-        """Projection onto Z^free_rank; kernel is exactly the torsion."""
-        target = FgAbelianGroup(self.free_rank, [])
-        nt = len(self.torsion_orders)
-        images = [target.zero()] * nt + [
-            target.from_coords([1 if j == i else 0 for j in range(self.free_rank)])
-            for i in range(self.free_rank)
-        ]
-        return GroupHom(self, target, images)
-
     def __repr__(self):
         parts = [f"Z^{self.free_rank}"] if self.free_rank else []
         parts += [f"Z/{o}" for o in self.torsion_orders]

@@ -316,8 +316,9 @@ def cmd_cuts(args) -> int:
             _emit(report)
             return 0
         # 2^(m - 1) candidate tables, one per choice along the tree edges,
-        # of m * (d + 1) arrows each; the detail is the log, printable at any m
-        if 2 ** (lq.m - 1) * lq.m * (lq.d + 1) > 2 ** 24:
+        # of m * (d + 1) arrows each; the detail is the log, printable at any
+        # m, and every m > 24 is refused before 2^(m - 1) is built
+        if lq.m > 24 or 2 ** (lq.m - 1) * lq.m * (lq.d + 1) > 2 ** 24:
             raise InputError("too many candidate tables for detector "
                              "enumeration", m=lq.m, candidates_log2=lq.m - 1)
         detectors = cuts_mod.enumerate_detectors(lq, gamma)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .abgroup import FgAbelianGroup, GroupElement, relation_kernel
@@ -50,13 +51,19 @@ class LatticeQuotient:
     group: FgAbelianGroup                 # L/B on the alpha_1..alpha_d basis
     b_gens_alpha: tuple[tuple[int, ...], ...]
     alpha_images: tuple[GroupElement, ...]  # images of alpha_0..alpha_d
-    vertices: tuple[tuple[int, ...], ...]
 
-    def vertex_element(self, coords) -> GroupElement:
-        return self.group.from_coords(coords)
+    @cached_property
+    def targets(self) -> dict[tuple, tuple[tuple, ...]]:
+        """The quiver Q: targets[v][i] is v + alpha_i, built on first use."""
+        return {e.coords: tuple((e + a).coords for a in self.alpha_images)
+                for e in self.group.enumerate_finite()}
+
+    @cached_property
+    def vertices(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(sorted(self.targets))
 
     def arrow_target(self, source: tuple, i: int) -> tuple:
-        return (self.vertex_element(source) + self.alpha_images[i]).coords
+        return self.targets[source][i]
 
     def all_arrows(self) -> list[tuple[tuple, int]]:
         return [(v, i) for v in self.vertices for i in range(self.d + 1)]
@@ -120,11 +127,9 @@ def build_quotient(d: int, b_generators: Iterable[Sequence[int]]) -> LatticeQuot
     alpha0 = group.zero()
     for img in images:
         alpha0 = alpha0 - img
-    vertices = tuple(sorted(e.coords for e in group.enumerate_finite()))
     return LatticeQuotient(d=d, m=size, group=group,
                            b_gens_alpha=tuple(gens_alpha),
-                           alpha_images=tuple([alpha0] + images),
-                           vertices=vertices)
+                           alpha_images=tuple([alpha0] + images))
 
 
 def is_admissible_type(lq: LatticeQuotient, gamma: Sequence[int]):
@@ -132,14 +137,17 @@ def is_admissible_type(lq: LatticeQuotient, gamma: Sequence[int]):
     gamma = tuple(gamma)
     if len(gamma) != lq.d + 1 or any(g < 0 for g in gamma):
         return False, "type must be a nonnegative (d+1)-vector"
-    if sum(gamma) != lq.m:
-        return False, f"sum {sum(gamma)} != m = {lq.m}"
-    for c in lq.b_gens_alpha:
-        # B generator sum c_j alpha_j; gamma_0 has coefficient zero
-        val = sum(cj * gamma[j] for j, cj in enumerate(c, start=1))
-        if val % lq.m != 0:
-            return False, (f"B generator {list(c)} pairs to {val}, "
-                           f"not divisible by m = {lq.m}")
+    try:
+        if sum(gamma) != lq.m:
+            return False, f"sum {sum(gamma)} != m = {lq.m}"
+        for c in lq.b_gens_alpha:
+            # B generator sum c_j alpha_j; gamma_0 has coefficient zero
+            val = sum(cj * gamma[j] for j, cj in enumerate(c, start=1))
+            if val % lq.m != 0:
+                return False, (f"B generator {list(c)} pairs to {val}, "
+                               f"not divisible by m = {lq.m}")
+    except ValueError as exc:   # Python prints no int over 4300 digits
+        raise InputError(f"the reason cannot be printed: {exc}") from None
     return True, None
 
 
@@ -156,6 +164,8 @@ def _spanning_tree(lq: LatticeQuotient) -> list[tuple[tuple, tuple, int, int]]:
     Edges are (parent, child, type, sign): sign +1 when child is
     parent + alpha_type, -1 when child is parent - alpha_type.
     """
+    source = {(w, i): v for v, ws in lq.targets.items()
+              for i, w in enumerate(ws)}
     zero = lq.group.zero().coords
     tree = []
     seen = {zero}
@@ -169,7 +179,7 @@ def _spanning_tree(lq: LatticeQuotient) -> list[tuple[tuple, tuple, int, int]]:
                     seen.add(w)
                     tree.append((v, w, i, +1))
                     nxt.append(w)
-                u = (lq.vertex_element(v) - lq.alpha_images[i]).coords
+                u = source[v, i]
                 if u not in seen:
                     seen.add(u)
                     tree.append((v, u, i, -1))
@@ -336,7 +346,7 @@ def data_of_group(ctx: GradedDegreeGroup):
     if ctx.n < 2:
         raise InputError("need at least two degrees (d >= 1)")
     d = ctx.n - 1
-    reps, quot, proj = ctx.coset_reps(ctx.p)
+    quot, proj = ctx.group.quotient_by([ctx.p])
     m = quot.size()
     qx = [proj(x) for x in ctx.degrees]
     basis = relation_kernel(qx[1:])
@@ -358,13 +368,10 @@ def fiber_map(lq: LatticeQuotient, ctx: GradedDegreeGroup) -> dict:
     """Vertex coords of L/B -> coords of G/Zp, along alpha_i -> x_i + Zp."""
     _, _, proj = ctx.coset_reps(ctx.p)
     qx = [proj(x) for x in ctx.degrees]
-    out = {}
-    for v in lq.vertices:
-        c = lq.group.section_vector(lq.vertex_element(v))
-        img = qx[0].group.zero()
-        for j, cj in enumerate(c, start=1):
-            img = img + cj * qx[j]
-        out[v] = img.coords
+    image = {lq.group.zero().coords: qx[0].group.zero()}
+    for parent, child, i, sign in _spanning_tree(lq):
+        image[child] = image[parent] + sign * qx[i]
+    out = {v: e.coords for v, e in image.items()}
     if len(set(out.values())) != lq.m:
         raise InternalInvariantBroken("L/B -> G/Zp is not bijective")
     return out

@@ -259,8 +259,7 @@ class GradedDegreeGroup:
         if self.group.free_rank != 2:
             raise UnsupportedRank("sign_split needs free rank two")
         h_group, q = self.group.quotient_by([self.p])
-        pi_h = h_group.free_projection()
-        pi_vals = tuple(pi_h(q(x)).coords[0] for x in self.degrees)
+        pi_vals = tuple(q(x).free_part()[0] for x in self.degrees)
         for i, v in enumerate(pi_vals):
             if v == 0:
                 raise DegenerateSplit(

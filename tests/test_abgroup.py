@@ -112,21 +112,6 @@ def test_enumeration_matches_size():
         assert len(g.enumerate_finite()) == g.size()
 
 
-def test_free_projection(zz2_group, z2_group):
-    fp = zz2_group.free_projection()
-    assert fp(zz2_group.canonicalize([3, 1])).coords == (3,)
-    z6 = FgAbelianGroup(1, [[6]])
-    assert z6.free_projection()(z6.canonicalize([4])).coords == ()
-    idp = z2_group.free_projection()
-    e = z2_group.canonicalize([4, -7])
-    assert idp(e).coords == e.coords
-    # kernel is exactly the torsion subgroup
-    for t in range(2):
-        e = zz2_group.canonicalize([0, t])
-        assert fp(e).is_zero()
-    assert not fp(zz2_group.canonicalize([1, 1])).is_zero()
-
-
 def test_hom_order_validation(zz2_group, z_group):
     from stacktilt.abgroup import GroupHom
     with pytest.raises(InputError):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stacktilt
 from oracles import parse_dot
 from stacktilt import cuts, tilting, upper_sets as us
 from stacktilt.cli import _build_context, _classify, main
@@ -294,6 +299,33 @@ def test_cuts_detector_guard(tmp_path, capsys, monkeypatch):
     code, doc = _run(capsys, ["cuts", _write(tmp_path, p5711)])
     assert code == 2 and doc["error"]["type"] == "InputError"
     assert doc["error"]["details"] == {"m": 23, "candidates_log2": 22}
+
+
+M8, M18 = 10 ** 8, 10 ** 18
+
+
+@pytest.mark.parametrize("doc, m", [
+    ({"lattice": {"d": 1, "b_generators": [[M8, -M8]]}}, None),
+    ({"lattice": {"d": 1, "b_generators": [[M18, -M18]]}}, None),
+    ({"lattice": {"d": 1, "b_generators": [[M8, -M8]],
+                  "gamma": [1, M8 - 1]}}, M8),
+    ({"lattice": {"d": 1, "b_generators": [[M18, -M18]],
+                  "gamma": [1, M18 - 1]}}, M18),
+    ({"group": {"free_rank": 1, "degrees": [[1], [M8]]}}, M8 + 1),
+], ids=["lattice_1e8", "lattice_1e18", "typed_1e8", "typed_1e18",
+        "group_1e8"])
+def test_cuts_oversize_refused_before_enumeration(tmp_path, doc, m):
+    """Both guards need only m and d, so no L/B or G/Zp is listed first."""
+    src = Path(stacktilt.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "stacktilt.cli", "cuts", _write(tmp_path, doc)],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 2
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "InputError"
+    if m is not None:
+        assert error["details"] == {"m": m, "candidates_log2": m - 1}
 
 
 def test_max_classes_env(tmp_path, capsys):

@@ -4,6 +4,8 @@ import pytest
 
 from oracles import element_order, group_of, lattice_contains
 from stacktilt import cuts, upper_sets as us
+from stacktilt.graded_order import GradedDegreeGroup
+from test_acceptance import _all_lattice_quotients
 from stacktilt.errors import (InputError, InvalidDetector, NotACut,
                               NotAdmissible, NotBounding, NotCofinite)
 
@@ -22,6 +24,41 @@ def test_build_quotient_examples():
     for img in lq2.alpha_images:
         acc = acc + img
     assert acc.is_zero()
+
+
+def test_arrow_table_matches_group_arithmetic(z_group):
+    """Criterion 8's quotients, lattice m12 and the L/B of P(2,3,5,7)."""
+    p2357 = GradedDegreeGroup.build(
+        z_group, [z_group.canonicalize([w]) for w in (2, 3, 5, 7)])
+    quotients = _all_lattice_quotients() + [
+        cuts.build_quotient(2, [[-2, 2, 0], [0, -6, 6]]),
+        cuts.data_of_group(p2357)[0]]
+    for lq in quotients:
+        assert lq.vertices == tuple(sorted(
+            e.coords for e in lq.group.enumerate_finite()))
+        for v in lq.vertices:
+            for i in range(lq.d + 1):
+                assert lq.arrow_target(v, i) == (
+                    lq.group.from_coords(v) + lq.alpha_images[i]).coords
+
+
+def test_fiber_map_matches_section_vectors(z_group, ctx_p23, ctx_zz2_d1,
+                                           ctx_zz2_d2, make_pd):
+    """psi(v) = sum c_j (x_j + Zp) over a section vector c of v."""
+    p2357 = GradedDegreeGroup.build(
+        z_group, [z_group.canonicalize([w]) for w in (2, 3, 5, 7)])
+    for ctx in (ctx_p23, ctx_zz2_d1, ctx_zz2_d2, make_pd(2), p2357):
+        lq, _ = cuts.data_of_group(ctx)
+        _, _, proj = ctx.coset_reps(ctx.p)
+        qx = [proj(x) for x in ctx.degrees]
+        expected = {}
+        for v in lq.vertices:
+            img = qx[0].group.zero()
+            c = lq.group.section_vector(lq.group.from_coords(v))
+            for j, cj in enumerate(c, start=1):
+                img = img + cj * qx[j]
+            expected[v] = img.coords
+        assert cuts.fiber_map(lq, ctx) == expected
 
 
 def test_admissible_type_examples():

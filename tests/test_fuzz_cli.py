@@ -11,8 +11,8 @@ degrees (2, 2), (4, 0), (5, 1), where |G/Zp| = 33, does not finish in
 are derandomized, so every run checks the same inputs.
 
 A second test feeds inputs that must all exit 2: integers over Python's
-4300-digit limit in degrees and flags, and `cuts` inputs with |L/B| up to
-20,000.  It draws no parseable huge degree, as classify on one would run
+4300-digit limit in degrees and flags, a `cuts` type whose sum is over
+it, and `cuts` inputs with |L/B| up to 20,000.  It draws no parseable huge degree, as classify on one would run
 for long.
 """
 
@@ -205,6 +205,8 @@ def _cuts_case(spec):
                                                                  -20_000]]}}))
 @example(case=_cuts_case({"group": {"free_rank": 1,
                                     "degrees": [[1], [20_000]]}}))
+@example(case=_cuts_case({"lattice": {"d": 1, "b_generators": [[2, -2]],
+                                      "gamma": [int("9" * 4300)] * 2}}))
 def test_cli_fuzz_oversize_inputs(tmp_path_factory, case):
     doc, argv = case
     path = tmp_path_factory.mktemp("oversize") / "input.json"

@@ -1,10 +1,20 @@
-"""Every entry point the benchmark tracer wraps exists in the library."""
+"""The benchmark tracer's entry points exist, and its counters keep meaning.
+
+The per-layer counters are read across changes, so a refactor that moved
+the calls they count would redefine them quietly; the values of a traced
+`cuts` job on P(2,3) are pinned here.
+"""
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
+import time
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _load_tracing():
@@ -28,3 +38,19 @@ def test_tracer_entry_points_resolve():
         if not callable(getattr(owner, "__dict__", {}).get(attr)):
             missing.append(f"{module_name}.{path}")
     assert not missing, missing
+
+
+def test_traced_cuts_counters(tmp_path):
+    """P(2,3): m = 5, so 2^4 candidate tables, 10 of them detectors."""
+    doc = tmp_path / "p23.json"
+    doc.write_text(json.dumps({"group": {"free_rank": 1,
+                                         "degrees": [[2], [3]]}}))
+    spec = {"src": str(ROOT / "src"), "argv": ["cuts", str(doc)],
+            "input": str(doc), "spawn": time.perf_counter(), "trace": True}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "job.py"), json.dumps(spec)],
+        capture_output=True, text=True, timeout=60, check=True)
+    result = json.loads(proc.stdout)
+    assert result["exit"] == 0 and result["error"] is None
+    assert result["trace"]["counts"]["cuts.detector_candidates"] == 16
+    assert result["trace"]["results"]["cuts.detectors_found"] == 10
