@@ -315,9 +315,10 @@ def cmd_cuts(args) -> int:
             report["reason"] = f"inadmissible: {reason}"
             _emit(report)
             return 0
-        # 2^(m - 1) candidate tables, one per choice along the tree edges,
-        # of m * (d + 1) arrows each; the detail is the log, printable at any
-        # m, and every m > 24 is refused before 2^(m - 1) is built
+        # the detector search prunes 2^(m - 1) candidate tables, one per
+        # choice along the tree edges, of m * (d + 1) arrows each; the detail
+        # is the log, printable at any m, and every m > 24 is refused before
+        # 2^(m - 1) is built
         if lq.m > 24 or 2 ** (lq.m - 1) * lq.m * (lq.d + 1) > 2 ** 24:
             raise InputError("too many candidate tables for detector "
                              "enumeration", m=lq.m, candidates_log2=lq.m - 1)
@@ -350,8 +351,16 @@ def cmd_cuts(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as an InputError, so main prints it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stacktilt",
         description="tilting bundles of line bundles on toric Fano stacks "
                     "of Picard rank one and two")
@@ -402,9 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except StacktiltError as exc:
         print(json.dumps({"schema_version": SCHEMA_VERSION,

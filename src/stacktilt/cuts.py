@@ -4,7 +4,8 @@ L is the rank-d lattice of integer (d+1)-vectors summing to zero, with
 the cyclic difference vectors alpha_0..alpha_d; a cofinite subgroup B
 gives the finite quiver Q on L/B with one arrow of every type at every
 vertex.  A cut meets each elementary cycle exactly once; cut detectors
-are the equivalent integer potentials, and the preferred internal form.
+are the equivalent integer potentials, and the preferred internal form:
+both enumerations run one depth-first search over potentials.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .abgroup import FgAbelianGroup, GroupElement, relation_kernel
 from .errors import (InputError, InternalInvariantBroken, InvalidDetector,
-                     NotACut, NotBounding, NotCofinite)
+                     NotBounding, NotCofinite)
 from .graded_order import GradedDegreeGroup
 from .quiver import Arrow, QuiverPresentation, Relation
 from .upper_sets import AntichainRep
@@ -67,20 +68,6 @@ class LatticeQuotient:
 
     def all_arrows(self) -> list[tuple[tuple, int]]:
         return [(v, i) for v in self.vertices for i in range(self.d + 1)]
-
-    def elementary_cycles(self) -> list[frozenset]:
-        """All length-(d+1) cycles using each type exactly once, as arrow sets."""
-        cycles = set()
-        for v in self.vertices:
-            for perm in itertools.permutations(range(self.d + 1)):
-                cur = v
-                arrows = []
-                for i in perm:
-                    arrows.append((cur, i))
-                    cur = self.arrow_target(cur, i)
-                assert cur == v
-                cycles.add(frozenset(arrows))
-        return sorted(cycles, key=sorted)
 
 
 @dataclass
@@ -188,40 +175,6 @@ def _spanning_tree(lq: LatticeQuotient) -> list[tuple[tuple, tuple, int, int]]:
     return tree
 
 
-def detector_from_cut(lq: LatticeQuotient, cut: Iterable) -> CutDetector:
-    """Path-summation potential of a cut; rejects non-cuts.
-
-    A subset is a cut exactly when its type sums to m and the per-arrow
-    increments gamma_i (off the cut) / gamma_i - m (on it) are the
-    coboundary of a potential; both are checked here.
-    """
-    cut = frozenset(cut)
-    arrows = set(lq.all_arrows())
-    for a in cut:
-        if a not in arrows:
-            raise NotACut("unknown arrow in cut", arrow=[list(a[0]), a[1]])
-    gamma = cut_type(lq, cut)
-    if sum(gamma) != lq.m:
-        raise NotACut(f"cut has {sum(gamma)} arrows, expected m = {lq.m}",
-                      type=list(gamma))
-    m = lq.m
-
-    def inc(v: tuple, i: int) -> int:
-        return gamma[i] - m if (v, i) in cut else gamma[i]
-
-    table = {lq.group.zero().coords: 0}
-    for parent, child, i, sign in _spanning_tree(lq):
-        source = parent if sign > 0 else child
-        table[child] = table[parent] + sign * inc(source, i)
-    for (v, i) in lq.all_arrows():
-        if table[lq.arrow_target(v, i)] - table[v] != inc(v, i):
-            raise NotACut("path sums are inconsistent; not a cut",
-                          source=list(v), type=i)
-    det = CutDetector(lq, gamma, table)
-    det.validate()
-    return det
-
-
 def cut_from_detector(det: CutDetector) -> frozenset:
     det.validate()
     m = det.lq.m
@@ -266,72 +219,82 @@ def is_bounding(lq: LatticeQuotient, cut: frozenset) -> bool:
     return acyclic
 
 
-def enumerate_cuts(lq: LatticeQuotient) -> list[frozenset]:
-    """All cuts of Q, by exact-cover backtracking over elementary cycles."""
-    arrows = lq.all_arrows()
-    index = {a: k for k, a in enumerate(arrows)}
-    cycles = [sorted(index[a] for a in cyc) for cyc in lq.elementary_cycles()]
-    state = [0] * len(arrows)  # 0 unknown, 1 in, -1 out
-    cuts: list[frozenset] = []
+def _detector_search(lq: LatticeQuotient, tree: list, gamma: tuple,
+                     emit) -> None:
+    """Call emit(values, cut) on every cut detector of type gamma, in order.
 
-    def rec(ci: int) -> None:
-        if ci == len(cycles):
-            cuts.append(frozenset(arrows[k] for k, s in enumerate(state)
-                                  if s == 1))
-            return
-        cyc = cycles[ci]
-        chosen = [k for k in cyc if state[k] == 1]
-        if len(chosen) > 1:
-            return
-        if len(chosen) == 1:
-            unknowns = [k for k in cyc if state[k] == 0]
-            for k in unknowns:
-                state[k] = -1
-            rec(ci + 1)
-            for k in unknowns:
-                state[k] = 0
-            return
-        for pick in [k for k in cyc if state[k] == 0]:
-            touched = []
-            for k in cyc:
-                if state[k] == 0:
-                    state[k] = 1 if k == pick else -1
-                    touched.append(k)
-            rec(ci + 1)
-            for k in touched:
-                state[k] = 0
+    Depth-first over the drop bit of each edge of tree (lq's
+    `_spanning_tree`) in tree order, 0 (increment gamma_i) before 1
+    (gamma_i - m), which is the order of all 2^(m-1) bit vectors.  Each
+    arrow is checked once both of its ends have values, and a branch ends
+    once a type i has more than gamma_i drops: a detector drops exactly
+    gamma_i arrows of type i, as its increments along that type sum to
+    zero.  values[k] is f at the k-th vertex reached (the zero vertex,
+    then the tree children in order); emit sees the live lists.
+    """
+    m = lq.m
+    step = {lq.group.zero().coords: 0}
+    for k, (_, child, _, _) in enumerate(tree, start=1):
+        step[child] = k
+    checks: list[list] = [[] for _ in range(len(tree) + 1)]
+    for v, ws in lq.targets.items():
+        for i, w in enumerate(ws):
+            a, b = step[v], step[w]
+            checks[max(a, b)].append((a, b, gamma[i], gamma[i] - m, i, (v, i)))
+    edges = [(step[parent], sign * gamma[i], sign * (gamma[i] - m))
+             for parent, _, i, sign in tree]
+    values = [0] * (len(tree) + 1)
+    drops = [0] * (lq.d + 1)
+    cut: list = []
+
+    def rec(k: int) -> None:
+        mark = len(cut)
+        for a, b, keep, drop, i, arrow in checks[k]:
+            inc = values[b] - values[a]
+            if inc == keep:
+                continue
+            if inc != drop or drops[i] >= gamma[i]:
+                break
+            drops[i] += 1
+            cut.append(arrow)
+        else:
+            if k == len(tree):
+                emit(values, cut)
+            else:
+                parent, keep, drop = edges[k]
+                for inc in (keep, drop):
+                    values[k + 1] = values[parent] + inc
+                    rec(k + 1)
+        while len(cut) > mark:
+            drops[cut.pop()[1]] -= 1
 
     rec(0)
-    return sorted(cuts, key=sorted)
+
+
+def enumerate_cuts(lq: LatticeQuotient) -> list[frozenset]:
+    """All cuts of Q: the detector search run once for every type.
+
+    A type is the multiset of the types of its m arrows, so there are
+    C(m + d, d) of them.
+    """
+    tree = _spanning_tree(lq)
+    out: list[frozenset] = []
+    for c in itertools.combinations_with_replacement(range(lq.d + 1), lq.m):
+        gamma = tuple(c.count(i) for i in range(lq.d + 1))
+        _detector_search(lq, tree, gamma,
+                         lambda values, cut: out.append(frozenset(cut)))
+    return sorted(out, key=sorted)
 
 
 def enumerate_detectors(lq: LatticeQuotient,
                         gamma: Sequence[int]) -> list[CutDetector]:
-    """All cut detectors of the given type, exhaustively.
-
-    Values along a spanning tree determine f up to one binary choice per
-    tree edge; every candidate is then checked on all arrows.
-    """
+    """All cut detectors of the given type, exhaustively."""
     gamma = tuple(gamma)
-    zero = lq.group.zero().coords
     tree = _spanning_tree(lq)
-    m = lq.m
-    out = []
-    for choices in itertools.product((0, 1), repeat=len(tree)):
-        table = {zero: 0}
-        for (parent, child, i, sign), drop in zip(tree, choices):
-            inc = gamma[i] - (m if drop else 0)
-            table[child] = table[parent] + sign * inc
-        ok = True
-        for (v, i) in lq.all_arrows():
-            inc = table[lq.arrow_target(v, i)] - table[v]
-            if inc not in (gamma[i], gamma[i] - m):
-                ok = False
-                break
-        if ok:
-            out.append(CutDetector(lq, gamma, table))
-    # distinct choice vectors can disagree only on tree increments, so
-    # the resulting tables are pairwise distinct already
+    order = [lq.group.zero().coords] + [child for _, child, _, _ in tree]
+    out: list[CutDetector] = []
+    _detector_search(lq, tree, gamma, lambda values, cut: out.append(
+        CutDetector(lq, gamma, dict(zip(order, values)))))
     return out
 
 

@@ -53,10 +53,6 @@ class DegenerateSplit(StacktiltError):
     code = "DegenerateSplit"
 
 
-class TrivialUpperSet(StacktiltError):
-    code = "TrivialUpperSet"
-
-
 class NotAntichain(StacktiltError):
     code = "NotAntichain"
 
@@ -73,20 +69,12 @@ class NotCofinite(StacktiltError):
     code = "NotCofinite"
 
 
-class NotACut(StacktiltError):
-    code = "NotACut"
-
-
 class InvalidDetector(StacktiltError):
     code = "InvalidDetector"
 
 
 class NotBounding(StacktiltError):
     code = "NotBounding"
-
-
-class NotAdmissible(StacktiltError):
-    code = "NotAdmissible"
 
 
 class OriginNotInterior(StacktiltError):

@@ -6,15 +6,16 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from stacktilt import _intlinalg as la
 from stacktilt import stacky_geom as sg
 from stacktilt.abgroup import (FgAbelianGroup, GroupElement,
                                solve_combination)
-from stacktilt.cuts import LatticeQuotient, is_admissible_type
-from stacktilt.errors import (InternalInvariantBroken, NotAdmissible,
-                              TrivialUpperSet, UnboundedContribution)
+from stacktilt.cuts import (CutDetector, LatticeQuotient, _spanning_tree,
+                            cut_type, is_admissible_type)
+from stacktilt.errors import (InternalInvariantBroken, StacktiltError,
+                              UnboundedContribution)
 from stacktilt.graded_order import GradedDegreeGroup
 from stacktilt.quiver import Arrow, QuiverPresentation, monomial_label
 from stacktilt.tilting import _is_irreducible
@@ -22,6 +23,18 @@ from stacktilt.upper_sets import (AntichainRep, canonical_form, checked,
                                   is_antichain_rep)
 
 _SEARCH_CAP = 10_000
+
+
+class TrivialUpperSet(StacktiltError):
+    code = "TrivialUpperSet"
+
+
+class NotACut(StacktiltError):
+    code = "NotACut"
+
+
+class NotAdmissible(StacktiltError):
+    code = "NotAdmissible"
 
 
 def enumerate_classes_window(poset, mode: str = "full",
@@ -279,3 +292,119 @@ def group_of(lq: LatticeQuotient, gamma) -> GradedGroupOf:
         if order.theta_val(order.p) <= 0:
             raise InternalInvariantBroken("p must be theta-positive")
     return GradedGroupOf(group=group, degrees=degrees, order=order)
+
+
+def elementary_cycles(lq: LatticeQuotient) -> list[frozenset]:
+    """All length-(d+1) cycles using each type exactly once, as arrow sets."""
+    cycles = set()
+    for v in lq.vertices:
+        for perm in itertools.permutations(range(lq.d + 1)):
+            cur = v
+            arrows = []
+            for i in perm:
+                arrows.append((cur, i))
+                cur = lq.arrow_target(cur, i)
+            assert cur == v
+            cycles.add(frozenset(arrows))
+    return sorted(cycles, key=sorted)
+
+
+def enumerate_cuts_exact_cover(lq: LatticeQuotient) -> list[frozenset]:
+    """All cuts of Q, by exact-cover backtracking over elementary cycles.
+
+    The arrow-subset reference for cuts.enumerate_cuts: m * (d+1)!
+    permutations are walked, so keep d small.
+    """
+    arrows = lq.all_arrows()
+    index = {a: k for k, a in enumerate(arrows)}
+    cycles = [sorted(index[a] for a in cyc) for cyc in elementary_cycles(lq)]
+    state = [0] * len(arrows)  # 0 unknown, 1 in, -1 out
+    cuts: list[frozenset] = []
+
+    def rec(ci: int) -> None:
+        if ci == len(cycles):
+            cuts.append(frozenset(arrows[k] for k, s in enumerate(state)
+                                  if s == 1))
+            return
+        cyc = cycles[ci]
+        chosen = [k for k in cyc if state[k] == 1]
+        if len(chosen) > 1:
+            return
+        if len(chosen) == 1:
+            unknowns = [k for k in cyc if state[k] == 0]
+            for k in unknowns:
+                state[k] = -1
+            rec(ci + 1)
+            for k in unknowns:
+                state[k] = 0
+            return
+        for pick in [k for k in cyc if state[k] == 0]:
+            touched = []
+            for k in cyc:
+                if state[k] == 0:
+                    state[k] = 1 if k == pick else -1
+                    touched.append(k)
+            rec(ci + 1)
+            for k in touched:
+                state[k] = 0
+
+    rec(0)
+    return sorted(cuts, key=sorted)
+
+
+def enumerate_detectors_product(lq: LatticeQuotient,
+                                gamma) -> list[CutDetector]:
+    """All cut detectors of type gamma, over all 2^(m-1) candidate tables.
+
+    Values along a spanning tree determine f up to one binary choice per
+    tree edge; every candidate is then checked on all arrows.  The
+    reference for cuts.enumerate_detectors, in the same order.
+    """
+    gamma = tuple(gamma)
+    zero = lq.group.zero().coords
+    tree = _spanning_tree(lq)
+    m = lq.m
+    out = []
+    for choices in itertools.product((0, 1), repeat=len(tree)):
+        table = {zero: 0}
+        for (parent, child, i, sign), drop in zip(tree, choices):
+            inc = gamma[i] - (m if drop else 0)
+            table[child] = table[parent] + sign * inc
+        if all(table[lq.arrow_target(v, i)] - table[v]
+               in (gamma[i], gamma[i] - m) for v, i in lq.all_arrows()):
+            out.append(CutDetector(lq, gamma, table))
+    return out
+
+
+def detector_from_cut(lq: LatticeQuotient, cut: Iterable) -> CutDetector:
+    """Path-summation potential of a cut; rejects non-cuts.
+
+    A subset is a cut exactly when its type sums to m and the per-arrow
+    increments gamma_i (off the cut) / gamma_i - m (on it) are the
+    coboundary of a potential; both are checked here.
+    """
+    cut = frozenset(cut)
+    arrows = set(lq.all_arrows())
+    for a in cut:
+        if a not in arrows:
+            raise NotACut("unknown arrow in cut", arrow=[list(a[0]), a[1]])
+    gamma = cut_type(lq, cut)
+    if sum(gamma) != lq.m:
+        raise NotACut(f"cut has {sum(gamma)} arrows, expected m = {lq.m}",
+                      type=list(gamma))
+    m = lq.m
+
+    def inc(v: tuple, i: int) -> int:
+        return gamma[i] - m if (v, i) in cut else gamma[i]
+
+    table = {lq.group.zero().coords: 0}
+    for parent, child, i, sign in _spanning_tree(lq):
+        source = parent if sign > 0 else child
+        table[child] = table[parent] + sign * inc(source, i)
+    for (v, i) in lq.all_arrows():
+        if table[lq.arrow_target(v, i)] - table[v] != inc(v, i):
+            raise NotACut("path sums are inconsistent; not a cut",
+                          source=list(v), type=i)
+    det = CutDetector(lq, gamma, table)
+    det.validate()
+    return det

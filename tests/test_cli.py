@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import stacktilt
-from oracles import parse_dot
+from oracles import enumerate_detectors_product, parse_dot
 from stacktilt import cuts, tilting, upper_sets as us
 from stacktilt.cli import _build_context, _classify, main
 
@@ -301,6 +302,14 @@ def test_cuts_detector_guard(tmp_path, capsys, monkeypatch):
     assert doc["error"]["details"] == {"m": 23, "candidates_log2": 22}
 
 
+def _run_cli(argv, timeout):
+    src = Path(stacktilt.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "stacktilt.cli", *argv],
+        capture_output=True, text=True, timeout=timeout,
+        env={**os.environ, "PYTHONPATH": str(src)})
+
+
 M8, M18 = 10 ** 8, 10 ** 18
 
 
@@ -316,16 +325,64 @@ M8, M18 = 10 ** 8, 10 ** 18
         "group_1e8"])
 def test_cuts_oversize_refused_before_enumeration(tmp_path, doc, m):
     """Both guards need only m and d, so no L/B or G/Zp is listed first."""
-    src = Path(stacktilt.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-m", "stacktilt.cli", "cuts", _write(tmp_path, doc)],
-        capture_output=True, text=True, timeout=10,
-        env={**os.environ, "PYTHONPATH": str(src)})
+    proc = _run_cli(["cuts", _write(tmp_path, doc)], timeout=10)
     assert proc.returncode == 2
     error = json.loads(proc.stdout)["error"]
     assert error["type"] == "InputError"
     if m is not None:
         assert error["details"] == {"m": m, "candidates_log2": m - 1}
+
+
+@pytest.mark.parametrize("d, m", [(11, 3), (17, 2)])
+def test_cuts_untyped_many_types(tmp_path, d, m):
+    """36 arrows, so the guard passes, over C(m + d, d) types.
+
+    B is generated by m*alpha_1 and alpha_2..alpha_d, so L/B is Z/m with
+    a loop of every type but 0 and 1 at each vertex.  Walking all
+    m * (d + 1)! orderings of the types, as an exact cover over
+    elementary cycles does, takes far longer than the timeout.
+    """
+    gens = [cuts.l_vector([m] + [0] * (d - 1))] + [
+        cuts.l_vector([int(k == j) for k in range(1, d + 1)])
+        for j in range(2, d + 1)]
+    lq = cuts.build_quotient(d, gens)
+    assert lq.m * (lq.d + 1) == 36
+    doc_in = {"lattice": {"d": d, "b_generators": gens}}
+    proc = _run_cli(["cuts", _write(tmp_path, doc_in)], timeout=10)
+    assert proc.returncode == 0
+    counts = {tuple(t["type"]): t["cut_count"]
+              for t in json.loads(proc.stdout)["types"]}
+    # a type is the multiset of the types of its m arrows
+    types = [tuple(c.count(i) for i in range(d + 1))
+             for c in itertools.combinations_with_replacement(range(d + 1), m)]
+    assert set(counts) <= set(types)
+    for gamma in types:
+        assert counts.get(gamma, 0) == len(
+            enumerate_detectors_product(lq, gamma)), gamma
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "{p23}", "--max-classes", "abc"],
+    ["cohomology", "{p23}"],
+    ["cohomology", "{p23}", "--twist", "[0,0]", "--r", "x"],
+    ["verify", "{p23}", "--field"],
+    ["frobnicate", "{p23}"],
+    ["cuts"],
+], ids=["max_classes_abc", "no_twist", "r_x", "field_no_value",
+        "unknown_command", "cuts_no_input"])
+def test_bad_command_line_exits_2_with_error(tmp_path, capsys, argv):
+    path = _write(tmp_path, P23, "p23.json")
+    code, doc = _run(capsys, [a.format(p23=path) for a in argv])
+    assert code == 2
+    assert set(doc) == {"schema_version", "error"}
+    assert doc["error"]["type"] == "InputError"
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cuts", "--help"])
+    assert exc.value.code == 0
+    assert "usage: stacktilt cuts" in capsys.readouterr().out
 
 
 def test_max_classes_env(tmp_path, capsys):

@@ -1,13 +1,16 @@
+import itertools
 import random
 
 import pytest
 
-from oracles import element_order, group_of, lattice_contains
+from oracles import (NotACut, NotAdmissible, detector_from_cut,
+                     element_order, enumerate_cuts_exact_cover,
+                     enumerate_detectors_product, group_of, lattice_contains)
 from stacktilt import cuts, upper_sets as us
 from stacktilt.graded_order import GradedDegreeGroup
 from test_acceptance import _all_lattice_quotients
-from stacktilt.errors import (InputError, InvalidDetector, NotACut,
-                              NotAdmissible, NotBounding, NotCofinite)
+from stacktilt.errors import (InputError, InvalidDetector, NotBounding,
+                              NotCofinite)
 
 
 def test_build_quotient_examples():
@@ -71,6 +74,26 @@ def test_admissible_type_examples():
     assert not ok and "divisible" in reason
 
 
+def test_search_matches_both_references(ctx_p23):
+    """Criterion 8's quotients, [[m, -m]] for m <= 8 and the L/B of P(2,3).
+
+    Every type summing to m, zero entries and inadmissible ones included:
+    the detectors equal the 2^(m-1) product's, in its order, and the cuts
+    equal the exact cover's.
+    """
+    quotients = _all_lattice_quotients() + [
+        cuts.build_quotient(1, [[m, -m]]) for m in range(1, 9)] + [
+        cuts.data_of_group(ctx_p23)[0]]
+    for lq in quotients:
+        for c in itertools.combinations_with_replacement(range(lq.d + 1),
+                                                         lq.m):
+            gamma = tuple(c.count(i) for i in range(lq.d + 1))
+            assert ([det.table for det in cuts.enumerate_detectors(lq, gamma)]
+                    == [det.table
+                        for det in enumerate_detectors_product(lq, gamma)])
+        assert cuts.enumerate_cuts(lq) == enumerate_cuts_exact_cover(lq)
+
+
 def test_detector_cut_round_trips():
     lq = cuts.build_quotient(1, [[5, -5]])
     all_cuts = cuts.enumerate_cuts(lq)
@@ -83,7 +106,7 @@ def test_detector_cut_round_trips():
         assert len(dets) == len(cs)
         assert {cuts.cut_from_detector(d) for d in dets} == set(cs)
         for det in dets:
-            assert cuts.detector_from_cut(lq, cuts.cut_from_detector(det)).table \
+            assert detector_from_cut(lq, cuts.cut_from_detector(det)).table \
                 == det.table
 
 
@@ -93,7 +116,7 @@ def test_detector_round_trip_m12():
     assert len(detectors) > 50
     for det in detectors[:60]:
         c = cuts.cut_from_detector(det)
-        assert cuts.detector_from_cut(lq, c).table == det.table
+        assert detector_from_cut(lq, c).table == det.table
 
 
 def test_detector_example_m2():
@@ -111,16 +134,16 @@ def test_not_a_cut():
     lq = cuts.build_quotient(1, [[2, -2]])
     # both arrows lie on the same elementary cycle 0 -> 1 -> 0
     with pytest.raises(NotACut):
-        cuts.detector_from_cut(lq, {((0,), 0), ((1,), 1)})
+        detector_from_cut(lq, {((0,), 0), ((1,), 1)})
     with pytest.raises(NotACut):
-        cuts.detector_from_cut(lq, {((0,), 0)})
+        detector_from_cut(lq, {((0,), 0)})
 
 
 def test_path_independence_and_b_invariance():
     rng = random.Random(23)
     lq = cuts.build_quotient(2, [[-2, 2, 0], [0, -2, 2]])
     for cut in cuts.enumerate_cuts(lq)[:20]:
-        det = cuts.detector_from_cut(lq, cut)
+        det = detector_from_cut(lq, cut)
         gamma = cuts.cut_type(lq, cut)
 
         def f_of_path(start, types):
@@ -246,7 +269,7 @@ def test_cut_of_antichain_bijective_with_classes(ctx_p23, ctx_zz2_d1):
         reps = us.enumerate_classes(poset, "zp")
         images = {cuts.cut_of_antichain(ctx, r, lq, gamma)[0] for r in reps}
         assert len(images) == len(reps)
-        exhaustive = {c for c in cuts.enumerate_cuts(lq)
+        exhaustive = {c for c in enumerate_cuts_exact_cover(lq)
                       if cuts.cut_type(lq, c) == gamma}
         assert images == exhaustive
 

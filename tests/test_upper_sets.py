@@ -1,9 +1,9 @@
 import pytest
 
-from oracles import (admits_proper_superset, enumerate_classes_window,
-                     i_contains, j_of_upper)
+from oracles import (TrivialUpperSet, admits_proper_superset,
+                     enumerate_classes_window, i_contains, j_of_upper)
 from stacktilt import upper_sets as us
-from stacktilt.errors import NotAntichain, NotMinimal, TrivialUpperSet
+from stacktilt.errors import NotAntichain, NotMinimal
 
 
 def _poset(ctx):
