@@ -3,13 +3,15 @@
 Input is a JSON document holding either a polytope or a group with
 degrees; reports are JSON on stdout (sorted keys, so byte-identical
 across runs), quivers optionally also as DOT files.  Exit codes:
-0 success, 1 verification failure, 2 input/validation error.
+0 success, 1 verification failure, 2 input/validation error (its
+`error` object on stdout) or a stdout closed early (on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from math import isqrt
 from pathlib import Path
@@ -19,7 +21,7 @@ from . import cuts as cuts_mod
 from . import tilting
 from . import upper_sets as us
 from .abgroup import direct_sum_group
-from .errors import InputError, StacktiltError
+from .errors import InputError, OutputClosed, StacktiltError
 from .graded_order import GradedDegreeGroup
 from .quiver import to_dot
 from .stacky_geom import (CohomologyOracle, StackyPolytope, gale_dual,
@@ -337,16 +339,13 @@ def cmd_cuts(args) -> int:
         return 0
     if lq.m * (lq.d + 1) > 36:
         raise InputError("quiver too large for exhaustive cut enumeration")
-    all_cuts = cuts_mod.enumerate_cuts(lq)
-    by_type: dict = {}
-    for cut in all_cuts:
-        by_type.setdefault(cuts_mod.cut_type(lq, cut), []).append(cut)
+    counts = cuts_mod.enumerate_cuts(lq)
     report["types"] = [
-        {"type": list(t), "cut_count": len(cs),
+        {"type": list(t), "cut_count": n,
          "admissible": cuts_mod.is_admissible_type(lq, t)[0]}
-        for t, cs in sorted(by_type.items())
+        for t, n in sorted(counts.items())
     ]
-    report["cut_count"] = len(all_cuts)
+    report["cut_count"] = sum(counts.values())
     _emit(report)
     return 0
 
@@ -357,6 +356,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise InputError(message)
+
+    def exit(self, status=0, message=None):
+        sys.stdout.flush()   # after --help, inside main's try
+        super().exit(status, message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,13 +413,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(exc: StacktiltError, file=None) -> None:
+    print(json.dumps({"schema_version": SCHEMA_VERSION,
+                      "error": exc.to_json()}, indent=2, sort_keys=True),
+          file=file)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
-    except StacktiltError as exc:
-        print(json.dumps({"schema_version": SCHEMA_VERSION,
-                          "error": exc.to_json()}, indent=2, sort_keys=True))
+        try:
+            args = build_parser().parse_args(argv)
+            code = args.func(args)
+        except StacktiltError as exc:
+            _error(exc)
+            code = 2
+        sys.stdout.flush()   # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _error(OutputClosed("stdout was closed before the report was "
+                            "written"), file=sys.stderr)
         return 2
 
 

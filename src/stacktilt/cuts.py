@@ -271,19 +271,22 @@ def _detector_search(lq: LatticeQuotient, tree: list, gamma: tuple,
     rec(0)
 
 
-def enumerate_cuts(lq: LatticeQuotient) -> list[frozenset]:
-    """All cuts of Q: the detector search run once for every type.
+def enumerate_cuts(lq: LatticeQuotient) -> dict[tuple, int]:
+    """{type: number of cuts of Q of that type}, for the types with cuts.
 
-    A type is the multiset of the types of its m arrows, so there are
-    C(m + d, d) of them.
+    The detector search runs once for every type.  A type is the multiset
+    of the types of its m arrows, so there are C(m + d, d) of them.
     """
     tree = _spanning_tree(lq)
-    out: list[frozenset] = []
+    counts: dict[tuple, int] = {}
+
+    def count(values, cut) -> None:
+        counts[gamma] = counts.get(gamma, 0) + 1
+
     for c in itertools.combinations_with_replacement(range(lq.d + 1), lq.m):
         gamma = tuple(c.count(i) for i in range(lq.d + 1))
-        _detector_search(lq, tree, gamma,
-                         lambda values, cut: out.append(frozenset(cut)))
-    return sorted(out, key=sorted)
+        _detector_search(lq, tree, gamma, count)
+    return counts
 
 
 def enumerate_detectors(lq: LatticeQuotient,
@@ -329,7 +332,7 @@ def data_of_group(ctx: GradedDegreeGroup):
 
 def fiber_map(lq: LatticeQuotient, ctx: GradedDegreeGroup) -> dict:
     """Vertex coords of L/B -> coords of G/Zp, along alpha_i -> x_i + Zp."""
-    _, _, proj = ctx.coset_reps(ctx.p)
+    _, proj = ctx.group.quotient_by([ctx.p])
     qx = [proj(x) for x in ctx.degrees]
     image = {lq.group.zero().coords: qx[0].group.zero()}
     for parent, child, i, sign in _spanning_tree(lq):
@@ -341,13 +344,13 @@ def fiber_map(lq: LatticeQuotient, ctx: GradedDegreeGroup) -> dict:
 
 
 def cut_of_antichain(ctx: GradedDegreeGroup, rep: AntichainRep,
-                     lq: LatticeQuotient, gamma: Sequence[int]):
+                     lq: LatticeQuotient, gamma: Sequence[int], psi: dict):
     """(cut, detector) of the antichain class, via f_J(x) = pi(g) - n*m.
 
-    (lq, gamma) is the cut data of ctx, as data_of_group returns it; rep
-    must come from GroupPoset(ctx) with shift p, whose fibers are G/Zp.
+    (lq, gamma) is the cut data of ctx, as data_of_group returns it, and
+    psi is fiber_map(lq, ctx); rep must come from GroupPoset(ctx) with
+    shift p, whose fibers are G/Zp.
     """
-    psi = fiber_map(lq, ctx)
     if (rep.poset.ctx is not ctx or not rep.poset.supports_local_check
             or set(rep.by_fiber) != set(psi.values())):
         raise InputError("antichain does not represent G/Zp")

@@ -65,6 +65,10 @@ class ClassCountExceeded(StacktiltError):
     code = "ClassCountExceeded"
 
 
+class OutputClosed(StacktiltError):
+    code = "OutputClosed"
+
+
 class NotCofinite(StacktiltError):
     code = "NotCofinite"
 

@@ -15,8 +15,11 @@ from typing import Sequence
 
 from .abgroup import FgAbelianGroup, GroupElement, GroupHom
 from .errors import (DegenerateSplit, DimensionMismatch, G1Violation,
-                     G2Violation, G3Violation, InternalInvariantBroken,
-                     UnsupportedRank)
+                     G2Violation, G3Violation, InputError,
+                     InternalInvariantBroken, UnsupportedRank)
+
+# The most cosets coset_reps lists: the classifications walk every one.
+COSET_BOUND = 2 ** 16
 
 
 def _cross(a, b) -> int:
@@ -117,7 +120,6 @@ class GradedDegreeGroup:
         for x in self.degrees:
             self.p = self.p + x
         self._count_memo: dict = {}
-        self._reps_cache: dict = {}
 
     # -- construction ---------------------------------------------------
 
@@ -228,30 +230,29 @@ class GradedDegreeGroup:
         """(representatives, finite quotient, projection) for group/Z*shift.
 
         Requires free rank one and a non-torsion shift; representatives are
-        the elements with free coordinate in [0, |shift_free|).
+        the elements with free coordinate in [0, |shift_free|).  At most
+        COSET_BOUND of them are listed.
         """
-        key = shift.coords
-        if key in self._reps_cache:
-            return self._reps_cache[key]
         if self.group.free_rank != 1:
             raise UnsupportedRank("coset enumeration needs free rank one")
         fs = shift.free_part()[0]
         if fs == 0:
             raise DegenerateSplit("shift element is torsion")
+        quot, proj = self.group.quotient_by([shift])
+        if quot.size() > COSET_BOUND:
+            raise InputError("too many cosets to list", m=quot.size(),
+                             bound=COSET_BOUND)
         reps = [
             self.group.from_coords(tup + (f,))
             for tup in itertools.product(*(range(o) for o in
                                            self.group.torsion_orders))
             for f in range(abs(fs))
         ]
-        quot, proj = self.group.quotient_by([shift])
         if quot.size() != len(reps):
             raise InternalInvariantBroken("coset representative count mismatch")
         if len({proj(r).coords for r in reps}) != len(reps):
             raise InternalInvariantBroken("coset representatives collide")
-        result = (reps, quot, proj)
-        self._reps_cache[key] = result
-        return result
+        return reps, quot, proj
 
     # -- rank-two preprocessing -------------------------------------------
 

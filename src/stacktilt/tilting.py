@@ -2,10 +2,11 @@
 
 Rank one: classes of complete-representative antichains in the graded
 group, each certified against the cut picture (the endomorphism quiver
-must match the algebra presentation of the corresponding cut).  Rank
-two: an outer enumeration over the rank-one quotient order, then an
-inner enumeration over the fibered poset above each base class, with
-the rigidity and top-Ext certificates re-checked per class.
+must match the algebra presentation of the corresponding cut, and the
+classes must biject onto the cuts of type gamma).  Rank two: an outer
+enumeration over the rank-one quotient order, then an inner enumeration
+over the fibered poset above each base class, with rigidity re-checked
+once per base class and top-Ext vanishing once per class.
 """
 
 from __future__ import annotations
@@ -145,54 +146,61 @@ def _is_irreducible(ctx: GradedDegreeGroup, members: dict,
     return True
 
 
-def _certify_rank1(ctx: GradedDegreeGroup, rep: us.AntichainRep,
-                   quiver: QuiverPresentation, lq, gamma) -> None:
-    """The quiver must equal the cut's presentation carried onto rep."""
-    cut, _ = cuts_mod.cut_of_antichain(ctx, rep, lq, gamma)
-    algebra = cuts_mod.algebra_presentation(lq, cut)
+def _certify_rank1(ctx: GradedDegreeGroup, classes: list[TiltingClass],
+                   lq, gamma) -> list[frozenset]:
+    """Each quiver must equal its class's cut presentation carried onto it;
+    (lq, gamma) is the cut data of ctx.  Returns the cuts, in order."""
     psi = cuts_mod.fiber_map(lq, ctx)
-    at = {v: rep.by_fiber[psi[v]].coords for v in lq.vertices}
-    carried = QuiverPresentation(
-        vertices=tuple(at.values()),
-        arrows=tuple(Arrow(at[a.source], at[a.target], a.label)
-                     for a in algebra.arrows),
-        relations=tuple(Relation(at[r.source], at[r.target], r.path_a,
-                                 r.path_b) for r in algebra.relations))
-    if carried != quiver:
-        raise InternalInvariantBroken(
-            "endomorphism quiver disagrees with the cut presentation")
+    out = []
+    for tc in classes:
+        cut, _ = cuts_mod.cut_of_antichain(ctx, tc.rep, lq, gamma, psi)
+        algebra = cuts_mod.algebra_presentation(lq, cut)
+        at = {v: tc.rep.by_fiber[psi[v]].coords for v in lq.vertices}
+        carried = QuiverPresentation(
+            vertices=tuple(at.values()),
+            arrows=tuple(Arrow(at[a.source], at[a.target], a.label)
+                         for a in algebra.arrows),
+            relations=tuple(Relation(at[r.source], at[r.target], r.path_a,
+                                     r.path_b) for r in algebra.relations))
+        if carried != tc.quiver:
+            raise InternalInvariantBroken(
+                "endomorphism quiver disagrees with the cut presentation")
+        out.append(cut)
+    return out
 
 
-def _certified_class(ctx: GradedDegreeGroup, rep: us.AntichainRep,
-                     translation: str, cut_data: Optional[tuple] = None,
-                     split: Optional[SignSplit] = None,
-                     base: Optional[us.AntichainRep] = None) -> TiltingClass:
-    """The class of rep with its endomorphism quiver, re-certified.
-
-    Rank one checks the quiver against the cut (cut_data is (lq, gamma));
-    rank two checks rigidity and top-Ext vanishing through the split.
-    """
+def _tilting_class(ctx: GradedDegreeGroup, rep: us.AntichainRep,
+                   translation: str, split: Optional[SignSplit] = None,
+                   base: Optional[us.AntichainRep] = None) -> TiltingClass:
+    """The class of rep with its endomorphism quiver, not yet certified."""
     rank = ctx.group.free_rank
-    quiver = endomorphism_quiver(ctx, rep.elements)
-    if rank == 1:
-        _certify_rank1(ctx, rep, quiver, *cut_data)
-    else:
-        _certify_rank2(ctx, split, rep)
-    return TiltingClass(rank=rank, ctx=ctx, rep=rep, quiver=quiver,
+    return TiltingClass(rank=rank, ctx=ctx, rep=rep,
+                        quiver=endomorphism_quiver(ctx, rep.elements),
                         class_id=_class_id(rank, rep.elements),
                         translation=translation, base=base, split=split)
 
 
 def classify_rank1(ctx: GradedDegreeGroup, mode: str = "paper",
                    max_classes: int = 10_000) -> list[TiltingClass]:
-    """All tilting classes of line bundles for a rank-one graded group."""
+    """All tilting classes of line bundles for a rank-one graded group.
+
+    Distinct classes have distinct cuts of type gamma; in zp mode every
+    cut of that type is reached.
+    """
     if ctx.group.free_rank != 1:
         raise InputError("classify_rank1 needs a rank-one graded group")
     translation = _translation(mode)
     poset = us.GroupPoset(ctx)
     reps = us.enumerate_classes(poset, translation, max_classes)
-    cut_data = cuts_mod.data_of_group(ctx)
-    return [_certified_class(ctx, rep, translation, cut_data) for rep in reps]
+    lq, gamma = cuts_mod.data_of_group(ctx)
+    classes = [_tilting_class(ctx, rep, translation) for rep in reps]
+    cuts = _certify_rank1(ctx, classes, lq, gamma)
+    if len(set(cuts)) != len(cuts):
+        raise InternalInvariantBroken("two classes have the same cut")
+    if (translation == "zp"
+            and len(cuts) != len(cuts_mod.enumerate_detectors(lq, gamma))):
+        raise InternalInvariantBroken("the classes miss a cut of type gamma")
+    return classes
 
 
 @dataclass
@@ -216,16 +224,19 @@ class Rank2Classification:
 
 
 def _certify_rank2(ctx: GradedDegreeGroup, split: SignSplit,
-                   rep: us.AntichainRep) -> None:
-    """Rigidity (no base comparison through s) and vanishing top Ext."""
+                   base: us.AntichainRep, classes: list[TiltingClass]) -> None:
+    """Rigidity (no comparison through s) of the base, which q maps every
+    class onto, then vanishing top Ext per class."""
     h = split.h_ctx
-    for g1, g2 in itertools.product(rep.elements, repeat=2):
-        if h.leq(split.q(g2) + split.s, split.q(g1)):
+    for h1, h2 in itertools.product(base.elements, repeat=2):
+        if h.leq(h2 + split.s, h1):
             raise InternalInvariantBroken(
                 "rigidity certificate failed: q(g) >= q(h) + s")
-        if ctx.hom_dim(g1 - g2 - ctx.p) != 0:
-            raise InternalInvariantBroken(
-                "top-Ext certificate failed: S_{g-h-p} != 0")
+    for tc in classes:
+        for g1, g2 in itertools.product(tc.elements, repeat=2):
+            if ctx.hom_dim(g1 - g2 - ctx.p) != 0:
+                raise InternalInvariantBroken(
+                    "top-Ext certificate failed: S_{g-h-p} != 0")
 
 
 def _stabilizer_merged_count(split: SignSplit, base: us.AntichainRep,
@@ -285,8 +296,9 @@ def classify_rank2(ctx: GradedDegreeGroup, mode: str = "paper",
             raise ClassCountExceeded("class enumeration exceeded the ceiling",
                                      ceiling=max_classes) from None
         budget -= len(inner)
-        classes = [_certified_class(ctx, rep, "zp", split=split, base=base)
+        classes = [_tilting_class(ctx, rep, "zp", split, base)
                    for rep in inner]
+        _certify_rank2(ctx, split, base, classes)
         merged = _stabilizer_merged_count(split, base, inner)
         groups.append(Rank2Group(base=base,
                                  base_id=_class_id(0, base.elements),
@@ -297,11 +309,13 @@ def classify_rank2(ctx: GradedDegreeGroup, mode: str = "paper",
 
 def apr_mutate(tclass: TiltingClass, m: GroupElement) -> TiltingClass:
     """Tilting mutation at a minimal member: replace m by m + p, recertify."""
-    rep = us.mutate(tclass.rep, m)
-    cut_data = (cuts_mod.data_of_group(tclass.ctx) if tclass.rank == 1
-                else None)
-    return _certified_class(tclass.ctx, rep, tclass.translation, cut_data,
-                            tclass.split, tclass.base)
+    tc = _tilting_class(tclass.ctx, us.mutate(tclass.rep, m),
+                        tclass.translation, tclass.split, tclass.base)
+    if tc.rank == 1:
+        _certify_rank1(tc.ctx, [tc], *cuts_mod.data_of_group(tc.ctx))
+    else:
+        _certify_rank2(tc.ctx, tc.split, tc.base, [tc])
+    return tc
 
 
 @dataclass

@@ -13,7 +13,8 @@ from stacktilt import stacky_geom as sg
 from stacktilt.abgroup import (FgAbelianGroup, GroupElement,
                                solve_combination)
 from stacktilt.cuts import (CutDetector, LatticeQuotient, _spanning_tree,
-                            cut_type, is_admissible_type)
+                            cut_from_detector, cut_type, enumerate_detectors,
+                            is_admissible_type)
 from stacktilt.errors import (InternalInvariantBroken, StacktiltError,
                               UnboundedContribution)
 from stacktilt.graded_order import GradedDegreeGroup
@@ -350,6 +351,19 @@ def enumerate_cuts_exact_cover(lq: LatticeQuotient) -> list[frozenset]:
 
     rec(0)
     return sorted(cuts, key=sorted)
+
+
+def search_all_cuts(lq: LatticeQuotient) -> list[frozenset]:
+    """All cuts of Q, sorted: each type's detectors from the library search.
+
+    cuts.enumerate_cuts only counts them; tests that need the cuts take
+    them here and compare them with enumerate_cuts_exact_cover.
+    """
+    out = []
+    for c in itertools.combinations_with_replacement(range(lq.d + 1), lq.m):
+        gamma = tuple(c.count(i) for i in range(lq.d + 1))
+        out += map(cut_from_detector, enumerate_detectors(lq, gamma))
+    return sorted(out, key=sorted)
 
 
 def enumerate_detectors_product(lq: LatticeQuotient,

@@ -302,12 +302,19 @@ def test_cuts_detector_guard(tmp_path, capsys, monkeypatch):
     assert doc["error"]["details"] == {"m": 23, "candidates_log2": 22}
 
 
-def _run_cli(argv, timeout):
+def _cli_env():
+    """This checkout's src on the path, and stdout block-buffered, as it is
+    for a user whose output goes to a pipe."""
     src = Path(stacktilt.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": str(src)}
+
+
+def _run_cli(argv, timeout, stdout=subprocess.PIPE):
     return subprocess.run(
         [sys.executable, "-m", "stacktilt.cli", *argv],
-        capture_output=True, text=True, timeout=timeout,
-        env={**os.environ, "PYTHONPATH": str(src)})
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=timeout,
+        env=_cli_env())
 
 
 M8, M18 = 10 ** 8, 10 ** 18
@@ -331,6 +338,62 @@ def test_cuts_oversize_refused_before_enumeration(tmp_path, doc, m):
     assert error["type"] == "InputError"
     if m is not None:
         assert error["details"] == {"m": m, "candidates_log2": m - 1}
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify"], ["mutate", "--class", "0", "--at", "[0]"], ["verify"]],
+    ids=["classify", "mutate", "verify"])
+@pytest.mark.parametrize("m", [10 ** 12, 10 ** 18], ids=["1e12", "1e18"])
+def test_cosets_oversize_refused_before_listing(tmp_path, argv, m):
+    """P(1, m) has m + 1 cosets of Zp; none is listed."""
+    doc = {"group": {"free_rank": 1, "degrees": [[1], [m]]}}
+    proc = _run_cli([argv[0], _write(tmp_path, doc), *argv[1:]], timeout=10)
+    assert proc.returncode == 2
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "InputError"
+    assert error["details"] == {"m": m + 1, "bound": 2 ** 16}
+
+
+def test_closed_stdout_exits_2_without_traceback(tmp_path):
+    """The P1xP3 report is 291 KB, more than a pipe holds, so the write
+    fails once the reader has gone."""
+    doc = {"group": {"free_rank": 2,
+                     "degrees": [[1, 0]] * 2 + [[0, 1]] * 4}}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stacktilt.cli", "classify",
+         _write(tmp_path, doc)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env())
+    try:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert json.loads(err)["error"]["type"] == "OutputClosed"
+
+
+@pytest.mark.parametrize("argv", [["classify", "{p1_1e12}"],
+                                  ["cuts", "--help"]],
+                         ids=["input_error", "help"])
+def test_closed_stdout_before_any_write(tmp_path, argv):
+    """An error report or the help, to a pipe nobody reads, is refused the
+    same way."""
+    doc = {"group": {"free_rank": 1, "degrees": [[1], [10 ** 12]]}}
+    path = _write(tmp_path, doc)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_cli([a.format(p1_1e12=path) for a in argv], timeout=10,
+                        stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    assert json.loads(proc.stderr)["error"]["type"] == "OutputClosed"
 
 
 @pytest.mark.parametrize("d, m", [(11, 3), (17, 2)])

@@ -3,9 +3,12 @@ import random
 
 import pytest
 
+from collections import Counter
+
 from oracles import (NotACut, NotAdmissible, detector_from_cut,
                      element_order, enumerate_cuts_exact_cover,
-                     enumerate_detectors_product, group_of, lattice_contains)
+                     enumerate_detectors_product, group_of, lattice_contains,
+                     search_all_cuts)
 from stacktilt import cuts, upper_sets as us
 from stacktilt.graded_order import GradedDegreeGroup
 from test_acceptance import _all_lattice_quotients
@@ -79,7 +82,7 @@ def test_search_matches_both_references(ctx_p23):
 
     Every type summing to m, zero entries and inadmissible ones included:
     the detectors equal the 2^(m-1) product's, in its order, and the cuts
-    equal the exact cover's.
+    and their counts per type equal the exact cover's.
     """
     quotients = _all_lattice_quotients() + [
         cuts.build_quotient(1, [[m, -m]]) for m in range(1, 9)] + [
@@ -91,12 +94,15 @@ def test_search_matches_both_references(ctx_p23):
             assert ([det.table for det in cuts.enumerate_detectors(lq, gamma)]
                     == [det.table
                         for det in enumerate_detectors_product(lq, gamma)])
-        assert cuts.enumerate_cuts(lq) == enumerate_cuts_exact_cover(lq)
+        exact = enumerate_cuts_exact_cover(lq)
+        assert search_all_cuts(lq) == exact
+        assert cuts.enumerate_cuts(lq) == Counter(
+            cuts.cut_type(lq, c) for c in exact)
 
 
 def test_detector_cut_round_trips():
     lq = cuts.build_quotient(1, [[5, -5]])
-    all_cuts = cuts.enumerate_cuts(lq)
+    all_cuts = search_all_cuts(lq)
     assert len(all_cuts) == 2 ** 5  # one arrow per elementary 2-cycle pair
     by_type = {}
     for c in all_cuts:
@@ -142,7 +148,7 @@ def test_not_a_cut():
 def test_path_independence_and_b_invariance():
     rng = random.Random(23)
     lq = cuts.build_quotient(2, [[-2, 2, 0], [0, -2, 2]])
-    for cut in cuts.enumerate_cuts(lq)[:20]:
+    for cut in search_all_cuts(lq)[:20]:
         det = detector_from_cut(lq, cut)
         gamma = cuts.cut_type(lq, cut)
 
@@ -168,7 +174,7 @@ def test_f_vanishes_on_b_generators():
     # walking any B-generator as a forward path sums the increments to zero
     lq = cuts.build_quotient(2, [[-2, 2, 0], [0, -2, 2]])
     orders = [element_order(lq.group, lq.alpha_images[i]) for i in range(3)]
-    for cut in cuts.enumerate_cuts(lq)[:12]:
+    for cut in search_all_cuts(lq)[:12]:
         gamma = cuts.cut_type(lq, cut)
         for gen in lq.b_gens_alpha:
             total, cur = 0, lq.group.zero().coords
@@ -184,7 +190,7 @@ def test_f_vanishes_on_b_generators():
 def test_is_bounding_matches_positivity():
     for gens in ([[5, -5]],):
         lq = cuts.build_quotient(1, gens)
-        for cut in cuts.enumerate_cuts(lq):
+        for cut in search_all_cuts(lq):
             gamma = cuts.cut_type(lq, cut)
             assert cuts.is_bounding(lq, cut) == all(g > 0 for g in gamma)
 
@@ -236,10 +242,11 @@ def test_group_of_data_of_group_round_trip(ctx_p23, ctx_zz2_d1, ctx_zz2_d2,
 
 def test_cut_of_antichain_examples(ctx_p23, make_pd):
     lq, gamma = cuts.data_of_group(ctx_p23)
+    psi = cuts.fiber_map(lq, ctx_p23)
     poset = us.GroupPoset(ctx_p23)
     z = ctx_p23.group
     j1 = us.checked(poset, [z.canonicalize([v]) for v in [0, 1, 2, 3, 4]])
-    cut1, det1 = cuts.cut_of_antichain(ctx_p23, j1, lq, gamma)
+    cut1, det1 = cuts.cut_of_antichain(ctx_p23, j1, lq, gamma, psi)
     assert cuts.cut_type(lq, cut1) == gamma
     qp = cuts.algebra_presentation(lq, cut1)
     assert len(qp.vertices) == 5 and len(qp.arrows) == 5
@@ -248,16 +255,17 @@ def test_cut_of_antichain_examples(ctx_p23, make_pd):
     # translation invariance of the cut
     j1p = us.AntichainRep(poset, [z.canonicalize([v + 5])
                                   for v in [0, 1, 2, 3, 4]])
-    assert cuts.cut_of_antichain(ctx_p23, j1p, lq, gamma)[0] == cut1
+    assert cuts.cut_of_antichain(ctx_p23, j1p, lq, gamma, psi)[0] == cut1
     j2 = us.checked(poset, [z.canonicalize([v]) for v in [0, 2, 3, 4, 6]])
-    assert cuts.cut_of_antichain(ctx_p23, j2, lq, gamma)[0] != cut1
+    assert cuts.cut_of_antichain(ctx_p23, j2, lq, gamma, psi)[0] != cut1
 
     # P^1: J = {0, 1} gives a cut of type (1,1) on the double 2-cycle
     ctx1 = make_pd(1)
     lq1, gamma1 = cuts.data_of_group(ctx1)
     p1 = us.GroupPoset(ctx1)
     j = us.checked(p1, [ctx1.group.canonicalize([v]) for v in [0, 1]])
-    cutp, _ = cuts.cut_of_antichain(ctx1, j, lq1, gamma1)
+    cutp, _ = cuts.cut_of_antichain(ctx1, j, lq1, gamma1,
+                                    cuts.fiber_map(lq1, ctx1))
     assert cuts.cut_type(lq1, cutp) == (1, 1)
 
 
@@ -267,7 +275,9 @@ def test_cut_of_antichain_bijective_with_classes(ctx_p23, ctx_zz2_d1):
         lq, gamma = cuts.data_of_group(ctx)
         poset = us.GroupPoset(ctx)
         reps = us.enumerate_classes(poset, "zp")
-        images = {cuts.cut_of_antichain(ctx, r, lq, gamma)[0] for r in reps}
+        psi = cuts.fiber_map(lq, ctx)
+        images = {cuts.cut_of_antichain(ctx, r, lq, gamma, psi)[0]
+                  for r in reps}
         assert len(images) == len(reps)
         exhaustive = {c for c in enumerate_cuts_exact_cover(lq)
                       if cuts.cut_type(lq, c) == gamma}
@@ -279,11 +289,12 @@ def test_algebra_presentation_beilinson(make_pd):
     lq, gamma = cuts.data_of_group(ctx)
     poset = us.GroupPoset(ctx)
     j = us.checked(poset, [ctx.group.canonicalize([v]) for v in [0, 1, 2]])
-    cut, _ = cuts.cut_of_antichain(ctx, j, lq, gamma)
+    cut, _ = cuts.cut_of_antichain(ctx, j, lq, gamma,
+                                   cuts.fiber_map(lq, ctx))
     qp = cuts.algebra_presentation(lq, cut)
     assert len(qp.vertices) == 3 and len(qp.arrows) == 6
     assert len(qp.relations) == 3
-    non_bounding = next(c for c in cuts.enumerate_cuts(lq)
+    non_bounding = next(c for c in search_all_cuts(lq)
                         if 0 in cuts.cut_type(lq, c))
     with pytest.raises(NotBounding):
         cuts.algebra_presentation(lq, non_bounding)

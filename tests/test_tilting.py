@@ -201,14 +201,87 @@ def test_certify_rank1_rejects_perturbed_quivers():
     target, one arrow or one relation is refused."""
     ctx = _ctx(1, [], [(3,), (4,), (5,)])
     cut_data = cuts.data_of_group(ctx)
-    tc = next(tc for tc in tilting.classify_rank1(ctx, mode="zp")
-              if tc.quiver.relations)
-    tilting._certify_rank1(ctx, tc.rep, tc.quiver, *cut_data)
+    classes = tilting.classify_rank1(ctx, mode="zp")
+    # the last class with relations, so a check of fewer classes misses it
+    k = max(k for k, tc in enumerate(classes) if tc.quiver.relations)
+    tc = classes[k]
+    tilting._certify_rank1(ctx, classes, *cut_data)
     for name, perturb in _PERTURBATIONS.items():
         quiver = perturb(tc.quiver)
         assert quiver != tc.quiver, name
+        perturbed = list(classes)
+        perturbed[k] = dataclasses.replace(tc, quiver=quiver)
         with pytest.raises(InternalInvariantBroken):
-            tilting._certify_rank1(ctx, tc.rep, quiver, *cut_data)
+            tilting._certify_rank1(ctx, perturbed, *cut_data)
+
+
+@pytest.mark.parametrize("change, mode", [
+    ("drop", "zp"), ("repeat", "zp"), ("repeat", "paper")])
+def test_classify_rank1_checks_the_cut_bijection(ctx_p23, monkeypatch,
+                                                 change, mode):
+    """Classes map injectively to the cuts of type gamma, onto them in zp
+    mode: a class list with one class dropped (zp) or one class listed
+    twice is refused."""
+    enumerate_classes = us.enumerate_classes
+
+    def altered(*args):
+        reps = enumerate_classes(*args)
+        return reps[1:] if change == "drop" else reps + reps[:1]
+
+    monkeypatch.setattr(us, "enumerate_classes", altered)
+    with pytest.raises(InternalInvariantBroken):
+        tilting.classify_rank1(ctx_p23, mode)
+
+
+def test_certificates_run_once_per_classification(ctx_p23, monkeypatch):
+    """psi is built once per rank-one classification or mutation, without
+    listing cosets, and rigidity is tested once per pair of a base class."""
+    calls = dict.fromkeys(("fiber_map", "certify2", "coset_reps",
+                           "rigidity"), 0)
+    inside = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            inside.append((name, args))
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        return wrapper
+
+    coset_reps, leq = GradedDegreeGroup.coset_reps, GradedDegreeGroup.leq
+
+    def counted_coset_reps(self, shift):
+        calls["coset_reps"] += any(n == "fiber_map" for n, _ in inside)
+        return coset_reps(self, shift)
+
+    def counted_leq(self, g, h):
+        calls["rigidity"] += any(n == "certify2" and self is args[1].h_ctx
+                                 for n, args in inside)
+        return leq(self, g, h)
+
+    monkeypatch.setattr(cuts, "fiber_map", counted("fiber_map", cuts.fiber_map))
+    monkeypatch.setattr(tilting, "_certify_rank2",
+                        counted("certify2", tilting._certify_rank2))
+    monkeypatch.setattr(GradedDegreeGroup, "coset_reps", counted_coset_reps)
+    monkeypatch.setattr(GradedDegreeGroup, "leq", counted_leq)
+
+    for mode in ("paper", "zp"):
+        calls["fiber_map"] = 0
+        classes = tilting.classify_rank1(ctx_p23, mode)
+        assert calls["fiber_map"] == 1
+        tilting.apr_mutate(classes[0], us.mutable_elements(classes[0].rep)[0])
+        assert calls["fiber_map"] == 2
+    assert calls["coset_reps"] == 0
+
+    for a, b in ((1, 2), (2, 2)):
+        ctx = _ctx(2, [], [(1, 0)] * (a + 1) + [(0, 1)] * (b + 1))
+        calls["rigidity"] = 0
+        result = tilting.classify_rank2(ctx)
+        bases = [len(grp.base.elements) for grp in result.groups]
+        assert calls["rigidity"] == sum(n * n for n in bases)
+        assert len(result.classes) > len(bases)
 
 
 def test_apr_mutate(make_pd, ctx_p23, ctx_p1p1):
