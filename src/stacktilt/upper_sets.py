@@ -10,6 +10,8 @@ rank-two J-class (shift p).
 
 from __future__ import annotations
 
+import functools
+import itertools
 from typing import Iterable, Optional, Sequence
 
 from .abgroup import GroupElement
@@ -34,6 +36,8 @@ class GroupPoset:
                  over: Optional[tuple] = None):
         self.ctx = ctx
         self.shift_element = ctx.p if shift_element is None else shift_element
+        self.theta_p = ctx.theta_val(self.shift_element)
+        self.level = functools.cache(self._level)
         if over is None:
             reps, _, self._proj = ctx.coset_reps(self.shift_element)
             self._samples = {self._proj(r).coords: r for r in reps}
@@ -43,11 +47,28 @@ class GroupPoset:
             self._samples = {h.coords: split.q.section(h)
                              for h in base.elements}
         self.fibers = tuple(sorted(self._samples))
-        self.theta_p = ctx.theta_val(self.shift_element)
         # the Prop-GJX local test is only valid on the whole group with
-        # shift p = sum x_i
-        self.supports_local_check = (over is None
-                                     and self.shift_element == ctx.p)
+        # shift p = sum x_i; it reads _steps, the levels of s_a + x_i
+        self.supports_local_check = not over and self.shift_element == ctx.p
+        if self.supports_local_check:
+            self._steps = {a: [self.level(s + x) for x in ctx.degrees]
+                           for a, s in self._samples.items()}
+
+    @functools.cached_property
+    def gaps(self) -> dict:
+        """gaps[a][b] = max{k : s_b + k*shift <= s_a}, searched down from the
+        theta bound; the search ends since orbits are cofinal."""
+        s, out = self._samples, {a: {} for a in self._samples}
+        for a, b in itertools.product(s, repeat=2):
+            out[a][b] = (self.theta(s[a]) - self.theta(s[b])) // self.theta_p
+            while not self.leq(self.shift(s[b], out[a][b]), s[a]):
+                out[a][b] -= 1
+        return out
+
+    def _level(self, e: GroupElement) -> tuple:
+        """(a, k) with e = s_a + k*shift; self.level caches it per e."""
+        a = self.fiber_key(e)
+        return a, self.theta(e - self._samples[a]) // self.theta_p
 
     def leq(self, a: GroupElement, b: GroupElement) -> bool:
         return self.ctx.leq(a, b)
@@ -65,15 +86,11 @@ class GroupPoset:
         return self.ctx.theta_val(a)
 
     def local_check(self, by_fiber: dict) -> bool:
-        """g + x_i in J or J + p, for every g in J and every degree; by_fiber
-        maps each fiber key to the member of J over it."""
-        for g in by_fiber.values():
-            for x in self.ctx.degrees:
-                h = g + x
-                r = by_fiber[self.fiber_key(h)]
-                if h != r and h != self.shift(r, 1):
-                    return False
-        return True
+        """g + x_i in J or J + p, for g in J and each degree, read off the
+        levels _steps[a] of s_a + x_i; by_fiber maps fibers to members."""
+        k = {a: self.level(g)[1] for a, g in by_fiber.items()}
+        return all(k[b] <= k[a] + d <= k[b] + 1
+                   for a in k for b, d in self._steps[a])
 
 
 class AntichainRep:
@@ -90,13 +107,6 @@ class AntichainRep:
 
     def key(self) -> tuple:
         return tuple(e.coords for e in self.elements)
-
-    def __eq__(self, other):
-        return (isinstance(other, AntichainRep)
-                and self.poset is other.poset and self.key() == other.key())
-
-    def __hash__(self):
-        return hash((id(self.poset), self.key()))
 
     def __repr__(self):
         return f"AntichainRep{list(self.key())}"
@@ -120,16 +130,17 @@ def is_antichain_rep(poset, elements: Sequence[GroupElement]):
     missing = [k for k in poset.fibers if k not in seen]
     if missing:
         return False, {"reason": "missing_fiber", "fiber": missing[0]}
-    ok, witness = True, None
-    for x in elements:
-        for y in elements:
-            if poset.leq(poset.shift(y, 1), x):
-                ok, witness = False, {"reason": "antichain",
-                                      "greater": list(x.coords),
-                                      "lesser": list(y.coords)}
-                break
-        if not ok:
-            break
+    extra = [k for k in seen if k not in poset.gaps]
+    if extra:
+        return False, {"reason": "extra_fiber", "fiber": extra[0]}
+    lv, gaps = [poset.level(e) for e in elements], poset.gaps
+    hit = next(((x, y) for x, (a, kx) in zip(elements, lv)
+                for y, (b, ky) in zip(elements, lv)
+                if ky + 1 - kx <= gaps[a][b]), None)
+    ok = hit is None
+    witness = None if ok else {"reason": "antichain",
+                               "greater": list(hit[0].coords),
+                               "lesser": list(hit[1].coords)}
     if poset.supports_local_check and poset.local_check(seen) != ok:
         raise InternalInvariantBroken(
             "local J-condition disagrees with the antichain condition")
@@ -143,47 +154,49 @@ def checked(poset, elements: Iterable[GroupElement]) -> AntichainRep:
     return AntichainRep(poset, elements)
 
 
+def _sites(rep: AntichainRep, up: bool) -> list[GroupElement]:
+    """Members of J with no other member of J below them (up: above)."""
+    gaps, lv = rep.poset.gaps, [rep.poset.level(e) for e in rep.elements]
+    # member (b, j) <= member (a, k) iff j - k <= gaps[a][b]
+    return [m for m, (a, k) in zip(rep.elements, lv)
+            if not any((b, j) != (a, k)
+                       and (k - j <= gaps[b][a] if up else j - k <= gaps[a][b])
+                       for b, j in lv)]
+
+
 def mutable_elements(rep: AntichainRep) -> list[GroupElement]:
     """Elements of J minimal in I(J): nothing of J lies strictly below."""
-    poset = rep.poset
-    out = []
-    for m in rep.elements:
-        if not any(j != m and poset.leq(j, m) for j in rep.elements):
-            out.append(m)
-    return out
+    return _sites(rep, False)
 
 
 def upward_mutable_elements(rep: AntichainRep) -> list[GroupElement]:
     """Elements of J with nothing of J strictly above (inverse mutation sites)."""
-    poset = rep.poset
-    out = []
-    for m in rep.elements:
-        if not any(j != m and poset.leq(m, j) for j in rep.elements):
-            out.append(m)
-    return out
+    return _sites(rep, True)
+
+
+def _mutate(rep: AntichainRep, m: GroupElement, direction: int,
+            not_site: str, failed: str) -> AntichainRep:
+    """Replace the site m of J by m + direction * shift."""
+    if m not in _sites(rep, direction == -1):
+        raise NotMinimal(not_site, element=list(m.coords))
+    elements = ([e for e in rep.elements if e != m]
+                + [rep.poset.shift(m, direction)])
+    ok, witness = is_antichain_rep(rep.poset, elements)
+    if not ok:
+        raise InternalInvariantBroken(f"{failed}: {witness}")
+    return AntichainRep(rep.poset, elements)
 
 
 def mutate(rep: AntichainRep, m: GroupElement) -> AntichainRep:
     """Remove the minimal element m from I(J): replace m by m + p in J."""
-    if m not in rep.elements or m not in mutable_elements(rep):
-        raise NotMinimal("element is not minimal in the upper set",
-                         element=list(m.coords))
-    elements = [e for e in rep.elements if e != m] + [rep.poset.shift(m, 1)]
-    ok, witness = is_antichain_rep(rep.poset, elements)
-    if not ok:
-        raise InternalInvariantBroken(f"mutation left the antichain family: {witness}")
-    return AntichainRep(rep.poset, elements)
+    return _mutate(rep, m, 1, "element is not minimal in the upper set",
+                   "mutation left the antichain family")
 
 
 def mutate_up(rep: AntichainRep, m: GroupElement) -> AntichainRep:
-    if m not in rep.elements or m not in upward_mutable_elements(rep):
-        raise NotMinimal("element is not maximal in the complement direction",
-                         element=list(m.coords))
-    elements = [e for e in rep.elements if e != m] + [rep.poset.shift(m, -1)]
-    ok, witness = is_antichain_rep(rep.poset, elements)
-    if not ok:
-        raise InternalInvariantBroken(f"inverse mutation failed: {witness}")
-    return AntichainRep(rep.poset, elements)
+    return _mutate(rep, m, -1,
+                   "element is not maximal in the complement direction",
+                   "inverse mutation failed")
 
 
 def seed_slab(poset) -> AntichainRep:
@@ -248,6 +261,11 @@ def _walk(start: AntichainRep, mode: str, max_classes: Optional[int] = None,
     while frontier and goal is None:
         nxt = []
         for rep in frontier:
+            # every admitted state, the start too, is expanded: none escapes
+            if max_classes is not None and len(seen) > max_classes:
+                raise ClassCountExceeded(
+                    "class enumeration exceeded the ceiling",
+                    ceiling=max_classes)
             moves = [(m, 1) for m in mutable_elements(rep)]
             moves += [(m, -1) for m in upward_mutable_elements(rep)]
             edges = []
@@ -259,10 +277,6 @@ def _walk(start: AntichainRep, mode: str, max_classes: Optional[int] = None,
                     seen[k] = c
                     parents[k] = (rep.key(), rep.poset.fiber_key(m), direction)
                     nxt.append(c)
-                    if max_classes is not None and len(seen) > max_classes:
-                        raise ClassCountExceeded(
-                            "class enumeration exceeded the ceiling",
-                            ceiling=max_classes)
                     if in_target is not None and in_target(c):
                         goal = k
                 if direction == 1:

@@ -88,6 +88,54 @@ def admits_proper_superset(rep: AntichainRep, window: int = 3) -> bool:
     return False
 
 
+def is_antichain_rep_elementwise(poset, elements):
+    """(ok, witness) of upper_sets.is_antichain_rep, asking the order about
+    every pair instead of reading the poset's gap table (no cross-check)."""
+    elements = list(elements)
+    seen = {}
+    for e in elements:
+        k = poset.fiber_key(e)
+        if k in seen:
+            return False, {"reason": "duplicate_fiber", "fiber": k,
+                           "elements": [list(seen[k].coords), list(e.coords)]}
+        seen[k] = e
+    missing = [k for k in poset.fibers if k not in seen]
+    if missing:
+        return False, {"reason": "missing_fiber", "fiber": missing[0]}
+    for x in elements:
+        for y in elements:
+            if poset.leq(poset.shift(y, 1), x):
+                return False, {"reason": "antichain",
+                               "greater": list(x.coords),
+                               "lesser": list(y.coords)}
+    return True, None
+
+
+def mutable_elements_elementwise(rep: AntichainRep) -> list[GroupElement]:
+    """Members of J with no other member of J below them, by the order."""
+    return [m for m in rep.elements
+            if not any(j != m and rep.poset.leq(j, m) for j in rep.elements)]
+
+
+def upward_mutable_elements_elementwise(rep: AntichainRep
+                                        ) -> list[GroupElement]:
+    """Members of J with no other member of J above them, by the order."""
+    return [m for m in rep.elements
+            if not any(j != m and rep.poset.leq(m, j) for j in rep.elements)]
+
+
+def local_check_elementwise(poset, by_fiber: dict) -> bool:
+    """The Prop-GJX local test by group arithmetic: g + x_i lies in J or in
+    J + shift, for every member g and every degree x_i."""
+    for g in by_fiber.values():
+        for x in poset.ctx.degrees:
+            h = g + x
+            r = by_fiber[poset.fiber_key(h)]
+            if h != r and h != poset.shift(r, 1):
+                return False
+    return True
+
+
 def endomorphism_quiver_bruteforce(ctx, elements) -> QuiverPresentation:
     """Vertices and arrows of the endomorphism quiver, without relations.
 

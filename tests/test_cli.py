@@ -457,6 +457,19 @@ def test_max_classes_env(tmp_path, capsys):
     assert code == 0
 
 
+P2 = {"group": {"free_rank": 1, "torsion_orders": [],
+                 "degrees": [[1], [1], [1]]}}
+
+
+@pytest.mark.parametrize("ceiling", ["0", "-5"])
+def test_max_classes_below_one(tmp_path, capsys, ceiling):
+    # P^2 has one class; a ceiling below 1 refuses even the first
+    code, doc = _run(capsys, ["classify", _write(tmp_path, P2),
+                              "--max-classes", ceiling])
+    assert code == 2 and doc["error"]["type"] == "ClassCountExceeded"
+    assert doc["error"]["details"] == {"ceiling": int(ceiling)}
+
+
 P1P2 = {"group": {"free_rank": 2, "torsion_orders": [],
                   "degrees": [[1, 0]] * 2 + [[0, 1]] * 3}}
 

@@ -1,0 +1,235 @@
+"""The gap table against the order it summarizes.
+
+`upper_sets` reads GroupPoset.gaps and GroupPoset.level where it once asked
+the order about every pair of elements.  The element-level routines in
+oracles.py still ask `poset.leq`; here both run on every state that
+`enumerate_classes` visits, and a corrupted table must be caught by the
+checks that do not read it.
+"""
+
+import functools
+import itertools
+
+import pytest
+
+from oracles import (is_antichain_rep_elementwise, local_check_elementwise,
+                     mutable_elements_elementwise,
+                     upward_mutable_elements_elementwise)
+from stacktilt import cli, tilting, upper_sets as us
+from stacktilt.errors import InternalInvariantBroken, NotAntichain
+from stacktilt.graded_order import GradedDegreeGroup
+
+
+def _ctx(degrees, torsion=()):
+    free_rank = len(degrees[0]) - len(torsion)
+    doc = {"group": {"free_rank": free_rank, "torsion_orders": list(torsion),
+                     "degrees": [list(d) for d in degrees]}}
+    return cli._build_context(doc)[0]
+
+
+RANK1 = {
+    "P(2,3)": ([[2], [3]], ()),
+    "P(3,4,5)": ([[3], [4], [5]], ()),
+    "P(4,5,6,7)": ([[4], [5], [6], [7]], ()),
+    "zz2_d1": ([[1, 0], [1, 1]], (2,)),
+    "zz2_d2": ([[1, 0], [1, 0], [1, 1]], (2,)),
+    "zz2_b": ([[1, 0], [2, 1], [3, 0]], (2,)),
+    "zz3": ([[1, 0], [1, 1], [1, 2]], (3,)),
+}
+RANK2 = {
+    "P1xP2": [[1, 0]] * 2 + [[0, 1]] * 3,
+    "P2xP2": [[1, 0]] * 3 + [[0, 1]] * 3,
+    "sigma1": [[1, 0], [1, 0], [1, 1], [0, 1]],
+    "stacky": [[1, -1], [1, 0], [1, 1], [0, 1]],
+}
+
+
+def _posets(name):
+    """(poset, modes): the whole-group poset of a rank-one input; for a
+    rank-two input, H with shift s and the fibered poset over every base
+    class up to s-shifts (the classifier walks those in zp mode only)."""
+    if name in RANK1:
+        return [(us.GroupPoset(_ctx(*RANK1[name])), ("full", "zp"))]
+    ctx = _ctx(RANK2[name])
+    split = ctx.sign_split()
+    h_poset = us.GroupPoset(split.h_ctx, shift_element=split.s)
+    return [(h_poset, ("full", "zp"))] + [
+        (us.GroupPoset(ctx, over=(split, base)), ("zp",))
+        for base in us.enumerate_classes(h_poset, "zp")]
+
+
+@pytest.fixture
+def differential(monkeypatch):
+    """Run the element-level routines next to the table-reading ones."""
+    counts = {"states": 0, "local": 0, "sites": 0, "perturbed": 0}
+    table_rep = us.is_antichain_rep
+
+    def is_antichain_rep(poset, elements):
+        elements = list(elements)
+        got = table_rep(poset, elements)
+        assert got == is_antichain_rep_elementwise(poset, elements)
+        counts["states"] += 1
+        if poset.supports_local_check and (
+                got[0] or got[1]["reason"] == "antichain"):
+            by_fiber = {poset.fiber_key(e): e for e in elements}
+            assert (poset.local_check(by_fiber)
+                    == local_check_elementwise(poset, by_fiber) == got[0])
+            counts["local"] += 1
+        return got
+
+    def sites(table_scan, reference):
+        def scan(rep):
+            got = table_scan(rep)
+            assert got == reference(rep)
+            counts["sites"] += 1
+            return got
+        return scan
+
+    down = sites(us.mutable_elements, mutable_elements_elementwise)
+
+    def mutable_elements(rep):
+        """On up to 12 fibers, also shift each member by -1 and +1: mostly
+        sets that are no antichains, which the walk never hands over."""
+        poset = rep.poset
+        for i, n in itertools.product(range(len(rep.elements)), (-1, 1)):
+            if not poset.supports_local_check or len(poset.fibers) > 12:
+                break
+            elements = list(rep.elements)
+            elements[i] = poset.shift(elements[i], n)
+            by_fiber = {poset.fiber_key(e): e for e in elements}
+            assert (poset.local_check(by_fiber)
+                    == local_check_elementwise(poset, by_fiber)
+                    == table_rep(poset, elements)[0])
+            counts["perturbed"] += 1
+        return down(rep)
+
+    monkeypatch.setattr(us, "is_antichain_rep", is_antichain_rep)
+    monkeypatch.setattr(us, "mutable_elements", mutable_elements)
+    monkeypatch.setattr(us, "upward_mutable_elements",
+                        sites(us.upward_mutable_elements,
+                              upward_mutable_elements_elementwise))
+    return counts
+
+
+@pytest.mark.parametrize("name", list(RANK1) + list(RANK2))
+def test_table_agrees_with_the_order_on_every_visited_state(name,
+                                                            differential):
+    for poset, modes in _posets(name):
+        for mode in modes:
+            us.enumerate_classes(poset, mode)
+    assert differential["states"] and differential["sites"]
+    assert bool(differential["local"]) == (name in RANK1)
+    assert bool(differential["perturbed"]) == (name in RANK1
+                                               and name != "P(4,5,6,7)")
+
+
+@pytest.mark.parametrize("name", list(RANK1) + list(RANK2))
+def test_gaps_and_levels_against_the_order(name):
+    for poset, _ in _posets(name):
+        for a, b in itertools.product(poset.fibers, repeat=2):
+            sa, sb = poset.fiber_sample(a), poset.fiber_sample(b)
+            gap = poset.gaps[a][b]
+            for k in range(gap - 3, gap + 4):
+                e = poset.shift(sb, k)
+                assert poset.leq(e, sa) == (k <= gap)
+                assert poset.level(e) == (b, k)
+
+
+def test_element_over_a_fiber_the_poset_lacks():
+    """Such a set is no complete-representative family of q^{-1}(J): it is
+    refused by fiber, before any level is read, wherever the element sits."""
+    ctx = _ctx(RANK2["P1xP2"])
+    split = ctx.sign_split()
+    h_poset = us.GroupPoset(split.h_ctx, shift_element=split.s)
+    base = us.enumerate_classes(h_poset, "full")[0]
+    poset = us.GroupPoset(ctx, over=(split, base))
+    rep = us.enumerate_classes(poset, "zp")[0]
+    h = base.elements[0] + split.s      # same s-orbit as a member: not in J
+    assert h.coords not in poset.fibers
+    verdict = (False, {"reason": "extra_fiber", "fiber": h.coords})
+    for k in range(-4, 5):
+        extra = poset.shift(split.q.section(h), k)
+        for elements in ([extra, *rep.elements], [*rep.elements, extra]):
+            assert us.is_antichain_rep(poset, elements) == verdict
+            with pytest.raises(NotAntichain) as err:
+                us.checked(poset, elements)
+            assert err.value.details == verdict[1]
+
+
+BUILD_GAPS = us.GroupPoset.__dict__["gaps"].func
+
+
+def _patch_gaps(monkeypatch, gaps):
+    """Make GroupPoset.gaps the cached result of gaps(poset)."""
+    prop = functools.cached_property(gaps)
+    prop.__set_name__(us.GroupPoset, "gaps")
+    monkeypatch.setattr(us.GroupPoset, "gaps", prop)
+
+
+def _corrupt(monkeypatch, applies, a, b, delta):
+    """Shift gaps[fibers[a]][fibers[b]] by delta where applies(poset)."""
+    def gaps(poset):
+        table = BUILD_GAPS(poset)
+        if applies(poset):
+            table[poset.fibers[a]][poset.fibers[b]] += delta
+        return table
+    _patch_gaps(monkeypatch, gaps)
+
+
+@pytest.mark.parametrize("mode, a, b, delta, check", [
+    ("paper", 1, 2, 1, "local J-condition disagrees"),
+    ("zp", 0, 2, -1, "local J-condition disagrees"),
+    ("zp", 0, 1, 1, "the classes miss a cut"),
+])
+def test_corrupted_rank1_table_is_caught(monkeypatch, mode, a, b, delta,
+                                         check):
+    ctx = _ctx(*RANK1["P(2,3)"])
+    tilting.classify_rank1(ctx, mode)
+    _corrupt(monkeypatch, lambda poset: True, a, b, delta)
+    with pytest.raises(InternalInvariantBroken, match=check):
+        tilting.classify_rank1(ctx, mode)
+
+
+@pytest.mark.parametrize("mode", ["paper", "zp"])
+def test_corrupted_inner_table_is_caught_by_rank2_certificate(monkeypatch,
+                                                              mode):
+    ctx = _ctx(RANK2["P1xP2"])
+    tilting.classify_rank2(ctx, mode)
+    _corrupt(monkeypatch, lambda poset: poset.ctx is ctx, 0, 1, -1)
+    with pytest.raises(InternalInvariantBroken,
+                       match="top-Ext certificate failed"):
+        tilting.classify_rank2(ctx, mode)
+
+
+def test_order_questions_come_from_the_table_only(monkeypatch):
+    """P(5,7,11), 23 fibers: 529 gaps, each found by a short search."""
+    leq = GradedDegreeGroup.leq
+    calls = {"all": 0, "building": 0}
+    building = []
+
+    def counted_leq(self, g, h):
+        calls["all"] += 1
+        calls["building"] += bool(building)
+        return leq(self, g, h)
+
+    def gaps(poset):
+        building.append(poset)
+        try:
+            return BUILD_GAPS(poset)
+        finally:
+            building.pop()
+
+    _patch_gaps(monkeypatch, gaps)
+    monkeypatch.setattr(GradedDegreeGroup, "leq", counted_leq)
+    classes = tilting.classify_rank1(_ctx([[5], [7], [11]]), "paper")
+    assert len(classes) == 43
+    assert calls["all"] == calls["building"] <= 1000
+
+
+def test_sites_of_a_set_with_two_members_over_one_fiber():
+    poset = us.GroupPoset(_ctx(*RANK1["P(2,3)"]))
+    z = poset.ctx.group
+    rep = us.AntichainRep(poset, [z.canonicalize([v]) for v in range(6)])
+    assert us.mutable_elements(rep) == mutable_elements_elementwise(rep)
+    assert (us.upward_mutable_elements(rep)
+            == upward_mutable_elements_elementwise(rep))
