@@ -289,6 +289,18 @@ def enumerate_cuts(lq: LatticeQuotient) -> dict[tuple, int]:
     return counts
 
 
+def count_detectors(lq: LatticeQuotient, gamma: Sequence[int]) -> int:
+    """The number of cut detectors of the given type, none of them built."""
+    found = 0
+
+    def count(values, cut) -> None:
+        nonlocal found
+        found += 1
+
+    _detector_search(lq, _spanning_tree(lq), tuple(gamma), count)
+    return found
+
+
 def enumerate_detectors(lq: LatticeQuotient,
                         gamma: Sequence[int]) -> list[CutDetector]:
     """All cut detectors of the given type, exhaustively."""

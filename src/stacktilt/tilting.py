@@ -184,8 +184,9 @@ def classify_rank1(ctx: GradedDegreeGroup, mode: str = "paper",
                    max_classes: int = 10_000) -> list[TiltingClass]:
     """All tilting classes of line bundles for a rank-one graded group.
 
-    Distinct classes have distinct cuts of type gamma; in zp mode every
-    cut of that type is reached.
+    Distinct classes have distinct cuts of type gamma, and every cut of
+    that type is reached: the classes' orbits under the translations the
+    mode ignores hold as many classes up to p-shifts as there are cuts.
     """
     if ctx.group.free_rank != 1:
         raise InputError("classify_rank1 needs a rank-one graded group")
@@ -197,8 +198,8 @@ def classify_rank1(ctx: GradedDegreeGroup, mode: str = "paper",
     cuts = _certify_rank1(ctx, classes, lq, gamma)
     if len(set(cuts)) != len(cuts):
         raise InternalInvariantBroken("two classes have the same cut")
-    if (translation == "zp"
-            and len(cuts) != len(cuts_mod.enumerate_detectors(lq, gamma))):
+    if (sum(us.orbit_size(rep, translation) for rep in reps)
+            != cuts_mod.count_detectors(lq, gamma)):
         raise InternalInvariantBroken("the classes miss a cut of type gamma")
     return classes
 

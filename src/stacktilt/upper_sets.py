@@ -38,6 +38,8 @@ class GroupPoset:
         self.shift_element = ctx.p if shift_element is None else shift_element
         self.theta_p = ctx.theta_val(self.shift_element)
         self.level = functools.cache(self._level)
+        self.element = functools.cache(self._element)
+        self.whole_group = over is None
         if over is None:
             reps, _, self._proj = ctx.coset_reps(self.shift_element)
             self._samples = {self._proj(r).coords: r for r in reps}
@@ -47,9 +49,11 @@ class GroupPoset:
             self._samples = {h.coords: split.q.section(h)
                              for h in base.elements}
         self.fibers = tuple(sorted(self._samples))
+        self.sample_theta = {a: self.theta(s) for a, s in self._samples.items()}
         # the Prop-GJX local test is only valid on the whole group with
         # shift p = sum x_i; it reads _steps, the levels of s_a + x_i
-        self.supports_local_check = not over and self.shift_element == ctx.p
+        self.supports_local_check = (self.whole_group
+                                     and self.shift_element == ctx.p)
         if self.supports_local_check:
             self._steps = {a: [self.level(s + x) for x in ctx.degrees]
                            for a, s in self._samples.items()}
@@ -58,17 +62,33 @@ class GroupPoset:
     def gaps(self) -> dict:
         """gaps[a][b] = max{k : s_b + k*shift <= s_a}, searched down from the
         theta bound; the search ends since orbits are cofinal."""
-        s, out = self._samples, {a: {} for a in self._samples}
+        s, t = self._samples, self.sample_theta
+        out = {a: {} for a in s}
         for a, b in itertools.product(s, repeat=2):
-            out[a][b] = (self.theta(s[a]) - self.theta(s[b])) // self.theta_p
+            out[a][b] = (t[a] - t[b]) // self.theta_p
             while not self.leq(self.shift(s[b], out[a][b]), s[a]):
                 out[a][b] -= 1
         return out
+
+    @functools.cached_property
+    def sums(self) -> dict:
+        """sums[a][c] = level(s_a + s_c): translating (a, k) by s_c lands on
+        (b, k + j) for (b, j) = sums[a][c].  Whole-group form only."""
+        if not self.whole_group:
+            raise ValueError("translations by fiber samples need the whole "
+                             "group")
+        s = self._samples
+        return {a: {c: self.level(s[a] + s[c]) for c in s} for a in s}
 
     def _level(self, e: GroupElement) -> tuple:
         """(a, k) with e = s_a + k*shift; self.level caches it per e."""
         a = self.fiber_key(e)
         return a, self.theta(e - self._samples[a]) // self.theta_p
+
+    def _element(self, a, k: int) -> GroupElement:
+        """s_a + k*shift, the element at level (a, k); self.element caches
+        it per (a, k)."""
+        return self.shift(self._samples[a], k)
 
     def leq(self, a: GroupElement, b: GroupElement) -> bool:
         return self.ctx.leq(a, b)
@@ -204,45 +224,62 @@ def seed_slab(poset) -> AntichainRep:
 
     Always a complete-representative antichain: a violation x >= y + p would
     force theta(x) >= theta(y) + theta(p) >= theta(p), impossible inside the
-    slab.
+    slab.  A slab failing the test is therefore an internal fault.
     """
-    chosen = []
-    for key in poset.fibers:
-        e = poset.fiber_sample(key)
-        n = poset.theta(e) // poset.theta_p
-        chosen.append(poset.shift(e, -n))
-    return checked(poset, chosen)
+    chosen = [poset.element(a, -(poset.sample_theta[a] // poset.theta_p))
+              for a in poset.fibers]
+    ok, witness = is_antichain_rep(poset, chosen)
+    if not ok:
+        raise InternalInvariantBroken(f"the theta slab is no antichain: "
+                                      f"{witness}")
+    return AntichainRep(poset, chosen)
 
 
-def _slab_shift(rep: AntichainRep) -> AntichainRep:
+def _translates(rep: AntichainRep, mode: str):
+    """(key, levels) of the zp-canonical form of each translate of rep.
+
+    mode "zp": rep itself; mode "full": rep + s_c for every fiber sample
+    s_c, which stands for all translations modulo the shift.  Works on the
+    members' levels: (a, k) moves to (b, k + j) for (b, j) = sums[a][c],
+    and the slab shift by -n puts min theta = min(theta(s_b) + k*theta_p)
+    into [0, theta_p).  Keys read the poset's (b, k) element cache.
+    """
     poset = rep.poset
-    lo = min(poset.theta(e) for e in rep.elements)
-    k = -(lo // poset.theta_p)
-    if k == 0:
-        return rep
-    return AntichainRep(poset, [poset.shift(e, k) for e in rep.elements])
+    levels = [poset.level(e) for e in rep.elements]
+    if mode == "zp":
+        candidates = [levels]
+    elif mode == "full":
+        sums = poset.sums
+        candidates = ([(b, k + j) for (a, k) in levels
+                       for b, j in [sums[a][c]]] for c in poset.fibers)
+    else:
+        raise ValueError(f"unknown canonical form mode {mode!r}")
+    theta, theta_p = poset.sample_theta, poset.theta_p
+    for members in candidates:
+        n = min(theta[b] + k * theta_p for b, k in members) // theta_p
+        members = [(b, k - n) for b, k in members]
+        yield tuple(sorted(poset.element(*m).coords for m in members)), members
 
 
 def canonical_form(rep: AntichainRep, mode: str = "zp") -> AntichainRep:
-    """Deterministic orbit representative.
+    """Deterministic orbit representative: the least key among _translates.
 
-    mode "zp": translate by a multiple of p so min theta lands in [0, theta_p).
-    mode "full": additionally minimize over the translations by the fiber
-    samples, i.e. all translations modulo the shift (the "up to
-    translations" counting used for class reporting).
+    mode "zp": translate by a multiple of the shift so min theta lands in
+    [0, theta_p).  mode "full": additionally minimize over the translations
+    by the fiber samples, i.e. all translations modulo the shift (the "up
+    to translations" counting used for class reporting).  Only the winner
+    is built as elements, and rep itself is returned when it is the winner.
     """
-    if mode == "zp":
-        return _slab_shift(rep)
-    if mode != "full":
-        raise ValueError(f"unknown canonical form mode {mode!r}")
-    poset = rep.poset
-    best = None
-    for t in map(poset.fiber_sample, poset.fibers):
-        cand = _slab_shift(AntichainRep(
-            poset, [e + t for e in rep.elements]))
-        if best is None or cand.key() < best.key():
-            best = cand
-    return best
+    key, members = min(_translates(rep, mode), key=lambda t: t[0])
+    if key == rep.key():
+        return rep
+    return AntichainRep(rep.poset, [rep.poset.element(*m) for m in members])
+
+
+def orbit_size(rep: AntichainRep, mode: str) -> int:
+    """How many classes up to shifts rep's mode-class holds: the distinct
+    keys among its translates (1 in zp mode)."""
+    return len({key for key, _ in _translates(rep, mode)})
 
 
 def _walk(start: AntichainRep, mode: str, max_classes: Optional[int] = None,

@@ -20,8 +20,7 @@ from stacktilt.errors import (InternalInvariantBroken, StacktiltError,
 from stacktilt.graded_order import GradedDegreeGroup
 from stacktilt.quiver import Arrow, QuiverPresentation, monomial_label
 from stacktilt.tilting import _is_irreducible
-from stacktilt.upper_sets import (AntichainRep, canonical_form, checked,
-                                  is_antichain_rep)
+from stacktilt.upper_sets import AntichainRep, checked, is_antichain_rep
 
 _SEARCH_CAP = 10_000
 
@@ -53,7 +52,8 @@ def enumerate_classes_window(poset, mode: str = "full",
         if i == len(base):
             ok, _ = is_antichain_rep(poset, chosen)
             if ok:
-                c = canonical_form(AntichainRep(poset, chosen), mode)
+                c = canonical_form_elementwise(AntichainRep(poset, chosen),
+                                               mode)
                 found.setdefault(c.key(), c)
             return
         for n in range(-window, window + 1):
@@ -122,6 +122,28 @@ def upward_mutable_elements_elementwise(rep: AntichainRep
     """Members of J with no other member of J above them, by the order."""
     return [m for m in rep.elements
             if not any(j != m and rep.poset.leq(m, j) for j in rep.elements)]
+
+
+def _slab_shift_elementwise(rep: AntichainRep) -> AntichainRep:
+    poset = rep.poset
+    lo = min(poset.theta(e) for e in rep.elements)
+    return AntichainRep(poset, [poset.shift(e, -(lo // poset.theta_p))
+                                for e in rep.elements])
+
+
+def canonical_form_elementwise(rep: AntichainRep,
+                               mode: str = "zp") -> AntichainRep:
+    """upper_sets.canonical_form by group arithmetic: every translate is
+    built as elements and slab-shifted by its own thetas, instead of moving
+    member levels through the poset's sum table."""
+    if mode == "zp":
+        return _slab_shift_elementwise(rep)
+    if mode != "full":
+        raise ValueError(f"unknown canonical form mode {mode!r}")
+    poset = rep.poset
+    return min((_slab_shift_elementwise(AntichainRep(
+        poset, [e + poset.fiber_sample(c) for e in rep.elements]))
+        for c in poset.fibers), key=AntichainRep.key)
 
 
 def local_check_elementwise(poset, by_fiber: dict) -> bool:

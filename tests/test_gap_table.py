@@ -1,21 +1,24 @@
-"""The gap table against the order it summarizes.
+"""The gap and sum tables against the order and the group they summarize.
 
 `upper_sets` reads GroupPoset.gaps and GroupPoset.level where it once asked
-the order about every pair of elements.  The element-level routines in
-oracles.py still ask `poset.leq`; here both run on every state that
-`enumerate_classes` visits, and a corrupted table must be caught by the
-checks that do not read it.
+the order about every pair of elements, and translates member levels
+through GroupPoset.sums where it once added group elements.  The
+element-level routines in oracles.py still ask `poset.leq` and add
+elements; here both run on every state that `enumerate_classes` visits,
+and a corrupted table must be caught by the checks that do not read it.
 """
 
 import functools
 import itertools
+import random
 
 import pytest
 
-from oracles import (is_antichain_rep_elementwise, local_check_elementwise,
-                     mutable_elements_elementwise,
+from oracles import (canonical_form_elementwise, is_antichain_rep_elementwise,
+                     local_check_elementwise, mutable_elements_elementwise,
                      upward_mutable_elements_elementwise)
 from stacktilt import cli, tilting, upper_sets as us
+from stacktilt.abgroup import GroupHom
 from stacktilt.errors import InternalInvariantBroken, NotAntichain
 from stacktilt.graded_order import GradedDegreeGroup
 
@@ -233,3 +236,107 @@ def test_sites_of_a_set_with_two_members_over_one_fiber():
     assert us.mutable_elements(rep) == mutable_elements_elementwise(rep)
     assert (us.upward_mutable_elements(rep)
             == upward_mutable_elements_elementwise(rep))
+
+
+# the rank-one benchmark documents: RANK1 and five more weighted lines
+RANK1_CORPUS = {
+    **RANK1,
+    "P2": ([[1]] * 3, ()),
+    "P(4,5,7)": ([[4], [5], [7]], ()),
+    "P(2,3,5,7)": ([[2], [3], [5], [7]], ()),
+    "P(5,7,11)": ([[5], [7], [11]], ()),
+    "P(2,3,5,7,11)": ([[2], [3], [5], [7], [11]], ()),
+}
+
+
+def _with_translates(poset, rep, rng, count=2):
+    """rep and count translates of it, by random sums of degrees on a
+    whole-group poset and by random multiples of the shift on a fibered
+    one (other translations leave the fibers over the base class)."""
+    out = [rep]
+    for _ in range(count):
+        if poset.whole_group:
+            t = poset.ctx.group.zero()
+            for x in poset.ctx.degrees:
+                t = t + rng.randint(-6, 6) * x
+        else:
+            t = rng.randint(-6, 6) * poset.shift_element
+        out.append(us.AntichainRep(poset, [e + t for e in rep.elements]))
+    return out
+
+
+def _assert_forms_agree(poset, modes, rng):
+    for rep in us.enumerate_classes(poset, modes[0]):
+        for moved in _with_translates(poset, rep, rng):
+            for mode in modes:
+                assert (us.canonical_form(moved, mode).key()
+                        == canonical_form_elementwise(moved, mode).key())
+
+
+@pytest.mark.parametrize("name", list(RANK1_CORPUS))
+def test_level_space_forms_on_the_rank1_corpus(name):
+    _assert_forms_agree(us.GroupPoset(_ctx(*RANK1_CORPUS[name])),
+                        ("full", "zp"), random.Random(name))
+
+
+@pytest.mark.parametrize("name", list(RANK2))
+def test_level_space_forms_on_base_and_inner_posets(name):
+    rng = random.Random(name)
+    for poset, modes in _posets(name):
+        _assert_forms_agree(poset, modes, rng)
+
+
+def test_full_translations_need_the_whole_group():
+    inner, _ = _posets("P1xP2")[1]
+    rep = us.enumerate_classes(inner, "zp")[0]
+    with pytest.raises(ValueError, match="whole group"):
+        us.canonical_form(rep, "full")
+
+
+@pytest.mark.parametrize("degrees", [[[2], [3]], [[2], [3], [5]]])
+def test_every_raised_gap_is_caught_or_harmless(monkeypatch, degrees):
+    """A gap one too high makes the order too strict, which can only lose
+    classes; paper mode must then miss a cut, or trip another check."""
+    ctx = _ctx(degrees)
+    expected = [(tc.rep.key(), tc.quiver)
+                for tc in tilting.classify_rank1(ctx, "paper")]
+    n = len(us.GroupPoset(ctx).fibers)
+    caught = []
+    for a, b in itertools.product(range(n), repeat=2):
+        _corrupt(monkeypatch, lambda poset: True, a, b, 1)
+        try:
+            got = tilting.classify_rank1(ctx, "paper")
+        except InternalInvariantBroken as err:
+            caught.append(str(err))
+            continue
+        assert [(tc.rep.key(), tc.quiver) for tc in got] == expected, (a, b)
+    assert any("miss a cut" in msg for msg in caught)
+
+
+def test_full_canonical_forms_project_few_elements(monkeypatch):
+    """P(5,7,11): the BFS computes 277 full canonical forms of 23 members,
+    23 translates each.  Projecting every member of every translate took
+    about 165,000 GroupHom calls; level space allows 5 per form and fiber."""
+    calls = 0
+    project = GroupHom.__call__
+
+    def counted(self, e):
+        nonlocal calls
+        calls += 1
+        return project(self, e)
+
+    monkeypatch.setattr(GroupHom, "__call__", counted)
+    classes = us.enumerate_classes(us.GroupPoset(_ctx([[5], [7], [11]])),
+                                   "full")
+    assert len(classes) == 43
+    assert calls < 32_000
+
+
+def test_a_slab_that_fails_the_antichain_test_is_an_internal_fault(
+        monkeypatch):
+    """The theta slab is an antichain by theorem, so a slab refused by a
+    corrupted table is no invalid input (NotAntichain, exit 2)."""
+    ctx = _ctx(RANK2["P1xP2"])
+    _corrupt(monkeypatch, lambda poset: not poset.whole_group, 0, 0, 1)
+    with pytest.raises(InternalInvariantBroken, match="theta slab"):
+        tilting.classify_rank2(ctx, "paper")

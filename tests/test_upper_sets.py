@@ -161,3 +161,13 @@ def test_class_ceiling(ctx_p23):
     from stacktilt.errors import ClassCountExceeded
     with pytest.raises(ClassCountExceeded):
         us.enumerate_classes(_poset(ctx_p23), "zp", max_classes=3)
+
+
+def test_orbit_sizes_add_up_to_the_zp_classes(ctx_p23, ctx_zz2_d1, ctx_zz2_d2,
+                                              make_pd):
+    for ctx in (ctx_p23, ctx_zz2_d1, ctx_zz2_d2, make_pd(2)):
+        poset = _poset(ctx)
+        full = us.enumerate_classes(poset, "full")
+        zp = us.enumerate_classes(poset, "zp")
+        assert sum(us.orbit_size(rep, "full") for rep in full) == len(zp)
+        assert {us.orbit_size(rep, "zp") for rep in zp} == {1}
