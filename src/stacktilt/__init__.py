@@ -5,8 +5,8 @@ from .abgroup import FgAbelianGroup, GroupElement, GroupHom, direct_sum_group
 from .graded_order import GradedDegreeGroup, SignSplit
 from .stacky_geom import (CohomologyOracle, StackyPolytope, gale_dual,
                           group_to_polytope, parse_polytope)
-from .tilting import (TiltingClass, classify_rank1, classify_rank2,
-                      endomorphism_quiver, verify_class)
+from .tilting import (TiltingClass, arrow_table, classify_rank1,
+                      classify_rank2, endomorphism_quiver, verify_class)
 
 __version__ = "0.1.0"
 
@@ -14,6 +14,7 @@ __all__ = [
     "FgAbelianGroup", "GroupElement", "GroupHom", "direct_sum_group",
     "GradedDegreeGroup", "SignSplit", "CohomologyOracle", "StackyPolytope",
     "gale_dual", "group_to_polytope", "parse_polytope", "TiltingClass",
-    "classify_rank1", "classify_rank2", "endomorphism_quiver", "verify_class",
+    "arrow_table", "classify_rank1", "classify_rank2", "endomorphism_quiver",
+    "verify_class",
     "__version__",
 ]

@@ -7,6 +7,13 @@ classes must biject onto the cuts of type gamma).  Rank two: an outer
 enumeration over the rank-one quotient order, then an inner enumeration
 over the fibered poset above each base class, with rigidity re-checked
 once per base class and top-Ext vanishing once per class.
+
+Endomorphism quivers are read off one arrow table per poset: the exponent
+vectors minimal over its fibers, searched once and stored as integers
+(fiber, level, exponents).  A class takes the entries whose offset from
+its members' levels is 0 as arrows; every entry must have offset 0 or 1,
+the grading of a cut of the quiver over the base (rank two) or of the
+group (rank one).
 """
 
 from __future__ import annotations
@@ -56,80 +63,105 @@ def _class_id(rank: int, elements: Sequence[GroupElement]) -> str:
     return hashlib.sha1(payload.encode()).hexdigest()[:12]
 
 
-def endomorphism_quiver(ctx: GradedDegreeGroup,
-                        elements: Sequence[GroupElement]) -> QuiverPresentation:
+def arrow_table(poset: us.GroupPoset,
+                reps: Sequence[us.AntichainRep]) -> dict:
+    """The arrows of every class in reps, found once for their poset.
+
+    table[a] lists (b, t, c) for each exponent vector c minimal with
+    s_a + deg c over the poset: s_a + deg c = s_b + t*shift, and no
+    nonzero proper sub-vector of c lands over a fiber.  The search goes
+    one degree at a time and admits c only when every c - e_j is open
+    (lands over no fiber), all of which lie on the layer just done; an
+    admitted c that lands is an entry and is not extended.  Each c is met
+    once, from c - e_i with i its last nonzero index.  It stops at
+    theta(c) <= max over reps of (top theta - theta of the member over
+    a): no class has an arrow out of that member beyond, since none has
+    a member above its top theta.  On the whole group every vector
+    lands, so the table is the n single steps per fiber.
+    """
+    ctx = poset.ctx
+    n = ctx.n
+    steps = [(x, ctx.theta_val(x)) for x in ctx.degrees]
+    bound = dict.fromkeys(poset.fibers, 0)
+    for rep in reps:
+        top = max(ctx.theta_val(e) for e in rep.elements)
+        for a, g in rep.by_fiber.items():
+            bound[a] = max(bound[a], top - ctx.theta_val(g))
+    table = {}
+    for a in poset.fibers:
+        found = []
+        layer = {(0,) * n: (poset.fiber_sample(a), 0)}
+        while layer:
+            nxt = {}
+            for b, (mid, t) in layer.items():
+                last = max((j for j in range(n) if b[j]), default=0)
+                for i in range(last, n):
+                    x, tx = steps[i]
+                    c = b[:i] + (b[i] + 1,) + b[i + 1:]
+                    if t + tx > bound[a] or any(
+                            c[j] and c[:j] + (c[j] - 1,) + c[j + 1:]
+                            not in layer for j in range(n)):
+                        continue
+                    h = mid + x
+                    over = poset.level(h)
+                    if over is None:
+                        nxt[c] = (h, t + tx)
+                    else:
+                        found.append((*over, c))
+            layer = nxt
+        table[a] = tuple(found)
+    return table
+
+
+def endomorphism_quiver(table: dict,
+                        rep: us.AntichainRep) -> QuiverPresentation:
     """Arrows are the irreducible monomials between members of the class.
 
     A monomial m from g to h is irreducible when no proper factorization
     passes through another member; arrow multiplicity is the number of
-    such monomials.  Commutativity relations are emitted in rank one
-    only, where they present the algebra.
+    such monomials.  With members g_a = s_a + k_a*shift, they are the
+    entries (b, t, c) of table[a] (see arrow_table) with offset
+    e = k_a + t - k_b equal to 0: a sub-vector of c landing over the
+    fibers at offset 1 or more would put g_b above a member plus shift,
+    at offset -1 or less a member above g_a plus shift.  Every entry
+    must have e in {0, 1}, the grading of a cut; each arrow is re-checked
+    irreducible.  Commutativity relations are emitted in rank one only,
+    where they present the algebra; they read the poset's single steps.
     """
-    verts = sorted({e.coords for e in elements})
-    members = {e.coords: e for e in elements}
-    elems = [members[v] for v in verts]
-    top = max((ctx.theta_val(e) for e in elems), default=0)
+    poset, ctx = rep.poset, rep.poset.ctx
+    members = {e.coords: e for e in rep.elements}
+    at = rep.by_fiber
+    k = {a: poset.level(g)[1] for a, g in at.items()}
     arrows = []
-    for g in elems:
-        for h, a in _arrows_from(ctx, members, g, top):
-            if not _is_irreducible(ctx, members, g, a):
+    for a, g in at.items():
+        for b, t, c in table[a]:
+            e = k[a] + t - k[b]
+            if e == 1:
+                continue
+            if e != 0:
                 raise InternalInvariantBroken(
-                    f"arrow search met a reducible monomial {a} "
+                    f"arrow {c} out of {g.coords} has offset {e}, "
+                    "outside the cut grading {0, 1}")
+            if not _is_irreducible(ctx, members, g, c):
+                raise InternalInvariantBroken(
+                    f"arrow table met a reducible monomial {c} "
                     f"out of {g.coords}")
-            arrows.append(Arrow(g.coords, h, monomial_label(a)))
+            arrows.append(Arrow(g.coords, at[b].coords, monomial_label(c)))
     relations: list[Relation] = []
     if ctx.group.free_rank == 1:
-        for g in elems:
-            for i in range(ctx.n):
-                for j in range(i + 1, ctx.n):
-                    gi = g + ctx.degrees[i]
-                    gj = g + ctx.degrees[j]
-                    gij = gi + ctx.degrees[j]
-                    if (gi.coords in members and gj.coords in members
-                            and gij.coords in members):
-                        relations.append(Relation(
-                            source=g.coords, target=gij.coords,
-                            path_a=(f"x{i + 1}", f"x{j + 1}"),
-                            path_b=(f"x{j + 1}", f"x{i + 1}")))
-    return QuiverPresentation(vertices=tuple(verts), arrows=tuple(arrows),
+        steps = poset._steps     # steps[a][i]: the level of s_a + x_i
+        for a, g in at.items():
+            for i, j in itertools.combinations(range(ctx.n), 2):
+                (bi, ti), (bj, tj) = steps[a][i], steps[a][j]
+                f, t = steps[bi][j]
+                if (k[bi] == k[a] + ti and k[bj] == k[a] + tj
+                        and k[f] == k[a] + ti + t):
+                    relations.append(Relation(
+                        source=g.coords, target=at[f].coords,
+                        path_a=(f"x{i + 1}", f"x{j + 1}"),
+                        path_b=(f"x{j + 1}", f"x{i + 1}")))
+    return QuiverPresentation(vertices=tuple(members), arrows=tuple(arrows),
                               relations=tuple(relations))
-
-
-def _arrows_from(ctx: GradedDegreeGroup, members: dict, g: GroupElement,
-                 top: int) -> list[tuple[tuple, tuple[int, ...]]]:
-    """The irreducible monomials out of g, as (target coords, exponents).
-
-    An exponent vector b is open when no nonzero b' <= b lands on a
-    member (the zero vector counts as open).  Open vectors are
-    down-closed, so the search goes one degree at a time and admits c
-    only when every c - e_j is open, all of which lie on the level just
-    done; an admitted c landing on a member is an arrow and is not
-    extended.  Each c is met once, from c - e_i with i its last nonzero
-    index.  theta(x_i) > 0 and no member lies above theta = top, so the
-    search ends.
-    """
-    n = ctx.n
-    steps = [(x, ctx.theta_val(x)) for x in ctx.degrees]
-    found = []
-    level = {(0,) * n: (g, ctx.theta_val(g))}
-    while level:
-        nxt = {}
-        for b, (mid, t) in level.items():
-            last = max((j for j in range(n) if b[j]), default=0)
-            for i in range(last, n):
-                x, tx = steps[i]
-                c = b[:i] + (b[i] + 1,) + b[i + 1:]
-                if t + tx > top or any(
-                        c[j] and c[:j] + (c[j] - 1,) + c[j + 1:] not in level
-                        for j in range(n)):
-                    continue
-                h = mid + x
-                if h.coords in members:
-                    found.append((h.coords, c))
-                else:
-                    nxt[c] = (h, t + tx)
-        level = nxt
-    return found
 
 
 def _is_irreducible(ctx: GradedDegreeGroup, members: dict,
@@ -169,13 +201,14 @@ def _certify_rank1(ctx: GradedDegreeGroup, classes: list[TiltingClass],
     return out
 
 
-def _tilting_class(ctx: GradedDegreeGroup, rep: us.AntichainRep,
-                   translation: str, split: Optional[SignSplit] = None,
+def _tilting_class(table: dict, rep: us.AntichainRep, translation: str,
+                   split: Optional[SignSplit] = None,
                    base: Optional[us.AntichainRep] = None) -> TiltingClass:
-    """The class of rep with its endomorphism quiver, not yet certified."""
+    """The class of rep with its endomorphism quiver read off table."""
+    ctx = rep.poset.ctx
     rank = ctx.group.free_rank
     return TiltingClass(rank=rank, ctx=ctx, rep=rep,
-                        quiver=endomorphism_quiver(ctx, rep.elements),
+                        quiver=endomorphism_quiver(table, rep),
                         class_id=_class_id(rank, rep.elements),
                         translation=translation, base=base, split=split)
 
@@ -194,7 +227,8 @@ def classify_rank1(ctx: GradedDegreeGroup, mode: str = "paper",
     poset = us.GroupPoset(ctx)
     reps = us.enumerate_classes(poset, translation, max_classes)
     lq, gamma = cuts_mod.data_of_group(ctx)
-    classes = [_tilting_class(ctx, rep, translation) for rep in reps]
+    table = arrow_table(poset, reps)
+    classes = [_tilting_class(table, rep, translation) for rep in reps]
     cuts = _certify_rank1(ctx, classes, lq, gamma)
     if len(set(cuts)) != len(cuts):
         raise InternalInvariantBroken("two classes have the same cut")
@@ -225,17 +259,26 @@ class Rank2Classification:
 
 
 def _certify_rank2(ctx: GradedDegreeGroup, split: SignSplit,
-                   base: us.AntichainRep, classes: list[TiltingClass]) -> None:
+                   base: us.AntichainRep,
+                   reps: Sequence[us.AntichainRep]) -> None:
     """Rigidity (no comparison through s) of the base, which q maps every
-    class onto, then vanishing top Ext per class."""
+    class onto, then vanishing top Ext per class.  For members at levels
+    (a1, k1) and (a2, k2), g1 - g2 - p = s_a1 - s_a2 + (k1 - k2 - 1)*p, so
+    each count is made once per (a1, a2, k1 - k2) over the base."""
     h = split.h_ctx
     for h1, h2 in itertools.product(base.elements, repeat=2):
         if h.leq(h2 + split.s, h1):
             raise InternalInvariantBroken(
                 "rigidity certificate failed: q(g) >= q(h) + s")
-    for tc in classes:
-        for g1, g2 in itertools.product(tc.elements, repeat=2):
-            if ctx.hom_dim(g1 - g2 - ctx.p) != 0:
+    top_ext: dict = {}
+    for rep in reps:
+        levels = [(rep.poset.level(g), g) for g in rep.elements]
+        for ((a1, k1), g1), ((a2, k2), g2) in itertools.product(levels,
+                                                                repeat=2):
+            key = (a1, a2, k1 - k2)
+            if key not in top_ext:
+                top_ext[key] = ctx.hom_dim(g1 - g2 - ctx.p)
+            if top_ext[key] != 0:
                 raise InternalInvariantBroken(
                     "top-Ext certificate failed: S_{g-h-p} != 0")
 
@@ -297,9 +340,10 @@ def classify_rank2(ctx: GradedDegreeGroup, mode: str = "paper",
             raise ClassCountExceeded("class enumeration exceeded the ceiling",
                                      ceiling=max_classes) from None
         budget -= len(inner)
-        classes = [_tilting_class(ctx, rep, "zp", split, base)
+        _certify_rank2(ctx, split, base, inner)
+        table = arrow_table(poset, inner)
+        classes = [_tilting_class(table, rep, "zp", split, base)
                    for rep in inner]
-        _certify_rank2(ctx, split, base, classes)
         merged = _stabilizer_merged_count(split, base, inner)
         groups.append(Rank2Group(base=base,
                                  base_id=_class_id(0, base.elements),
@@ -309,13 +353,15 @@ def classify_rank2(ctx: GradedDegreeGroup, mode: str = "paper",
 
 
 def apr_mutate(tclass: TiltingClass, m: GroupElement) -> TiltingClass:
-    """Tilting mutation at a minimal member: replace m by m + p, recertify."""
-    tc = _tilting_class(tclass.ctx, us.mutate(tclass.rep, m),
+    """Tilting mutation at a minimal member: replace m by m + p, recertify
+    (top Ext before the quiver in rank two, as classify_rank2 does)."""
+    rep = us.mutate(tclass.rep, m)
+    if tclass.rank == 2:
+        _certify_rank2(tclass.ctx, tclass.split, tclass.base, [rep])
+    tc = _tilting_class(arrow_table(rep.poset, [rep]), rep,
                         tclass.translation, tclass.split, tclass.base)
     if tc.rank == 1:
         _certify_rank1(tc.ctx, [tc], *cuts_mod.data_of_group(tc.ctx))
-    else:
-        _certify_rank2(tc.ctx, tc.split, tc.base, [tc])
     return tc
 
 

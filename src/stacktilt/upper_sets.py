@@ -37,6 +37,7 @@ class GroupPoset:
         self.ctx = ctx
         self.shift_element = ctx.p if shift_element is None else shift_element
         self.theta_p = ctx.theta_val(self.shift_element)
+        self.fiber_key = functools.cache(self._fiber_key)
         self.level = functools.cache(self._level)
         self.element = functools.cache(self._element)
         self.whole_group = over is None
@@ -80,9 +81,12 @@ class GroupPoset:
         s = self._samples
         return {a: {c: self.level(s[a] + s[c]) for c in s} for a in s}
 
-    def _level(self, e: GroupElement) -> tuple:
-        """(a, k) with e = s_a + k*shift; self.level caches it per e."""
+    def _level(self, e: GroupElement) -> Optional[tuple]:
+        """(a, k) with e = s_a + k*shift, or None when e lies over no fiber
+        of the poset; self.level caches it per e."""
         a = self.fiber_key(e)
+        if a not in self._samples:
+            return None
         return a, self.theta(e - self._samples[a]) // self.theta_p
 
     def _element(self, a, k: int) -> GroupElement:
@@ -96,7 +100,9 @@ class GroupPoset:
     def shift(self, a: GroupElement, n: int) -> GroupElement:
         return a + n * self.shift_element
 
-    def fiber_key(self, a: GroupElement):
+    def _fiber_key(self, a: GroupElement):
+        """The fiber a lies over; self.fiber_key caches it per a, so each
+        element is projected once per poset."""
         return self._proj(a).coords
 
     def fiber_sample(self, key) -> GroupElement:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -18,8 +19,8 @@ from stacktilt.cuts import (CutDetector, LatticeQuotient, _spanning_tree,
 from stacktilt.errors import (InternalInvariantBroken, StacktiltError,
                               UnboundedContribution)
 from stacktilt.graded_order import GradedDegreeGroup
-from stacktilt.quiver import Arrow, QuiverPresentation, monomial_label
-from stacktilt.tilting import _is_irreducible
+from stacktilt.quiver import (Arrow, QuiverPresentation, Relation,
+                              monomial_label)
 from stacktilt.upper_sets import AntichainRep, checked, is_antichain_rep
 
 _SEARCH_CAP = 10_000
@@ -158,19 +159,82 @@ def local_check_elementwise(poset, by_fiber: dict) -> bool:
     return True
 
 
+def endomorphism_quiver_search(ctx, elements) -> QuiverPresentation:
+    """The endomorphism quiver of any set, by a down-closed search out of
+    every member and, in rank one, relations by group arithmetic.
+
+    The per-class reference for tilting.arrow_table: a vector is open when
+    no nonzero sub-vector of it lands on a member (the zero vector counts
+    as open); a vector is admitted only when every c - e_j is open, and an
+    admitted vector landing on a member is an arrow and is not extended.
+    Each vector is met once, from c - e_i with i its last nonzero index.
+    theta(x_i) > 0 and no member lies above the largest member theta, so
+    the search ends.
+    """
+    members = {e.coords: e for e in elements}
+    top = max(ctx.theta_val(e) for e in members.values())
+    n = ctx.n
+    steps = [(x, ctx.theta_val(x)) for x in ctx.degrees]
+    arrows = []
+    for g in members.values():
+        level = {(0,) * n: (g, ctx.theta_val(g))}
+        while level:
+            nxt = {}
+            for b, (mid, t) in level.items():
+                last = max((j for j in range(n) if b[j]), default=0)
+                for i in range(last, n):
+                    x, tx = steps[i]
+                    c = b[:i] + (b[i] + 1,) + b[i + 1:]
+                    if t + tx > top or any(
+                            c[j] and c[:j] + (c[j] - 1,) + c[j + 1:]
+                            not in level for j in range(n)):
+                        continue
+                    h = mid + x
+                    if h.coords in members:
+                        arrows.append(Arrow(g.coords, h.coords,
+                                            monomial_label(c)))
+                    else:
+                        nxt[c] = (h, t + tx)
+            level = nxt
+    relations = []
+    if ctx.group.free_rank == 1:
+        for g in members.values():
+            for i, j in itertools.combinations(range(n), 2):
+                gi = g + ctx.degrees[i]
+                gj = g + ctx.degrees[j]
+                gij = gi + ctx.degrees[j]
+                if (gi.coords in members and gj.coords in members
+                        and gij.coords in members):
+                    relations.append(Relation(
+                        source=g.coords, target=gij.coords,
+                        path_a=(f"x{i + 1}", f"x{j + 1}"),
+                        path_b=(f"x{j + 1}", f"x{i + 1}")))
+    return QuiverPresentation(vertices=tuple(members), arrows=tuple(arrows),
+                              relations=tuple(relations))
+
+
 def endomorphism_quiver_bruteforce(ctx, elements) -> QuiverPresentation:
     """Vertices and arrows of the endomorphism quiver, without relations.
 
     Every monomial of every difference h - g, kept when it is nonzero and
-    irreducible: the enumerate-then-filter reference for the arrow search.
+    no monomial of a difference m - g, for a third member m, divides it:
+    the enumerate-then-filter reference for the arrow searches.
     """
     members = {e.coords: e for e in elements}
-    elems = [members[v] for v in sorted(members)]
-    arrows = [Arrow(g.coords, h.coords, monomial_label(a))
-              for g, h in itertools.product(elems, repeat=2)
-              for a in ctx.monomials(h - g)
-              if any(a) and _is_irreducible(ctx, members, g, a)]
+    verts = sorted(members)
+    monos = {(g, h): ctx.monomials(members[h] - members[g])
+             for g, h in itertools.product(verts, repeat=2)}
+    arrows = []
+    for g, h in itertools.product(verts, repeat=2):
+        divisors = [b for m in verts if m not in (g, h) for b in monos[g, m]]
+        arrows += [Arrow(g, h, monomial_label(a)) for a in monos[g, h]
+                   if any(a) and not any(map(_divides, divisors,
+                                             itertools.repeat(a)))]
     return QuiverPresentation(vertices=tuple(members), arrows=tuple(arrows))
+
+
+def _divides(b, a) -> bool:
+    return all(map(operator.le, b, a))
 
 
 _NODE_RE = re.compile(r"^\s*(\w+)\s*\[label=")

@@ -1,9 +1,12 @@
 import dataclasses
+import functools
+import itertools
 
 import pytest
 
 from oracles import (arrow_multiset, endomorphism_quiver_bruteforce,
-                     enumerate_classes_window, i_contains, j_of_upper)
+                     endomorphism_quiver_search, enumerate_classes_window,
+                     i_contains, j_of_upper)
 from stacktilt import cuts, tilting, upper_sets as us
 from stacktilt.abgroup import direct_sum_group
 from stacktilt.errors import InternalInvariantBroken, NotMinimal
@@ -103,10 +106,11 @@ def test_square_class_appears(ctx_p1p1):
 
 def test_endomorphism_quiver_examples(ctx_p23, ctx_sigma1):
     z = ctx_p23.group
-    j = [z.canonicalize([v]) for v in [0, 1, 2, 3, 4]]
-    qp = tilting.endomorphism_quiver(ctx_p23, j)
+    poset = us.GroupPoset(ctx_p23)
+    rep = us.checked(poset, [z.canonicalize([v]) for v in [0, 1, 2, 3, 4]])
+    qp = tilting.endomorphism_quiver(tilting.arrow_table(poset, [rep]), rep)
     assert len(qp.arrows) == 5
-    singleton = tilting.endomorphism_quiver(ctx_p23, [z.zero()])
+    singleton = endomorphism_quiver_search(ctx_p23, [z.zero()])
     assert singleton.arrows == ()
     res = tilting.classify_rank2(ctx_sigma1)
     composite_labels = set()
@@ -128,49 +132,172 @@ def _one_class_per_base(ctx):
     split = ctx.sign_split()
     h_poset = us.GroupPoset(split.h_ctx, shift_element=split.s)
     return [us.canonical_form(us.seed_slab(us.GroupPoset(
-                ctx, over=(split, base))), "zp").elements
+                ctx, over=(split, base))), "zp")
             for base in us.enumerate_classes(h_poset, "full")]
 
 
-_P1P1 = [(1, 0)] * 2 + [(0, 1)] * 2
-_BRUTEFORCE_GROUPS = {   # case: (free rank, torsion orders, degrees)
+def _product(a, b):
+    return (2, [], [(1, 0)] * (a + 1) + [(0, 1)] * (b + 1))
+
+
+_RANK1_CORPUS = {   # name: (free rank, torsion orders, degrees)
     "p23": (1, [], [(2,), (3,)]),
-    "p345-zp": (1, [], [(3,), (4,), (5,)]),
+    "p345": (1, [], [(3,), (4,), (5,)]),
+    "p4567": (1, [], [(4,), (5,), (6,), (7,)]),
+    "p2": (1, [], [(1,)] * 3),
+    "p457": (1, [], [(4,), (5,), (7,)]),
+    "p2357": (1, [], [(2,), (3,), (5,), (7,)]),
+    "p5711": (1, [], [(5,), (7,), (11,)]),
+    "p23571": (1, [], [(2,), (3,), (5,), (7,), (11,)]),
+    "zz2_d1": (1, [2], [(1, 0), (1, 1)]),
+    "zz2_d2": (1, [2], [(1, 0), (1, 0), (1, 1)]),
     "zz2_b": (1, [2], [(1, 0), (2, 1), (3, 0)]),
     "zz3": (1, [3], [(1, 0), (1, 1), (1, 2)]),
-    "p1p1": (2, [], _P1P1),
-    "p1p2": (2, [], [(1, 0)] * 2 + [(0, 1)] * 3),
+}
+# the rank-two benchmark documents, then more Picard-rank-two degree sets,
+# two of them with torsion
+_RANK2_CORPUS = {
+    "p1p1": _product(1, 1),
+    "p1p2": _product(1, 2),
+    "p1p3": _product(1, 3),
+    "p2p2": _product(2, 2),
     "sigma1": (2, [], [(1, 0), (1, 0), (1, 1), (0, 1)]),
     "stacky": (2, [], [(1, -1), (1, 0), (1, 1), (0, 1)]),
-    "p2p2-bases": (2, [], [(1, 0)] * 3 + [(0, 1)] * 3),
-    "p1p1-powers": (2, [], _P1P1),
+    "minus": (2, [], [(1, 0), (1, 0), (-1, 1), (0, 1)]),
+    "w12": (2, [], [(1, 0), (2, 0), (0, 1), (0, 1)]),
+    "w12-second": (2, [], [(1, 0), (1, 0), (0, 1), (0, 2)]),
+    "w23": (2, [], [(2, 0), (3, 0), (0, 1), (0, 1)]),
+    "diagonal": (2, [], [(1, 0)] * 3 + [(0, 1)] * 2 + [(1, 1)]),
+    "z2-torsion": (2, [2], [(1, 0, 0), (1, 0, 1), (0, 1, 0), (0, 1, 1)]),
+    "z3-torsion": (2, [3], [(1, 0, 0), (1, 0, 1), (0, 1, 2), (0, 1, 0)]),
+}
+# zp mode lists 3,660 and 8,908 classes on these, too many for the suite
+_PAPER_ONLY = {"w23", "z3-torsion"}
+_QUIVER_CASES = {   # case: (group, mode); "-zp" marks zp mode
+    **{name: (spec, "paper") for name, spec in _RANK1_CORPUS.items()},
+    "p345-zp": (_RANK1_CORPUS["p345"], "zp"),
+    **{name: (spec, "paper") for name, spec in _RANK2_CORPUS.items()},
+    **{f"{name}-zp": (spec, "zp") for name, spec in _RANK2_CORPUS.items()
+       if name not in _PAPER_ONLY},
+    "p2p2-bases": (_product(2, 2), None),
+    "p1p1-powers": (_product(1, 1), None),
 }
 
 
-@pytest.mark.parametrize("case", list(_BRUTEFORCE_GROUPS))
-def test_endomorphism_quiver_matches_bruteforce(case):
-    """The arrow search meets exactly the irreducible monomials, in the
-    order the enumerate-then-filter path emits them.  No tilting class of
-    these inputs has an arrow with a squared variable, so p1p1-powers
-    takes sets that are not tilting and have such arrows."""
-    ctx = _ctx(*_BRUTEFORCE_GROUPS[case])
-    mode = "zp" if case == "p345-zp" else "paper"
-    if case == "p2p2-bases":
-        sets = _one_class_per_base(ctx)
-    elif case == "p1p1-powers":
-        sets = [[ctx.group.from_coords(v) for v in vs] for vs in (
-            [(0, 0), (2, 0), (0, 2), (2, 2)],
-            [(0, 0), (1, 0), (3, 1), (1, 3)])]
-    elif ctx.group.free_rank == 1:
-        sets = [tc.elements for tc in tilting.classify_rank1(ctx, mode)]
-    else:
-        sets = [tc.elements for tc in tilting.classify_rank2(ctx, mode).classes]
-    assert sets
-    for elements in sets:
-        fast = tilting.endomorphism_quiver(ctx, elements).to_json()
+def _classes(ctx, mode="paper"):
+    if ctx.group.free_rank == 1:
+        return tilting.classify_rank1(ctx, mode)
+    return tilting.classify_rank2(ctx, mode).classes
+
+
+def _assert_oracles_agree(ctx, quivers):
+    """Each (elements, quiver) pair: the per-class search gives the same
+    presentation, and the enumerate-then-filter path the same arrows."""
+    # the classes of one input repeat their differences h - g
+    ctx.monomials = functools.cache(ctx.monomials)
+    for elements, qp in quivers:
+        assert endomorphism_quiver_search(ctx, elements) == qp
         slow = endomorphism_quiver_bruteforce(ctx, elements).to_json()
-        assert fast["arrows"] and fast["arrows"] == slow["arrows"]
-        assert fast["vertices"] == slow["vertices"]
+        assert qp.to_json()["arrows"] == slow["arrows"]
+        assert qp.to_json()["vertices"] == slow["vertices"]
+
+
+@pytest.mark.parametrize("case", list(_QUIVER_CASES))
+def test_endomorphism_quiver_matches_bruteforce(case):
+    """Every class's quiver, read off its poset's arrow table, is the one
+    the per-class search and the enumerate-then-filter path find.
+    p2p2-bases takes the seed class over each base class, with a one-class
+    table.  No tilting class of these inputs has an arrow with a squared
+    variable, so p1p1-powers takes sets that are not tilting and have such
+    arrows; only the per-class search serves those."""
+    spec, mode = _QUIVER_CASES[case]
+    ctx = _ctx(*spec)
+    if case == "p2p2-bases":
+        quivers = [(rep.elements, tilting.endomorphism_quiver(
+                        tilting.arrow_table(rep.poset, [rep]), rep))
+                   for rep in _one_class_per_base(ctx)]
+    elif case == "p1p1-powers":
+        quivers = [(els, endomorphism_quiver_search(ctx, els)) for els in (
+            [ctx.group.from_coords(v) for v in vs] for vs in (
+                [(0, 0), (2, 0), (0, 2), (2, 2)],
+                [(0, 0), (1, 0), (3, 1), (1, 3)]))]
+    else:
+        quivers = [(tc.elements, tc.quiver) for tc in _classes(ctx, mode)]
+    assert quivers and all(qp.arrows for _, qp in quivers)
+    _assert_oracles_agree(ctx, quivers)
+
+
+@pytest.mark.parametrize("case", ["p23", "p1p2"])
+def test_table_entry_off_the_cut_grading_is_caught(monkeypatch, case):
+    """Every table entry out of a class member has offset e in {0, 1}: an
+    entry whose level t is moved by 2 has e in {2, 3} for every class and
+    must raise, in rank one and in rank two."""
+    ctx = _ctx(*_QUIVER_CASES[case][0])
+    build = tilting.arrow_table
+
+    def corrupted(poset, reps):
+        table = build(poset, reps)
+        a = poset.fibers[0]
+        (b, t, c), *rest = table[a]
+        table[a] = ((b, t + 2, c), *rest)
+        return table
+
+    monkeypatch.setattr(tilting, "arrow_table", corrupted)
+    with pytest.raises(InternalInvariantBroken, match="cut grading"):
+        _classes(ctx)
+
+
+@pytest.mark.parametrize("case", ["p345", "p345-zp", "p1p2", "p2p2-zp",
+                                  "z2-torsion"])
+def test_arrow_search_runs_once_per_poset(monkeypatch, case):
+    """One arrow table per classification in rank one, one per base class
+    in rank two, each on its own poset; the classes only read them."""
+    spec, mode = _QUIVER_CASES[case]
+    ctx = _ctx(*spec)
+    posets = []
+    build = tilting.arrow_table
+
+    def counted(poset, reps):
+        posets.append(poset)
+        return build(poset, reps)
+
+    monkeypatch.setattr(tilting, "arrow_table", counted)
+    if ctx.group.free_rank == 1:
+        classes = tilting.classify_rank1(ctx, mode)
+        assert len(posets) == 1
+    else:
+        result = tilting.classify_rank2(ctx, mode)
+        classes = result.classes
+        assert len(posets) == len(result.groups)
+        for grp, poset in zip(result.groups, posets):
+            assert all(tc.rep.poset is poset for tc in grp.classes)
+    assert len(set(map(id, posets))) == len(posets) < len(classes)
+
+
+def test_top_ext_counts_once_per_fiber_pair_and_level_difference(
+        monkeypatch):
+    """P2xP2: hom_dim(g1 - g2 - p) is asked once per (a1, a2, k1 - k2) over
+    each base class, not once per ordered pair of members of every class."""
+    ctx = _ctx(*_product(2, 2))
+    asked = []
+    hom_dim = GradedDegreeGroup.hom_dim
+
+    def counted(self, g):
+        asked.append(g)
+        return hom_dim(self, g)
+
+    monkeypatch.setattr(GradedDegreeGroup, "hom_dim", counted)
+    result = tilting.classify_rank2(ctx, "paper")
+    expected = 0
+    for grp in result.groups:
+        level = grp.classes[0].rep.poset.level
+        expected += len({(level(g1)[0], level(g2)[0],
+                          level(g1)[1] - level(g2)[1])
+                         for tc in grp.classes
+                         for g1, g2 in itertools.product(tc.elements,
+                                                         repeat=2)})
+    pairs = sum(len(tc.elements) ** 2 for tc in result.classes)
+    assert len(asked) == expected < pairs / 4
 
 
 def _retarget(qp, field, k):
