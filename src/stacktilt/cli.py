@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from math import isqrt
 from pathlib import Path
 from typing import Optional
@@ -30,10 +31,41 @@ from .stacky_geom import (CohomologyOracle, StackyPolytope, gale_dual,
 SCHEMA_VERSION = 1
 
 
+def _encode(value, pad: str = "") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), nested at pad.
+
+    json falls back to its pure-Python encoder whenever indent is set;
+    this one builds the same text with fewer calls per value.  Strings
+    and ints go through json's own routines, any type but the JSON ones
+    through json.dumps itself.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)   # ValueError past 4300 digits
+    inner = pad + "  "
+    if kind is list or kind is tuple:
+        brackets, items = "[]", [_encode(v, inner) for v in value]
+    elif kind is dict and all(type(k) is str for k in value):
+        brackets, items = "{}", [
+            f"{encode_basestring_ascii(k)}: {_encode(value[k], inner)}"
+            for k in sorted(value)]
+    elif value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    else:
+        return json.dumps(value, indent=2,
+                          sort_keys=True).replace("\n", "\n" + pad)
+    if not items:
+        return brackets
+    return (f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items)
+            + f"\n{pad}{brackets[1]}")
+
+
 def _emit(doc: dict) -> None:
     doc = {"schema_version": SCHEMA_VERSION, **doc}
     try:
-        text = json.dumps(doc, indent=2, sort_keys=True)
+        text = _encode(doc)
     except ValueError as exc:   # Python prints no int over 4300 digits
         raise InputError(f"the report cannot be printed: {exc}") from None
     print(text)

@@ -342,6 +342,10 @@ def classify_rank2(ctx: GradedDegreeGroup, mode: str = "paper",
         budget -= len(inner)
         _certify_rank2(ctx, split, base, inner)
         table = arrow_table(poset, inner)
+        us.check_closure(poset, ((a, b, t) for a, entries in table.items()
+                                 for b, t, _ in entries),
+                         "the arrow table's cut grading disagrees with the "
+                         "gap table")
         classes = [_tilting_class(table, rep, "zp", split, base)
                    for rep in inner]
         merged = _stabilizer_merged_count(split, base, inner)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 from typing import Iterable, Optional, Sequence
 
 from .abgroup import GroupElement
@@ -111,19 +113,13 @@ class GroupPoset:
     def theta(self, a: GroupElement) -> int:
         return self.ctx.theta_val(a)
 
-    def local_check(self, by_fiber: dict) -> bool:
-        """g + x_i in J or J + p, for g in J and each degree, read off the
-        levels _steps[a] of s_a + x_i; by_fiber maps fibers to members."""
-        k = {a: self.level(g)[1] for a, g in by_fiber.items()}
-        return all(k[b] <= k[a] + d <= k[b] + 1
-                   for a in k for b, d in self._steps[a])
-
 
 class AntichainRep:
     """One chosen element per fiber, pairwise satisfying x >= y + p nowhere."""
 
-    # edges: (site, neighbour class) per downward mutation, set by _walk;
-    # sites come in element order, as mutable_elements lists them
+    # edges: (site, neighbour class) per downward mutation, set by
+    # enumerate_classes; sites come in element order, as mutable_elements
+    # lists them
     __slots__ = ("poset", "elements", "by_fiber", "edges")
 
     def __init__(self, poset, elements: Iterable[GroupElement]):
@@ -139,12 +135,7 @@ class AntichainRep:
 
 
 def is_antichain_rep(poset, elements: Sequence[GroupElement]):
-    """(ok, witness): completeness plus the antichain condition.
-
-    On rank-one group posets with shift p the equivalent local condition of
-    the J-characterization is cross-checked; a disagreement would falsify a
-    theorem and raises InternalInvariantBroken.
-    """
+    """(ok, witness): completeness plus the antichain condition."""
     elements = list(elements)
     seen = {}
     for e in elements:
@@ -167,9 +158,6 @@ def is_antichain_rep(poset, elements: Sequence[GroupElement]):
     witness = None if ok else {"reason": "antichain",
                                "greater": list(hit[0].coords),
                                "lesser": list(hit[1].coords)}
-    if poset.supports_local_check and poset.local_check(seen) != ok:
-        raise InternalInvariantBroken(
-            "local J-condition disagrees with the antichain condition")
     return ok, witness
 
 
@@ -288,60 +276,204 @@ def orbit_size(rep: AntichainRep, mode: str) -> int:
     return len({key for key, _ in _translates(rep, mode)})
 
 
-def _walk(start: AntichainRep, mode: str, max_classes: Optional[int] = None,
-          in_target=None) -> tuple[dict, dict, Optional[tuple]]:
-    """Mutation BFS over mode-canonical states: (seen, parents, goal).
+def _walk(start: AntichainRep, in_target) -> tuple[dict, Optional[tuple]]:
+    """Mutation BFS over shift-canonical states: (parents, goal).
 
     parents maps each key to (parent key, fiber key, +1 | -1), or None at
-    start.  With in_target it stops at start, or after expanding the first
-    state with a child in the target, whose last such child is the goal.
-    Otherwise it closes the component and sets every state's edges.
+    start.  The walk stops at start, or after expanding the first state
+    with a child in the target, whose last such child is the goal.
     """
-    seen = {start.key(): start}
     parents: dict = {start.key(): None}
-    goal = start.key() if in_target is not None and in_target(start) else None
+    goal = start.key() if in_target(start) else None
     frontier = [start]
     while frontier and goal is None:
         nxt = []
         for rep in frontier:
-            # every admitted state, the start too, is expanded: none escapes
-            if max_classes is not None and len(seen) > max_classes:
-                raise ClassCountExceeded(
-                    "class enumeration exceeded the ceiling",
-                    ceiling=max_classes)
             moves = [(m, 1) for m in mutable_elements(rep)]
             moves += [(m, -1) for m in upward_mutable_elements(rep)]
-            edges = []
             for m, direction in moves:
                 c = canonical_form(mutate(rep, m) if direction == 1
-                                   else mutate_up(rep, m), mode)
+                                   else mutate_up(rep, m), "zp")
                 k = c.key()
-                if k not in seen:
-                    seen[k] = c
+                if k not in parents:
                     parents[k] = (rep.key(), rep.poset.fiber_key(m), direction)
                     nxt.append(c)
-                    if in_target is not None and in_target(c):
+                    if in_target(c):
                         goal = k
-                if direction == 1:
-                    edges.append((m, seen[k]))
             if goal is not None:
                 break
-            if in_target is None:   # connect's start may be a listed class
-                rep.edges = tuple(edges)
         frontier = nxt
-    return seen, parents, goal
+    return parents, goal
+
+
+def check_closure(poset, steps: Iterable[tuple], message: str) -> None:
+    """Raise InternalInvariantBroken(message) unless the cut-grading
+    constraints of steps have the classes as their integer points.
+
+    A step (a, b, t) says that a move out of the member over a lands over
+    b at level k_a + t, in J or in J + shift: k_b - k_a <= t and
+    k_a - k_b <= 1 - t.  The classes are the integer points of the closed
+    system k_a - k_b <= -gaps[a][b], and two closed integer difference
+    systems with the same integer points are equal (Mine, PADO 2001), so
+    the Floyd-Warshall closure of the step constraints must be -gaps.
+    """
+    index = {a: i for i, a in enumerate(poset.fibers)}
+    n = len(index)
+    d = [[0 if i == j else math.inf for j in range(n)] for i in range(n)]
+    for a, b, t in steps:
+        i, j = index[a], index[b]
+        d[j][i] = min(d[j][i], t)
+        d[i][j] = min(d[i][j], 1 - t)
+    for m in range(n):
+        dm = d[m]
+        for i in range(n):
+            dim = d[i][m]
+            if dim != math.inf:
+                d[i] = [min(x, dim + y) for x, y in zip(d[i], dm)]
+    gaps = poset.gaps
+    if any(d[i][j] != -gaps[a][b] for a, i in index.items()
+           for b, j in index.items()):
+        raise InternalInvariantBroken(message)
+
+
+class _LevelSpace:
+    """A poset's classes up to shifts as integer points.
+
+    A class is the level vector k, over poset.fibers, of its members
+    s_a + k_a*shift; the classes are the integer points of
+    k_a - k_b <= -gaps[a][b] modulo the all-ones vector, and the slab
+    shift (min theta into [0, theta_p)) picks one point per class.  Fiber
+    a is a down site (its member is minimal in J) when
+    k_a < k_b - gaps[a][b] for every b != a, an up site when
+    k_a > k_b + gaps[b][a].  Raising k_a at a down site keeps every
+    constraint, since the site test is the constraint on k_a + 1 and the
+    others only loosen; lowering at an up site is the mirror case.  So no
+    move is re-tested.
+    """
+
+    def __init__(self, poset):
+        self.poset = poset
+        fibers, gaps = poset.fibers, poset.gaps
+        self.index = {a: i for i, a in enumerate(fibers)}
+        # -inf on the diagonal takes b = a out of the site tests
+        self._rows = [[-math.inf if a == b else gaps[a][b] for b in fibers]
+                      for a in fibers]
+        self._cols = [[-math.inf if a == b else gaps[b][a] for b in fibers]
+                      for a in fibers]
+        self._floor = [poset.sample_theta[a] // poset.theta_p for a in fibers]
+
+    def normal(self, k) -> tuple:
+        # min over b of (theta(s_b) + k_b*theta_p) // theta_p
+        n = min(map(operator.add, k, self._floor))
+        return tuple([x - n for x in k]) if n else tuple(k)
+
+    def down(self, k: tuple) -> list[int]:
+        return [a for a, (x, row) in enumerate(zip(k, self._rows))
+                if x < min(map(operator.sub, k, row))]
+
+    def up(self, k: tuple) -> list[int]:
+        return [a for a, (x, col) in enumerate(zip(k, self._cols))
+                if x > max(map(operator.add, k, col))]
+
+    def step(self, k: tuple, a: int, direction: int) -> tuple:
+        k = list(k)
+        k[a] += direction
+        return self.normal(k)
+
+    def walk(self, limit: int) -> list[tuple]:
+        """Every point, by BFS from the theta slab over both kinds of
+        move; it stops once it holds more than limit points."""
+        slab = seed_slab(self.poset)
+        start = self.normal([self.poset.level(slab.by_fiber[a])[1]
+                             for a in self.poset.fibers])
+        seen = {start}
+        points = [start]
+        for k in points:
+            if len(points) > limit:
+                break
+            for direction, sites in ((1, self.down(k)), (-1, self.up(k))):
+                for a in sites:
+                    t = self.step(k, a, direction)
+                    if t not in seen:
+                        seen.add(t)
+                        points.append(t)
+        return points
+
+    @functools.cached_property
+    def _translations(self) -> list:
+        """Per fiber c, for each target fiber, (source index, level offset)
+        of the translation by s_c, read off poset.sums."""
+        index, sums = self.index, self.poset.sums
+        out = []
+        for c in self.poset.fibers:
+            moves = [None] * len(index)
+            for a, i in index.items():
+                b, j = sums[a][c]
+                moves[index[b]] = (i, j)
+            out.append(moves)
+        return out
+
+    def translates(self, k: tuple) -> list[tuple]:
+        """The points of k's orbit under all translations."""
+        return [self.normal([k[i] + j for i, j in moves])
+                for moves in self._translations]
+
+    def key(self, k: tuple) -> tuple:
+        element = self.poset.element
+        return tuple(sorted(element(a, x).coords
+                            for a, x in zip(self.poset.fibers, k)))
+
+    def rep(self, k: tuple) -> AntichainRep:
+        return AntichainRep(self.poset, [self.poset.element(a, x) for a, x
+                                         in zip(self.poset.fibers, k)])
 
 
 def enumerate_classes(poset, mode: str = "full",
                       max_classes: int = 10_000) -> list[AntichainRep]:
-    """All antichain classes up to the chosen translations, by mutation BFS.
+    """All antichain classes up to the chosen translations, sorted by key,
+    each with its edges: (site, neighbour class) per downward mutation.
 
-    Connectivity of the mutation graph is theorem-backed; the BFS closes the
-    seed slab under mutations in both directions.
+    The classes up to shifts are the points of _LevelSpace, a distributive
+    lattice connected by the moves (Propp), found by BFS.  In "full" mode
+    a point's translates are its orbit, and the least key in it names the
+    class, as canonical_form(..., "full") does; an orbit has at most
+    len(fibers) points, so the walk stops past max_classes * len(fibers)
+    of them.  On the whole group with shift p, the Prop-GJX steps
+    (a, b, d) for (b, d) = _steps[a][i] must first pass check_closure: the
+    local J-condition then holds exactly at the points the walk meets.
     """
-    seen, _, _ = _walk(canonical_form(seed_slab(poset), mode), mode,
-                       max_classes)
-    return [seen[k] for k in sorted(seen)]
+    if mode not in ("zp", "full"):
+        raise ValueError(f"unknown canonical form mode {mode!r}")
+    if poset.supports_local_check:
+        check_closure(poset, ((a, b, d) for a, steps in poset._steps.items()
+                              for b, d in steps),
+                      "local J-condition disagrees with the antichain "
+                      "condition")
+    space = _LevelSpace(poset)
+    limit = max_classes * len(poset.fibers) if mode == "full" else max_classes
+    points = space.walk(limit)
+    if len(points) > limit:
+        raise ClassCountExceeded("class enumeration exceeded the ceiling",
+                                 ceiling=max_classes)
+    if mode == "full":
+        class_of, heads = {}, []
+        for k in points:
+            if k not in class_of:
+                orbit = space.translates(k)
+                class_of.update(dict.fromkeys(orbit, len(heads)))
+                heads.append(min(orbit, key=space.key))
+        if len(heads) > max_classes:
+            raise ClassCountExceeded("class enumeration exceeded the ceiling",
+                                     ceiling=max_classes)
+    else:
+        class_of, heads = {k: i for i, k in enumerate(points)}, points
+    reps = [space.rep(k) for k in heads]
+    for k, rep in zip(heads, reps):
+        down = {a: space.step(k, a, 1) for a in space.down(k)}
+        sites = [(e, space.index[poset.fiber_key(e)]) for e in rep.elements]
+        rep.edges = tuple((e, reps[class_of[down[a]]]) for e, a in sites
+                          if a in down)
+    return sorted(reps, key=AntichainRep.key)
 
 
 def connect(rep1: AntichainRep, rep2: AntichainRep,
@@ -361,7 +493,7 @@ def connect(rep1: AntichainRep, rep2: AntichainRep,
         return canonical_form(rep, mode).key() == target
 
     start = canonical_form(rep1, "zp")
-    _, parents, goal = _walk(start, "zp", in_target=in_target)
+    parents, goal = _walk(start, in_target)
     if goal is None:
         raise InternalInvariantBroken("mutation graph is not connected")
     moves = []

@@ -21,6 +21,7 @@ from stacktilt.errors import (InternalInvariantBroken, StacktiltError,
 from stacktilt.graded_order import GradedDegreeGroup
 from stacktilt.quiver import (Arrow, QuiverPresentation, Relation,
                               monomial_label)
+from stacktilt import upper_sets as us
 from stacktilt.upper_sets import AntichainRep, checked, is_antichain_rep
 
 _SEARCH_CAP = 10_000
@@ -69,6 +70,35 @@ def enumerate_classes_window(poset, mode: str = "full",
 
     rec(0, [])
     return [found[k] for k in sorted(found)]
+
+
+def enumerate_classes_bfs(poset, mode: str = "full") -> list[AntichainRep]:
+    """upper_sets.enumerate_classes as a mutation BFS over AntichainReps.
+
+    Closes the mode-canonical seed slab under mutations in both
+    directions, testing every move (mutate) and computing a canonical form
+    per move; each class's edges are its downward mutations, in
+    mutable_elements order.  Reference for the level-space walk.
+    """
+    start = us.canonical_form(us.seed_slab(poset), mode)
+    seen = {start.key(): start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for rep in frontier:
+            edges = []
+            for m, move in ([(m, us.mutate) for m in us.mutable_elements(rep)]
+                            + [(m, us.mutate_up)
+                               for m in us.upward_mutable_elements(rep)]):
+                c = us.canonical_form(move(rep, m), mode)
+                if c.key() not in seen:
+                    seen[c.key()] = c
+                    nxt.append(c)
+                if move is us.mutate:
+                    edges.append((m, seen[c.key()]))
+            rep.edges = tuple(edges)
+        frontier = nxt
+    return [seen[k] for k in sorted(seen)]
 
 
 def admits_proper_superset(rep: AntichainRep, window: int = 3) -> bool:

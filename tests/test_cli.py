@@ -10,7 +10,8 @@ import pytest
 import stacktilt
 from oracles import enumerate_detectors_product, parse_dot
 from stacktilt import cuts, tilting, upper_sets as us
-from stacktilt.cli import _build_context, _classify, main
+from stacktilt.cli import _build_context, _classify, _emit, _encode, main
+from stacktilt.errors import InputError
 
 P23 = {"group": {"free_rank": 1, "torsion_orders": [], "degrees": [[2], [3]]}}
 P1 = {"group": {"free_rank": 1, "torsion_orders": [], "degrees": [[1], [1]]}}
@@ -482,6 +483,52 @@ def test_max_classes_bounds_rank2_total(tmp_path, capsys):
     assert code == 2
     assert doc["error"]["type"] == "ClassCountExceeded"
     assert doc["error"]["details"] == {"ceiling": 15}
+
+
+P5711 = {"group": {"free_rank": 1, "torsion_orders": [],
+                   "degrees": [[5], [7], [11]]}}
+P345 = {"group": {"free_rank": 1, "torsion_orders": [],
+                  "degrees": [[3], [4], [5]]}}
+
+
+@pytest.mark.parametrize("doc, mode, count", [
+    (P5711, "paper", 43), (P345, "zp", 48)], ids=["p5711-paper", "p345-zp"])
+def test_max_classes_refuses_exactly_past_the_count(tmp_path, capsys, doc,
+                                                    mode, count):
+    path = _write(tmp_path, doc)
+    argv = ["classify", path, "--mode", mode, "--max-classes"]
+    code, report = _run(capsys, argv + [str(count)])
+    assert code == 0 and report["class_count"] == count
+    code, report = _run(capsys, argv + [str(count - 1)])
+    assert code == 2 and report["error"]["type"] == "ClassCountExceeded"
+    assert report["error"]["details"] == {"ceiling": count - 1}
+
+
+def test_paper_ceiling_stops_the_walk_before_any_orbit(tmp_path, capsys,
+                                                       monkeypatch):
+    """P(3,4,5) has 48 classes up to shifts, in 4 orbits of 12: at a
+    ceiling of 3 the walk stops past 3 * 12 points, and no orbit is
+    formed."""
+    def no_orbits(space, k):
+        raise AssertionError("an orbit was formed")
+
+    monkeypatch.setattr(us._LevelSpace, "translates", no_orbits)
+    code, report = _run(capsys, ["classify", _write(tmp_path, P345),
+                                 "--max-classes", "3"])
+    assert code == 2 and report["error"]["type"] == "ClassCountExceeded"
+    assert report["error"]["details"] == {"ceiling": 3}
+
+
+def test_report_encoder_matches_json_dumps():
+    doc = {"b": [[], {}, (1, -2), [True, False, None]], "a": "\u00e9\n\"",
+           "c": {"z": 10 ** 40, "y": [{"x": ["\U0001f600"]}]},
+           "d": [1.5, {1: "int key"}, {"n": {2: [3]}}]}
+    assert _encode(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_report_with_an_unprintable_int_is_an_input_error():
+    with pytest.raises(InputError, match="the report cannot be printed"):
+        _emit({"twist_coords": [10 ** 5000]})
 
 
 def test_cuts_enumerate_all_types(tmp_path, capsys):

@@ -2,10 +2,12 @@
 
 `upper_sets` reads GroupPoset.gaps and GroupPoset.level where it once asked
 the order about every pair of elements, and translates member levels
-through GroupPoset.sums where it once added group elements.  The
-element-level routines in oracles.py still ask `poset.leq` and add
-elements; here both run on every state that `enumerate_classes` visits,
-and a corrupted table must be caught by the checks that do not read it.
+through GroupPoset.sums where it once added group elements;
+`enumerate_classes` walks level vectors.  The element-level routines in
+oracles.py still ask `poset.leq` and add elements; here they run on every
+point the level-space walk produces, the mutation BFS in oracles.py must
+find the same classes and edges, and a corrupted table must be caught by
+the checks that do not read it.
 """
 
 import functools
@@ -14,8 +16,9 @@ import random
 
 import pytest
 
-from oracles import (canonical_form_elementwise, is_antichain_rep_elementwise,
-                     local_check_elementwise, mutable_elements_elementwise,
+from oracles import (canonical_form_elementwise, enumerate_classes_bfs,
+                     is_antichain_rep_elementwise, local_check_elementwise,
+                     mutable_elements_elementwise,
                      upward_mutable_elements_elementwise)
 from stacktilt import cli, tilting, upper_sets as us
 from stacktilt.abgroup import GroupHom
@@ -48,12 +51,16 @@ RANK2 = {
 
 
 def _posets(name):
-    """(poset, modes): the whole-group poset of a rank-one input; for a
-    rank-two input, H with shift s and the fibered poset over every base
-    class up to s-shifts (the classifier walks those in zp mode only)."""
+    """(poset, modes): the whole-group poset of a rank-one input, or the
+    posets of a rank-two input (see _rank2_posets)."""
     if name in RANK1:
         return [(us.GroupPoset(_ctx(*RANK1[name])), ("full", "zp"))]
-    ctx = _ctx(RANK2[name])
+    return _rank2_posets(_ctx(RANK2[name]))
+
+
+def _rank2_posets(ctx):
+    """H with shift s, and the fibered poset over every base class up to
+    s-shifts (the classifier walks those in zp mode only)."""
     split = ctx.sign_split()
     h_poset = us.GroupPoset(split.h_ctx, shift_element=split.s)
     return [(h_poset, ("full", "zp"))] + [
@@ -63,54 +70,57 @@ def _posets(name):
 
 @pytest.fixture
 def differential(monkeypatch):
-    """Run the element-level routines next to the table-reading ones."""
+    """Run the element-level routines on every point the level-space walk
+    produces: the antichain tests, both site scans, and each move."""
     counts = {"states": 0, "local": 0, "sites": 0, "perturbed": 0}
-    table_rep = us.is_antichain_rep
+    walk = us._LevelSpace.walk
 
-    def is_antichain_rep(poset, elements):
-        elements = list(elements)
-        got = table_rep(poset, elements)
-        assert got == is_antichain_rep_elementwise(poset, elements)
-        counts["states"] += 1
-        if poset.supports_local_check and (
-                got[0] or got[1]["reason"] == "antichain"):
-            by_fiber = {poset.fiber_key(e): e for e in elements}
-            assert (poset.local_check(by_fiber)
-                    == local_check_elementwise(poset, by_fiber) == got[0])
-            counts["local"] += 1
-        return got
-
-    def sites(table_scan, reference):
-        def scan(rep):
-            got = table_scan(rep)
-            assert got == reference(rep)
-            counts["sites"] += 1
-            return got
-        return scan
-
-    down = sites(us.mutable_elements, mutable_elements_elementwise)
-
-    def mutable_elements(rep):
-        """On up to 12 fibers, also shift each member by -1 and +1: mostly
-        sets that are no antichains, which the walk never hands over."""
-        poset = rep.poset
-        for i, n in itertools.product(range(len(rep.elements)), (-1, 1)):
-            if not poset.supports_local_check or len(poset.fibers) > 12:
-                break
+    def checked_walk(space, limit):
+        points = walk(space, limit)
+        poset = space.poset
+        for k in points:
+            rep = space.rep(k)
             elements = list(rep.elements)
-            elements[i] = poset.shift(elements[i], n)
-            by_fiber = {poset.fiber_key(e): e for e in elements}
-            assert (poset.local_check(by_fiber)
-                    == local_check_elementwise(poset, by_fiber)
-                    == table_rep(poset, elements)[0])
-            counts["perturbed"] += 1
-        return down(rep)
+            assert (us.is_antichain_rep(poset, elements)
+                    == is_antichain_rep_elementwise(poset, elements)
+                    == (True, None))
+            counts["states"] += 1
+            if poset.supports_local_check:
+                assert local_check_elementwise(poset, rep.by_fiber)
+                counts["local"] += 1
+            for direction, sites, table_scan, reference in (
+                    (1, space.down(k), us.mutable_elements,
+                     mutable_elements_elementwise),
+                    (-1, space.up(k), us.upward_mutable_elements,
+                     upward_mutable_elements_elementwise)):
+                at = {rep.by_fiber[poset.fibers[a]]: a for a in sites}
+                assert (sorted(at, key=lambda e: e.coords)
+                        == table_scan(rep) == reference(rep))
+                for m, a in at.items():
+                    moved = us.AntichainRep(poset, [
+                        poset.shift(e, direction) if e == m else e
+                        for e in elements])
+                    assert (space.rep(space.step(k, a, direction)).key()
+                            == canonical_form_elementwise(moved).key())
+                counts["sites"] += 1
+            perturb(poset, elements)
+        return points
 
-    monkeypatch.setattr(us, "is_antichain_rep", is_antichain_rep)
-    monkeypatch.setattr(us, "mutable_elements", mutable_elements)
-    monkeypatch.setattr(us, "upward_mutable_elements",
-                        sites(us.upward_mutable_elements,
-                              upward_mutable_elements_elementwise))
+    def perturb(poset, elements):
+        """On up to 12 fibers, also shift each member by -1 and +1: mostly
+        sets that are no antichains, which the walk never produces."""
+        if not poset.supports_local_check or len(poset.fibers) > 12:
+            return
+        for i, n in itertools.product(range(len(elements)), (-1, 1)):
+            moved = list(elements)
+            moved[i] = poset.shift(moved[i], n)
+            by_fiber = {poset.fiber_key(e): e for e in moved}
+            assert (local_check_elementwise(poset, by_fiber)
+                    == us.is_antichain_rep(poset, moved)[0]
+                    == is_antichain_rep_elementwise(poset, moved)[0])
+            counts["perturbed"] += 1
+
+    monkeypatch.setattr(us._LevelSpace, "walk", checked_walk)
     return counts
 
 
@@ -182,7 +192,7 @@ def _corrupt(monkeypatch, applies, a, b, delta):
 @pytest.mark.parametrize("mode, a, b, delta, check", [
     ("paper", 1, 2, 1, "local J-condition disagrees"),
     ("zp", 0, 2, -1, "local J-condition disagrees"),
-    ("zp", 0, 1, 1, "the classes miss a cut"),
+    ("zp", 0, 1, 1, "local J-condition disagrees"),
 ])
 def test_corrupted_rank1_table_is_caught(monkeypatch, mode, a, b, delta,
                                          check):
@@ -196,9 +206,16 @@ def test_corrupted_rank1_table_is_caught(monkeypatch, mode, a, b, delta,
 @pytest.mark.parametrize("mode", ["paper", "zp"])
 def test_corrupted_inner_table_is_caught_by_rank2_certificate(monkeypatch,
                                                               mode):
+    """A gap one too low lets sets that are no classes in.  The arrow
+    table's closure refuses them at the first base class; without it, top
+    Ext refuses them at the second."""
     ctx = _ctx(RANK2["P1xP2"])
     tilting.classify_rank2(ctx, mode)
     _corrupt(monkeypatch, lambda poset: poset.ctx is ctx, 0, 1, -1)
+    with pytest.raises(InternalInvariantBroken,
+                       match="cut grading disagrees with the gap table"):
+        tilting.classify_rank2(ctx, mode)
+    monkeypatch.setattr(us, "check_closure", lambda *args: None)
     with pytest.raises(InternalInvariantBroken,
                        match="top-Ext certificate failed"):
         tilting.classify_rank2(ctx, mode)
@@ -296,7 +313,8 @@ def test_full_translations_need_the_whole_group():
 @pytest.mark.parametrize("degrees", [[[2], [3]], [[2], [3], [5]]])
 def test_every_raised_gap_is_caught_or_harmless(monkeypatch, degrees):
     """A gap one too high makes the order too strict, which can only lose
-    classes; paper mode must then miss a cut, or trip another check."""
+    classes.  The closure of the Prop-GJX steps does not read the gaps, so
+    it must catch every such entry before the walk."""
     ctx = _ctx(degrees)
     expected = [(tc.rep.key(), tc.quiver)
                 for tc in tilting.classify_rank1(ctx, "paper")]
@@ -310,7 +328,8 @@ def test_every_raised_gap_is_caught_or_harmless(monkeypatch, degrees):
             caught.append(str(err))
             continue
         assert [(tc.rep.key(), tc.quiver) for tc in got] == expected, (a, b)
-    assert any("miss a cut" in msg for msg in caught)
+    assert len(caught) == n * n
+    assert all("local J-condition disagrees" in msg for msg in caught)
 
 
 def test_full_canonical_forms_project_few_elements(monkeypatch):
@@ -359,3 +378,90 @@ def test_a_slab_that_fails_the_antichain_test_is_an_internal_fault(
     _corrupt(monkeypatch, lambda poset: not poset.whole_group, 0, 0, 1)
     with pytest.raises(InternalInvariantBroken, match="theta slab"):
         tilting.classify_rank2(ctx, "paper")
+
+
+@pytest.mark.parametrize("name", ["P(2,3)", "P(3,4,5)", "zz2_b"])
+def test_a_point_the_walk_misses_is_caught_by_the_cut_count(monkeypatch,
+                                                            name):
+    """Drop the walk's last point and every move into it, as a site test
+    that misses moves would: the other points and edges stay consistent,
+    and only the count against the cuts of type gamma can notice."""
+    ctx = _ctx(*RANK1[name])
+    space = us._LevelSpace(us.GroupPoset(ctx))
+    points = space.walk(10_000)
+    dropped = points[-1]
+    down, up = us._LevelSpace.down, us._LevelSpace.up
+
+    def missing(scan, direction):
+        def sites(self, k):
+            return [a for a in scan(self, k)
+                    if self.step(k, a, direction) != dropped]
+        return sites
+
+    monkeypatch.setattr(us._LevelSpace, "down", missing(down, 1))
+    monkeypatch.setattr(us._LevelSpace, "up", missing(up, -1))
+    assert space.walk(10_000) == points[:-1]
+    with pytest.raises(InternalInvariantBroken, match="miss a cut"):
+        tilting.classify_rank1(ctx, "zp")
+
+
+def _classes_and_edges(reps):
+    return [(rep.key(), [(m.coords, n.key()) for m, n in rep.edges])
+            for rep in reps]
+
+
+# the rank-two inputs of ROADMAP item 2: the benchmark documents, five
+# more degree sets and Z^2 + Z/2, as (degrees, torsion)
+RANK2_CORPUS = {
+    **{name: (degrees, ()) for name, degrees in RANK2.items()},
+    "P1xP1": ([[1, 0]] * 2 + [[0, 1]] * 2, ()),
+    "P1xP3": ([[1, 0]] * 2 + [[0, 1]] * 4, ()),
+    "(1,0)2,(-1,1),(0,1)": ([[1, 0], [1, 0], [-1, 1], [0, 1]], ()),
+    "(1,0),(2,0),(0,1)2": ([[1, 0], [2, 0], [0, 1], [0, 1]], ()),
+    "(1,0)2,(0,1),(0,2)": ([[1, 0], [1, 0], [0, 1], [0, 2]], ()),
+    "(2,0),(3,0),(0,1)2": ([[2, 0], [3, 0], [0, 1], [0, 1]], ()),
+    "(1,0)3,(0,1)2,(1,1)": ([[1, 0]] * 3 + [[0, 1]] * 2 + [[1, 1]], ()),
+    "Z2+Z/2": ([[1, 0, 0], [1, 0, 1], [0, 1, 0], [0, 1, 1]], (2,)),
+}
+
+
+@pytest.mark.parametrize("name", list(RANK1_CORPUS) + list(RANK2_CORPUS))
+def test_walk_matches_the_mutation_bfs(name):
+    if name in RANK1_CORPUS:
+        posets = [(us.GroupPoset(_ctx(*RANK1_CORPUS[name])), ("full", "zp"))]
+    else:
+        posets = _rank2_posets(_ctx(*RANK2_CORPUS[name]))
+    for poset, modes in posets:
+        for mode in modes:
+            assert (_classes_and_edges(us.enumerate_classes(poset, mode))
+                    == _classes_and_edges(enumerate_classes_bfs(poset, mode)))
+
+
+@pytest.mark.parametrize("name", list(RANK2_CORPUS))
+def test_rank2_closure_certificate_holds_on_the_corpus(name, monkeypatch):
+    """The arrow table's cut-grading constraints close to -gaps on every
+    base class; counted through the helper, so none is skipped."""
+    ctx = _ctx(*RANK2_CORPUS[name])
+    checks = []
+    check_closure = us.check_closure
+
+    def counted(poset, steps, message):
+        checks.append(poset)
+        return check_closure(poset, steps, message)
+
+    monkeypatch.setattr(us, "check_closure", counted)
+    result = tilting.classify_rank2(ctx, "paper")
+    assert len(checks) == len(result.groups)
+
+
+def test_every_raised_inner_gap_is_caught(monkeypatch):
+    """P1xP2, paper mode: a gap one too high in every fibered poset makes
+    the order too strict.  Without the arrow table's closure, 9 of the 36
+    entries lost classes silently ((0, 1) gave 7 of 16); now each is
+    refused, by the slab test or by the closure."""
+    ctx = _ctx(RANK2["P1xP2"])
+    for a, b in itertools.product(range(6), repeat=2):
+        _corrupt(monkeypatch, lambda poset: poset.ctx is ctx, a, b, 1)
+        with pytest.raises(InternalInvariantBroken,
+                           match="theta slab|cut grading disagrees"):
+            tilting.classify_rank2(ctx, "paper")

@@ -163,6 +163,18 @@ def test_class_ceiling(ctx_p23):
         us.enumerate_classes(_poset(ctx_p23), "zp", max_classes=3)
 
 
+def test_class_ceiling_counts_orbits(ctx_p23, monkeypatch):
+    """Full mode refuses past max_classes orbits even where the walk's
+    bound, max_classes * len(fibers) points, holds: with every point made
+    its own orbit, P(2,3)'s 10 points are 10 classes."""
+    from stacktilt.errors import ClassCountExceeded
+    monkeypatch.setattr(us._LevelSpace, "translates", lambda space, k: [k])
+    poset = _poset(ctx_p23)
+    assert len(us.enumerate_classes(poset, "full", max_classes=10)) == 10
+    with pytest.raises(ClassCountExceeded):
+        us.enumerate_classes(poset, "full", max_classes=2)
+
+
 def test_orbit_sizes_add_up_to_the_zp_classes(ctx_p23, ctx_zz2_d1, ctx_zz2_d2,
                                               make_pd):
     for ctx in (ctx_p23, ctx_zz2_d1, ctx_zz2_d2, make_pd(2)):
