@@ -232,7 +232,7 @@ def classify_rank1(ctx: GradedDegreeGroup, mode: str = "paper",
     cuts = _certify_rank1(ctx, classes, lq, gamma)
     if len(set(cuts)) != len(cuts):
         raise InternalInvariantBroken("two classes have the same cut")
-    if (sum(us.orbit_size(rep, translation) for rep in reps)
+    if (sum(rep.orbit_len for rep in reps)
             != cuts_mod.count_detectors(lq, gamma)):
         raise InternalInvariantBroken("the classes miss a cut of type gamma")
     return classes
@@ -289,7 +289,8 @@ def _stabilizer_merged_count(split: SignSplit, base: us.AntichainRep,
 
     A translation fixing the finite base class setwise preserves its theta
     multiset, so it must be torsion in H; only those are tried.  They form
-    a group, so the translates of one class are its whole orbit.
+    a group, so the translates of one class are its whole orbit.  Each
+    lift moves the classes' points by its level offsets, read once.
     """
     h_group = split.h_ctx.group
     base_set = set(rep_h.coords for rep_h in base.elements)
@@ -300,19 +301,16 @@ def _stabilizer_merged_count(split: SignSplit, base: us.AntichainRep,
             continue
         if {(e + cand).coords for e in base.elements} == base_set:
             stab.append(cand)
-    known = {rep.key() for rep in inner}
+    space = inner[0].poset.space
+    lifts = [space.offsets(split.q.section(t)) for t in stab]
+    known = {space.point(rep) for rep in inner}
     orbits = set()
-    for rep in inner:
-        orbit = {rep.key()}
-        for t in stab:
-            lift = split.q.section(t)
-            moved = us.AntichainRep(rep.poset,
-                                    [e + lift for e in rep.elements])
-            orbit.add(us.canonical_form(moved, "zp").key())
+    for k in known:
+        orbit = frozenset([k, *(space.translate(k, moves) for moves in lifts)])
         if not orbit <= known:
             raise InternalInvariantBroken(
                 "stabilizer translate left the class list")
-        orbits.add(frozenset(orbit))
+        orbits.add(orbit)
     return len(orbits)
 
 

@@ -74,14 +74,9 @@ class GroupPoset:
         return out
 
     @functools.cached_property
-    def sums(self) -> dict:
-        """sums[a][c] = level(s_a + s_c): translating (a, k) by s_c lands on
-        (b, k + j) for (b, j) = sums[a][c].  Whole-group form only."""
-        if not self.whole_group:
-            raise ValueError("translations by fiber samples need the whole "
-                             "group")
-        s = self._samples
-        return {a: {c: self.level(s[a] + s[c]) for c in s} for a in s}
+    def space(self) -> "_LevelSpace":
+        """The poset's classes up to shifts as integer points."""
+        return _LevelSpace(self)
 
     def _level(self, e: GroupElement) -> Optional[tuple]:
         """(a, k) with e = s_a + k*shift, or None when e lies over no fiber
@@ -117,10 +112,10 @@ class GroupPoset:
 class AntichainRep:
     """One chosen element per fiber, pairwise satisfying x >= y + p nowhere."""
 
-    # edges: (site, neighbour class) per downward mutation, set by
-    # enumerate_classes; sites come in element order, as mutable_elements
-    # lists them
-    __slots__ = ("poset", "elements", "by_fiber", "edges")
+    # edges: (site, neighbour class) per downward mutation, and orbit_len,
+    # the classes up to shifts in the class, set by enumerate_classes;
+    # sites come in element order, as mutable_elements lists them
+    __slots__ = ("poset", "elements", "by_fiber", "edges", "orbit_len")
 
     def __init__(self, poset, elements: Iterable[GroupElement]):
         self.poset = poset
@@ -159,13 +154,6 @@ def is_antichain_rep(poset, elements: Sequence[GroupElement]):
                                "greater": list(hit[0].coords),
                                "lesser": list(hit[1].coords)}
     return ok, witness
-
-
-def checked(poset, elements: Iterable[GroupElement]) -> AntichainRep:
-    ok, witness = is_antichain_rep(poset, list(elements))
-    if not ok:
-        raise NotAntichain("not a complete-representative antichain", **witness)
-    return AntichainRep(poset, elements)
 
 
 def _sites(rep: AntichainRep, up: bool) -> list[GroupElement]:
@@ -229,81 +217,19 @@ def seed_slab(poset) -> AntichainRep:
     return AntichainRep(poset, chosen)
 
 
-def _translates(rep: AntichainRep, mode: str):
-    """(key, levels) of the zp-canonical form of each translate of rep.
-
-    mode "zp": rep itself; mode "full": rep + s_c for every fiber sample
-    s_c, which stands for all translations modulo the shift.  Works on the
-    members' levels: (a, k) moves to (b, k + j) for (b, j) = sums[a][c],
-    and the slab shift by -n puts min theta = min(theta(s_b) + k*theta_p)
-    into [0, theta_p).  Keys read the poset's (b, k) element cache.
-    """
-    poset = rep.poset
-    levels = [poset.level(e) for e in rep.elements]
-    if mode == "zp":
-        candidates = [levels]
-    elif mode == "full":
-        sums = poset.sums
-        candidates = ([(b, k + j) for (a, k) in levels
-                       for b, j in [sums[a][c]]] for c in poset.fibers)
-    else:
-        raise ValueError(f"unknown canonical form mode {mode!r}")
-    theta, theta_p = poset.sample_theta, poset.theta_p
-    for members in candidates:
-        n = min(theta[b] + k * theta_p for b, k in members) // theta_p
-        members = [(b, k - n) for b, k in members]
-        yield tuple(sorted(poset.element(*m).coords for m in members)), members
-
-
 def canonical_form(rep: AntichainRep, mode: str = "zp") -> AntichainRep:
-    """Deterministic orbit representative: the least key among _translates.
+    """Deterministic orbit representative: the least key among the points
+    of rep's class (see _LevelSpace.orbit).
 
     mode "zp": translate by a multiple of the shift so min theta lands in
     [0, theta_p).  mode "full": additionally minimize over the translations
     by the fiber samples, i.e. all translations modulo the shift (the "up
-    to translations" counting used for class reporting).  Only the winner
-    is built as elements, and rep itself is returned when it is the winner.
+    to translations" counting used for class reporting).  rep itself is
+    returned when it is the winner.
     """
-    key, members = min(_translates(rep, mode), key=lambda t: t[0])
-    if key == rep.key():
-        return rep
-    return AntichainRep(rep.poset, [rep.poset.element(*m) for m in members])
-
-
-def orbit_size(rep: AntichainRep, mode: str) -> int:
-    """How many classes up to shifts rep's mode-class holds: the distinct
-    keys among its translates (1 in zp mode)."""
-    return len({key for key, _ in _translates(rep, mode)})
-
-
-def _walk(start: AntichainRep, in_target) -> tuple[dict, Optional[tuple]]:
-    """Mutation BFS over shift-canonical states: (parents, goal).
-
-    parents maps each key to (parent key, fiber key, +1 | -1), or None at
-    start.  The walk stops at start, or after expanding the first state
-    with a child in the target, whose last such child is the goal.
-    """
-    parents: dict = {start.key(): None}
-    goal = start.key() if in_target(start) else None
-    frontier = [start]
-    while frontier and goal is None:
-        nxt = []
-        for rep in frontier:
-            moves = [(m, 1) for m in mutable_elements(rep)]
-            moves += [(m, -1) for m in upward_mutable_elements(rep)]
-            for m, direction in moves:
-                c = canonical_form(mutate(rep, m) if direction == 1
-                                   else mutate_up(rep, m), "zp")
-                k = c.key()
-                if k not in parents:
-                    parents[k] = (rep.key(), rep.poset.fiber_key(m), direction)
-                    nxt.append(c)
-                    if in_target(c):
-                        goal = k
-            if goal is not None:
-                break
-        frontier = nxt
-    return parents, goal
+    space = rep.poset.space
+    k = min(space.orbit(space.point(rep), mode), key=space.key)
+    return rep if space.key(k) == rep.key() else space.rep(k)
 
 
 def check_closure(poset, steps: Iterable[tuple], message: str) -> None:
@@ -380,12 +306,16 @@ class _LevelSpace:
         k[a] += direction
         return self.normal(k)
 
+    def point(self, rep: AntichainRep) -> tuple:
+        """The normalised level vector of rep's members."""
+        level = self.poset.level
+        return self.normal([level(rep.by_fiber[a])[1]
+                            for a in self.poset.fibers])
+
     def walk(self, limit: int) -> list[tuple]:
         """Every point, by BFS from the theta slab over both kinds of
         move; it stops once it holds more than limit points."""
-        slab = seed_slab(self.poset)
-        start = self.normal([self.poset.level(slab.by_fiber[a])[1]
-                             for a in self.poset.fibers])
+        start = self.point(seed_slab(self.poset))
         seen = {start}
         points = [start]
         for k in points:
@@ -399,24 +329,44 @@ class _LevelSpace:
                         points.append(t)
         return points
 
+    def offsets(self, t: GroupElement) -> list[tuple]:
+        """The translation by t, as (source index, level offset) per target
+        fiber: s_a + t = s_b + j*shift moves the member (a, k) to
+        (b, k + j)."""
+        moves = [None] * len(self.index)
+        for a, i in self.index.items():
+            over = self.poset.level(self.poset.fiber_sample(a) + t)
+            if over is None:
+                raise InternalInvariantBroken(
+                    f"translation by {t.coords} leaves the poset's fibers")
+            b, j = over
+            moves[self.index[b]] = (i, j)
+        return moves
+
+    def translate(self, k: tuple, moves: list[tuple]) -> tuple:
+        return self.normal([k[i] + j for i, j in moves])
+
     @functools.cached_property
     def _translations(self) -> list:
-        """Per fiber c, for each target fiber, (source index, level offset)
-        of the translation by s_c, read off poset.sums."""
-        index, sums = self.index, self.poset.sums
-        out = []
-        for c in self.poset.fibers:
-            moves = [None] * len(index)
-            for a, i in index.items():
-                b, j = sums[a][c]
-                moves[index[b]] = (i, j)
-            out.append(moves)
-        return out
+        """The offsets of the translation by each fiber sample."""
+        if not self.poset.whole_group:
+            raise ValueError("translations by fiber samples need the whole "
+                             "group")
+        return [self.offsets(self.poset.fiber_sample(c))
+                for c in self.poset.fibers]
 
     def translates(self, k: tuple) -> list[tuple]:
         """The points of k's orbit under all translations."""
-        return [self.normal([k[i] + j for i, j in moves])
-                for moves in self._translations]
+        return [self.translate(k, moves) for moves in self._translations]
+
+    def orbit(self, k: tuple, mode: str) -> list[tuple]:
+        """The points of k's class: its translates in "full" mode, k itself
+        in "zp" mode."""
+        if mode == "full":
+            return self.translates(k)
+        if mode == "zp":
+            return [k]
+        raise ValueError(f"unknown canonical form mode {mode!r}")
 
     def key(self, k: tuple) -> tuple:
         element = self.poset.element
@@ -431,7 +381,9 @@ class _LevelSpace:
 def enumerate_classes(poset, mode: str = "full",
                       max_classes: int = 10_000) -> list[AntichainRep]:
     """All antichain classes up to the chosen translations, sorted by key,
-    each with its edges: (site, neighbour class) per downward mutation.
+    each with its edges, (site, neighbour class) per downward mutation,
+    and its orbit_len, the number of points (classes up to shifts) it
+    holds.
 
     The classes up to shifts are the points of _LevelSpace, a distributive
     lattice connected by the moves (Propp), found by BFS.  In "full" mode
@@ -449,7 +401,7 @@ def enumerate_classes(poset, mode: str = "full",
                               for b, d in steps),
                       "local J-condition disagrees with the antichain "
                       "condition")
-    space = _LevelSpace(poset)
+    space = poset.space
     limit = max_classes * len(poset.fibers) if mode == "full" else max_classes
     points = space.walk(limit)
     if len(points) > limit:
@@ -459,20 +411,22 @@ def enumerate_classes(poset, mode: str = "full",
         class_of, heads = {}, []
         for k in points:
             if k not in class_of:
-                orbit = space.translates(k)
-                class_of.update(dict.fromkeys(orbit, len(heads)))
-                heads.append(min(orbit, key=space.key))
+                orbit = dict.fromkeys(space.translates(k), len(heads))
+                class_of.update(orbit)
+                heads.append((min(orbit, key=space.key), len(orbit)))
         if len(heads) > max_classes:
             raise ClassCountExceeded("class enumeration exceeded the ceiling",
                                      ceiling=max_classes)
     else:
-        class_of, heads = {k: i for i, k in enumerate(points)}, points
-    reps = [space.rep(k) for k in heads]
-    for k, rep in zip(heads, reps):
+        class_of = {k: i for i, k in enumerate(points)}
+        heads = [(k, 1) for k in points]
+    reps = [space.rep(k) for k, _ in heads]
+    for (k, size), rep in zip(heads, reps):
         down = {a: space.step(k, a, 1) for a in space.down(k)}
         sites = [(e, space.index[poset.fiber_key(e)]) for e in rep.elements]
         rep.edges = tuple((e, reps[class_of[down[a]]]) for e, a in sites
                           if a in down)
+        rep.orbit_len = size
     return sorted(reps, key=AntichainRep.key)
 
 
@@ -481,33 +435,47 @@ def connect(rep1: AntichainRep, rep2: AntichainRep,
     """Mutation moves taking rep1 to a translate of rep2.
 
     Returns [(fiber_key, +1 | -1), ...]; +1 is a downward mutation (remove a
-    minimal element of the upper set).  The search walks shift-canonical
-    states (whose fiber keys are shift-invariant, so the moves replay
-    verbatim) and stops at a state in the target's mode-orbit.
+    minimal element of the upper set).  A BFS over the level-space points
+    (fiber keys are shift-invariant, so the moves replay verbatim) from
+    rep1's point: each point's down sites, then its up sites, each in the
+    order of the members' coordinates.  It stops after expanding the first
+    point with a new child in rep2's class, at the last such child.
     """
     if rep1.poset is not rep2.poset:
         raise NotAntichain("antichains live on different posets")
-    target = canonical_form(rep2, mode).key()
-
-    def in_target(rep: AntichainRep) -> bool:
-        return canonical_form(rep, mode).key() == target
-
-    start = canonical_form(rep1, "zp")
-    parents, goal = _walk(start, in_target)
+    poset, space = rep1.poset, rep1.poset.space
+    target = set(space.orbit(space.point(rep2), mode))
+    start = space.point(rep1)
+    parents = {start: None}
+    goal = start if start in target else None
+    frontier = [start]
+    while frontier and goal is None:
+        nxt = []
+        for k in frontier:
+            for direction, sites in ((1, space.down(k)), (-1, space.up(k))):
+                for a in sorted(sites, key=lambda a: poset.element(
+                        poset.fibers[a], k[a]).coords):
+                    c = space.step(k, a, direction)
+                    if c not in parents:
+                        parents[c] = (k, a, direction)
+                        nxt.append(c)
+                        if c in target:
+                            goal = c
+            if goal is not None:
+                break
+        frontier = nxt
     if goal is None:
         raise InternalInvariantBroken("mutation graph is not connected")
     moves = []
     while parents[goal] is not None:
-        goal, fiber, direction = parents[goal]
-        moves.append((fiber, direction))
+        goal, a, direction = parents[goal]
+        moves.append((a, direction))
     moves.reverse()
-    if not in_target(apply_moves(start, moves)):
+    k = start
+    for a, direction in moves:
+        if a not in (space.down(k) if direction == 1 else space.up(k)):
+            raise InternalInvariantBroken("replaying the mutation walk failed")
+        k = space.step(k, a, direction)
+    if k not in target:
         raise InternalInvariantBroken("replaying the mutation walk failed")
-    return moves
-
-
-def apply_moves(rep: AntichainRep, moves: Sequence[tuple]) -> AntichainRep:
-    for fiber, direction in moves:
-        m = rep.by_fiber[fiber]
-        rep = mutate(rep, m) if direction == 1 else mutate_up(rep, m)
-    return rep
+    return [(poset.fibers[a], direction) for a, direction in moves]

@@ -16,13 +16,13 @@ from stacktilt.abgroup import (FgAbelianGroup, GroupElement,
 from stacktilt.cuts import (CutDetector, LatticeQuotient, _spanning_tree,
                             cut_from_detector, cut_type, enumerate_detectors,
                             is_admissible_type)
-from stacktilt.errors import (InternalInvariantBroken, StacktiltError,
-                              UnboundedContribution)
+from stacktilt.errors import (InternalInvariantBroken, NotAntichain,
+                              StacktiltError, UnboundedContribution)
 from stacktilt.graded_order import GradedDegreeGroup
 from stacktilt.quiver import (Arrow, QuiverPresentation, Relation,
                               monomial_label)
 from stacktilt import upper_sets as us
-from stacktilt.upper_sets import AntichainRep, checked, is_antichain_rep
+from stacktilt.upper_sets import AntichainRep, is_antichain_rep
 
 _SEARCH_CAP = 10_000
 
@@ -37,6 +37,14 @@ class NotACut(StacktiltError):
 
 class NotAdmissible(StacktiltError):
     code = "NotAdmissible"
+
+
+def checked(poset, elements: Iterable[GroupElement]) -> AntichainRep:
+    """The AntichainRep of elements, which must pass is_antichain_rep."""
+    ok, witness = is_antichain_rep(poset, list(elements))
+    if not ok:
+        raise NotAntichain("not a complete-representative antichain", **witness)
+    return AntichainRep(poset, elements)
 
 
 def enumerate_classes_window(poset, mode: str = "full",
@@ -175,6 +183,101 @@ def canonical_form_elementwise(rep: AntichainRep,
     return min((_slab_shift_elementwise(AntichainRep(
         poset, [e + poset.fiber_sample(c) for e in rep.elements]))
         for c in poset.fibers), key=AntichainRep.key)
+
+
+def orbit_size_elementwise(rep: AntichainRep, mode: str) -> int:
+    """How many classes up to shifts rep's mode-class holds: the distinct
+    zp canonical forms among its translates by the fiber samples, built
+    as elements (1 in zp mode).  The reference for the orbit_len that
+    upper_sets.enumerate_classes records."""
+    if mode == "zp":
+        return 1
+    poset = rep.poset
+    return len({_slab_shift_elementwise(AntichainRep(
+        poset, [e + poset.fiber_sample(c) for e in rep.elements])).key()
+        for c in poset.fibers})
+
+
+def connect_elementwise(rep1: AntichainRep, rep2: AntichainRep,
+                        mode: str = "zp") -> list[tuple]:
+    """upper_sets.connect as a mutation BFS over AntichainReps.
+
+    Each state is a zp canonical form built as elements; its moves are its
+    mutable_elements, then its upward_mutable_elements, each tested by
+    mutate or mutate_up.  The walk stops at start, or after expanding the
+    first state with a new child in the target's mode-class, whose last
+    such child is the goal.
+    """
+    def form(rep, mode):
+        return canonical_form_elementwise(rep, mode).key()
+
+    target = form(rep2, mode)
+    start = _slab_shift_elementwise(rep1)
+    parents: dict = {start.key(): None}
+    goal = start.key() if form(start, mode) == target else None
+    frontier = [start]
+    while frontier and goal is None:
+        nxt = []
+        for rep in frontier:
+            moves = [(m, 1) for m in us.mutable_elements(rep)]
+            moves += [(m, -1) for m in us.upward_mutable_elements(rep)]
+            for m, direction in moves:
+                c = _slab_shift_elementwise(
+                    us.mutate(rep, m) if direction == 1
+                    else us.mutate_up(rep, m))
+                if c.key() not in parents:
+                    parents[c.key()] = (rep.key(), rep.poset.fiber_key(m),
+                                        direction)
+                    nxt.append(c)
+                    if form(c, mode) == target:
+                        goal = c.key()
+            if goal is not None:
+                break
+        frontier = nxt
+    if goal is None:
+        raise InternalInvariantBroken("mutation graph is not connected")
+    moves = []
+    while parents[goal] is not None:
+        goal, fiber, direction = parents[goal]
+        moves.append((fiber, direction))
+    moves.reverse()
+    return moves
+
+
+def apply_moves(rep: AntichainRep, moves) -> AntichainRep:
+    """Replay (fiber key, +1 | -1) moves by mutate and mutate_up."""
+    for fiber, direction in moves:
+        m = rep.by_fiber[fiber]
+        rep = us.mutate(rep, m) if direction == 1 else us.mutate_up(rep, m)
+    return rep
+
+
+def stabilizer_merged_count_elementwise(split, base: AntichainRep,
+                                        inner: list) -> int:
+    """tilting._stabilizer_merged_count by group arithmetic: every
+    stabilizer translate of every inner class is built as elements and
+    slab-shifted by its own thetas."""
+    h_group = split.h_ctx.group
+    base_set = {e.coords for e in base.elements}
+    stab = []
+    for tors in itertools.product(*(range(o) for o in h_group.torsion_orders)):
+        cand = h_group.from_coords(tors + (0,) * h_group.free_rank)
+        if not cand.is_zero() and {(e + cand).coords
+                                   for e in base.elements} == base_set:
+            stab.append(cand)
+    known = {rep.key() for rep in inner}
+    orbits = set()
+    for rep in inner:
+        orbit = {rep.key()}
+        for t in stab:
+            lift = split.q.section(t)
+            orbit.add(_slab_shift_elementwise(AntichainRep(
+                rep.poset, [e + lift for e in rep.elements])).key())
+        if not orbit <= known:
+            raise InternalInvariantBroken(
+                "stabilizer translate left the class list")
+        orbits.add(frozenset(orbit))
+    return len(orbits)
 
 
 def local_check_elementwise(poset, by_fiber: dict) -> bool:

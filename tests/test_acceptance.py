@@ -9,7 +9,7 @@ import itertools
 import random
 import time
 
-from oracles import (arrow_multiset, detector_from_cut,
+from oracles import (apply_moves, arrow_multiset, detector_from_cut,
                      enumerate_classes_window, enumerate_cuts_exact_cover,
                      group_of, j_of_upper)
 from stacktilt import cuts, tilting, upper_sets as us
@@ -59,8 +59,8 @@ def test_criterion_02_weighted_p23(ctx_p23):
                           (0, 3, "x2"), (1, 4, "x2")}
         moves = us.connect(classes[0].rep, classes[1].rep, mode="full")
         assert len(moves) >= 1
-        replay = us.apply_moves(us.canonical_form(classes[0].rep, "full"),
-                                moves)
+        replay = apply_moves(us.canonical_form(classes[0].rep, "full"),
+                             moves)
         assert us.canonical_form(replay, "full").key() \
             == classes[1].rep.key()
     _timed(2, 1.0, body)

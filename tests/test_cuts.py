@@ -5,7 +5,7 @@ import pytest
 
 from collections import Counter
 
-from oracles import (NotACut, NotAdmissible, detector_from_cut,
+from oracles import (NotACut, NotAdmissible, checked, detector_from_cut,
                      element_order, enumerate_cuts_exact_cover,
                      enumerate_detectors_product, group_of, lattice_contains,
                      search_all_cuts)
@@ -245,7 +245,7 @@ def test_cut_of_antichain_examples(ctx_p23, make_pd):
     psi = cuts.fiber_map(lq, ctx_p23)
     poset = us.GroupPoset(ctx_p23)
     z = ctx_p23.group
-    j1 = us.checked(poset, [z.canonicalize([v]) for v in [0, 1, 2, 3, 4]])
+    j1 = checked(poset, [z.canonicalize([v]) for v in [0, 1, 2, 3, 4]])
     cut1, det1 = cuts.cut_of_antichain(ctx_p23, j1, lq, gamma, psi)
     assert cuts.cut_type(lq, cut1) == gamma
     qp = cuts.algebra_presentation(lq, cut1)
@@ -256,14 +256,14 @@ def test_cut_of_antichain_examples(ctx_p23, make_pd):
     j1p = us.AntichainRep(poset, [z.canonicalize([v + 5])
                                   for v in [0, 1, 2, 3, 4]])
     assert cuts.cut_of_antichain(ctx_p23, j1p, lq, gamma, psi)[0] == cut1
-    j2 = us.checked(poset, [z.canonicalize([v]) for v in [0, 2, 3, 4, 6]])
+    j2 = checked(poset, [z.canonicalize([v]) for v in [0, 2, 3, 4, 6]])
     assert cuts.cut_of_antichain(ctx_p23, j2, lq, gamma, psi)[0] != cut1
 
     # P^1: J = {0, 1} gives a cut of type (1,1) on the double 2-cycle
     ctx1 = make_pd(1)
     lq1, gamma1 = cuts.data_of_group(ctx1)
     p1 = us.GroupPoset(ctx1)
-    j = us.checked(p1, [ctx1.group.canonicalize([v]) for v in [0, 1]])
+    j = checked(p1, [ctx1.group.canonicalize([v]) for v in [0, 1]])
     cutp, _ = cuts.cut_of_antichain(ctx1, j, lq1, gamma1,
                                     cuts.fiber_map(lq1, ctx1))
     assert cuts.cut_type(lq1, cutp) == (1, 1)
@@ -288,7 +288,7 @@ def test_algebra_presentation_beilinson(make_pd):
     ctx = make_pd(2)
     lq, gamma = cuts.data_of_group(ctx)
     poset = us.GroupPoset(ctx)
-    j = us.checked(poset, [ctx.group.canonicalize([v]) for v in [0, 1, 2]])
+    j = checked(poset, [ctx.group.canonicalize([v]) for v in [0, 1, 2]])
     cut, _ = cuts.cut_of_antichain(ctx, j, lq, gamma,
                                    cuts.fiber_map(lq, ctx))
     qp = cuts.algebra_presentation(lq, cut)

@@ -1,13 +1,13 @@
-"""The gap and sum tables against the order and the group they summarize.
+"""The gap table and level offsets against the order and the group.
 
 `upper_sets` reads GroupPoset.gaps and GroupPoset.level where it once asked
-the order about every pair of elements, and translates member levels
-through GroupPoset.sums where it once added group elements;
-`enumerate_classes` walks level vectors.  The element-level routines in
-oracles.py still ask `poset.leq` and add elements; here they run on every
-point the level-space walk produces, the mutation BFS in oracles.py must
-find the same classes and edges, and a corrupted table must be caught by
-the checks that do not read it.
+the order about every pair of elements, and translates member levels by
+the level offsets of each translation where it once added group elements;
+`enumerate_classes` and `connect` walk level vectors.  The element-level
+routines in oracles.py still ask `poset.leq` and add elements; here they
+run on every point the level-space walk produces, the mutation walks in
+oracles.py must find the same classes, edges and moves, and a corrupted
+table must be caught by the checks that do not read it.
 """
 
 import functools
@@ -16,9 +16,10 @@ import random
 
 import pytest
 
-from oracles import (canonical_form_elementwise, enumerate_classes_bfs,
-                     is_antichain_rep_elementwise, local_check_elementwise,
-                     mutable_elements_elementwise,
+from oracles import (apply_moves, canonical_form_elementwise, checked,
+                     connect_elementwise, enumerate_classes_bfs,
+                     is_antichain_rep_elementwise,
+                     local_check_elementwise, mutable_elements_elementwise,
                      upward_mutable_elements_elementwise)
 from stacktilt import cli, tilting, upper_sets as us
 from stacktilt.abgroup import GroupHom
@@ -165,7 +166,7 @@ def test_element_over_a_fiber_the_poset_lacks():
         for elements in ([extra, *rep.elements], [*rep.elements, extra]):
             assert us.is_antichain_rep(poset, elements) == verdict
             with pytest.raises(NotAntichain) as err:
-                us.checked(poset, elements)
+                checked(poset, elements)
             assert err.value.details == verdict[1]
 
 
@@ -465,3 +466,30 @@ def test_every_raised_inner_gap_is_caught(monkeypatch):
         with pytest.raises(InternalInvariantBroken,
                            match="theta slab|cut grading disagrees"):
             tilting.classify_rank2(ctx, "paper")
+
+
+@pytest.mark.parametrize("name, mode", [
+    ("P(2,3)", "paper"), ("P(2,3)", "zp"), ("P(4,5,6,7)", "paper"),
+    ("P(4,5,6,7)", "zp"), ("P(3,4,5)", "zp"), ("zz2_b", "zp"),
+    ("P1xP2", "paper"), ("sigma1", "paper")])
+def test_connect_matches_the_elementwise_walk(name, mode):
+    """The level-space walk reports the moves of the walk over
+    AntichainReps, tie-break included, from the first class to the last
+    (of the largest base class in rank two) and on three seeded pairs;
+    the moves replay by mutate and mutate_up onto the target's class."""
+    if name in RANK1:
+        groups = [tilting.classify_rank1(_ctx(*RANK1[name]), mode)]
+    else:
+        groups = [grp.classes for grp in
+                  tilting.classify_rank2(_ctx(RANK2[name]), mode).groups]
+    rng = random.Random(f"{name}-{mode}")
+    largest = max(groups, key=len)
+    pairs = [(largest[0], largest[-1])]
+    for group in (rng.choice(groups) for _ in range(3)):
+        pairs.append((rng.choice(group), rng.choice(group)))
+    for a, b in pairs:
+        moves = us.connect(a.rep, b.rep, a.translation)
+        assert moves == connect_elementwise(a.rep, b.rep, a.translation)
+        end = apply_moves(canonical_form_elementwise(a.rep), moves)
+        assert (canonical_form_elementwise(end, a.translation).key()
+                == canonical_form_elementwise(b.rep, a.translation).key())

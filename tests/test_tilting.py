@@ -4,11 +4,12 @@ import itertools
 
 import pytest
 
-from oracles import (arrow_multiset, endomorphism_quiver_bruteforce,
+from oracles import (arrow_multiset, checked, endomorphism_quiver_bruteforce,
                      endomorphism_quiver_search, enumerate_classes_window,
-                     i_contains, j_of_upper)
+                     i_contains, j_of_upper,
+                     stabilizer_merged_count_elementwise)
 from stacktilt import cuts, tilting, upper_sets as us
-from stacktilt.abgroup import direct_sum_group
+from stacktilt.abgroup import GroupHom, direct_sum_group
 from stacktilt.errors import InternalInvariantBroken, NotMinimal
 from stacktilt.graded_order import GradedDegreeGroup
 from stacktilt.stacky_geom import CohomologyOracle, group_to_polytope
@@ -107,7 +108,7 @@ def test_square_class_appears(ctx_p1p1):
 def test_endomorphism_quiver_examples(ctx_p23, ctx_sigma1):
     z = ctx_p23.group
     poset = us.GroupPoset(ctx_p23)
-    rep = us.checked(poset, [z.canonicalize([v]) for v in [0, 1, 2, 3, 4]])
+    rep = checked(poset, [z.canonicalize([v]) for v in [0, 1, 2, 3, 4]])
     qp = tilting.endomorphism_quiver(tilting.arrow_table(poset, [rep]), rep)
     assert len(qp.arrows) == 5
     singleton = endomorphism_quiver_search(ctx_p23, [z.zero()])
@@ -358,6 +359,78 @@ def test_classify_rank1_checks_the_cut_bijection(ctx_p23, monkeypatch,
     monkeypatch.setattr(us, "enumerate_classes", altered)
     with pytest.raises(InternalInvariantBroken):
         tilting.classify_rank1(ctx_p23, mode)
+
+
+@pytest.mark.parametrize("mode, delta", [
+    ("paper", 1), ("paper", -1), ("zp", 1)])
+def test_an_orbit_size_off_by_one_misses_a_cut(ctx_zz2_d1, monkeypatch,
+                                               mode, delta):
+    """The completeness check sums the orbit sizes that enumerate_classes
+    records (4 and 2 in paper mode here): one off by one is refused."""
+    enumerate_classes = us.enumerate_classes
+
+    def altered(*args):
+        reps = enumerate_classes(*args)
+        reps[-1].orbit_len += delta
+        return reps
+
+    monkeypatch.setattr(us, "enumerate_classes", altered)
+    with pytest.raises(InternalInvariantBroken,
+                       match="the classes miss a cut of type gamma"):
+        tilting.classify_rank1(ctx_zz2_d1, mode)
+
+
+def _merging_groups(name):
+    """A paper classification, and its base classes whose stabilizer
+    merges some inner classes."""
+    result = tilting.classify_rank2(_ctx(*_RANK2_CORPUS[name]), "paper")
+    return result, [grp for grp in result.groups
+                    if grp.merged_class_count < len(grp.classes)]
+
+
+@pytest.mark.parametrize("name", ["z2-torsion", "z3-torsion", "p2p2"])
+def test_stabilizer_count_matches_the_elementwise_count(name):
+    result, merging = _merging_groups(name)
+    assert merging
+    for grp in result.groups:
+        assert grp.merged_class_count == stabilizer_merged_count_elementwise(
+            result.split, grp.base, [tc.rep for tc in grp.classes])
+
+
+def test_a_stabilizer_translate_off_the_class_list_is_caught():
+    """Drop each inner class of a base class in turn: where a translate of
+    another class was the dropped one, both counts refuse the list."""
+    result, merging = _merging_groups("z2-torsion")
+    split, grp = result.split, merging[0]
+    inner = [tc.rep for tc in grp.classes]
+    refused = 0
+    for i in range(len(inner)):
+        kept = inner[:i] + inner[i + 1:]
+        try:
+            expected = stabilizer_merged_count_elementwise(split, grp.base,
+                                                           kept)
+        except InternalInvariantBroken:
+            refused += 1
+            with pytest.raises(InternalInvariantBroken,
+                               match="stabilizer translate left the class"):
+                tilting._stabilizer_merged_count(split, grp.base, kept)
+        else:
+            assert tilting._stabilizer_merged_count(split, grp.base,
+                                                    kept) == expected
+    assert refused
+
+
+def test_a_stabilizer_lift_off_the_fibers_is_an_internal_fault(monkeypatch):
+    """A lift over no fiber of the poset has no level; moving it past s
+    (J and J + s are disjoint) must be refused as a fault, not crash."""
+    result, merging = _merging_groups("z2-torsion")
+    split, grp = result.split, merging[0]
+    section = GroupHom.section
+    monkeypatch.setattr(GroupHom, "section",
+                        lambda hom, h: section(hom, h + split.s))
+    with pytest.raises(InternalInvariantBroken, match="leaves the poset"):
+        tilting._stabilizer_merged_count(split, grp.base,
+                                         [tc.rep for tc in grp.classes])
 
 
 def test_certificates_run_once_per_classification(ctx_p23, monkeypatch):

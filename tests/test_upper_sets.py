@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import pytest
 
-from oracles import (TrivialUpperSet, admits_proper_superset,
-                     enumerate_classes_window, i_contains, j_of_upper)
+from oracles import (TrivialUpperSet, admits_proper_superset, checked,
+                     enumerate_classes_window, i_contains, j_of_upper,
+                     orbit_size_elementwise)
 from stacktilt import upper_sets as us
 from stacktilt.errors import NotAntichain, NotMinimal
 
@@ -31,11 +35,11 @@ def test_j_of_upper_examples(ctx_p23, make_pd):
 
 def test_i_contains(ctx_p23):
     poset = _poset(ctx_p23)
-    j1 = us.checked(poset, _mk(ctx_p23, [0, 1, 2, 3, 4]))
+    j1 = checked(poset, _mk(ctx_p23, [0, 1, 2, 3, 4]))
     z = ctx_p23.group
     assert i_contains(j1, z.canonicalize([7]))
     assert not i_contains(j1, z.canonicalize([-1]))
-    j2 = us.checked(poset, _mk(ctx_p23, [0, 2, 3, 4, 6]))
+    j2 = checked(poset, _mk(ctx_p23, [0, 2, 3, 4, 6]))
     assert not i_contains(j2, z.canonicalize([1]))
 
 
@@ -51,14 +55,14 @@ def test_is_antichain_rep(ctx_p23):
 
 def test_mutable_and_mutate(ctx_p23, make_pd):
     poset = _poset(ctx_p23)
-    j1 = us.checked(poset, _mk(ctx_p23, [0, 1, 2, 3, 4]))
+    j1 = checked(poset, _mk(ctx_p23, [0, 1, 2, 3, 4]))
     assert sorted(e.coords[0] for e in us.mutable_elements(j1)) == [0, 1]
-    j2 = us.checked(poset, _mk(ctx_p23, [0, 2, 3, 4, 6]))
+    j2 = checked(poset, _mk(ctx_p23, [0, 2, 3, 4, 6]))
     assert [e.coords[0] for e in us.mutable_elements(j2)] == [0]
 
     ctx1 = make_pd(1)
     p1 = _poset(ctx1)
-    jp = us.checked(p1, _mk(ctx1, [0, 1]))
+    jp = checked(p1, _mk(ctx1, [0, 1]))
     assert [e.coords[0] for e in us.mutable_elements(jp)] == [0]
     mut = us.mutate(jp, ctx1.group.zero())
     assert [e.coords[0] for e in mut.elements] == [1, 2]
@@ -138,15 +142,15 @@ def test_maximality_for_free(ctx_p23, ctx_zz2_d1):
 
 def test_connect(ctx_p23, make_pd):
     poset = _poset(ctx_p23)
-    j1 = us.checked(poset, _mk(ctx_p23, [0, 1, 2, 3, 4]))
-    j2 = us.checked(poset, _mk(ctx_p23, [0, 2, 3, 4, 6]))
+    j1 = checked(poset, _mk(ctx_p23, [0, 1, 2, 3, 4]))
+    j2 = checked(poset, _mk(ctx_p23, [0, 2, 3, 4, 6]))
     assert us.connect(j1, j2, mode="full") == [((3,), -1)]
     assert us.connect(j2, j1, mode="full") == [((1,), -1)]
     assert us.connect(j1, j1, mode="full") == []
     ctx1 = make_pd(1)
     p1 = _poset(ctx1)
-    a = us.checked(p1, _mk(ctx1, [0, 1]))
-    b = us.checked(p1, _mk(ctx1, [1, 2]))
+    a = checked(p1, _mk(ctx1, [0, 1]))
+    b = checked(p1, _mk(ctx1, [1, 2]))
     moves = us.connect(a, b, mode="zp")
     assert len(moves) == 1 and moves[0][1] == 1
 
@@ -154,7 +158,7 @@ def test_connect(ctx_p23, make_pd):
 def test_checked_raises(ctx_p23):
     poset = _poset(ctx_p23)
     with pytest.raises(NotAntichain):
-        us.checked(poset, _mk(ctx_p23, [0, 1, 2, 3, 9]))
+        checked(poset, _mk(ctx_p23, [0, 1, 2, 3, 9]))
 
 
 def test_class_ceiling(ctx_p23):
@@ -181,5 +185,49 @@ def test_orbit_sizes_add_up_to_the_zp_classes(ctx_p23, ctx_zz2_d1, ctx_zz2_d2,
         poset = _poset(ctx)
         full = us.enumerate_classes(poset, "full")
         zp = us.enumerate_classes(poset, "zp")
-        assert sum(us.orbit_size(rep, "full") for rep in full) == len(zp)
-        assert {us.orbit_size(rep, "zp") for rep in zp} == {1}
+        assert ([rep.orbit_len for rep in full]
+                == [orbit_size_elementwise(rep, "full") for rep in full])
+        assert sum(rep.orbit_len for rep in full) == len(zp)
+        assert {rep.orbit_len for rep in zp} == {1}
+
+
+def _library_references() -> set:
+    """The names of upper_sets the library uses: bare names inside the
+    module, and names imported from it or read off it elsewhere."""
+    used = set()
+    for path in Path(us.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        nodes = list(ast.walk(tree))
+        if path.name == "upper_sets.py":
+            used |= {n.id for n in nodes if isinstance(n, ast.Name)}
+            continue
+        aliases = set()
+        for n in nodes:
+            if isinstance(n, ast.ImportFrom):
+                if n.module == "upper_sets":
+                    used |= {alias.name for alias in n.names}
+                aliases |= {alias.asname or alias.name for alias in n.names
+                            if alias.name == "upper_sets"}
+        used |= {n.attr for n in nodes if isinstance(n, ast.Attribute)
+                 and isinstance(n.value, ast.Name) and n.value.id in aliases}
+    return used
+
+
+def test_every_upper_sets_name_has_a_library_caller():
+    """Test-only code lives in tests/oracles.py: each top-level function
+    and class of upper_sets is used somewhere in the library other than
+    its own definition, or is an entry point the benchmark tracer wraps
+    (perfbench/tracing.py, read here, not imported)."""
+    tracing = Path(us.__file__).parents[2] / "perfbench" / "tracing.py"
+    traced = {entry[1].split(".")[0]
+              for node in ast.parse(tracing.read_text()).body
+              if isinstance(node, ast.Assign)
+              and {t.id for t in node.targets} & {"SPANS", "COUNTERS"}
+              for entry in ast.literal_eval(node.value)
+              if entry[0] == "upper_sets"}
+    defined = [node.name for node in ast.parse(Path(us.__file__).read_text())
+               .body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    used = _library_references()
+    assert {"connect", "enumerate_classes", "mutate"} <= used
+    assert "canonical_form" in traced
+    assert [name for name in defined if name not in used | traced] == []
