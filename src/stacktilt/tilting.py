@@ -10,10 +10,10 @@ once per base class and top-Ext vanishing once per class.
 
 Endomorphism quivers are read off one arrow table per poset: the exponent
 vectors minimal over its fibers, searched once and stored as integers
-(fiber, level, exponents).  A class takes the entries whose offset from
-its members' levels is 0 as arrows; every entry must have offset 0 or 1,
-the grading of a cut of the quiver over the base (rank two) or of the
-group (rank one).
+(fiber, level, exponents), and checked before the poset is walked.  A
+class takes the entries whose offset from its members' levels is 0 as
+arrows; every entry must have offset 0 or 1, the grading of a cut of the
+quiver over the base (rank two) or of the group (rank one).
 """
 
 from __future__ import annotations
@@ -63,9 +63,8 @@ def _class_id(rank: int, elements: Sequence[GroupElement]) -> str:
     return hashlib.sha1(payload.encode()).hexdigest()[:12]
 
 
-def arrow_table(poset: us.GroupPoset,
-                reps: Sequence[us.AntichainRep]) -> dict:
-    """The arrows of every class in reps, found once for their poset.
+def arrow_table(poset: us.GroupPoset) -> dict:
+    """The arrows of every class of poset, found and checked once.
 
     table[a] lists (b, t, c) for each exponent vector c minimal with
     s_a + deg c over the poset: s_a + deg c = s_b + t*shift, and no
@@ -74,21 +73,19 @@ def arrow_table(poset: us.GroupPoset,
     (lands over no fiber), all of which lie on the layer just done; an
     admitted c that lands is an entry and is not extended.  Each c is met
     once, from c - e_i with i its last nonzero index.  It stops at
-    theta(c) <= max over reps of (top theta - theta of the member over
-    a): no class has an arrow out of that member beyond, since none has
-    a member above its top theta.  On the whole group every vector
-    lands, so the table is the n single steps per fiber.
+    theta(c) <= max over b of theta(s_b) - theta(s_a) - gaps[b][a]*theta_p,
+    the most any class's member over b rises above its member over a
+    (k_b - k_a <= -gaps[b][a]).  On the whole group every vector lands, so
+    the table is the n single steps per fiber.  Each entry is proved
+    irreducible, and the entries' cut grading must close to the gaps.
     """
-    ctx = poset.ctx
+    ctx, gaps, theta = poset.ctx, poset.gaps, poset.sample_theta
     n = ctx.n
     steps = [(x, ctx.theta_val(x)) for x in ctx.degrees]
-    bound = dict.fromkeys(poset.fibers, 0)
-    for rep in reps:
-        top = max(ctx.theta_val(e) for e in rep.elements)
-        for a, g in rep.by_fiber.items():
-            bound[a] = max(bound[a], top - ctx.theta_val(g))
     table = {}
     for a in poset.fibers:
+        bound = max(theta[b] - theta[a] - gaps[b][a] * poset.theta_p
+                    for b in poset.fibers)
         found = []
         layer = {(0,) * n: (poset.fiber_sample(a), 0)}
         while layer:
@@ -98,7 +95,7 @@ def arrow_table(poset: us.GroupPoset,
                 for i in range(last, n):
                     x, tx = steps[i]
                     c = b[:i] + (b[i] + 1,) + b[i + 1:]
-                    if t + tx > bound[a] or any(
+                    if t + tx > bound or any(
                             c[j] and c[:j] + (c[j] - 1,) + c[j + 1:]
                             not in layer for j in range(n)):
                         continue
@@ -106,10 +103,18 @@ def arrow_table(poset: us.GroupPoset,
                     over = poset.level(h)
                     if over is None:
                         nxt[c] = (h, t + tx)
-                    else:
+                    elif _is_irreducible(poset, a, c):
                         found.append((*over, c))
+                    else:
+                        raise InternalInvariantBroken(
+                            f"arrow table met a reducible monomial {c} "
+                            f"out of fiber {a}")
             layer = nxt
         table[a] = tuple(found)
+    us.check_closure(poset, ((a, b, t) for a, entries in table.items()
+                             for b, t, _ in entries),
+                     "the arrow table's cut grading disagrees with the gap "
+                     "table")
     return table
 
 
@@ -124,15 +129,15 @@ def endomorphism_quiver(table: dict,
     e = k_a + t - k_b equal to 0: a sub-vector of c landing over the
     fibers at offset 1 or more would put g_b above a member plus shift,
     at offset -1 or less a member above g_a plus shift.  Every entry
-    must have e in {0, 1}, the grading of a cut; each arrow is re-checked
-    irreducible.  Commutativity relations are emitted in rank one only,
-    where they present the algebra; they read the poset's single steps.
+    must have e in {0, 1}, the grading of a cut.  Commutativity relations
+    are emitted in rank one only, where they present the algebra: one per
+    square of arrows x_i x_j and x_j x_i out of a member, the rule
+    cuts.algebra_presentation applies to the cut.
     """
     poset, ctx = rep.poset, rep.poset.ctx
-    members = {e.coords: e for e in rep.elements}
     at = rep.by_fiber
     k = {a: poset.level(g)[1] for a, g in at.items()}
-    arrows = []
+    arrows, head = [], {}    # head[a, c]: the fiber where arrow c from a ends
     for a, g in at.items():
         for b, t, c in table[a]:
             e = k[a] + t - k[b]
@@ -142,38 +147,34 @@ def endomorphism_quiver(table: dict,
                 raise InternalInvariantBroken(
                     f"arrow {c} out of {g.coords} has offset {e}, "
                     "outside the cut grading {0, 1}")
-            if not _is_irreducible(ctx, members, g, c):
-                raise InternalInvariantBroken(
-                    f"arrow table met a reducible monomial {c} "
-                    f"out of {g.coords}")
             arrows.append(Arrow(g.coords, at[b].coords, monomial_label(c)))
+            head[a, c] = b
     relations: list[Relation] = []
     if ctx.group.free_rank == 1:
-        steps = poset._steps     # steps[a][i]: the level of s_a + x_i
+        x = [tuple(int(i == j) for j in range(ctx.n)) for i in range(ctx.n)]
         for a, g in at.items():
             for i, j in itertools.combinations(range(ctx.n), 2):
-                (bi, ti), (bj, tj) = steps[a][i], steps[a][j]
-                f, t = steps[bi][j]
-                if (k[bi] == k[a] + ti and k[bj] == k[a] + tj
-                        and k[f] == k[a] + ti + t):
+                bi, bj = head.get((a, x[i])), head.get((a, x[j]))
+                if (bi, x[j]) in head and (bj, x[i]) in head:
                     relations.append(Relation(
-                        source=g.coords, target=at[f].coords,
+                        source=g.coords, target=at[head[bi, x[j]]].coords,
                         path_a=(f"x{i + 1}", f"x{j + 1}"),
                         path_b=(f"x{j + 1}", f"x{i + 1}")))
-    return QuiverPresentation(vertices=tuple(members), arrows=tuple(arrows),
-                              relations=tuple(relations))
+    return QuiverPresentation(vertices=tuple(e.coords for e in rep.elements),
+                              arrows=tuple(arrows), relations=tuple(relations))
 
 
-def _is_irreducible(ctx: GradedDegreeGroup, members: dict,
-                    g: GroupElement, mono: tuple[int, ...]) -> bool:
-    for split in itertools.product(*(range(a + 1) for a in mono)):
+def _is_irreducible(poset: us.GroupPoset, a, mono: tuple[int, ...]) -> bool:
+    """No nonzero proper sub-vector of mono lands over a fiber from s_a, so
+    no member of any class of poset splits the monomial."""
+    for split in itertools.product(*(range(e + 1) for e in mono)):
         if not any(split) or split == mono:
             continue
-        mid = g
-        for i, b in enumerate(split):
-            if b:
-                mid = mid + b * ctx.degrees[i]
-        if mid.coords in members:
+        mid = poset.fiber_sample(a)
+        for i, e in enumerate(split):
+            if e:
+                mid = mid + e * poset.ctx.degrees[i]
+        if poset.level(mid) is not None:
             return False
     return True
 
@@ -225,9 +226,9 @@ def classify_rank1(ctx: GradedDegreeGroup, mode: str = "paper",
         raise InputError("classify_rank1 needs a rank-one graded group")
     translation = _translation(mode)
     poset = us.GroupPoset(ctx)
+    table = arrow_table(poset)
     reps = us.enumerate_classes(poset, translation, max_classes)
     lq, gamma = cuts_mod.data_of_group(ctx)
-    table = arrow_table(poset, reps)
     classes = [_tilting_class(table, rep, translation) for rep in reps]
     cuts = _certify_rank1(ctx, classes, lq, gamma)
     if len(set(cuts)) != len(cuts):
@@ -332,6 +333,7 @@ def classify_rank2(ctx: GradedDegreeGroup, mode: str = "paper",
     budget = max_classes
     for base in base_classes:
         poset = us.GroupPoset(ctx, over=(split, base))
+        table = arrow_table(poset)
         try:
             inner = us.enumerate_classes(poset, "zp", budget)
         except ClassCountExceeded:
@@ -339,11 +341,6 @@ def classify_rank2(ctx: GradedDegreeGroup, mode: str = "paper",
                                      ceiling=max_classes) from None
         budget -= len(inner)
         _certify_rank2(ctx, split, base, inner)
-        table = arrow_table(poset, inner)
-        us.check_closure(poset, ((a, b, t) for a, entries in table.items()
-                                 for b, t, _ in entries),
-                         "the arrow table's cut grading disagrees with the "
-                         "gap table")
         classes = [_tilting_class(table, rep, "zp", split, base)
                    for rep in inner]
         merged = _stabilizer_merged_count(split, base, inner)
@@ -360,8 +357,8 @@ def apr_mutate(tclass: TiltingClass, m: GroupElement) -> TiltingClass:
     rep = us.mutate(tclass.rep, m)
     if tclass.rank == 2:
         _certify_rank2(tclass.ctx, tclass.split, tclass.base, [rep])
-    tc = _tilting_class(arrow_table(rep.poset, [rep]), rep,
-                        tclass.translation, tclass.split, tclass.base)
+    tc = _tilting_class(arrow_table(rep.poset), rep, tclass.translation,
+                        tclass.split, tclass.base)
     if tc.rank == 1:
         _certify_rank1(tc.ctx, [tc], *cuts_mod.data_of_group(tc.ctx))
     return tc

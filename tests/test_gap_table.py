@@ -190,17 +190,16 @@ def _corrupt(monkeypatch, applies, a, b, delta):
     _patch_gaps(monkeypatch, gaps)
 
 
-@pytest.mark.parametrize("mode, a, b, delta, check", [
-    ("paper", 1, 2, 1, "local J-condition disagrees"),
-    ("zp", 0, 2, -1, "local J-condition disagrees"),
-    ("zp", 0, 1, 1, "local J-condition disagrees"),
-])
-def test_corrupted_rank1_table_is_caught(monkeypatch, mode, a, b, delta,
-                                         check):
+CLOSURE = "the arrow table's cut grading disagrees with the gap table"
+
+
+@pytest.mark.parametrize("mode, a, b, delta", [
+    ("paper", 1, 2, 1), ("zp", 0, 2, -1), ("zp", 0, 1, 1)])
+def test_corrupted_rank1_table_is_caught(monkeypatch, mode, a, b, delta):
     ctx = _ctx(*RANK1["P(2,3)"])
     tilting.classify_rank1(ctx, mode)
     _corrupt(monkeypatch, lambda poset: True, a, b, delta)
-    with pytest.raises(InternalInvariantBroken, match=check):
+    with pytest.raises(InternalInvariantBroken, match=CLOSURE):
         tilting.classify_rank1(ctx, mode)
 
 
@@ -311,26 +310,33 @@ def test_full_translations_need_the_whole_group():
         us.canonical_form(rep, "full")
 
 
-@pytest.mark.parametrize("degrees", [[[2], [3]], [[2], [3], [5]]])
+@pytest.mark.parametrize("degrees", [
+    RANK1["P(2,3)"], ([[2], [3], [5]], ()), RANK1["P(3,4,5)"],
+    RANK1["zz2_b"]])
 def test_every_raised_gap_is_caught_or_harmless(monkeypatch, degrees):
     """A gap one too high makes the order too strict, which can only lose
-    classes.  The closure of the Prop-GJX steps does not read the gaps, so
-    it must catch every such entry before the walk."""
-    ctx = _ctx(degrees)
-    expected = [(tc.rep.key(), tc.quiver)
-                for tc in tilting.classify_rank1(ctx, "paper")]
+    classes; one too low lets sets in that are no classes.  The arrow
+    table's θ bound reads the gaps, but its entries come from the level
+    map, so the closure of their cut grading must refuse every such
+    entry before the walk, in both modes."""
+    ctx = _ctx(*degrees)
     n = len(us.GroupPoset(ctx).fibers)
-    caught = []
-    for a, b in itertools.product(range(n), repeat=2):
-        _corrupt(monkeypatch, lambda poset: True, a, b, 1)
-        try:
-            got = tilting.classify_rank1(ctx, "paper")
-        except InternalInvariantBroken as err:
-            caught.append(str(err))
-            continue
-        assert [(tc.rep.key(), tc.quiver) for tc in got] == expected, (a, b)
-    assert len(caught) == n * n
-    assert all("local J-condition disagrees" in msg for msg in caught)
+    expected = {mode: [(tc.rep.key(), tc.quiver)
+                       for tc in tilting.classify_rank1(ctx, mode)]
+                for mode in ("paper", "zp")}
+    for mode in expected:
+        caught = []
+        for a, b, delta in itertools.product(range(n), range(n), (1, -1)):
+            _corrupt(monkeypatch, lambda poset: True, a, b, delta)
+            try:
+                got = tilting.classify_rank1(ctx, mode)
+            except InternalInvariantBroken as err:
+                caught.append(str(err))
+                continue
+            assert ([(tc.rep.key(), tc.quiver) for tc in got]
+                    == expected[mode]), (mode, a, b, delta)
+        assert len(caught) == 2 * n * n
+        assert all(msg == CLOSURE for msg in caught)
 
 
 def test_full_canonical_forms_project_few_elements(monkeypatch):
@@ -374,9 +380,11 @@ def test_each_element_is_projected_once_per_poset(monkeypatch):
 def test_a_slab_that_fails_the_antichain_test_is_an_internal_fault(
         monkeypatch):
     """The theta slab is an antichain by theorem, so a slab refused by a
-    corrupted table is no invalid input (NotAntichain, exit 2)."""
+    corrupted table is no invalid input (NotAntichain, exit 2).  The arrow
+    table's closure refuses this table first, so it is patched out."""
     ctx = _ctx(RANK2["P1xP2"])
     _corrupt(monkeypatch, lambda poset: not poset.whole_group, 0, 0, 1)
+    monkeypatch.setattr(us, "check_closure", lambda *args: None)
     with pytest.raises(InternalInvariantBroken, match="theta slab"):
         tilting.classify_rank2(ctx, "paper")
 
@@ -438,33 +446,47 @@ def test_walk_matches_the_mutation_bfs(name):
                     == _classes_and_edges(enumerate_classes_bfs(poset, mode)))
 
 
-@pytest.mark.parametrize("name", list(RANK2_CORPUS))
+@pytest.mark.parametrize("name", list(RANK2_CORPUS) + list(RANK1_CORPUS))
 def test_rank2_closure_certificate_holds_on_the_corpus(name, monkeypatch):
-    """The arrow table's cut-grading constraints close to -gaps on every
-    base class; counted through the helper, so none is skipped."""
-    ctx = _ctx(*RANK2_CORPUS[name])
-    checks = []
-    check_closure = us.check_closure
+    """The arrow table's cut-grading constraints close to -gaps on the
+    rank-one poset and on every base class's poset, exactly once each and
+    before the poset is walked; counted through the helper, so none is
+    skipped.  The base order H has no arrow table and no closure."""
+    events = []
+    check_closure, enumerate_classes = us.check_closure, us.enumerate_classes
 
     def counted(poset, steps, message):
-        checks.append(poset)
+        events.append(("closure", poset))
         return check_closure(poset, steps, message)
 
+    def walked(poset, *args):
+        events.append(("walk", poset))
+        return enumerate_classes(poset, *args)
+
     monkeypatch.setattr(us, "check_closure", counted)
-    result = tilting.classify_rank2(ctx, "paper")
-    assert len(checks) == len(result.groups)
+    monkeypatch.setattr(us, "enumerate_classes", walked)
+    if name in RANK1_CORPUS:
+        tilting.classify_rank1(_ctx(*RANK1_CORPUS[name]), "paper")
+        posets = 1
+    else:
+        result = tilting.classify_rank2(_ctx(*RANK2_CORPUS[name]), "paper")
+        posets = len(result.groups)
+    closed = [poset for event, poset in events if event == "closure"]
+    assert len(closed) == len(set(map(id, closed))) == posets
+    for poset in closed:
+        assert events.index(("closure", poset)) < events.index(
+            ("walk", poset))
 
 
 def test_every_raised_inner_gap_is_caught(monkeypatch):
     """P1xP2, paper mode: a gap one too high in every fibered poset makes
     the order too strict.  Without the arrow table's closure, 9 of the 36
-    entries lost classes silently ((0, 1) gave 7 of 16); now each is
-    refused, by the slab test or by the closure."""
+    entries lost classes silently ((0, 1) gave 7 of 16); now the closure
+    refuses each before the walk, and each gap one too low as well."""
     ctx = _ctx(RANK2["P1xP2"])
-    for a, b in itertools.product(range(6), repeat=2):
-        _corrupt(monkeypatch, lambda poset: poset.ctx is ctx, a, b, 1)
-        with pytest.raises(InternalInvariantBroken,
-                           match="theta slab|cut grading disagrees"):
+    for a, b, delta in itertools.product(range(6), range(6), (1, -1)):
+        _corrupt(monkeypatch, lambda poset: poset.ctx is ctx, a, b, delta)
+        with pytest.raises(InternalInvariantBroken, match=CLOSURE):
             tilting.classify_rank2(ctx, "paper")
 
 
@@ -493,3 +515,32 @@ def test_connect_matches_the_elementwise_walk(name, mode):
         end = apply_moves(canonical_form_elementwise(a.rep), moves)
         assert (canonical_form_elementwise(end, a.translation).key()
                 == canonical_form_elementwise(b.rep, a.translation).key())
+
+
+def test_a_mutation_off_the_walked_points_is_an_internal_fault(monkeypatch):
+    """P1xP3, paper mode: the base order's gap (fibers[1], fibers[0]) one
+    too low sends a class's down move to a point that neither the walk nor
+    the translates of its points hold.  That is refused as a fault, not
+    with a KeyError."""
+    ctx = _ctx(*RANK2_CORPUS["P1xP3"])
+    _corrupt(monkeypatch, lambda poset: poset.ctx is not ctx, 1, 0, -1)
+    with pytest.raises(InternalInvariantBroken,
+                       match="a mutation leaves the classes the walk found"):
+        tilting.classify_rank2(ctx, "paper")
+
+
+def test_rigidity_is_the_check_on_the_base_order(monkeypatch):
+    """sigma1, paper mode: the base order's gap (fibers[0], fibers[3]) one
+    too low lets in a base class that is not rigid, and the rigidity
+    certificate refuses it.  The base order has no arrow table, so with
+    _certify_rank2 patched out the classification lists other classes."""
+    ctx = _ctx(RANK2["sigma1"])
+    expected = [tc.rep.key()
+                for tc in tilting.classify_rank2(ctx, "paper").classes]
+    _corrupt(monkeypatch, lambda poset: poset.ctx is not ctx, 0, 3, -1)
+    with pytest.raises(InternalInvariantBroken,
+                       match="rigidity certificate failed"):
+        tilting.classify_rank2(ctx, "paper")
+    monkeypatch.setattr(tilting, "_certify_rank2", lambda *args: None)
+    got = [tc.rep.key() for tc in tilting.classify_rank2(ctx, "paper").classes]
+    assert got and got != expected

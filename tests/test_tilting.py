@@ -109,7 +109,7 @@ def test_endomorphism_quiver_examples(ctx_p23, ctx_sigma1):
     z = ctx_p23.group
     poset = us.GroupPoset(ctx_p23)
     rep = checked(poset, [z.canonicalize([v]) for v in [0, 1, 2, 3, 4]])
-    qp = tilting.endomorphism_quiver(tilting.arrow_table(poset, [rep]), rep)
+    qp = tilting.endomorphism_quiver(tilting.arrow_table(poset), rep)
     assert len(qp.arrows) == 5
     singleton = endomorphism_quiver_search(ctx_p23, [z.zero()])
     assert singleton.arrows == ()
@@ -120,6 +120,26 @@ def test_endomorphism_quiver_examples(ctx_p23, ctx_sigma1):
             if "*" in a.label:
                 composite_labels.add(a.label)
     assert composite_labels == {"x1*x4", "x2*x4"}
+
+
+def test_a_vector_with_a_landing_sub_vector_is_reducible(ctx_p1p1):
+    """On the fibered posets over the P1xP1 base classes, every table entry
+    is irreducible, and an entry lengthened by any x_j is not: the entry is
+    a proper sub-vector of it that lands over a fiber.  The second base
+    class has entries of degree two, such as x1*x3."""
+    split = ctx_p1p1.sign_split()
+    h_poset = us.GroupPoset(split.h_ctx, shift_element=split.s)
+    degrees = set()
+    for base in us.enumerate_classes(h_poset, "full"):
+        poset = us.GroupPoset(ctx_p1p1, over=(split, base))
+        for a, entries in tilting.arrow_table(poset).items():
+            for _, _, c in entries:
+                degrees.add(sum(c))
+                assert tilting._is_irreducible(poset, a, c)
+                for j in range(ctx_p1p1.n):
+                    longer = c[:j] + (c[j] + 1,) + c[j + 1:]
+                    assert not tilting._is_irreducible(poset, a, longer)
+    assert degrees == {1, 2}
 
 
 def _ctx(free_rank, torsion, degrees):
@@ -207,15 +227,16 @@ def _assert_oracles_agree(ctx, quivers):
 def test_endomorphism_quiver_matches_bruteforce(case):
     """Every class's quiver, read off its poset's arrow table, is the one
     the per-class search and the enumerate-then-filter path find.
-    p2p2-bases takes the seed class over each base class, with a one-class
-    table.  No tilting class of these inputs has an arrow with a squared
-    variable, so p1p1-powers takes sets that are not tilting and have such
-    arrows; only the per-class search serves those."""
+    p2p2-bases takes the seed class over each base class, read off the
+    table of that base class's poset.  No tilting class of these inputs
+    has an arrow with a squared variable, so p1p1-powers takes sets that
+    are not tilting and have such arrows; only the per-class search serves
+    those."""
     spec, mode = _QUIVER_CASES[case]
     ctx = _ctx(*spec)
     if case == "p2p2-bases":
         quivers = [(rep.elements, tilting.endomorphism_quiver(
-                        tilting.arrow_table(rep.poset, [rep]), rep))
+                        tilting.arrow_table(rep.poset), rep))
                    for rep in _one_class_per_base(ctx)]
     elif case == "p1p1-powers":
         quivers = [(els, endomorphism_quiver_search(ctx, els)) for els in (
@@ -236,8 +257,8 @@ def test_table_entry_off_the_cut_grading_is_caught(monkeypatch, case):
     ctx = _ctx(*_QUIVER_CASES[case][0])
     build = tilting.arrow_table
 
-    def corrupted(poset, reps):
-        table = build(poset, reps)
+    def corrupted(poset):
+        table = build(poset)
         a = poset.fibers[0]
         (b, t, c), *rest = table[a]
         table[a] = ((b, t + 2, c), *rest)
@@ -258,9 +279,9 @@ def test_arrow_search_runs_once_per_poset(monkeypatch, case):
     posets = []
     build = tilting.arrow_table
 
-    def counted(poset, reps):
+    def counted(poset):
         posets.append(poset)
-        return build(poset, reps)
+        return build(poset)
 
     monkeypatch.setattr(tilting, "arrow_table", counted)
     if ctx.group.free_rank == 1:
