@@ -207,10 +207,13 @@ def _classify(ctx, mode: str, max_classes: int):
 
 def _write_dots(classes, dot_dir: str) -> None:
     out = Path(dot_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for tc in classes:
-        (out / f"{tc.class_id}.dot").write_text(
-            to_dot(tc.quiver, name=tc.class_id), encoding="utf-8")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for tc in classes:
+            (out / f"{tc.class_id}.dot").write_text(
+                to_dot(tc.quiver, name=tc.class_id), encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write DOT files: {exc}") from None
 
 
 def _find_class(classes, token: str):

@@ -9,7 +9,7 @@ import pytest
 
 import stacktilt
 from oracles import enumerate_detectors_product, parse_dot
-from stacktilt import cuts, tilting, upper_sets as us
+from stacktilt import cli, cuts, tilting, upper_sets as us
 from stacktilt.cli import _build_context, _classify, _emit, _encode, main
 from stacktilt.errors import InputError
 
@@ -539,3 +539,67 @@ def test_cuts_enumerate_all_types(tmp_path, capsys):
     assert all(t["admissible"] for t in doc["types"])
     assert sum(t["cut_count"] for t in doc["types"]) == doc["cut_count"]
     assert realized == {(0, 3), (1, 2), (2, 1), (3, 0)}
+
+
+@pytest.mark.parametrize("doc_in", [P23, P345, P1P2],
+                         ids=["p23", "p345", "p1p2"])
+@pytest.mark.parametrize("mode", ["paper", "zp"])
+def test_mutate_at_names_the_listed_neighbour(tmp_path, capsys, monkeypatch,
+                                              doc_in, mode):
+    """For every class and every neighbour classify lists, mutate --at
+    prints the neighbour's id as the result's id, and the mutated set
+    (the site m replaced by m + p) as its line bundles.  The input is
+    classified once; each mutate reuses that classification."""
+    classified = {}
+
+    def once(ctx, mode, max_classes):
+        if mode not in classified:
+            classified[mode] = _classify(ctx, mode, max_classes)
+        return classified[mode]
+
+    monkeypatch.setattr(cli, "_classify", once)
+    path = _write(tmp_path, doc_in)
+    code, doc = _run(capsys, ["classify", path, "--mode", mode])
+    assert code == 0
+    entries = (doc["classes"] if doc["rank"] == 1 else
+               [c for g in doc["j_classes"] for c in g["classes"]])
+    p = [sum(col) for col in zip(*doc_in["group"]["degrees"])]
+    edges = 0
+    for entry in entries:
+        for edge in entry["mutation_neighbors"]:
+            code, out = _run(capsys, ["mutate", path, "--mode", mode,
+                                      "--class", entry["id"],
+                                      "--at", json.dumps(edge["at"])])
+            assert code == 0 and out["result"]["id"] == edge["to"]
+            moved = [[x + y for x, y in zip(v, p)] if v == edge["at"] else v
+                     for v in entry["line_bundles"]]
+            assert out["result"]["line_bundles"] == sorted(moved)
+            edges += 1
+    assert edges
+
+
+def test_dot_dir_that_cannot_be_made_is_an_input_error(tmp_path, capsys):
+    """--dot-dir naming a file, or a path under one, exits 2 with an
+    InputError instead of a traceback."""
+    path = _write(tmp_path, P23)
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    for dot_dir in (taken, taken / "dots"):
+        code, doc = _run(capsys, ["classify", path, "--dot-dir",
+                                  str(dot_dir)])
+        assert code == 2 and doc["error"]["type"] == "InputError"
+        assert "cannot write DOT files" in doc["error"]["message"]
+
+
+def test_walk_between_base_classes_is_an_input_error(tmp_path, capsys):
+    """mutate --walk-to connects classes over one base class only: a
+    target over another base exits 2 naming source and target."""
+    path = _write(tmp_path, P1P2)
+    code, doc = _run(capsys, ["classify", path])
+    assert code == 0
+    first, other = doc["j_classes"][0], doc["j_classes"][1]
+    source, target = first["classes"][0]["id"], other["classes"][0]["id"]
+    code, out = _run(capsys, ["mutate", path, "--class", source,
+                              "--walk-to", target])
+    assert code == 2 and out["error"]["type"] == "InputError"
+    assert out["error"]["details"] == {"source": source, "target": target}

@@ -207,8 +207,8 @@ def test_corrupted_rank1_table_is_caught(monkeypatch, mode, a, b, delta):
 def test_corrupted_inner_table_is_caught_by_rank2_certificate(monkeypatch,
                                                               mode):
     """A gap one too low lets sets that are no classes in.  The arrow
-    table's closure refuses them at the first base class; without it, top
-    Ext refuses them at the second."""
+    table's closure refuses them at the first base class; without it, the
+    quiver's offset check refuses the first such class."""
     ctx = _ctx(RANK2["P1xP2"])
     tilting.classify_rank2(ctx, mode)
     _corrupt(monkeypatch, lambda poset: poset.ctx is ctx, 0, 1, -1)
@@ -217,7 +217,7 @@ def test_corrupted_inner_table_is_caught_by_rank2_certificate(monkeypatch,
         tilting.classify_rank2(ctx, mode)
     monkeypatch.setattr(us, "check_closure", lambda *args: None)
     with pytest.raises(InternalInvariantBroken,
-                       match="top-Ext certificate failed"):
+                       match="outside the cut grading"):
         tilting.classify_rank2(ctx, mode)
 
 
@@ -449,9 +449,9 @@ def test_walk_matches_the_mutation_bfs(name):
 @pytest.mark.parametrize("name", list(RANK2_CORPUS) + list(RANK1_CORPUS))
 def test_rank2_closure_certificate_holds_on_the_corpus(name, monkeypatch):
     """The arrow table's cut-grading constraints close to -gaps on the
-    rank-one poset and on every base class's poset, exactly once each and
-    before the poset is walked; counted through the helper, so none is
-    skipped.  The base order H has no arrow table and no closure."""
+    rank-one poset, and in rank two on the base order H (its single steps)
+    and on every base class's poset, exactly once each and before the
+    poset is walked; counted through the helper, so none is skipped."""
     events = []
     check_closure, enumerate_classes = us.check_closure, us.enumerate_classes
 
@@ -470,7 +470,7 @@ def test_rank2_closure_certificate_holds_on_the_corpus(name, monkeypatch):
         posets = 1
     else:
         result = tilting.classify_rank2(_ctx(*RANK2_CORPUS[name]), "paper")
-        posets = len(result.groups)
+        posets = len(result.groups) + 1
     closed = [poset for event, poset in events if event == "closure"]
     assert len(closed) == len(set(map(id, closed))) == posets
     for poset in closed:
@@ -517,30 +517,61 @@ def test_connect_matches_the_elementwise_walk(name, mode):
                 == canonical_form_elementwise(b.rep, a.translation).key())
 
 
+def _h_poset(ctx):
+    split = ctx.sign_split()
+    return us.GroupPoset(split.h_ctx, shift_element=split.s)
+
+
 def test_a_mutation_off_the_walked_points_is_an_internal_fault(monkeypatch):
-    """P1xP3, paper mode: the base order's gap (fibers[1], fibers[0]) one
-    too low sends a class's down move to a point that neither the walk nor
-    the translates of its points hold.  That is refused as a fault, not
-    with a KeyError."""
+    """P1xP3: the base order's gap (fibers[1], fibers[0]) one too low sends
+    a class's down move to a point that neither the walk nor the
+    translates of its points hold.  The walk refuses that as a fault, not
+    with a KeyError; the classifier refuses the gap earlier, by H's
+    closure."""
     ctx = _ctx(*RANK2_CORPUS["P1xP3"])
     _corrupt(monkeypatch, lambda poset: poset.ctx is not ctx, 1, 0, -1)
     with pytest.raises(InternalInvariantBroken,
                        match="a mutation leaves the classes the walk found"):
+        us.enumerate_classes(_h_poset(ctx), "full")
+    with pytest.raises(InternalInvariantBroken, match=CLOSURE):
         tilting.classify_rank2(ctx, "paper")
 
 
-def test_rigidity_is_the_check_on_the_base_order(monkeypatch):
+def test_closure_is_the_check_on_the_base_order(monkeypatch):
     """sigma1, paper mode: the base order's gap (fibers[0], fibers[3]) one
-    too low lets in a base class that is not rigid, and the rigidity
-    certificate refuses it.  The base order has no arrow table, so with
-    _certify_rank2 patched out the classification lists other classes."""
+    too low lets in a base class that is not rigid, and the closure of
+    H's arrow table refuses it.  With _certify_rank2 patched out the
+    classification lists other classes."""
     ctx = _ctx(RANK2["sigma1"])
     expected = [tc.rep.key()
                 for tc in tilting.classify_rank2(ctx, "paper").classes]
     _corrupt(monkeypatch, lambda poset: poset.ctx is not ctx, 0, 3, -1)
-    with pytest.raises(InternalInvariantBroken,
-                       match="rigidity certificate failed"):
+    with pytest.raises(InternalInvariantBroken, match=CLOSURE):
         tilting.classify_rank2(ctx, "paper")
     monkeypatch.setattr(tilting, "_certify_rank2", lambda *args: None)
     got = [tc.rep.key() for tc in tilting.classify_rank2(ctx, "paper").classes]
     assert got and got != expected
+
+
+@pytest.mark.parametrize("name", ["P1xP1", "P1xP2", "sigma1", "stacky"])
+def test_every_base_gap_change_is_caught_before_the_base_walk(monkeypatch,
+                                                              name):
+    """zp mode: every single-entry ±1 change to H's gaps is refused by the
+    closure of H's arrow table before H is walked.  Without it, some
+    classifications lost or gained classes silently (P1xP2 with
+    (fibers[0], fibers[1]) one higher listed 71 classes instead of 96)."""
+    ctx = _ctx(*RANK2_CORPUS[name])
+    walked = []
+    enumerate_classes = us.enumerate_classes
+
+    def walk(poset, *args):
+        walked.append(poset)
+        return enumerate_classes(poset, *args)
+
+    monkeypatch.setattr(us, "enumerate_classes", walk)
+    n = len(_h_poset(ctx).fibers)
+    for a, b, delta in itertools.product(range(n), range(n), (1, -1)):
+        _corrupt(monkeypatch, lambda poset: poset.ctx is not ctx, a, b, delta)
+        with pytest.raises(InternalInvariantBroken, match=CLOSURE):
+            tilting.classify_rank2(ctx, "zp")
+    assert not walked

@@ -269,11 +269,43 @@ def test_table_entry_off_the_cut_grading_is_caught(monkeypatch, case):
         _classes(ctx)
 
 
+@pytest.mark.parametrize("case", ["p1p2-zp", "sigma1-zp", "stacky-zp",
+                                  "z2-torsion"])
+def test_a_class_one_level_off_is_refused_by_the_offset_check(case):
+    """Every class with one member moved by one shift, up or down: the sets
+    with a member above another plus p (top Ext S_(g-h-p) != 0) are
+    refused by the quiver's offset check, and the others are classes and
+    get quivers.  So no set that a top-Ext test would refuse gets one."""
+    spec, mode = _QUIVER_CASES[case]
+    ctx = _ctx(*spec)
+    refused = 0
+    for grp in tilting.classify_rank2(ctx, mode).groups:
+        poset = grp.classes[0].rep.poset
+        table = tilting.arrow_table(poset)
+        members = range(len(poset.fibers))
+        for tc, i, n in itertools.product(grp.classes, members, (-1, 1)):
+            moved = list(tc.elements)
+            moved[i] = poset.shift(moved[i], n)
+            top_ext = any(ctx.hom_dim(g - h - ctx.p)
+                          for g, h in itertools.product(moved, repeat=2))
+            try:
+                tilting.endomorphism_quiver(table, us.AntichainRep(poset,
+                                                                   moved))
+            except InternalInvariantBroken as err:
+                assert "outside the cut grading" in str(err)
+                assert top_ext
+                refused += 1
+            else:
+                assert not top_ext
+    assert refused
+
+
 @pytest.mark.parametrize("case", ["p345", "p345-zp", "p1p2", "p2p2-zp",
                                   "z2-torsion"])
 def test_arrow_search_runs_once_per_poset(monkeypatch, case):
-    """One arrow table per classification in rank one, one per base class
-    in rank two, each on its own poset; the classes only read them."""
+    """One arrow table per classification in rank one; in rank two one
+    for the base order H, then one per base class, each on its own poset.
+    The classes only read them."""
     spec, mode = _QUIVER_CASES[case]
     ctx = _ctx(*spec)
     posets = []
@@ -290,36 +322,11 @@ def test_arrow_search_runs_once_per_poset(monkeypatch, case):
     else:
         result = tilting.classify_rank2(ctx, mode)
         classes = result.classes
-        assert len(posets) == len(result.groups)
-        for grp, poset in zip(result.groups, posets):
+        assert len(posets) == len(result.groups) + 1
+        assert posets[0].shift_element == result.split.s
+        for grp, poset in zip(result.groups, posets[1:]):
             assert all(tc.rep.poset is poset for tc in grp.classes)
     assert len(set(map(id, posets))) == len(posets) < len(classes)
-
-
-def test_top_ext_counts_once_per_fiber_pair_and_level_difference(
-        monkeypatch):
-    """P2xP2: hom_dim(g1 - g2 - p) is asked once per (a1, a2, k1 - k2) over
-    each base class, not once per ordered pair of members of every class."""
-    ctx = _ctx(*_product(2, 2))
-    asked = []
-    hom_dim = GradedDegreeGroup.hom_dim
-
-    def counted(self, g):
-        asked.append(g)
-        return hom_dim(self, g)
-
-    monkeypatch.setattr(GradedDegreeGroup, "hom_dim", counted)
-    result = tilting.classify_rank2(ctx, "paper")
-    expected = 0
-    for grp in result.groups:
-        level = grp.classes[0].rep.poset.level
-        expected += len({(level(g1)[0], level(g2)[0],
-                          level(g1)[1] - level(g2)[1])
-                         for tc in grp.classes
-                         for g1, g2 in itertools.product(tc.elements,
-                                                         repeat=2)})
-    pairs = sum(len(tc.elements) ** 2 for tc in result.classes)
-    assert len(asked) == expected < pairs / 4
 
 
 def _retarget(qp, field, k):
@@ -456,37 +463,44 @@ def test_a_stabilizer_lift_off_the_fibers_is_an_internal_fault(monkeypatch):
 
 def test_certificates_run_once_per_classification(ctx_p23, monkeypatch):
     """psi is built once per rank-one classification or mutation, without
-    listing cosets, and rigidity is tested once per pair of a base class."""
+    listing cosets; H's closure runs once per rank-two classification,
+    and nothing asks hom_dim."""
     calls = dict.fromkeys(("fiber_map", "certify2", "coset_reps",
-                           "rigidity"), 0)
+                           "h_closure", "hom_dim"), 0)
     inside = []
 
     def counted(name, fn):
         def wrapper(*args):
             calls[name] += 1
-            inside.append((name, args))
+            inside.append(name)
             try:
                 return fn(*args)
             finally:
                 inside.pop()
         return wrapper
 
-    coset_reps, leq = GradedDegreeGroup.coset_reps, GradedDegreeGroup.leq
+    coset_reps, hom_dim = (GradedDegreeGroup.coset_reps,
+                           GradedDegreeGroup.hom_dim)
+    check_closure = us.check_closure
 
     def counted_coset_reps(self, shift):
-        calls["coset_reps"] += any(n == "fiber_map" for n, _ in inside)
+        calls["coset_reps"] += "fiber_map" in inside
         return coset_reps(self, shift)
 
-    def counted_leq(self, g, h):
-        calls["rigidity"] += any(n == "certify2" and self is args[1].h_ctx
-                                 for n, args in inside)
-        return leq(self, g, h)
+    def counted_closure(poset, steps, message):
+        calls["h_closure"] += "certify2" in inside
+        return check_closure(poset, steps, message)
+
+    def counted_hom_dim(self, g):
+        calls["hom_dim"] += 1
+        return hom_dim(self, g)
 
     monkeypatch.setattr(cuts, "fiber_map", counted("fiber_map", cuts.fiber_map))
     monkeypatch.setattr(tilting, "_certify_rank2",
                         counted("certify2", tilting._certify_rank2))
     monkeypatch.setattr(GradedDegreeGroup, "coset_reps", counted_coset_reps)
-    monkeypatch.setattr(GradedDegreeGroup, "leq", counted_leq)
+    monkeypatch.setattr(us, "check_closure", counted_closure)
+    monkeypatch.setattr(GradedDegreeGroup, "hom_dim", counted_hom_dim)
 
     for mode in ("paper", "zp"):
         calls["fiber_map"] = 0
@@ -498,11 +512,14 @@ def test_certificates_run_once_per_classification(ctx_p23, monkeypatch):
 
     for a, b in ((1, 2), (2, 2)):
         ctx = _ctx(2, [], [(1, 0)] * (a + 1) + [(0, 1)] * (b + 1))
-        calls["rigidity"] = 0
+        calls["certify2"] = calls["h_closure"] = 0
         result = tilting.classify_rank2(ctx)
-        bases = [len(grp.base.elements) for grp in result.groups]
-        assert calls["rigidity"] == sum(n * n for n in bases)
-        assert len(result.classes) > len(bases)
+        assert calls["certify2"] == calls["h_closure"] == 1
+        tc = result.classes[0]
+        tilting.apr_mutate(tc, us.mutable_elements(tc.rep)[0])
+        assert calls["certify2"] == 1
+        assert len(result.classes) > len(result.groups)
+    assert calls["hom_dim"] == 0
 
 
 def test_apr_mutate(make_pd, ctx_p23, ctx_p1p1):
