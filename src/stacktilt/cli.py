@@ -335,13 +335,14 @@ def cmd_cuts(args) -> int:
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed lattice spec: {exc}") from None
         lq = cuts_mod.build_quotient(d, b_gens)
-    elif "group" in doc:
+    elif "group" in doc or "polytope" in doc:
         ctx, _ = _build_context(doc)
         if ctx.group.free_rank != 1:
             raise InputError("cut systems come from rank-one graded groups")
         lq, gamma = cuts_mod.data_of_group(ctx)
     else:
-        raise InputError("cuts needs a 'lattice' or 'group' input")
+        raise InputError("cuts needs a 'lattice', 'group' or 'polytope' "
+                         "input")
     report = {"command": "cuts", "d": lq.d, "m": lq.m,
               "b_generators_alpha": [list(c) for c in lq.b_gens_alpha]}
     if gamma is not None:

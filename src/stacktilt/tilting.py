@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import cuts as cuts_mod
@@ -41,6 +41,7 @@ class TiltingClass:
     rep: us.AntichainRep
     quiver: QuiverPresentation
     class_id: str
+    table: dict = field(repr=False)    # arrow_table of rep's poset
     translation: str = "zp"    # the canonical_form mode it is counted in
     base: Optional[us.AntichainRep] = None     # rank two: the J-class over H
     split: Optional[SignSplit] = None
@@ -210,7 +211,7 @@ def _tilting_class(table: dict, rep: us.AntichainRep, translation: str,
     rank = ctx.group.free_rank
     return TiltingClass(rank=rank, ctx=ctx, rep=rep,
                         quiver=endomorphism_quiver(table, rep),
-                        class_id=_class_id(rank, rep.elements),
+                        class_id=_class_id(rank, rep.elements), table=table,
                         translation=translation, base=base, split=split)
 
 
@@ -339,11 +340,12 @@ def classify_rank2(ctx: GradedDegreeGroup, mode: str = "paper",
 
 def apr_mutate(tclass: TiltingClass, m: GroupElement) -> TiltingClass:
     """Tilting mutation at a minimal member: replace m by m + p, recertify
-    (the quiver's offset check; rank one also the cut).  The id is that of
-    the class the mutated set lies in."""
+    (the quiver's offset check, on the class's checked arrow table; rank
+    one also the cut).  The id is that of the class the mutated set lies
+    in."""
     rep = us.mutate(tclass.rep, m)
-    tc = _tilting_class(arrow_table(rep.poset), rep, tclass.translation,
-                        tclass.split, tclass.base)
+    tc = _tilting_class(tclass.table, rep, tclass.translation, tclass.split,
+                        tclass.base)
     tc.class_id = _class_id(tc.rank, us.canonical_form(
         rep, tc.translation).elements)
     if tc.rank == 1:

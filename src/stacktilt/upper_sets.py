@@ -310,7 +310,9 @@ class _LevelSpace:
 
     def walk(self, limit: int) -> list[tuple]:
         """Every point, by BFS from the theta slab over both kinds of
-        move; it stops once it holds more than limit points."""
+        move; it stops once it holds more than limit points.  The classes
+        of enumerate_classes's "zp" mode; its "full" mode walks orbits
+        instead, one point each."""
         start = self.point(seed_slab(self.poset))
         seen = {start}
         points = [start]
@@ -382,32 +384,49 @@ def enumerate_classes(poset, mode: str = "full",
     holds.
 
     The classes up to shifts are the points of _LevelSpace, a distributive
-    lattice connected by the moves (Propp), found by BFS.  In "full" mode
-    a point's translates are its orbit, and the least key in it names the
-    class, as canonical_form(..., "full") does; an orbit has at most
-    len(fibers) points, so the walk stops past max_classes * len(fibers)
-    of them.  The walk reads only the gaps; where the classifiers build
-    quivers, the arrow table's closure has checked them first.
+    lattice connected by the moves (Propp).  In "zp" mode each point is a
+    class, and _LevelSpace.walk finds them all.  In "full" mode a point's
+    translates are its orbit, and the least key in it names the class, as
+    canonical_form(..., "full") does.  A translation is an order
+    automorphism commuting with the shift, so it maps the moves out of a
+    point onto the moves out of its translate: the orbits of the
+    neighbours of one point of an orbit are those of every point of it.
+    The orbits thus form a connected quotient of the move graph, and a BFS
+    that expands one point per orbit, the first one a move reaches (not
+    its head, the least key), meets every class while testing sites at
+    one point per class (isomorph-free generation, McKay 1998).  It stops
+    once max_classes + 1 orbits are formed.  Each class's edges are
+    re-read at its head; a move from it to a point outside the orbits
+    found is an internal fault.  The walk reads only the gaps; where the
+    classifiers build quivers, the arrow table's closure has checked them
+    first.
     """
     if mode not in ("zp", "full"):
         raise ValueError(f"unknown canonical form mode {mode!r}")
     space = poset.space
-    limit = max_classes * len(poset.fibers) if mode == "full" else max_classes
-    points = space.walk(limit)
-    if len(points) > limit:
-        raise ClassCountExceeded("class enumeration exceeded the ceiling",
-                                 ceiling=max_classes)
     if mode == "full":
+        # every point reached by a move, in BFS order; the first one of
+        # each orbit forms the orbit and is the one expanded
         class_of, heads = {}, []
-        for k in points:
-            if k not in class_of:
-                orbit = dict.fromkeys(space.translates(k), len(heads))
-                class_of.update(orbit)
-                heads.append((min(orbit, key=space.key), len(orbit)))
-        if len(heads) > max_classes:
+        reached = [space.point(seed_slab(poset))]
+        for k in reached:
+            if k in class_of:
+                continue
+            orbit = dict.fromkeys(space.translates(k), len(heads))
+            class_of.update(orbit)
+            heads.append((min(orbit, key=space.key), len(orbit)))
+            if len(heads) > max_classes:
+                raise ClassCountExceeded(
+                    "class enumeration exceeded the ceiling",
+                    ceiling=max_classes)
+            reached += [space.step(k, a, direction) for direction, sites
+                        in ((1, space.down(k)), (-1, space.up(k)))
+                        for a in sites]
+    else:
+        points = space.walk(max_classes)
+        if len(points) > max_classes:
             raise ClassCountExceeded("class enumeration exceeded the ceiling",
                                      ceiling=max_classes)
-    else:
         class_of = {k: i for i, k in enumerate(points)}
         heads = [(k, 1) for k in points]
     reps = [space.rep(k) for k, _ in heads]

@@ -504,19 +504,23 @@ def test_max_classes_refuses_exactly_past_the_count(tmp_path, capsys, doc,
     assert report["error"]["details"] == {"ceiling": count - 1}
 
 
-def test_paper_ceiling_stops_the_walk_before_any_orbit(tmp_path, capsys,
-                                                       monkeypatch):
+def test_paper_ceiling_stops_the_walk_at_the_next_orbit(tmp_path, capsys,
+                                                        monkeypatch):
     """P(3,4,5) has 48 classes up to shifts, in 4 orbits of 12: at a
-    ceiling of 3 the walk stops past 3 * 12 points, and no orbit is
-    formed."""
-    def no_orbits(space, k):
-        raise AssertionError("an orbit was formed")
+    ceiling of 3 the orbit walk forms the 4th orbit, once, and stops."""
+    translates = us._LevelSpace.translates
+    orbits = []
 
-    monkeypatch.setattr(us._LevelSpace, "translates", no_orbits)
+    def counted(space, k):
+        orbits.append(k)
+        return translates(space, k)
+
+    monkeypatch.setattr(us._LevelSpace, "translates", counted)
     code, report = _run(capsys, ["classify", _write(tmp_path, P345),
                                  "--max-classes", "3"])
     assert code == 2 and report["error"]["type"] == "ClassCountExceeded"
     assert report["error"]["details"] == {"ceiling": 3}
+    assert len(orbits) == 4
 
 
 def test_report_encoder_matches_json_dumps():
@@ -576,6 +580,49 @@ def test_mutate_at_names_the_listed_neighbour(tmp_path, capsys, monkeypatch,
             assert out["result"]["line_bundles"] == sorted(moved)
             edges += 1
     assert edges
+
+
+def test_mutate_at_builds_each_arrow_table_once(tmp_path, capsys,
+                                                monkeypatch):
+    """P1xP2, paper mode: the classification builds the arrow tables of H
+    and of its two base classes, and the mutation reads its class's
+    checked table instead of building a fourth."""
+    path = _write(tmp_path, P1P2)
+    code, doc = _run(capsys, ["classify", path])
+    assert code == 0 and doc["j_class_count"] == 2
+    entry = doc["j_classes"][0]["classes"][0]
+    edge = entry["mutation_neighbors"][0]
+    built = []
+    build = tilting.arrow_table
+
+    def counted(poset):
+        built.append(poset)
+        return build(poset)
+
+    monkeypatch.setattr(tilting, "arrow_table", counted)
+    code, out = _run(capsys, ["mutate", path, "--class", entry["id"],
+                              "--at", json.dumps(edge["at"])])
+    assert code == 0 and out["result"]["id"] == edge["to"]
+    assert len(built) == 3
+
+
+def test_cuts_from_a_polytope_match_its_group(tmp_path, capsys):
+    """The P^2 polytope and the group document of P^2 give the same cuts
+    report; a rank-two polytope is refused as a rank-two group is."""
+    p2_polytope = {"polytope": {"vertices": [[1, 0], [0, 1], [-1, -1]]}}
+    p2_group = {"group": {"free_rank": 1, "torsion_orders": [],
+                          "degrees": [[1], [1], [1]]}}
+    outputs = []
+    for name, doc_in in (("polytope.json", p2_polytope),
+                         ("group.json", p2_group)):
+        assert main(["cuts", _write(tmp_path, doc_in, name)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["cut_count"] == 3    # the zp classes
+    code, doc = _run(capsys, ["cuts", _write(tmp_path, P1P1_POLYTOPE)])
+    assert code == 2 and doc["error"]["type"] == "InputError"
+    assert (doc["error"]["message"]
+            == "cut systems come from rank-one graded groups")
 
 
 def test_dot_dir_that_cannot_be_made_is_an_input_error(tmp_path, capsys):

@@ -10,11 +10,13 @@ oracles.py must find the same classes, edges and moves, and a corrupted
 table must be caught by the checks that do not read it.
 """
 
+import collections
 import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from oracles import (apply_moves, canonical_form_elementwise, checked,
                      connect_elementwise, enumerate_classes_bfs,
@@ -23,8 +25,10 @@ from oracles import (apply_moves, canonical_form_elementwise, checked,
                      upward_mutable_elements_elementwise)
 from stacktilt import cli, tilting, upper_sets as us
 from stacktilt.abgroup import GroupHom
-from stacktilt.errors import InternalInvariantBroken, NotAntichain
+from stacktilt.errors import (InternalInvariantBroken, NotAntichain,
+                              StacktiltError)
 from stacktilt.graded_order import GradedDegreeGroup
+from test_fuzz_cli import documents
 
 
 def _ctx(degrees, torsion=()):
@@ -358,6 +362,29 @@ def test_full_canonical_forms_project_few_elements(monkeypatch):
     assert calls < 32_000
 
 
+def test_paper_mode_tests_sites_at_one_point_per_class(monkeypatch):
+    """P(5,7,11), paper mode: 43 classes of 989 points.  The orbit walk
+    forms each orbit once and tests the sites of one point per class,
+    and of each class's head for its edges.  A walk over all 989 points
+    makes 1,032 down scans."""
+    calls = collections.Counter()
+
+    def counted(name):
+        method = getattr(us._LevelSpace, name)
+
+        def call(space, *args):
+            calls[name] += 1
+            return method(space, *args)
+        monkeypatch.setattr(us._LevelSpace, name, call)
+
+    for name in ("translates", "down", "up"):
+        counted(name)
+    classes = tilting.classify_rank1(_ctx([[5], [7], [11]]), "paper")
+    assert len(classes) == 43
+    assert calls["translates"] == 43
+    assert calls["up"] <= 43 and calls["down"] <= 2 * 43
+
+
 def test_each_element_is_projected_once_per_poset(monkeypatch):
     """zp classify P(4,5,6,7): every mutation tests the new set and builds
     it, and each reads the members' fibers.  Projecting them in both took
@@ -434,6 +461,20 @@ RANK2_CORPUS = {
 }
 
 
+def _assert_modes_agree(poset, modes):
+    """Each mode's walk has the keys and edges of the mutation BFS, and
+    the zp classes grouped by their full canonical form are the paper
+    classes, each holding orbit_len of them."""
+    walks = {mode: us.enumerate_classes(poset, mode) for mode in modes}
+    for mode, reps in walks.items():
+        assert (_classes_and_edges(reps)
+                == _classes_and_edges(enumerate_classes_bfs(poset, mode)))
+    if "full" in walks:
+        grouped = collections.Counter(us.canonical_form(rep, "full").key()
+                                      for rep in walks["zp"])
+        assert grouped == {rep.key(): rep.orbit_len for rep in walks["full"]}
+
+
 @pytest.mark.parametrize("name", list(RANK1_CORPUS) + list(RANK2_CORPUS))
 def test_walk_matches_the_mutation_bfs(name):
     if name in RANK1_CORPUS:
@@ -441,9 +482,20 @@ def test_walk_matches_the_mutation_bfs(name):
     else:
         posets = _rank2_posets(_ctx(*RANK2_CORPUS[name]))
     for poset, modes in posets:
-        for mode in modes:
-            assert (_classes_and_edges(us.enumerate_classes(poset, mode))
-                    == _classes_and_edges(enumerate_classes_bfs(poset, mode)))
+        _assert_modes_agree(poset, modes)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(doc=documents())
+def test_paper_mode_walks_the_orbits_of_the_zp_walk_on_fuzz_groups(doc):
+    """The rank-one groups the CLI fuzz test draws (|G/Zp| <= 12), in both
+    modes; drawn documents that are malformed or no valid input are
+    skipped."""
+    try:
+        poset = us.GroupPoset(cli._build_context(doc)[0])
+    except StacktiltError:
+        return
+    _assert_modes_agree(poset, ("full", "zp"))
 
 
 @pytest.mark.parametrize("name", list(RANK2_CORPUS) + list(RANK1_CORPUS))
@@ -538,14 +590,16 @@ def test_a_mutation_off_the_walked_points_is_an_internal_fault(monkeypatch):
 
 
 def test_closure_is_the_check_on_the_base_order(monkeypatch):
-    """sigma1, paper mode: the base order's gap (fibers[0], fibers[3]) one
+    """sigma1, paper mode: the base order's gap (fibers[1], fibers[0]) one
     too low lets in a base class that is not rigid, and the closure of
     H's arrow table refuses it.  With _certify_rank2 patched out the
-    classification lists other classes."""
+    classification lists other classes.  (Some changes that let in such a
+    class, as (0, 3) one too low does, list the same classes without the
+    closure: the orbit walk expands no point whose move reaches it.)"""
     ctx = _ctx(RANK2["sigma1"])
     expected = [tc.rep.key()
                 for tc in tilting.classify_rank2(ctx, "paper").classes]
-    _corrupt(monkeypatch, lambda poset: poset.ctx is not ctx, 0, 3, -1)
+    _corrupt(monkeypatch, lambda poset: poset.ctx is not ctx, 1, 0, -1)
     with pytest.raises(InternalInvariantBroken, match=CLOSURE):
         tilting.classify_rank2(ctx, "paper")
     monkeypatch.setattr(tilting, "_certify_rank2", lambda *args: None)
