@@ -9,6 +9,7 @@ faces, weighted by exact lattice-point counts of the degree fibers.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -201,30 +202,57 @@ class _TooManySteps(Exception):
 
 
 _MAX_PREFIX_STEPS = 1 << 20   # loop values of one fiber count: a few seconds
+# vertices of an oracle's polytope: its support scan and the homology of
+# its full support grow exponentially in n.  All r of a twist took about
+# 1 s at n = 10 and 6 s at n = 11 on a 2-vCPU x86-64 host.
+_MAX_VERTICES = 10
 
 
-def _count_lattice_points(constraints: list[tuple[tuple[int, ...], int]],
-                          nvars: int) -> int:
-    """Integer points satisfying coeff . x + const >= 0 for every row.
+def _eliminate(constraints: list[tuple[tuple[int, ...], tuple[int, ...]]],
+               nvars: int) -> tuple[list, list]:
+    """Fourier-Motzkin elimination of coeff . x + const >= 0, last
+    variable first.
 
-    Fourier-Motzkin elimination from the last variable down gives exact
-    bounds per level; an unbounded level reached by a feasible prefix
-    raises _Unbounded.  The last variable is counted in closed form; loops
-    over the others past _MAX_PREFIX_STEPS values raise _TooManySteps.
+    Each const is an affine form, a tuple of integers that a count pairs
+    with a point (1, c_1, ..., c_m); elimination combines the forms as it
+    combines the rows.  Returns (constants, bounds): the forms of the rows
+    left with no variable, and per variable k the rows that bound x_k
+    given x_0..x_{k-1}, as (lower, upper) lists of (coeffs[:k], |coeff_k|,
+    form).
     """
-    systems = [None] * (nvars + 1)
-    systems[nvars] = list(constraints)
-    for k in range(nvars, 0, -1):
-        lows = [c for c in systems[k] if c[0][k - 1] > 0]
-        ups = [c for c in systems[k] if c[0][k - 1] < 0]
-        rest = [c for c in systems[k] if c[0][k - 1] == 0]
+    rows = list(constraints)
+    bounds = [None] * nvars
+    for k in range(nvars - 1, -1, -1):
+        lows = [c for c in rows if c[0][k] > 0]
+        ups = [c for c in rows if c[0][k] < 0]
+        bounds[k] = ([(cl[:k], cl[k], el) for cl, el in lows],
+                     [(cu[:k], -cu[k], eu) for cu, eu in ups])
         combined = []
         for (cl, el) in lows:
             for (cu, eu) in ups:
-                a, b = cl[k - 1], -cu[k - 1]
+                a, b = cl[k], -cu[k]
                 coeffs = tuple(b * cl[j] + a * cu[j] for j in range(nvars))
-                combined.append((coeffs, b * el + a * eu))
-        systems[k - 1] = rest + combined
+                combined.append(
+                    (coeffs, tuple(b * x + a * y for x, y in zip(el, eu))))
+        rows = [c for c in rows if c[0][k] == 0] + combined
+    return [form for _, form in rows], bounds
+
+
+def _count_eliminated(eliminated: tuple[list, list],
+                      point: tuple[int, ...]) -> int:
+    """Integer points of _eliminate's rows, their forms paired with point.
+
+    Exact bounds per level; an unbounded level reached by a feasible prefix
+    raises _Unbounded.  The last variable is counted in closed form; loops
+    over the others past _MAX_PREFIX_STEPS values raise _TooManySteps.
+    """
+    constants, bounds = eliminated
+    nvars = len(bounds)
+    # infeasible prefixes never recurse
+    if any(sum(map(operator.mul, form, point)) < 0 for form in constants):
+        return 0
+    levels = [[[(c, a, sum(map(operator.mul, form, point)))
+                for c, a, form in rows] for rows in level] for level in bounds]
     count = steps = 0
     x = [0] * nvars
 
@@ -233,20 +261,12 @@ def _count_lattice_points(constraints: list[tuple[tuple[int, ...], int]],
         if k == nvars:
             count += 1
             return
-        lo, hi = None, None
-        for coeffs, const in systems[k + 1]:
-            a = coeffs[k]
-            if a == 0:
-                continue
-            val = sum(coeffs[j] * x[j] for j in range(k)) + const
-            if a > 0:
-                bound = -(val // a)
-                lo = bound if lo is None else max(lo, bound)
-            else:
-                bound = val // -a
-                hi = bound if hi is None else min(hi, bound)
-        if lo is None or hi is None:
+        lows, ups = levels[k]
+        if not lows or not ups:
             raise _Unbounded()
+        lo = max(-((sum(map(operator.mul, c, x)) + e) // a)
+                 for c, a, e in lows)
+        hi = min((sum(map(operator.mul, c, x)) + e) // a for c, a, e in ups)
         if k == nvars - 1:
             count += max(0, hi - lo + 1)
             return
@@ -257,11 +277,40 @@ def _count_lattice_points(constraints: list[tuple[tuple[int, ...], int]],
             x[k] = v
             rec(k + 1)
 
-    # level-0 system contains only constants; infeasible prefixes never recurse
-    if any(const < 0 for coeffs, const in systems[0]):
-        return 0
     rec(0)
     return count
+
+
+def _count_lattice_points(constraints: list[tuple[tuple[int, ...], int]],
+                          nvars: int) -> int:
+    """Integer points satisfying coeff . x + const >= 0 for every row."""
+    eliminated = _eliminate(
+        [(coeffs, (const,)) for coeffs, const in constraints], nvars)
+    return _count_eliminated(eliminated, (1,))
+
+
+def _non_cone_supports(p: StackyPolytope) -> list[frozenset]:
+    """The supports T whose complex is not a cone, in sign-pattern order.
+
+    T's maximal faces are those of {F & T} over the facets F, as bitmasks;
+    when their AND is nonzero every face lies in one with that common
+    vertex, so the complex is a cone and all of its reduced homology is 0.
+    The empty T, whose complex is empty, is not a cone.  Vertex i is bit
+    n - 1 - i, so that T's mask counts up in sign-pattern order.
+    """
+    n = p.n
+    facets = [sum(1 << (n - 1 - i) for i in f) for f in p.facets]
+    out = []
+    for t in range(1 << n):
+        gens = {f & t for f in facets}
+        gens.discard(0)
+        common = -1
+        for g in gens:
+            if not any(g != h and g & h == g for h in gens):
+                common &= g
+        if not (t and common):
+            out.append(frozenset(i for i in range(n) if t >> (n - 1 - i) & 1))
+    return out
 
 
 class CohomologyOracle:
@@ -271,13 +320,23 @@ class CohomologyOracle:
     exponent vectors in the fiber of g with that sign pattern, times
     dim H~_{d-r-1} of the support complex.
 
-    An oracle does each piece of work once: the supports with nonzero
-    homology are tabled per (homological degree, field), the integer
-    preimage of a twist is solved once per twist, and a fiber count,
-    which depends on neither r nor the field, once per (twist, support).
+    An oracle does each piece of work once.  It refuses polytopes of more
+    than _MAX_VERTICES vertices, as its support scan is exponential in n.
+    It lists the supports whose complex is not a cone once (a cone has no
+    reduced homology), and tables those with nonzero homology per
+    (homological degree, field).  It solves one integer preimage b_j per
+    canonical coordinate, so the twist c has the preimage sum c_j b_j, and
+    runs the Fourier-Motzkin elimination of a support once, its constants
+    affine forms in c.  A fiber count, which depends on neither r nor the
+    field, is made once per (twist, support).
     """
 
     def __init__(self, polytope: StackyPolytope, ctx: GradedDegreeGroup):
+        if polytope.n > _MAX_VERTICES:
+            raise InputError(
+                "polytope too large: the cohomology oracle scans 2^n sign "
+                "supports and takes at most `bound` vertices",
+                n=polytope.n, bound=_MAX_VERTICES)
         self.polytope = polytope
         self.ctx = ctx
         if self.ctx.n != polytope.n:
@@ -292,9 +351,20 @@ class CohomologyOracle:
         self.kernel = relation_kernel(list(self.ctx.degrees))
         if len(self.kernel) != polytope.d:
             raise InternalInvariantBroken("fiber lattice has wrong rank")
+        m = self.ctx.group.n_coords
+        self._preimages = []   # b_j: sum_i b_j[i] x_i == e_j
+        for j in range(m):
+            base = solve_combination(
+                list(self.ctx.degrees),
+                self.ctx.group.from_coords([int(i == j) for i in range(m)]))
+            if base is None:
+                raise InternalInvariantBroken(
+                    "degrees fail to generate the group")
+            self._preimages.append(base)
+        self._non_cones = _non_cone_supports(polytope)
         self._profiles: dict = {}
         self._supports: dict = {}   # (k, field) -> [(support, dim H~_k)]
-        self._bases: dict = {}      # twist coords -> integer preimage
+        self._systems: dict = {}    # support -> _eliminate's rows
         self._counts: dict = {}     # (twist coords, support) -> count or None
 
     def profile(self, support: frozenset,
@@ -310,35 +380,32 @@ class CohomologyOracle:
         key = (k, field)
         if key not in self._supports:
             table = []
-            for bits in itertools.product((0, 1), repeat=self.polytope.n):
-                support = frozenset(i for i, b in enumerate(bits) if b)
+            for support in self._non_cones:
                 dim = self.profile(support, field).dim(k)
                 if dim:
                     table.append((support, dim))
             self._supports[key] = table
         return self._supports[key]
 
-    def _base(self, g: GroupElement) -> list[int]:
-        """An integer vector a with sum a_i x_i == g."""
-        if g.coords not in self._bases:
-            base = solve_combination(list(self.ctx.degrees), g)
-            if base is None:
-                raise InternalInvariantBroken(
-                    "degrees fail to generate the group")
-            self._bases[g.coords] = base
-        return self._bases[g.coords]
+    def _eliminated(self, support: frozenset) -> tuple[list, list]:
+        """The support's rows, a_i >= 0 on it and a_i <= -1 off it for
+        a = sum_j c_j b_j + kernel^T y, eliminated once over y."""
+        if support not in self._systems:
+            d = self.polytope.d
+            constraints = []
+            for i in range(self.polytope.n):
+                coeffs = tuple(self.kernel[k][i] for k in range(d))
+                base = tuple(b[i] for b in self._preimages)
+                if i in support:
+                    constraints.append((coeffs, (0,) + base))
+                else:
+                    constraints.append((tuple(-c for c in coeffs),
+                                        (-1,) + tuple(-v for v in base)))
+            self._systems[support] = _eliminate(constraints, d)
+        return self._systems[support]
 
-    def _fiber_count(self, base: Sequence[int], support: frozenset) -> int:
-        d = self.polytope.d
-        constraints = []
-        for i in range(self.polytope.n):
-            coeffs = tuple(self.kernel[k][i] for k in range(d))
-            if i in support:
-                constraints.append((coeffs, base[i]))          # a_i >= 0
-            else:
-                constraints.append((tuple(-c for c in coeffs),
-                                    -base[i] - 1))             # a_i <= -1
-        return _count_lattice_points(constraints, d)
+    def _fiber_count(self, coords: tuple[int, ...], support: frozenset) -> int:
+        return _count_eliminated(self._eliminated(support), (1,) + coords)
 
     def cohomology_dim(self, g: GroupElement, r: int,
                        field: Optional[int]) -> int:
@@ -350,8 +417,7 @@ class CohomologyOracle:
             key = (g.coords, support)
             if key not in self._counts:
                 try:
-                    self._counts[key] = self._fiber_count(self._base(g),
-                                                          support)
+                    self._counts[key] = self._fiber_count(g.coords, support)
                 except _Unbounded:
                     self._counts[key] = None
                 except _TooManySteps:

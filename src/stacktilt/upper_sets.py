@@ -371,6 +371,16 @@ class _LevelSpace:
         return tuple(sorted(element(a, x).coords
                             for a, x in zip(self.poset.fibers, k)))
 
+    def head(self, points) -> tuple:
+        """min(points, key=self.key), keying only the points whose least
+        member is least, as a key begins with its least member."""
+        element, fibers = self.poset.element, self.poset.fibers
+        coords = operator.attrgetter("coords")
+        least = [min(map(coords, map(element, fibers, k))) for k in points]
+        low = min(least)
+        return min((k for k, m in zip(points, least) if m == low),
+                   key=self.key)
+
     def rep(self, k: tuple) -> AntichainRep:
         return AntichainRep(self.poset, [self.poset.element(a, x) for a, x
                                          in zip(self.poset.fibers, k)])
@@ -414,7 +424,7 @@ def enumerate_classes(poset, mode: str = "full",
                 continue
             orbit = dict.fromkeys(space.translates(k), len(heads))
             class_of.update(orbit)
-            heads.append((min(orbit, key=space.key), len(orbit)))
+            heads.append((space.head(orbit), len(orbit)))
             if len(heads) > max_classes:
                 raise ClassCountExceeded(
                     "class enumeration exceeded the ceiling",

@@ -394,6 +394,22 @@ def euler_characteristic_boundary(p: sg.StackyPolytope) -> int:
     return 1 + sum(((-1) ** k) * v for k, v in profile.dims if k >= 0)
 
 
+def fiber_constraints(oracle: sg.CohomologyOracle, g: GroupElement,
+                      support: frozenset) -> list:
+    """The rows a_i >= 0 on the support and a_i <= -1 off it, for the
+    fiber a = base + kernel^T y of g, its preimage base solved afresh."""
+    p = oracle.polytope
+    base = solve_combination(list(oracle.ctx.degrees), g)
+    constraints = []
+    for i in range(p.n):
+        coeffs = tuple(oracle.kernel[k][i] for k in range(p.d))
+        if i in support:
+            constraints.append((coeffs, base[i]))
+        else:
+            constraints.append((tuple(-c for c in coeffs), -base[i] - 1))
+    return constraints
+
+
 def cohomology_dim_scan(oracle: sg.CohomologyOracle, g: GroupElement, r: int,
                         field: Optional[int], profiles: dict) -> int:
     """CohomologyOracle.cohomology_dim by a plain scan, without its memos.
@@ -413,16 +429,9 @@ def cohomology_dim_scan(oracle: sg.CohomologyOracle, g: GroupElement, r: int,
         dim = profiles[support, field].dim(p.d - r - 1)
         if dim == 0:
             continue
-        base = solve_combination(list(oracle.ctx.degrees), g)
-        constraints = []
-        for i in range(p.n):
-            coeffs = tuple(oracle.kernel[k][i] for k in range(p.d))
-            if i in support:
-                constraints.append((coeffs, base[i]))
-            else:
-                constraints.append((tuple(-c for c in coeffs), -base[i] - 1))
         try:
-            total += dim * sg._count_lattice_points(constraints, p.d)
+            total += dim * sg._count_lattice_points(
+                fiber_constraints(oracle, g, support), p.d)
         except sg._Unbounded:
             raise UnboundedContribution(
                 "infinite fiber meets a homologically nontrivial support",

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -258,6 +259,22 @@ def test_verify_ok_and_failure(tmp_path, capsys):
     assert code == 1 and not doc["ok"]
     failures = doc["classes"][0]["failures"]
     assert any(f["r"] == 1 for f in failures)
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "{input}", "--twist", json.dumps([0] * 11), "--all-r"],
+    ["verify", "{input}"]], ids=["cohomology", "verify"])
+def test_oracle_refuses_p10_at_once(tmp_path, capsys, argv):
+    """P^10 has n = 11 vertices, one past the oracle's bound; unguarded,
+    its zero twist took about 30 s through `cohomology`.  `verify` is
+    refused before it classifies."""
+    path = _write(tmp_path, {"group": {"free_rank": 1,
+                                       "degrees": [[1]] * 11}})
+    start = time.perf_counter()
+    code, doc = _run(capsys, [a.replace("{input}", path) for a in argv])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and doc["error"]["type"] == "InputError"
+    assert doc["error"]["details"] == {"n": 11, "bound": 10}
 
 
 def test_verify_single_class(tmp_path, capsys):

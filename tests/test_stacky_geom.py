@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from oracles import (cohomology_dim_scan, euler_characteristic_boundary,
-                     is_trivial)
+                     fiber_constraints, is_trivial)
 from stacktilt import stacky_geom as sg
 from stacktilt import tilting
 from stacktilt.abgroup import direct_sum_group
@@ -256,7 +256,7 @@ def test_cohomology_dim_matches_scan(case, homology, monkeypatch):
     These support complexes have no torsion, so their homology is the same
     over Q, F2 and F3; the scaled run multiplies each dim by the
     characteristic, so that a memo keyed without the field fails too.
-    The oracle solves each twist at most once."""
+    The oracle solves one preimage per canonical coordinate, in order."""
     free_rank, torsion, degrees, box = _SCAN_CASES[case]
     group = direct_sum_group(free_rank, torsion)
     ctx = GradedDegreeGroup.build(
@@ -288,45 +288,56 @@ def test_cohomology_dim_matches_scan(case, homology, monkeypatch):
         assert _outcome(oracle.cohomology_dim, g, r, field) == \
             _outcome(cohomology_dim_scan, oracle, g, r, field, profiles), \
             (g.coords, r, field)
-    assert len(solved) == len(set(solved)) > 0
+    m = group.n_coords
+    assert solved == [tuple(int(i == j) for i in range(m)) for j in range(m)]
 
 
 def test_verify_solves_each_twist_once(monkeypatch):
-    """Verifying a stored P(2,3,5,7,11) set solves each twist h - g at most
-    once, over all pairs and all r, and counts each fiber at most once."""
+    """Verifying a stored P(2,3,5,7,11) set solves one preimage, that of
+    the group's one canonical coordinate, forms each twist h - g once per
+    pair for all r, and counts each fiber at most once."""
     stored = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
                          / "data" / "classes.json").read_text())["p23571"][0]
     group = direct_sum_group(1, [])
     ctx = GradedDegreeGroup.build(
         group, [group.canonicalize([w]) for w in (2, 3, 5, 7, 11)])
     elements = [group.from_coords(v) for v in stored]
-    solves, counts = [], []
+    solves, counts, twists = [], [], []
     solve, count = sg.solve_combination, sg.CohomologyOracle._fiber_count
+    dim = sg.CohomologyOracle.cohomology_dim
 
-    def counted_solve(*args):
-        solves.append(args)
-        return solve(*args)
+    def counted_solve(degrees, g):
+        solves.append(g.coords)
+        return solve(degrees, g)
 
-    def counted_count(self, base, support):
-        counts.append((tuple(base), support))
-        return count(self, base, support)
+    def counted_count(self, coords, support):
+        counts.append((coords, support))
+        return count(self, coords, support)
+
+    def counted_dim(self, g, r, field):
+        twists.append(g)
+        return dim(self, g, r, field)
     monkeypatch.setattr(sg, "solve_combination", counted_solve)
     monkeypatch.setattr(sg.CohomologyOracle, "_fiber_count", counted_count)
+    monkeypatch.setattr(sg.CohomologyOracle, "cohomology_dim", counted_dim)
     oracle = sg.CohomologyOracle(sg.group_to_polytope(ctx), ctx)
     report = tilting.verify_class(oracle, elements, None)
     assert report.ok and len(report.checked) == 4 * len(elements) ** 2
-    twists = {(h - g).coords for g in elements for h in elements}
-    assert 0 < len(solves) <= len(twists)
+    assert solves == [(1,)]
+    assert len(twists) == len(report.checked)
+    assert len({id(g) for g in twists}) == len(elements) ** 2
     assert len(counts) == len(set(counts)) > 0
 
 
 def test_unbounded_contribution_names_the_first_support(monkeypatch):
     """No fiber of these inputs is infinite, so every count is made to
     raise: each r reports the first nonzero support in sign-pattern order,
-    as the scan does, also when the memoized outcome is asked again."""
-    def unbounded(constraints, nvars):
+    as the scan does, also when the memoized outcome is asked again.  The
+    oracle and the scan's _count_lattice_points both count through
+    _count_eliminated."""
+    def unbounded(eliminated, point):
         raise sg._Unbounded()
-    monkeypatch.setattr(sg, "_count_lattice_points", unbounded)
+    monkeypatch.setattr(sg, "_count_eliminated", unbounded)
     raised = 0
     for verts in (P1P1_VERTICES, P2_VERTICES):
         p = sg.parse_polytope(verts)
@@ -340,3 +351,119 @@ def test_unbounded_contribution_names_the_first_support(monkeypatch):
                     expected
                 raised += expected != 0
     assert raised == 15   # every r but H^1 of P2, whose sum is empty
+
+
+_CORPUS = {   # case: (free rank, torsion orders, degrees)
+    "p2": (1, [], [(1,)] * 3),
+    "p1p1": (2, [], [(1, 0)] * 2 + [(0, 1)] * 2),
+    "p2p2": _SCAN_CASES["p2p2"][:3],
+    "p23571": _SCAN_CASES["p23571"][:3],
+    "sigma1": _SCAN_CASES["sigma1"][:3],
+    "stacky": _SCAN_CASES["stacky"][:3],
+    "zz2_d1": (1, [2], [(1, 0), (1, 1)]),
+    "zz2_d2": (1, [2], [(1, 0), (1, 0), (1, 1)]),
+    "zz2_b": _SCAN_CASES["zz2_b"][:3],
+    "zz3": (1, [3], [(1, 0), (1, 1), (1, 2)]),
+}
+
+
+def _oracle(free_rank, torsion, degrees):
+    group = direct_sum_group(free_rank, torsion)
+    ctx = GradedDegreeGroup.build(
+        group, [group.canonicalize(list(v)) for v in degrees])
+    return sg.CohomologyOracle(sg.group_to_polytope(ctx), ctx)
+
+
+def _supports(n):
+    """Every sign support, in sign-pattern order."""
+    return [frozenset(i for i, b in enumerate(bits) if b)
+            for bits in itertools.product((0, 1), repeat=n)]
+
+
+@pytest.mark.parametrize("case", list(_CORPUS))
+def test_skipped_supports_have_no_homology(case):
+    """Over Q, F2 and F3, every support the oracle skips as a cone has an
+    all-zero profile, and the supports it tables per degree are those of
+    the plain 2^n scan, in the same order."""
+    oracle = _oracle(*_CORPUS[case])
+    p = oracle.polytope
+    supports = _supports(p.n)
+    kept = set(oracle._non_cones)
+    assert [t for t in supports if t in kept] == oracle._non_cones
+    for field in (None, 2, 3):
+        profiles = {t: sg.reduced_homology(sg.xa_complex(p, t), p.d, field)
+                    for t in supports}
+        assert all(is_trivial(profiles[t]) for t in supports if t not in kept)
+        for k in range(-1, p.d):
+            assert oracle._nonzero_supports(k, field) == [
+                (t, profiles[t].dim(k)) for t in supports
+                if profiles[t].dim(k)]
+
+
+def _count_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except sg._Unbounded:
+        return "unbounded"
+    except sg._TooManySteps:
+        return "too many steps"
+
+
+def test_eliminated_counts_match_fresh_constraints(monkeypatch):
+    """A support's systems, eliminated once with the twist's coordinates
+    left symbolic, count every twist of a box as _count_lattice_points
+    counts the rows built afresh from a preimage solved for that twist:
+    the same count, the same _Unbounded (cone supports have infinite
+    fibers) and the same guard, lowered here so that the box reaches it."""
+    monkeypatch.setattr(sg, "_MAX_PREFIX_STEPS", 12)
+    boxes = {"p2": range(-14, 15), "p1p1": range(-4, 5),
+             "p2p2": range(-3, 3), "p23571": range(-31, 8),
+             "stacky": range(-3, 3), "zz2_b": range(-8, 6),
+             "zz3": range(-6, 6)}
+    seen = set()
+    for case, box in boxes.items():
+        free_rank, torsion, degrees = _CORPUS[case]
+        oracle = _oracle(free_rank, torsion, degrees)
+        group = oracle.ctx.group
+        for t in itertools.product(*(range(o) for o in torsion)):
+            for f in itertools.product(box, repeat=free_rank):
+                g = group.from_coords(t + f)
+                for support in _supports(oracle.polytope.n):
+                    outcome = _count_outcome(oracle._fiber_count, g.coords,
+                                             support)
+                    assert outcome == _count_outcome(
+                        sg._count_lattice_points,
+                        fiber_constraints(oracle, g, support),
+                        oracle.polytope.d), (case, g.coords, support)
+                    seen.add(outcome if isinstance(outcome, str) else "count")
+    assert seen == {"count", "unbounded", "too many steps"}
+
+
+@pytest.mark.parametrize("case, computed, supports",
+                         [("p2p2", 4, 64), ("p23571", 2, 32)])
+def test_homology_only_of_non_cone_supports(case, computed, supports,
+                                            monkeypatch):
+    """Every H^r of a twist needs the homology of the non-cone supports
+    only: 4 of P2xP2's 64 (the empty one, the two triangles and all six
+    vertices) and 2 of P(2,3,5,7,11)'s 32 (the empty one and all five)."""
+    calls = []
+    exact = sg.reduced_homology
+
+    def counted(faces, ambient_dim, field):
+        calls.append(faces)
+        return exact(faces, ambient_dim, field)
+    monkeypatch.setattr(sg, "reduced_homology", counted)
+    oracle = _oracle(*_CORPUS[case])
+    oracle.all_r(oracle.ctx.degrees[0], None)
+    assert 2 ** oracle.polytope.n == supports and len(calls) == computed
+
+
+def test_oracle_refuses_more_than_max_vertices():
+    """The support scan is exponential in n: P^9 (n = 10) is accepted and
+    P^10 refused before any scan."""
+    one = (1,)
+    oracle = _oracle(1, [], [one] * sg._MAX_VERTICES)
+    assert len(oracle._non_cones) == 2
+    with pytest.raises(InputError) as info:
+        _oracle(1, [], [one] * (sg._MAX_VERTICES + 1))
+    assert info.value.details == {"n": 11, "bound": 10}

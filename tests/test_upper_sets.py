@@ -8,6 +8,7 @@ from oracles import (TrivialUpperSet, admits_proper_superset, checked,
                      orbit_size_elementwise)
 from stacktilt import upper_sets as us
 from stacktilt.errors import NotAntichain, NotMinimal
+from stacktilt.graded_order import GradedDegreeGroup
 
 
 def _poset(ctx):
@@ -189,6 +190,29 @@ def test_orbit_sizes_add_up_to_the_zp_classes(ctx_p23, ctx_zz2_d1, ctx_zz2_d2,
                 == [orbit_size_elementwise(rep, "full") for rep in full])
         assert sum(rep.orbit_len for rep in full) == len(zp)
         assert {rep.orbit_len for rep in zp} == {1}
+
+
+def test_paper_mode_keys_one_point_per_class(z_group, monkeypatch):
+    """P(5,7,11) has 43 classes over 989 points.  Each orbit's head is the
+    least key, min(orbit, key=space.key), but only points whose least
+    member is least are keyed: here one per class."""
+    ctx = GradedDegreeGroup.build(
+        z_group, [z_group.canonicalize([w]) for w in (5, 7, 11)])
+    keyed = []
+    key = us._LevelSpace.key
+
+    def counted(space, k):
+        keyed.append(k)
+        return key(space, k)
+    monkeypatch.setattr(us._LevelSpace, "key", counted)
+    poset = _poset(ctx)
+    classes = us.enumerate_classes(poset, "full")
+    assert len(classes) == 43 and len(keyed) == 43
+    space = poset.space
+    assert sum(rep.orbit_len for rep in classes) == 989
+    for rep in classes:
+        k = space.point(rep)
+        assert k == min(space.translates(k), key=lambda t: key(space, t))
 
 
 def _library_references() -> set:
