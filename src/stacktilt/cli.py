@@ -23,7 +23,7 @@ from . import tilting
 from . import upper_sets as us
 from .abgroup import direct_sum_group
 from .errors import InputError, OutputClosed, StacktiltError
-from .graded_order import GradedDegreeGroup
+from .graded_order import GradedDegreeGroup, check_free_rank
 from .quiver import to_dot
 from .stacky_geom import (CohomologyOracle, StackyPolytope, gale_dual,
                           group_to_polytope, parse_polytope)
@@ -126,6 +126,11 @@ def _build_context(doc: dict):
         vertices = [_int_vector(v, "a polytope vertex") for v in vertices]
         if "dim" in spec and any(len(v) != spec["dim"] for v in vertices):
             raise InputError("vertex length disagrees with polytope.dim")
+        d = len(vertices[0])
+        if d and all(len(v) == d for v in vertices):
+            # the Gale dual has free rank n - d; refused before
+            # parse_polytope tries every d-subset of the vertices as a facet
+            check_free_rank(len(vertices) - d)
         polytope = parse_polytope(vertices)
         return gale_dual(polytope), polytope
     spec = doc["group"]
@@ -139,6 +144,7 @@ def _build_context(doc: dict):
         raise InputError(f"malformed group spec: {exc}") from None
     if not degree_vecs:
         raise InputError("group.degrees must be nonempty")
+    check_free_rank(free_rank)
     group = direct_sum_group(free_rank, torsion)
     degrees = [group.canonicalize(list(v)) for v in degree_vecs]
     return GradedDegreeGroup.build(group, degrees), None

@@ -105,8 +105,12 @@ def build_quotient(d: int, b_generators: Iterable[Sequence[int]]) -> LatticeQuot
             raise InputError("B generators must be (d+1)-vectors in L",
                              vector=list(v))
         gens_alpha.append(tuple(alpha_coords(v)))
-    group = FgAbelianGroup(d, list(gens_alpha))
-    size = group.size()
+    # fewer than d generators span a subgroup of lower rank; refused before
+    # the Smith form, whose cost grows with d
+    size = None
+    if len(gens_alpha) >= d:
+        group = FgAbelianGroup(d, list(gens_alpha))
+        size = group.size()
     if size is None:
         raise NotCofinite("the subgroup B has infinite index in L")
     unit = lambda j: [1 if k == j else 0 for k in range(d)]

@@ -22,6 +22,12 @@ from .errors import (DegenerateSplit, DimensionMismatch, G1Violation,
 COSET_BOUND = 2 ** 16
 
 
+def check_free_rank(rank: int) -> None:
+    """Refuse free ranks above two: the classifiers serve ranks 1 and 2."""
+    if rank > 2:
+        raise UnsupportedRank(f"free rank {rank} not supported (only 1, 2)")
+
+
 def _cross(a, b) -> int:
     return a[0] * b[1] - a[1] * b[0]
 
@@ -140,8 +146,7 @@ class GradedDegreeGroup:
             # and negative cone at once
             raise G3Violation("all degrees are torsion",
                               witness=list(degrees[0].coords))
-        if rank > 2:
-            raise UnsupportedRank(f"free rank {rank} not supported (only 1, 2)")
+        check_free_rank(rank)
         quot, _ = group.quotient_by(list(degrees))
         if quot.size() != 1:
             raise G2Violation("degrees do not generate the group")

@@ -281,14 +281,6 @@ def _count_eliminated(eliminated: tuple[list, list],
     return count
 
 
-def _count_lattice_points(constraints: list[tuple[tuple[int, ...], int]],
-                          nvars: int) -> int:
-    """Integer points satisfying coeff . x + const >= 0 for every row."""
-    eliminated = _eliminate(
-        [(coeffs, (const,)) for coeffs, const in constraints], nvars)
-    return _count_eliminated(eliminated, (1,))
-
-
 def _non_cone_supports(p: StackyPolytope) -> list[frozenset]:
     """The supports T whose complex is not a cone, in sign-pattern order.
 
@@ -432,11 +424,6 @@ class CohomologyOracle:
                     support=sorted(support), r=r)
             total += dim * count
         return total
-
-    def ext_dim(self, g: GroupElement, h: GroupElement, r: int,
-                field: Optional[int]) -> int:
-        """dim Ext^r(O(g), O(h)) = dim H^r of the twist h - g."""
-        return self.cohomology_dim(h - g, r, field)
 
     def all_r(self, g: GroupElement, field: Optional[int]) -> dict:
         return {r: self.cohomology_dim(g, r, field)

@@ -308,25 +308,6 @@ class _LevelSpace:
         return self.normal([level(rep.by_fiber[a])[1]
                             for a in self.poset.fibers])
 
-    def walk(self, limit: int) -> list[tuple]:
-        """Every point, by BFS from the theta slab over both kinds of
-        move; it stops once it holds more than limit points.  The classes
-        of enumerate_classes's "zp" mode; its "full" mode walks orbits
-        instead, one point each."""
-        start = self.point(seed_slab(self.poset))
-        seen = {start}
-        points = [start]
-        for k in points:
-            if len(points) > limit:
-                break
-            for direction, sites in ((1, self.down(k)), (-1, self.up(k))):
-                for a in sites:
-                    t = self.step(k, a, direction)
-                    if t not in seen:
-                        seen.add(t)
-                        points.append(t)
-        return points
-
     def offsets(self, t: GroupElement) -> list[tuple]:
         """The translation by t, as (source index, level offset) per target
         fiber: s_a + t = s_b + j*shift moves the member (a, k) to
@@ -373,7 +354,10 @@ class _LevelSpace:
 
     def head(self, points) -> tuple:
         """min(points, key=self.key), keying only the points whose least
-        member is least, as a key begins with its least member."""
+        member is least, as a key begins with its least member; a single
+        point is its own head, unkeyed."""
+        if len(points) == 1:
+            return next(iter(points))
         element, fibers = self.poset.element, self.poset.fibers
         coords = operator.attrgetter("coords")
         least = [min(map(coords, map(element, fibers, k))) for k in points]
@@ -394,51 +378,42 @@ def enumerate_classes(poset, mode: str = "full",
     holds.
 
     The classes up to shifts are the points of _LevelSpace, a distributive
-    lattice connected by the moves (Propp).  In "zp" mode each point is a
-    class, and _LevelSpace.walk finds them all.  In "full" mode a point's
-    translates are its orbit, and the least key in it names the class, as
-    canonical_form(..., "full") does.  A translation is an order
-    automorphism commuting with the shift, so it maps the moves out of a
-    point onto the moves out of its translate: the orbits of the
-    neighbours of one point of an orbit are those of every point of it.
-    The orbits thus form a connected quotient of the move graph, and a BFS
+    lattice connected by the moves (Propp).  A class is the orbit of a
+    point, _LevelSpace.orbit: its translates in "full" mode, the point
+    alone in "zp" mode, and the least key in it names the class, as
+    canonical_form does.  A translation is an order automorphism commuting
+    with the shift, so it maps the moves out of a point onto the moves out
+    of its translate: the orbits of the neighbours of one point of an
+    orbit are those of every point of it.  The orbits thus form a
+    connected quotient of the move graph, and a BFS from the theta slab
     that expands one point per orbit, the first one a move reaches (not
     its head, the least key), meets every class while testing sites at
-    one point per class (isomorph-free generation, McKay 1998).  It stops
+    one point per class (isomorph-free generation, McKay 1998).  In "zp"
+    mode every orbit is one point, so the walk expands each point once
+    and misses a point only where a site scan misses a move.  It stops
     once max_classes + 1 orbits are formed.  Each class's edges are
     re-read at its head; a move from it to a point outside the orbits
     found is an internal fault.  The walk reads only the gaps; where the
     classifiers build quivers, the arrow table's closure has checked them
     first.
     """
-    if mode not in ("zp", "full"):
-        raise ValueError(f"unknown canonical form mode {mode!r}")
     space = poset.space
-    if mode == "full":
-        # every point reached by a move, in BFS order; the first one of
-        # each orbit forms the orbit and is the one expanded
-        class_of, heads = {}, []
-        reached = [space.point(seed_slab(poset))]
-        for k in reached:
-            if k in class_of:
-                continue
-            orbit = dict.fromkeys(space.translates(k), len(heads))
-            class_of.update(orbit)
-            heads.append((space.head(orbit), len(orbit)))
-            if len(heads) > max_classes:
-                raise ClassCountExceeded(
-                    "class enumeration exceeded the ceiling",
-                    ceiling=max_classes)
-            reached += [space.step(k, a, direction) for direction, sites
-                        in ((1, space.down(k)), (-1, space.up(k)))
-                        for a in sites]
-    else:
-        points = space.walk(max_classes)
-        if len(points) > max_classes:
+    # every point reached by a move, in BFS order; the first one of each
+    # orbit forms the orbit and is the one expanded
+    class_of, heads = {}, []
+    reached = [space.point(seed_slab(poset))]
+    for k in reached:
+        if k in class_of:
+            continue
+        orbit = dict.fromkeys(space.orbit(k, mode), len(heads))
+        class_of.update(orbit)
+        heads.append((space.head(orbit), len(orbit)))
+        if len(heads) > max_classes:
             raise ClassCountExceeded("class enumeration exceeded the ceiling",
                                      ceiling=max_classes)
-        class_of = {k: i for i, k in enumerate(points)}
-        heads = [(k, 1) for k in points]
+        reached += [space.step(k, a, direction) for direction, sites
+                    in ((1, space.down(k)), (-1, space.up(k)))
+                    for a in sites]
     reps = [space.rep(k) for k, _ in heads]
     for (k, size), rep in zip(heads, reps):
         down = {a: space.step(k, a, 1) for a in space.down(k)}

@@ -410,6 +410,21 @@ def fiber_constraints(oracle: sg.CohomologyOracle, g: GroupElement,
     return constraints
 
 
+def count_lattice_points(constraints: list[tuple[tuple[int, ...], int]],
+                         nvars: int) -> int:
+    """Integer points satisfying coeff . x + const >= 0 for every row,
+    through the oracle's elimination with each const a plain integer."""
+    eliminated = sg._eliminate(
+        [(coeffs, (const,)) for coeffs, const in constraints], nvars)
+    return sg._count_eliminated(eliminated, (1,))
+
+
+def ext_dim(oracle: sg.CohomologyOracle, g: GroupElement, h: GroupElement,
+            r: int, field: Optional[int]) -> int:
+    """dim Ext^r(O(g), O(h)) = dim H^r of the twist h - g."""
+    return oracle.cohomology_dim(h - g, r, field)
+
+
 def cohomology_dim_scan(oracle: sg.CohomologyOracle, g: GroupElement, r: int,
                         field: Optional[int], profiles: dict) -> int:
     """CohomologyOracle.cohomology_dim by a plain scan, without its memos.
@@ -430,7 +445,7 @@ def cohomology_dim_scan(oracle: sg.CohomologyOracle, g: GroupElement, r: int,
         if dim == 0:
             continue
         try:
-            total += dim * sg._count_lattice_points(
+            total += dim * count_lattice_points(
                 fiber_constraints(oracle, g, support), p.d)
         except sg._Unbounded:
             raise UnboundedContribution(

@@ -277,6 +277,49 @@ def test_oracle_refuses_p10_at_once(tmp_path, capsys, argv):
     assert doc["error"]["details"] == {"n": 11, "bound": 10}
 
 
+def test_polytope_rank_refused_before_the_facet_search(tmp_path, capsys):
+    """The d-dimensional cross-polytope has a Gale dual of free rank d;
+    the facet search over its C(2d, d) vertex subsets took 38 s at
+    d = 10.  The 3-cube is not simplicial, and its rank, 5, is what it
+    reports."""
+    cross = [[s * (j == i) for j in range(10)] for i in range(10)
+             for s in (1, -1)]
+    path = _write(tmp_path, {"polytope": {"vertices": cross}})
+    start = time.perf_counter()
+    code, doc = _run(capsys, ["classify", path])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and doc["error"]["type"] == "UnsupportedRank"
+    assert doc["error"]["message"] == "free rank 10 not supported (only 1, 2)"
+    cube = [list(v) for v in itertools.product((1, -1), repeat=3)]
+    code, doc = _run(capsys, ["classify", _write(
+        tmp_path, {"polytope": {"vertices": cube}}, "cube.json")])
+    assert code == 2 and doc["error"]["type"] == "UnsupportedRank"
+    assert doc["error"]["message"] == "free rank 5 not supported (only 1, 2)"
+
+
+@pytest.mark.parametrize("command, doc_in, error", [
+    ("cuts", {"lattice": {"d": 4000, "b_generators": []}}, "NotCofinite"),
+    ("classify", {"group": {"free_rank": 4000, "degrees": [[1]]}},
+     "UnsupportedRank"),
+    # the rank wins over a zero degree and a zero torsion order
+    ("classify", {"group": {"free_rank": 3, "degrees": [[0, 0, 0]]}},
+     "UnsupportedRank"),
+    ("classify", {"group": {"free_rank": 3, "torsion_orders": [0],
+                            "degrees": [[1, 0, 0, 0]]}}, "UnsupportedRank"),
+], ids=["lattice_d4000", "free_rank_4000", "zero_degree",
+        "zero_torsion_order"])
+def test_oversized_documents_refused_before_the_smith_form(
+        tmp_path, capsys, command, doc_in, error):
+    """Fewer B generators than d always leave infinite index, and a free
+    rank above 2 is unsupported: both are refused before a Smith form of
+    size d, which took 1.7-1.9 s at 4000."""
+    path = _write(tmp_path, doc_in)
+    start = time.perf_counter()
+    code, doc = _run(capsys, [command, path])
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and doc["error"]["type"] == error
+
+
 def test_verify_single_class(tmp_path, capsys):
     path = _write(tmp_path, P1)
     code, doc = _run(capsys, ["verify", path, "--class", "0"])

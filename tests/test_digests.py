@@ -69,3 +69,34 @@ def test_pinned_report(pin, tmp_path, capsys):
     if job.pair is not None:
         _, other = _run(BY_KEY[job.pair], tmp_path, capsys)
         assert workloads.check_serre(report, json.loads(other)) is None
+
+
+def _group(free_rank, degrees):
+    return {"group": {"free_rank": free_rank, "torsion_orders": [],
+                      "degrees": [list(d) for d in degrees]}}
+
+
+# `classify --mode zp` reports that no benchmark job prints: the rank-two
+# ones walk the base order H in zp mode, and every input walks its inner
+# or whole-group posets in zp mode.  (document, stdout SHA-256)
+ZP_PINS = {
+    "sigma1": (_group(2, [(1, 0), (1, 0), (1, 1), (0, 1)]),
+               "06cb8cedc8ac2cb14825df5b4e313327685d43b794e5eae85a6993b622789f1b"),
+    "stacky": (_group(2, [(1, -1), (1, 0), (1, 1), (0, 1)]),
+               "749e8473155e539a6cd3c55368ade4f1456aedeba6ffbaad61823030d33b860d"),
+    "P1xP2": (_group(2, [(1, 0)] * 2 + [(0, 1)] * 3),
+              "9a69228ab48d7da039a1f024534226f59789f1310c9a7fa264985c52b67f8465"),
+    "P2xP2": (_group(2, [(1, 0)] * 3 + [(0, 1)] * 3),
+              "2ffb69d2ed5652924745ca202109ed5e64e9c819ec63189e8db244a123ae75f6"),
+    "P(4,5,6,7)": (_group(1, [(4,), (5,), (6,), (7,)]),
+                   "c70fa2f4ed002ff8913b4066eabf545f644473e674d89831ce83ac2c3847d008"),
+}
+
+
+@pytest.mark.parametrize("name", list(ZP_PINS))
+def test_pinned_zp_report(name, tmp_path, capsys):
+    doc, sha256 = ZP_PINS[name]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = cli.main(["classify", str(path), "--mode", "zp"])
+    assert [code, _sha256(capsys.readouterr().out)] == [0, sha256]

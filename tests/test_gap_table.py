@@ -5,7 +5,7 @@ the order about every pair of elements, and translates member levels by
 the level offsets of each translation where it once added group elements;
 `enumerate_classes` and `connect` walk level vectors.  The element-level
 routines in oracles.py still ask `poset.leq` and add elements; here they
-run on every point the level-space walk produces, the mutation walks in
+run on every point the level-space walk produces (every zp class), the mutation walks in
 oracles.py must find the same classes, edges and moves, and a corrupted
 table must be caught by the checks that do not read it.
 """
@@ -73,72 +73,64 @@ def _rank2_posets(ctx):
         for base in us.enumerate_classes(h_poset, "zp")]
 
 
-@pytest.fixture
-def differential(monkeypatch):
-    """Run the element-level routines on every point the level-space walk
-    produces: the antichain tests, both site scans, and each move."""
-    counts = {"states": 0, "local": 0, "sites": 0, "perturbed": 0}
-    walk = us._LevelSpace.walk
+def _check_point(space, k, counts):
+    """Run the element-level routines on the level-space point k: the
+    antichain tests, both site scans, and each move."""
+    poset = space.poset
+    rep = space.rep(k)
+    elements = list(rep.elements)
+    assert (us.is_antichain_rep(poset, elements)
+            == is_antichain_rep_elementwise(poset, elements)
+            == (True, None))
+    counts["states"] += 1
+    if poset.supports_local_check:
+        assert local_check_elementwise(poset, rep.by_fiber)
+        counts["local"] += 1
+    for direction, sites, table_scan, reference in (
+            (1, space.down(k), us.mutable_elements,
+             mutable_elements_elementwise),
+            (-1, space.up(k), us.upward_mutable_elements,
+             upward_mutable_elements_elementwise)):
+        at = {rep.by_fiber[poset.fibers[a]]: a for a in sites}
+        assert (sorted(at, key=lambda e: e.coords)
+                == table_scan(rep) == reference(rep))
+        for m, a in at.items():
+            moved = us.AntichainRep(poset, [
+                poset.shift(e, direction) if e == m else e
+                for e in elements])
+            assert (space.rep(space.step(k, a, direction)).key()
+                    == canonical_form_elementwise(moved).key())
+        counts["sites"] += 1
+    _perturb(poset, elements, counts)
 
-    def checked_walk(space, limit):
-        points = walk(space, limit)
-        poset = space.poset
-        for k in points:
-            rep = space.rep(k)
-            elements = list(rep.elements)
-            assert (us.is_antichain_rep(poset, elements)
-                    == is_antichain_rep_elementwise(poset, elements)
-                    == (True, None))
-            counts["states"] += 1
-            if poset.supports_local_check:
-                assert local_check_elementwise(poset, rep.by_fiber)
-                counts["local"] += 1
-            for direction, sites, table_scan, reference in (
-                    (1, space.down(k), us.mutable_elements,
-                     mutable_elements_elementwise),
-                    (-1, space.up(k), us.upward_mutable_elements,
-                     upward_mutable_elements_elementwise)):
-                at = {rep.by_fiber[poset.fibers[a]]: a for a in sites}
-                assert (sorted(at, key=lambda e: e.coords)
-                        == table_scan(rep) == reference(rep))
-                for m, a in at.items():
-                    moved = us.AntichainRep(poset, [
-                        poset.shift(e, direction) if e == m else e
-                        for e in elements])
-                    assert (space.rep(space.step(k, a, direction)).key()
-                            == canonical_form_elementwise(moved).key())
-                counts["sites"] += 1
-            perturb(poset, elements)
-        return points
 
-    def perturb(poset, elements):
-        """On up to 12 fibers, also shift each member by -1 and +1: mostly
-        sets that are no antichains, which the walk never produces."""
-        if not poset.supports_local_check or len(poset.fibers) > 12:
-            return
-        for i, n in itertools.product(range(len(elements)), (-1, 1)):
-            moved = list(elements)
-            moved[i] = poset.shift(moved[i], n)
-            by_fiber = {poset.fiber_key(e): e for e in moved}
-            assert (local_check_elementwise(poset, by_fiber)
-                    == us.is_antichain_rep(poset, moved)[0]
-                    == is_antichain_rep_elementwise(poset, moved)[0])
-            counts["perturbed"] += 1
-
-    monkeypatch.setattr(us._LevelSpace, "walk", checked_walk)
-    return counts
+def _perturb(poset, elements, counts):
+    """On up to 12 fibers, also shift each member by -1 and +1: mostly
+    sets that are no antichains, which the walk never produces."""
+    if not poset.supports_local_check or len(poset.fibers) > 12:
+        return
+    for i, n in itertools.product(range(len(elements)), (-1, 1)):
+        moved = list(elements)
+        moved[i] = poset.shift(moved[i], n)
+        by_fiber = {poset.fiber_key(e): e for e in moved}
+        assert (local_check_elementwise(poset, by_fiber)
+                == us.is_antichain_rep(poset, moved)[0]
+                == is_antichain_rep_elementwise(poset, moved)[0])
+        counts["perturbed"] += 1
 
 
 @pytest.mark.parametrize("name", list(RANK1) + list(RANK2))
-def test_table_agrees_with_the_order_on_every_visited_state(name,
-                                                            differential):
-    for poset, modes in _posets(name):
-        for mode in modes:
-            us.enumerate_classes(poset, mode)
-    assert differential["states"] and differential["sites"]
-    assert bool(differential["local"]) == (name in RANK1)
-    assert bool(differential["perturbed"]) == (name in RANK1
-                                               and name != "P(4,5,6,7)")
+def test_table_agrees_with_the_order_on_every_visited_state(name):
+    """Every zp class is one point of the level space, so the zp classes
+    of each poset are every point the walk visits."""
+    counts = {"states": 0, "local": 0, "sites": 0, "perturbed": 0}
+    for poset, _ in _posets(name):
+        for rep in us.enumerate_classes(poset, "zp"):
+            _check_point(poset.space, poset.space.point(rep), counts)
+    assert counts["states"] and counts["sites"]
+    assert bool(counts["local"]) == (name in RANK1)
+    assert bool(counts["perturbed"]) == (name in RANK1
+                                         and name != "P(4,5,6,7)")
 
 
 @pytest.mark.parametrize("name", list(RANK1) + list(RANK2))
@@ -419,12 +411,13 @@ def test_a_slab_that_fails_the_antichain_test_is_an_internal_fault(
 @pytest.mark.parametrize("name", ["P(2,3)", "P(3,4,5)", "zz2_b"])
 def test_a_point_the_walk_misses_is_caught_by_the_cut_count(monkeypatch,
                                                             name):
-    """Drop the walk's last point and every move into it, as a site test
+    """Drop the last zp class and every move into it, as a site test
     that misses moves would: the other points and edges stay consistent,
     and only the count against the cuts of type gamma can notice."""
     ctx = _ctx(*RANK1[name])
-    space = us._LevelSpace(us.GroupPoset(ctx))
-    points = space.walk(10_000)
+    poset = us.GroupPoset(ctx)
+    points = [poset.space.point(rep)
+              for rep in us.enumerate_classes(poset, "zp")]
     dropped = points[-1]
     down, up = us._LevelSpace.down, us._LevelSpace.up
 
@@ -436,7 +429,8 @@ def test_a_point_the_walk_misses_is_caught_by_the_cut_count(monkeypatch,
 
     monkeypatch.setattr(us._LevelSpace, "down", missing(down, 1))
     monkeypatch.setattr(us._LevelSpace, "up", missing(up, -1))
-    assert space.walk(10_000) == points[:-1]
+    assert [poset.space.point(rep)
+            for rep in us.enumerate_classes(poset, "zp")] == points[:-1]
     with pytest.raises(InternalInvariantBroken, match="miss a cut"):
         tilting.classify_rank1(ctx, "zp")
 

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from oracles import (cohomology_dim_scan, euler_characteristic_boundary,
+from oracles import (cohomology_dim_scan, count_lattice_points,
+                     euler_characteristic_boundary, ext_dim,
                      fiber_constraints, is_trivial)
 from stacktilt import stacky_geom as sg
 from stacktilt import tilting
@@ -130,12 +131,12 @@ def test_ext_dim_examples(ctx_p23):
     oracle = sg.CohomologyOracle(sg.group_to_polytope(ctx_p23), ctx_p23)
     z = ctx_p23.group
     zero = z.zero()
-    assert oracle.ext_dim(zero, zero, 0, None) == 1
-    assert oracle.ext_dim(zero, z.canonicalize([6]), 0, None) == 2
+    assert ext_dim(oracle, zero, zero, 0, None) == 1
+    assert ext_dim(oracle, zero, z.canonicalize([6]), 0, None) == 2
     seg = sg.parse_polytope([[1], [-1]])
     p1 = sg.CohomologyOracle(seg, sg.gale_dual(seg))
     o1 = p1.ctx.degrees[0]
-    assert p1.ext_dim(p1.ctx.group.zero(), o1, 0, None) == 2
+    assert ext_dim(p1, p1.ctx.group.zero(), o1, 0, None) == 2
 
 
 def test_h0_agrees_with_hom_dim(ctx_p23, ctx_p1p1, ctx_zz2_d1):
@@ -176,14 +177,13 @@ def test_field_independence(ctx_p23, ctx_p1p1):
 
 
 def test_unbounded_detection():
-    from stacktilt.stacky_geom import _Unbounded, _count_lattice_points
     # x >= 0 alone in one variable is unbounded
-    with pytest.raises(_Unbounded):
-        _count_lattice_points([((1,), 0)], 1)
+    with pytest.raises(sg._Unbounded):
+        count_lattice_points([((1,), 0)], 1)
     # empty region with a missing bound never reaches the unbounded level
-    assert _count_lattice_points([((1,), 0), ((-1,), -2)], 1) == 0
-    assert _count_lattice_points([((1,), 0), ((-1,), 3)], 1) == 4
-    assert _count_lattice_points(
+    assert count_lattice_points([((1,), 0), ((-1,), -2)], 1) == 0
+    assert count_lattice_points([((1,), 0), ((-1,), 3)], 1) == 4
+    assert count_lattice_points(
         [((1, 0), 0), ((-1, 0), 2), ((0, 1), 0), ((0, -1), 2),
          ((1, 1), -1)], 2) == 8
 
@@ -191,7 +191,6 @@ def test_unbounded_detection():
 def test_count_lattice_points_matches_box_scan():
     """The closed-form count of the last variable agrees with a scan of a
     box that holds the region, empty last ranges included."""
-    from stacktilt.stacky_geom import _count_lattice_points
     rng = random.Random(53)
     for nvars in (1, 2, 3):
         for _ in range(40):
@@ -204,7 +203,7 @@ def test_count_lattice_points_matches_box_scan():
                 all(sum(c * v for c, v in zip(coeffs, x)) + const >= 0
                     for coeffs, const in rows)
                 for x in itertools.product(range(-4, 5), repeat=nvars))
-            assert _count_lattice_points(rows, nvars) == expected
+            assert count_lattice_points(rows, nvars) == expected
 
 
 def test_h0_of_a_large_twist_on_p2():
@@ -333,7 +332,7 @@ def test_unbounded_contribution_names_the_first_support(monkeypatch):
     """No fiber of these inputs is infinite, so every count is made to
     raise: each r reports the first nonzero support in sign-pattern order,
     as the scan does, also when the memoized outcome is asked again.  The
-    oracle and the scan's _count_lattice_points both count through
+    oracle and the scan's count_lattice_points both count through
     _count_eliminated."""
     def unbounded(eliminated, point):
         raise sg._Unbounded()
@@ -411,7 +410,7 @@ def _count_outcome(fn, *args):
 
 def test_eliminated_counts_match_fresh_constraints(monkeypatch):
     """A support's systems, eliminated once with the twist's coordinates
-    left symbolic, count every twist of a box as _count_lattice_points
+    left symbolic, count every twist of a box as count_lattice_points
     counts the rows built afresh from a preimage solved for that twist:
     the same count, the same _Unbounded (cone supports have infinite
     fibers) and the same guard, lowered here so that the box reaches it."""
@@ -432,7 +431,7 @@ def test_eliminated_counts_match_fresh_constraints(monkeypatch):
                     outcome = _count_outcome(oracle._fiber_count, g.coords,
                                              support)
                     assert outcome == _count_outcome(
-                        sg._count_lattice_points,
+                        count_lattice_points,
                         fiber_constraints(oracle, g, support),
                         oracle.polytope.d), (case, g.coords, support)
                     seen.add(outcome if isinstance(outcome, str) else "count")

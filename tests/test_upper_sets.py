@@ -6,7 +6,7 @@ import pytest
 from oracles import (TrivialUpperSet, admits_proper_superset, checked,
                      enumerate_classes_window, i_contains, j_of_upper,
                      orbit_size_elementwise)
-from stacktilt import upper_sets as us
+from stacktilt import stacky_geom as sg, upper_sets as us
 from stacktilt.errors import NotAntichain, NotMinimal
 from stacktilt.graded_order import GradedDegreeGroup
 
@@ -215,43 +215,61 @@ def test_paper_mode_keys_one_point_per_class(z_group, monkeypatch):
         assert k == min(space.translates(k), key=lambda t: key(space, t))
 
 
-def _library_references() -> set:
-    """The names of upper_sets the library uses: bare names inside the
+def _library_references(module) -> set:
+    """The names of module the library uses: bare names inside the
     module, and names imported from it or read off it elsewhere."""
+    path = Path(module.__file__)
     used = set()
-    for path in Path(us.__file__).parent.glob("*.py"):
-        tree = ast.parse(path.read_text())
+    for other in path.parent.glob("*.py"):
+        tree = ast.parse(other.read_text())
         nodes = list(ast.walk(tree))
-        if path.name == "upper_sets.py":
+        if other == path:
             used |= {n.id for n in nodes if isinstance(n, ast.Name)}
             continue
         aliases = set()
         for n in nodes:
             if isinstance(n, ast.ImportFrom):
-                if n.module == "upper_sets":
+                if n.module == path.stem:
                     used |= {alias.name for alias in n.names}
                 aliases |= {alias.asname or alias.name for alias in n.names
-                            if alias.name == "upper_sets"}
+                            if alias.name == path.stem}
         used |= {n.attr for n in nodes if isinstance(n, ast.Attribute)
                  and isinstance(n.value, ast.Name) and n.value.id in aliases}
     return used
 
 
+def _traced(module) -> set:
+    """The top-level names of module that the benchmark tracer wraps or
+    reads (perfbench/tracing.py, read here, not imported)."""
+    tracing = Path(us.__file__).parents[2] / "perfbench" / "tracing.py"
+    return {entry[1].split(".")[0]
+            for node in ast.parse(tracing.read_text()).body
+            if isinstance(node, ast.Assign)
+            and {t.id for t in node.targets} & {"SPANS", "COUNTERS"}
+            for entry in ast.literal_eval(node.value)
+            if entry[0] == Path(module.__file__).stem}
+
+
+def _defined(module) -> list:
+    return [node.name for node in ast.parse(Path(module.__file__)
+                                            .read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+
 def test_every_upper_sets_name_has_a_library_caller():
     """Test-only code lives in tests/oracles.py: each top-level function
     and class of upper_sets is used somewhere in the library other than
-    its own definition, or is an entry point the benchmark tracer wraps
-    (perfbench/tracing.py, read here, not imported)."""
-    tracing = Path(us.__file__).parents[2] / "perfbench" / "tracing.py"
-    traced = {entry[1].split(".")[0]
-              for node in ast.parse(tracing.read_text()).body
-              if isinstance(node, ast.Assign)
-              and {t.id for t in node.targets} & {"SPANS", "COUNTERS"}
-              for entry in ast.literal_eval(node.value)
-              if entry[0] == "upper_sets"}
-    defined = [node.name for node in ast.parse(Path(us.__file__).read_text())
-               .body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-    used = _library_references()
+    its own definition, or is an entry point the benchmark tracer wraps."""
+    traced, used = _traced(us), _library_references(us)
     assert {"connect", "enumerate_classes", "mutate"} <= used
     assert "canonical_form" in traced
-    assert [name for name in defined if name not in used | traced] == []
+    assert [name for name in _defined(us) if name not in used | traced] == []
+
+
+def test_every_stacky_geom_name_has_a_library_caller():
+    """The same for stacky_geom, whose Ext and plain lattice-point counts
+    serve only the tests."""
+    traced, used = _traced(sg), _library_references(sg)
+    assert {"CohomologyOracle", "parse_polytope", "gale_dual"} <= used
+    assert "reduced_homology" in traced
+    assert [name for name in _defined(sg) if name not in used | traced] == []
