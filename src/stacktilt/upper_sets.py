@@ -392,10 +392,11 @@ def enumerate_classes(poset, mode: str = "full",
     mode every orbit is one point, so the walk expands each point once
     and misses a point only where a site scan misses a move.  It stops
     once max_classes + 1 orbits are formed.  Each class's edges are
-    re-read at its head; a move from it to a point outside the orbits
-    found is an internal fault.  The walk reads only the gaps; where the
-    classifiers build quivers, the arrow table's closure has checked them
-    first.
+    re-read at its head, unless the head is the point expanded (as every
+    zp head is), whose down moves are kept from the walk; a move from it
+    to a point outside the orbits found is an internal fault.  The walk
+    reads only the gaps; where the classifiers build quivers, the arrow
+    table's closure has checked them first.
     """
     space = poset.space
     # every point reached by a move, in BFS order; the first one of each
@@ -407,16 +408,20 @@ def enumerate_classes(poset, mode: str = "full",
             continue
         orbit = dict.fromkeys(space.orbit(k, mode), len(heads))
         class_of.update(orbit)
-        heads.append((space.head(orbit), len(orbit)))
-        if len(heads) > max_classes:
+        if len(heads) >= max_classes:   # this is orbit max_classes + 1
             raise ClassCountExceeded("class enumeration exceeded the ceiling",
                                      ceiling=max_classes)
-        reached += [space.step(k, a, direction) for direction, sites
-                    in ((1, space.down(k)), (-1, space.up(k)))
-                    for a in sites]
-    reps = [space.rep(k) for k, _ in heads]
-    for (k, size), rep in zip(heads, reps):
+        head = space.head(orbit)
         down = {a: space.step(k, a, 1) for a in space.down(k)}
+        # a head that is the expanded point (every zp head) keeps its down
+        # moves for its edges
+        heads.append((head, len(orbit), down if head == k else None))
+        reached += down.values()
+        reached += [space.step(k, a, -1) for a in space.up(k)]
+    reps = [space.rep(k) for k, _, _ in heads]
+    for (k, size, down), rep in zip(heads, reps):
+        if down is None:
+            down = {a: space.step(k, a, 1) for a in space.down(k)}
         if any(t not in class_of for t in down.values()):
             raise InternalInvariantBroken(
                 "a mutation leaves the classes the walk found")

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import itertools
 import json
 import os
@@ -7,6 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import stacktilt
 from oracles import enumerate_detectors_product, parse_dot
@@ -318,6 +322,25 @@ def test_oversized_documents_refused_before_the_smith_form(
     code, doc = _run(capsys, [command, path])
     assert time.perf_counter() - start < 0.5
     assert code == 2 and doc["error"]["type"] == error
+
+
+@pytest.mark.parametrize("t, error", [(64, "G2Violation"),
+                                      (65, "InputError"),
+                                      (400, "InputError")])
+def test_torsion_order_count_refused_before_the_smith_form(tmp_path, capsys,
+                                                           t, error):
+    """The Smith form of Z + (Z/2)^t is cubic in t (1.3 s at t = 400);
+    more than 64 torsion orders are refused before it is built.  At the
+    bound the document still reaches the check it failed before."""
+    doc_in = {"group": {"free_rank": 1, "torsion_orders": [2] * t,
+                        "degrees": [[1] + [0] * t]}}
+    path = _write(tmp_path, doc_in)
+    start = time.perf_counter()
+    code, doc = _run(capsys, ["classify", path])
+    assert time.perf_counter() - start < 0.1
+    assert code == 2 and doc["error"]["type"] == error
+    if error == "InputError":
+        assert doc["error"]["details"] == {"count": t, "bound": 64}
 
 
 def test_verify_single_class(tmp_path, capsys):
@@ -710,3 +733,204 @@ def test_walk_between_base_classes_is_an_input_error(tmp_path, capsys):
                               "--walk-to", target])
     assert code == 2 and out["error"]["type"] == "InputError"
     assert out["error"]["details"] == {"source": source, "target": target}
+
+
+# -- the command table: _scan against argparse ---------------------------
+
+VALUES = st.sampled_from(["x", "in.json", "0", "3", "-1", "-5", "paper",
+                          "zp", "bad", "[0, 0]", "[[0], [7]]", "", " 7",
+                          "1_0", "abc", "F3", "--mode", "classify"])
+FLAGS = sorted({flag for _, _, options in cli._COMMANDS.values()
+                for flag, _ in options})
+
+
+def _value(draw, spec):
+    """A value the option takes."""
+    if "choices" in spec:
+        return draw(st.sampled_from(spec["choices"]))
+    if "type" in spec:
+        return draw(st.sampled_from(["0", "3", "10000"]))
+    return draw(st.sampled_from(["x", "[0, 0]", "[[0], [7]]", "F3"]))
+
+
+@st.composite
+def command_lines(draw):
+    """A well-formed command line with up to two faults: a bad value or
+    input, a foreign or repeated flag, an abbreviated flag, --flag=value,
+    help or "--", a stray positional, a missing option or input, or a
+    missing trailing value."""
+    name = draw(st.sampled_from([*cli._COMMANDS, "frobnicate"]))
+    options = dict(cli._COMMANDS[name][2]) if name in cli._COMMANDS else {}
+    chosen = draw(st.lists(st.sampled_from(list(options) or ["-"]),
+                           unique=True))
+    pieces = [["x"]] + [
+        [flag] if spec.get("action") == "store_true"
+        else [flag, _value(draw, spec)]
+        for flag, spec in options.items()
+        if flag in chosen or spec.get("required")]
+    truncate = False
+    for _ in range(draw(st.integers(0, 2))):
+        fault = draw(st.integers(0, 7))
+        i = draw(st.integers(0, len(pieces) - 1)) if pieces else 0
+        piece = pieces[i] if pieces else ["x"]
+        if fault == 0:
+            pieces[i:i + 1] = [piece[:-1] + [draw(VALUES)]]
+        elif fault == 1:
+            pieces.append([draw(st.sampled_from(FLAGS)), draw(VALUES)])
+        elif fault == 2 and piece[0][:2] == "--":
+            cut = draw(st.integers(3, len(piece[0])))
+            pieces[i:i + 1] = [[piece[0][:cut], *piece[1:]]]
+        elif fault == 3:
+            pieces[i:i + 1] = [["=".join(piece)]]
+        elif fault == 4:
+            pieces.append([draw(st.sampled_from(["-h", "--help", "--"]))])
+        elif fault == 5:
+            pieces.append([draw(VALUES)])
+        elif fault == 6:
+            del pieces[i:i + 1]
+        else:
+            truncate = True
+    argv = [name] + [token for piece in draw(st.permutations(pieces))
+                     for token in piece]
+    return argv[:-1] if truncate else argv
+
+
+def _argparse(argv):
+    """vars(build_parser().parse_args(argv)), or None if it refuses."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except (InputError, SystemExit):
+            return None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(argv=command_lines())
+@example(argv=["classify", "x", "--mode", "zp", "--max-classes", "7",
+               "--dot-dir", "d"])
+@example(argv=["cohomology", "--all-r", "x", "--twist", "[0, 0]", "--r",
+               "2", "--field", "F3"])
+@example(argv=["mutate", "x", "--class", "0", "--at", "[1]", "--walk-to",
+               "1"])
+@example(argv=["cohomology", "x", "--twist", "[0]", "--r", "-1"])
+@example(argv=["verify", "x", "--class", "-1"])
+@example(argv=["verify", "x", "--max", "3"])
+@example(argv=["classify", "x", "--mode", "bad"])
+@example(argv=["classify", "x", "--max-classes", "1e3"])
+@example(argv=["verify", "x", "--mode=zp"])
+@example(argv=["classify", "x", "--mode", "zp", "--mode", "zp"])
+@example(argv=["classify", "x", "--dot-dir"])
+@example(argv=["cuts", "x", "--", "y"])
+def test_scan_agrees_with_argparse(argv):
+    """_scan gives argparse's namespace or leaves the line to argparse;
+    it never accepts a line argparse refuses or answers with help."""
+    scanned = cli._scan(argv)
+    parsed = _argparse(argv)
+    assert scanned is None or vars(scanned) == parsed
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "x"],
+    ["classify", "x", "--mode", "zp", "--max-classes", "7", "--dot-dir", "d"],
+    ["cohomology", "--all-r", "x", "--twist", "[0, 0]", "--field", "F3"],
+    ["mutate", "x", "--walk-to", "1", "--class", "0"],
+    ["verify", "x", "--set", "[[0], [7]]"],
+    ["cuts", "x"],
+], ids=["classify", "classify_all", "cohomology", "mutate", "verify", "cuts"])
+def test_scan_reads_canonical_lines(argv):
+    assert vars(cli._scan(argv)) == _argparse(argv)
+
+
+def test_every_fuzzed_command_line_is_scanned():
+    """test_fuzz_cli's command lines take the scan, except those with a
+    value that starts with "-" (--r -1, --class -1), which the scan
+    leaves to argparse."""
+    from test_fuzz_cli import cases
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(case=cases())
+    def check(case):
+        _, argv = case
+        argv = argv[:1] + ["input.json"] + argv[1:]
+        scanned = cli._scan(argv)
+        if any(token[:1] == "-" and token not in FLAGS
+               for token in argv[2:]):
+            assert scanned is None
+        else:
+            assert scanned is not None and vars(scanned) == _argparse(argv)
+    check()
+
+
+# SHA-256 of (stdout, stderr) at COLUMNS=80, recorded on Python 3.11 before
+# the parser was built from the command table; argparse's layout differs
+# between Python versions.
+PARSER_TEXTS = {
+    "--help": (
+        "2fa07419a791df593f109a108d895e95b9f7995a101aaa5bbc8f1d36f262a6d5",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "classify --help": (
+        "2ae054076835f37a43b3255e3959958f07603c045163dbcf0376235c5862df00",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "mutate --help": (
+        "574f8fc6b5cb0c86f008284a842e0885e9cb24faea823a3fc870e5378b7c9948",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "cohomology --help": (
+        "3f847bc11ab6619b97a4c24dda1dbdeeed13f866545e505042f2f8fe638b7bd7",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "verify --help": (
+        "febc9d3fe0daeec174299ef4b9359678a109714e182732d5746ff3195fbc822a",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "cuts --help": (
+        "de962a23b9688dc6df06a81c51e5aee1ba97bc91176cc364d742e84eb915d2bc",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "classify x --mode bad": (
+        "ccdc321b27681851be01f78f9cb86b525605228dc4b431fdd0b63869b09202da",
+        "7f024f800e60419ace6c0e8845efec43ad7b20441f4c2bf50a234e5a9ec73936"),
+    "cohomology x": (
+        "55f8653e643c1afb787765341bb87680250e1591ec8100ebe52f44276283837c",
+        "a01cf4bee4493799c6e4641990b1af51bdbe56e66435cb527161f25e084c735b"),
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse's text was recorded on Python 3.11")
+@pytest.mark.parametrize("line", list(PARSER_TEXTS))
+def test_parser_texts_are_pinned(monkeypatch, line):
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(line.split())
+        except SystemExit as exc:
+            code = exc.code
+    assert code == (0 if "--help" in line else 2)
+    assert (hashlib.sha256(out.getvalue().encode()).hexdigest(),
+            hashlib.sha256(err.getvalue().encode()).hexdigest()
+            ) == PARSER_TEXTS[line]
+
+
+_IMPORTS = """\
+import contextlib, io, sys
+from stacktilt.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(code, "argparse" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [(["classify", "{p23}"], "False"),
+                                          (["cuts", "--help"], "True")],
+                         ids=["canonical", "help"])
+def test_argparse_is_loaded_only_for_help_and_errors(tmp_path, argv, loaded):
+    """In a fresh interpreter, a canonical command line never imports
+    argparse; --help does, and exits 0."""
+    path = _write(tmp_path, P23)
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORTS, *[a.format(p23=path) for a in argv]],
+        capture_output=True, text=True, timeout=60, env=_cli_env())
+    assert proc.stdout.split() == ["0", loaded], proc.stderr

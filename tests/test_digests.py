@@ -100,3 +100,15 @@ def test_pinned_zp_report(name, tmp_path, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     code = cli.main(["classify", str(path), "--mode", "zp"])
     assert [code, _sha256(capsys.readouterr().out)] == [0, sha256]
+
+
+@pytest.mark.parametrize("seed", [workloads.DEFAULT_SEED, 1, 2])
+def test_every_benchmark_command_line_is_scanned(seed):
+    """Each job's command line is read from the command table, not by
+    argparse, and reads as argparse would read it."""
+    for name in workloads.WORKLOADS:
+        for job in workloads.build(name, seed):
+            argv = [a.replace("{input}", "input.json") for a in job.argv]
+            scanned = cli._scan(argv)
+            assert scanned is not None, argv
+            assert vars(scanned) == vars(cli.build_parser().parse_args(argv))

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -273,3 +274,24 @@ def test_every_stacky_geom_name_has_a_library_caller():
     assert {"CohomologyOracle", "parse_polytope", "gale_dual"} <= used
     assert "reduced_homology" in traced
     assert [name for name in _defined(sg) if name not in used | traced] == []
+
+
+def test_zp_walk_scans_each_point_once(z_group, monkeypatch):
+    """In zp mode every class is its own head and expanded point, so its
+    down sites are scanned once, by the walk, and its edges reuse them.
+    The classes, edges and orbit lengths are those recorded before."""
+    ctx = GradedDegreeGroup.build(
+        z_group, [z_group.canonicalize([w]) for w in (5, 7, 11)])
+    scans = []
+    down = us._LevelSpace.down
+
+    def counted(space, k):
+        scans.append(k)
+        return down(space, k)
+    monkeypatch.setattr(us._LevelSpace, "down", counted)
+    classes = us.enumerate_classes(_poset(ctx), "zp")
+    assert len(classes) == 989 and len(scans) == 989
+    listing = repr([(rep.key(), [(e.coords, n.key()) for e, n in rep.edges],
+                     rep.orbit_len) for rep in classes])
+    assert hashlib.sha256(listing.encode()).hexdigest() == (
+        "100dab6214419d33a31cc77acafbbe7ac2c9b2818fee78da2921a7263a9670c1")
