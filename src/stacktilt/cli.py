@@ -384,7 +384,8 @@ def cmd_cuts(args) -> int:
         for det in detectors:
             cut = cuts_mod.cut_from_detector(det)
             entries.append({
-                "detector": [[list(v), f] for v, f in det.items()],
+                "detector": [[list(v), f]
+                             for v, f in sorted(det.table.items())],
                 "cut": sorted([list(v), i] for v, i in cut),
                 "bounding": cuts_mod.is_bounding(lq, cut),
             })

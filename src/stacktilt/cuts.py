@@ -11,6 +11,7 @@ both enumerations run one depth-first search over potentials.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -19,7 +20,7 @@ from .abgroup import FgAbelianGroup, GroupElement, relation_kernel
 from .errors import (InputError, InternalInvariantBroken, InvalidDetector,
                      NotBounding, NotCofinite)
 from .graded_order import GradedDegreeGroup
-from .quiver import Arrow, QuiverPresentation, Relation
+from .quiver import Arrow, QuiverPresentation, commuting_squares
 from .upper_sets import AntichainRep
 
 # An arrow of Q is (source canonical coords, type i); its target is
@@ -77,23 +78,6 @@ class CutDetector:
     lq: LatticeQuotient
     gamma: tuple[int, ...]
     table: dict
-
-    def validate(self) -> None:
-        zero = self.lq.group.zero().coords
-        if self.table.get(zero) != 0:
-            raise InvalidDetector("detector must vanish at the zero vertex")
-        if set(self.table) != set(self.lq.vertices):
-            raise InvalidDetector("detector table does not cover L/B")
-        m = self.lq.m
-        for (v, i) in self.lq.all_arrows():
-            inc = self.table[self.lq.arrow_target(v, i)] - self.table[v]
-            if inc not in (self.gamma[i], self.gamma[i] - m):
-                raise InvalidDetector(
-                    "arrow increment outside {gamma_i, gamma_i - m}",
-                    source=list(v), type=i, increment=inc)
-
-    def items(self):
-        return sorted(self.table.items())
 
 
 def build_quotient(d: int, b_generators: Iterable[Sequence[int]]) -> LatticeQuotient:
@@ -180,42 +164,43 @@ def _spanning_tree(lq: LatticeQuotient) -> list[tuple[tuple, tuple, int, int]]:
 
 
 def cut_from_detector(det: CutDetector) -> frozenset:
-    det.validate()
-    m = det.lq.m
-    cut = frozenset(
-        (v, i) for (v, i) in det.lq.all_arrows()
-        if det.table[det.lq.arrow_target(v, i)] - det.table[v]
-        == det.gamma[i] - m)
-    if cut_type(det.lq, cut) != det.gamma:
+    """The arrows where det drops by gamma_i - m, once det is checked:
+    f(0) = 0, a value at every vertex, and each arrow's increment in
+    {gamma_i, gamma_i - m}, arrows in all_arrows order."""
+    lq, table, gamma = det.lq, det.table, det.gamma
+    if table.get(lq.group.zero().coords) != 0:
+        raise InvalidDetector("detector must vanish at the zero vertex")
+    if set(table) != set(lq.vertices):
+        raise InvalidDetector("detector table does not cover L/B")
+    cut = []
+    for (v, i) in lq.all_arrows():
+        inc = table[lq.arrow_target(v, i)] - table[v]
+        if inc == gamma[i] - lq.m:
+            cut.append((v, i))
+        elif inc != gamma[i]:
+            raise InvalidDetector(
+                "arrow increment outside {gamma_i, gamma_i - m}",
+                source=list(v), type=i, increment=inc)
+    cut = frozenset(cut)
+    if cut_type(lq, cut) != gamma:
         raise InternalInvariantBroken("detector produced a cut of wrong type")
     return cut
 
 
 def is_bounding(lq: LatticeQuotient, cut: frozenset) -> bool:
-    """Acyclicity of Q with the cut removed (checked directly)."""
-    out_edges: dict = {v: [] for v in lq.vertices}
-    for (v, i) in lq.all_arrows():
-        if (v, i) not in cut:
-            out_edges[v].append(lq.arrow_target(v, i))
-    color = {v: 0 for v in lq.vertices}  # 0 new, 1 active, 2 done
-    acyclic = True
-    for root in lq.vertices:
-        if color[root] or not acyclic:
-            continue
-        stack = [(root, iter(out_edges[root]))]
-        color[root] = 1
-        while stack:
-            v, it = stack[-1]
-            w = next(it, None)
-            if w is None:
-                color[v] = 2
-                stack.pop()
-            elif color[w] == 0:
-                color[w] = 1
-                stack.append((w, iter(out_edges[w])))
-            elif color[w] == 1:
-                acyclic = False
-                break
+    """Acyclicity of Q with the cut removed, checked directly: peel the
+    vertices with no arrow in until none is left (acyclic) or every one
+    left has one (a cycle)."""
+    out = {v: [w for i, w in enumerate(ws) if (v, i) not in cut]
+           for v, ws in lq.targets.items()}
+    indegree = Counter(w for ws in out.values() for w in ws)
+    peeled = [v for v in out if indegree[v] == 0]
+    for v in peeled:    # grows while it is read
+        for w in out[v]:
+            indegree[w] -= 1
+            if indegree[w] == 0:
+                peeled.append(w)
+    acyclic = len(peeled) == len(out)
     strictly_positive = all(g > 0 for g in cut_type(lq, cut))
     if acyclic != strictly_positive:
         raise InternalInvariantBroken(
@@ -382,29 +367,17 @@ def cut_of_antichain(ctx: GradedDegreeGroup, rep: AntichainRep,
     return cut_from_detector(det), det
 
 
-def algebra_presentation(lq: LatticeQuotient, cut: frozenset) -> QuiverPresentation:
-    """Quiver with commutativity relations of the algebra attached to a cut."""
+def algebra_presentation(lq: LatticeQuotient, cut: frozenset,
+                         at: dict) -> QuiverPresentation:
+    """Quiver with commutativity relations of the algebra attached to a cut,
+    each vertex v of L/B named at[v] (at is one-to-one)."""
     if not is_bounding(lq, cut):
         raise NotBounding("algebra presentations need a bounding cut",
                           type=list(cut_type(lq, cut)))
-    label = lambda i: f"x{i + 1}"
-    arrows = []
-    present = set()
-    for (v, i) in lq.all_arrows():
-        if (v, i) not in cut:
-            arrows.append(Arrow(v, lq.arrow_target(v, i), label(i)))
-            present.add((v, i))
-    relations = []
-    for v in lq.vertices:
-        for i in range(lq.d + 1):
-            for j in range(i + 1, lq.d + 1):
-                vi = lq.arrow_target(v, i)
-                vj = lq.arrow_target(v, j)
-                if ((v, i) in present and (vi, j) in present
-                        and (v, j) in present and (vj, i) in present):
-                    relations.append(Relation(
-                        source=v, target=lq.arrow_target(vi, j),
-                        path_a=(label(i), label(j)),
-                        path_b=(label(j), label(i))))
-    return QuiverPresentation(vertices=lq.vertices, arrows=tuple(arrows),
-                              relations=tuple(relations))
+    steps = {(at[v], i): at[w] for v, ws in lq.targets.items()
+             for i, w in enumerate(ws) if (v, i) not in cut}
+    return QuiverPresentation(
+        vertices=tuple(at[v] for v in lq.vertices),
+        arrows=tuple(Arrow(v, w, f"x{i + 1}")
+                     for (v, i), w in steps.items()),
+        relations=tuple(commuting_squares(steps, lq.d + 1)))

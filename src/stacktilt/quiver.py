@@ -3,10 +3,13 @@
 Vertices are canonical coordinate tuples; arrow labels are monomial
 strings in the degree variables x1..xn ("x1", "x2*x4", "x1^2").  One
 arrow per irreducible monomial, so parallel arrows carry multiplicity.
+The relations of type A-tilde are one rule, `commuting_squares`, which
+both sides of the rank-one certificate apply to the steps they derive.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,6 +39,26 @@ class Relation:
     target: tuple
     path_a: tuple[str, str]
     path_b: tuple[str, str]
+
+
+def commuting_squares(steps: dict, n: int) -> list[Relation]:
+    """One relation x_i x_j = x_j x_i per square of single steps.
+
+    steps[v, i] is the target of the arrow x_{i+1} out of v, for the
+    arrows present.  A square out of v needs all four steps
+    v -x_i-> w -x_j-> u and v -x_j-> w' -x_i-> u; the degrees commute, so
+    both paths end at u.
+    """
+    relations = []
+    for v in dict.fromkeys(v for v, _ in steps):
+        for i, j in itertools.combinations(range(n), 2):
+            vi, vj = steps.get((v, i)), steps.get((v, j))
+            if (vi, j) in steps and (vj, i) in steps:
+                relations.append(Relation(
+                    source=v, target=steps[vi, j],
+                    path_a=(f"x{i + 1}", f"x{j + 1}"),
+                    path_b=(f"x{j + 1}", f"x{i + 1}")))
+    return relations
 
 
 @dataclass

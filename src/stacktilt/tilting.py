@@ -30,7 +30,8 @@ from .abgroup import GroupElement
 from .errors import (ClassCountExceeded, InputError,
                      InternalInvariantBroken)
 from .graded_order import GradedDegreeGroup, SignSplit
-from .quiver import Arrow, QuiverPresentation, Relation, monomial_label
+from .quiver import (Arrow, QuiverPresentation, commuting_squares,
+                     monomial_label)
 from .stacky_geom import CohomologyOracle
 
 
@@ -131,14 +132,14 @@ def endomorphism_quiver(table: dict,
     fibers at offset 1 or more would put g_b above a member plus shift,
     at offset -1 or less a member above g_a plus shift.  Every entry
     must have e in {0, 1}, the grading of a cut.  Commutativity relations
-    are emitted in rank one only, where they present the algebra: one per
-    square of arrows x_i x_j and x_j x_i out of a member, the rule
-    cuts.algebra_presentation applies to the cut.
+    are emitted in rank one only, where they present the algebra: the
+    squares (quiver.commuting_squares) of the single steps x_i among the
+    arrows.
     """
     poset, ctx = rep.poset, rep.poset.ctx
     at = rep.by_fiber
     k = {a: poset.level(g)[1] for a, g in at.items()}
-    arrows, head = [], {}    # head[a, c]: the fiber where arrow c from a ends
+    arrows, steps = [], {}
     for a, g in at.items():
         for b, t, c in table[a]:
             e = k[a] + t - k[b]
@@ -149,18 +150,10 @@ def endomorphism_quiver(table: dict,
                     f"arrow {c} out of {g.coords} has offset {e}, "
                     "outside the cut grading {0, 1}")
             arrows.append(Arrow(g.coords, at[b].coords, monomial_label(c)))
-            head[a, c] = b
-    relations: list[Relation] = []
-    if ctx.group.free_rank == 1:
-        x = [tuple(int(i == j) for j in range(ctx.n)) for i in range(ctx.n)]
-        for a, g in at.items():
-            for i, j in itertools.combinations(range(ctx.n), 2):
-                bi, bj = head.get((a, x[i])), head.get((a, x[j]))
-                if (bi, x[j]) in head and (bj, x[i]) in head:
-                    relations.append(Relation(
-                        source=g.coords, target=at[head[bi, x[j]]].coords,
-                        path_a=(f"x{i + 1}", f"x{j + 1}"),
-                        path_b=(f"x{j + 1}", f"x{i + 1}")))
+            if sum(c) == 1:
+                steps[g.coords, c.index(1)] = at[b].coords
+    relations = (commuting_squares(steps, ctx.n)
+                 if ctx.group.free_rank == 1 else ())
     return QuiverPresentation(vertices=tuple(e.coords for e in rep.elements),
                               arrows=tuple(arrows), relations=tuple(relations))
 
@@ -182,21 +175,15 @@ def _is_irreducible(poset: us.GroupPoset, a, mono: tuple[int, ...]) -> bool:
 
 def _certify_rank1(ctx: GradedDegreeGroup, classes: list[TiltingClass],
                    lq, gamma) -> list[frozenset]:
-    """Each quiver must equal its class's cut presentation carried onto it;
-    (lq, gamma) is the cut data of ctx.  Returns the cuts, in order."""
+    """Each quiver must equal its class's cut presentation, the vertex v of
+    L/B named by the member over psi(v); (lq, gamma) is the cut data of
+    ctx.  Returns the cuts, in order."""
     psi = cuts_mod.fiber_map(lq, ctx)
     out = []
     for tc in classes:
         cut, _ = cuts_mod.cut_of_antichain(ctx, tc.rep, lq, gamma, psi)
-        algebra = cuts_mod.algebra_presentation(lq, cut)
         at = {v: tc.rep.by_fiber[psi[v]].coords for v in lq.vertices}
-        carried = QuiverPresentation(
-            vertices=tuple(at.values()),
-            arrows=tuple(Arrow(at[a.source], at[a.target], a.label)
-                         for a in algebra.arrows),
-            relations=tuple(Relation(at[r.source], at[r.target], r.path_a,
-                                     r.path_b) for r in algebra.relations))
-        if carried != tc.quiver:
+        if cuts_mod.algebra_presentation(lq, cut, at) != tc.quiver:
             raise InternalInvariantBroken(
                 "endomorphism quiver disagrees with the cut presentation")
         out.append(cut)

@@ -711,5 +711,5 @@ def detector_from_cut(lq: LatticeQuotient, cut: Iterable) -> CutDetector:
             raise NotACut("path sums are inconsistent; not a cut",
                           source=list(v), type=i)
     det = CutDetector(lq, gamma, table)
-    det.validate()
+    cut_from_detector(det)
     return det

@@ -435,7 +435,29 @@ def test_cosets_oversize_refused_before_listing(tmp_path, argv, m):
     assert proc.returncode == 2
     error = json.loads(proc.stdout)["error"]
     assert error["type"] == "InputError"
-    assert error["details"] == {"m": m + 1, "bound": 2 ** 16}
+    assert error["details"] == {"m": m + 1, "bound": 256}
+
+
+@pytest.mark.parametrize("free_rank, degrees, m", [
+    (1, [[1], [1], [255]], 257),
+    (2, [[1, 0], [1, 0], [0, 1], [0, 128]], 258),
+], ids=["P(1,1,255)", "P1xP(1,128)-H"])
+def test_cosets_one_over_the_bound_exit_2_at_once(tmp_path, capsys,
+                                                  free_rank, degrees, m):
+    """256 cosets are listed (P(1,1,254)); P(1,1,255) has 257 cosets of Zp,
+    and the base order H of P1 x P(1,128) has 258 of Zs, so both are
+    refused before any gap table is learned."""
+    ctx, _ = _build_context({"group": {"free_rank": 1,
+                                       "degrees": [[1], [1], [254]]}})
+    assert len(ctx.coset_reps(ctx.p)[0]) == 256
+    path = _write(tmp_path, {"group": {"free_rank": free_rank,
+                                       "degrees": degrees}})
+    start = time.perf_counter()
+    code = main(["classify", path])
+    assert time.perf_counter() - start < 0.1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert [code, error["message"], error["details"]] == [
+        2, "too many cosets to list", {"m": m, "bound": 256}]
 
 
 def test_closed_stdout_exits_2_without_traceback(tmp_path):

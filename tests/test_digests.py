@@ -112,3 +112,46 @@ def test_every_benchmark_command_line_is_scanned(seed):
             scanned = cli._scan(argv)
             assert scanned is not None, argv
             assert vars(scanned) == vars(cli.build_parser().parse_args(argv))
+
+
+# `mutate --at` reports, which no benchmark job prints: the first and the
+# last class (paper mode) of each input, at up to two of its sites.  Rank
+# one runs the cut certificate on the mutated class.
+# name -> (document, [(class index, site, stdout SHA-256)])
+AT_PINS = {
+    "P(3,4,5)": (_group(1, [(3,), (4,), (5,)]), [
+        (0, [0], "3a90ddbd5e278119bacf67f78c2c223c841bde02a67716ec7ac0770af5055630"),
+        (0, [1], "6802ffb5f6158420ac67d90350d740d41a1b8f619b273e5c4424e7b680ec681a"),
+        (3, [0], "db49b488c06522544adfce2003b4bbf40459d2a9be644959dd1e7b7ff10bfe20"),
+    ]),
+    "P(5,7,11)": (_group(1, [(5,), (7,), (11,)]), [
+        (0, [0], "de5a33897df3afe89c39241cb2f024625b1fac2d1f1df8a6b4e821212a3b4961"),
+        (0, [1], "d784b715ceef74ada55443fdc2f2ae3f875b7717eb68dc44f2f5b5c6f3204990"),
+        (42, [0], "9ba54cab385d0244f3871b89b70b4b2c9f9a37363c87467a70f62691c5fe5675"),
+    ]),
+    "Z+Z/2": ({"group": {"free_rank": 1, "torsion_orders": [2],
+                         "degrees": [[1, 0], [1, 1]]}}, [
+        (0, [0, 0], "08ad16a5e35225f025deee358065433f80e3b5e11b2c859710a2bc8fa4644b03"),
+        (1, [0, 0], "62f957602487391d13d5430e3f38f79b1d08150a9705388a0a3ac3b7045e9d68"),
+        (1, [1, 0], "4790a520dd3c7754f7967cc1a4b107b1bcd5b3ff21881ead5b11be5ed638a2ef"),
+    ]),
+    "P1xP2": (_group(2, [(1, 0)] * 2 + [(0, 1)] * 3), [
+        (0, [0, 0], "ff62ed534e14657816def37875eed4fd948c6fb8ddcc7444425b4cdbd28f0186"),
+        (0, [1, -1], "1bf7509321bb305f06b714c5bfe8431a5f8d82b3ceaa81292950d7698d0e1d42"),
+        (15, [3, 1], "7636b0ecc0dab9fd148157e3788c509fb6fe73130057b0c5de24083e20f20bb4"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", list(AT_PINS))
+def test_pinned_mutate_at_report(name, tmp_path, capsys):
+    doc, pins = AT_PINS[name]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    got = []
+    for index, site, _ in pins:
+        code = cli.main(["mutate", str(path), "--class", str(index),
+                         "--at", json.dumps(site, separators=(",", ":"))])
+        got.append((index, site, _sha256(capsys.readouterr().out)))
+        assert code == 0
+    assert got == pins

@@ -12,6 +12,7 @@ from stacktilt import cuts, tilting, upper_sets as us
 from stacktilt.abgroup import GroupHom, direct_sum_group
 from stacktilt.errors import InternalInvariantBroken, NotMinimal
 from stacktilt.graded_order import GradedDegreeGroup
+from stacktilt.quiver import QuiverPresentation
 from stacktilt.stacky_geom import CohomologyOracle, group_to_polytope
 
 
@@ -520,6 +521,21 @@ def test_certificates_run_once_per_classification(ctx_p23, monkeypatch):
         assert calls["certify2"] == 1
         assert len(result.classes) > len(result.groups)
     assert calls["hom_dim"] == 0
+
+
+@pytest.mark.parametrize("mode, classes", [("zp", 989), ("paper", 43)])
+def test_two_presentations_per_rank1_class(monkeypatch, mode, classes):
+    """Each class builds its endomorphism quiver and its cut's presentation,
+    named by the members, and nothing else (P(5,7,11))."""
+    built = []
+    post_init = QuiverPresentation.__post_init__
+
+    def counted(qp):
+        built.append(qp)
+        post_init(qp)
+    monkeypatch.setattr(QuiverPresentation, "__post_init__", counted)
+    found = tilting.classify_rank1(_ctx(1, [], [(5,), (7,), (11,)]), mode)
+    assert len(found) == classes and len(built) == 2 * classes
 
 
 def test_apr_mutate(make_pd, ctx_p23, ctx_p1p1):
