@@ -30,7 +30,7 @@ from .abgroup import direct_sum_group
 from .errors import InputError, OutputClosed, StacktiltError
 from .graded_order import GradedDegreeGroup, check_free_rank
 from .quiver import to_dot
-from .stacky_geom import (CohomologyOracle, StackyPolytope, gale_dual,
+from .stacky_geom import (CohomologyOracle, check_vertex_count, gale_dual,
                           group_to_polytope, parse_polytope)
 
 SCHEMA_VERSION = 1
@@ -163,8 +163,16 @@ def _build_context(doc: dict):
     return GradedDegreeGroup.build(group, degrees), None
 
 
-def _ensure_polytope(ctx, polytope) -> StackyPolytope:
-    return polytope if polytope is not None else group_to_polytope(ctx)
+def _oracle_context(args):
+    """(ctx, oracle, field) of cohomology and verify; the vertex bound is
+    checked before a group's polytope and its C(n, d) facet search."""
+    doc = _load_document(args.input)
+    ctx, polytope = _build_context(doc)
+    check_vertex_count(ctx.n)
+    if polytope is None:
+        polytope = group_to_polytope(ctx)
+    oracle = CohomologyOracle(polytope, ctx)
+    return ctx, oracle, _parse_field(args.field or doc.get("field"))
 
 
 def _class_entry(tc) -> dict:
@@ -286,11 +294,7 @@ def cmd_mutate(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
-    doc = _load_document(args.input)
-    ctx, polytope = _build_context(doc)
-    polytope = _ensure_polytope(ctx, polytope)
-    oracle = CohomologyOracle(polytope, ctx)
-    field = _parse_field(args.field if args.field else doc.get("field"))
+    ctx, oracle, field = _oracle_context(args)
     exponents = _int_vector(_json_flag(args.twist, "--twist"), "--twist")
     if len(exponents) != ctx.n:
         raise InputError(
@@ -311,11 +315,7 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    doc = _load_document(args.input)
-    ctx, polytope = _build_context(doc)
-    polytope = _ensure_polytope(ctx, polytope)
-    oracle = CohomologyOracle(polytope, ctx)
-    field = _parse_field(args.field if args.field else doc.get("field"))
+    ctx, oracle, field = _oracle_context(args)
     entries = []
     ok = True
     if args.set is not None:
@@ -531,9 +531,15 @@ def _scan(argv) -> Optional[SimpleNamespace]:
 
 
 def _error(exc: StacktiltError, file=None) -> None:
-    print(json.dumps({"schema_version": SCHEMA_VERSION,
-                      "error": exc.to_json()}, indent=2, sort_keys=True),
-          file=file)
+    """Print exc's error object, without details Python cannot print."""
+    try:
+        text = _encode({"schema_version": SCHEMA_VERSION,
+                        "error": exc.to_json()})
+    except ValueError as err:
+        text = _encode({"schema_version": SCHEMA_VERSION, "error": {
+            "type": exc.code, "details": {},
+            "message": f"{exc} (its details cannot be printed: {err})"}})
+    print(text, file=file)
 
 
 def main(argv=None) -> int:

@@ -8,6 +8,7 @@ faces, weighted by exact lattice-point counts of the degree fibers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -96,18 +97,6 @@ def group_to_polytope(ctx: GradedDegreeGroup) -> StackyPolytope:
         raise InternalInvariantBroken("relation lattice has unexpected rank")
     vertices = [[kernel[k][i] for k in range(d)] for i in range(ctx.n)]
     return parse_polytope(vertices)
-
-
-def xa_complex(p: StackyPolytope, support) -> tuple[tuple[int, ...], ...]:
-    """Maximal faces of the boundary complex supported on a sign pattern T."""
-    t = frozenset(support)
-    if not t <= set(range(p.n)):
-        raise InputError("support must be a subset of the vertex indices")
-    gens = {tuple(sorted(set(f) & t)) for f in p.facets}
-    gens.discard(())
-    maximal = [g for g in gens
-               if not any(set(g) < set(h) for h in gens if h != g)]
-    return tuple(sorted(maximal))
 
 
 @dataclass(frozen=True)
@@ -208,6 +197,15 @@ _MAX_PREFIX_STEPS = 1 << 20   # loop values of one fiber count: a few seconds
 _MAX_VERTICES = 10
 
 
+def check_vertex_count(n: int) -> None:
+    """Refuse an oracle over more than _MAX_VERTICES vertices."""
+    if n > _MAX_VERTICES:
+        raise InputError(
+            "polytope too large: the cohomology oracle scans 2^n sign "
+            "supports and takes at most `bound` vertices",
+            n=n, bound=_MAX_VERTICES)
+
+
 def _eliminate(constraints: list[tuple[tuple[int, ...], tuple[int, ...]]],
                nvars: int) -> tuple[list, list]:
     """Fourier-Motzkin elimination of coeff . x + const >= 0, last
@@ -281,8 +279,9 @@ def _count_eliminated(eliminated: tuple[list, list],
     return count
 
 
-def _non_cone_supports(p: StackyPolytope) -> list[frozenset]:
-    """The supports T whose complex is not a cone, in sign-pattern order.
+def _non_cone_supports(p: StackyPolytope) -> dict:
+    """{T: T's maximal faces, sorted index tuples} over the supports T
+    whose complex is not a cone, in sign-pattern order.
 
     T's maximal faces are those of {F & T} over the facets F, as bitmasks;
     when their AND is nonzero every face lies in one with that common
@@ -292,16 +291,17 @@ def _non_cone_supports(p: StackyPolytope) -> list[frozenset]:
     """
     n = p.n
     facets = [sum(1 << (n - 1 - i) for i in f) for f in p.facets]
-    out = []
+    indices = [tuple(i for i in range(n) if t >> (n - 1 - i) & 1)
+               for t in range(1 << n)]
+    out = {}
     for t in range(1 << n):
         gens = {f & t for f in facets}
         gens.discard(0)
-        common = -1
-        for g in gens:
-            if not any(g != h and g & h == g for h in gens):
-                common &= g
-        if not (t and common):
-            out.append(frozenset(i for i in range(n) if t >> (n - 1 - i) & 1))
+        maximal = [g for g in gens
+                   if not any(g != h and g & h == g for h in gens)]
+        if not (t and functools.reduce(operator.and_, maximal, -1)):
+            out[frozenset(indices[t])] = tuple(sorted(indices[g]
+                                                      for g in maximal))
     return out
 
 
@@ -314,21 +314,17 @@ class CohomologyOracle:
 
     An oracle does each piece of work once.  It refuses polytopes of more
     than _MAX_VERTICES vertices, as its support scan is exponential in n.
-    It lists the supports whose complex is not a cone once (a cone has no
-    reduced homology), and tables those with nonzero homology per
-    (homological degree, field).  It solves one integer preimage b_j per
-    canonical coordinate, so the twist c has the preimage sum c_j b_j, and
-    runs the Fourier-Motzkin elimination of a support once, its constants
-    affine forms in c.  A fiber count, which depends on neither r nor the
+    It lists once the supports whose complex is not a cone, with their
+    maximal faces (a cone has no reduced homology), and tables those with
+    nonzero homology per (homological degree, field).  It solves one
+    integer preimage b_j per canonical coordinate, so the twist c has the
+    preimage sum c_j b_j, and runs the Fourier-Motzkin elimination of a
+    support once, its constants affine forms in c.  A fiber count, which depends on neither r nor the
     field, is made once per (twist, support).
     """
 
     def __init__(self, polytope: StackyPolytope, ctx: GradedDegreeGroup):
-        if polytope.n > _MAX_VERTICES:
-            raise InputError(
-                "polytope too large: the cohomology oracle scans 2^n sign "
-                "supports and takes at most `bound` vertices",
-                n=polytope.n, bound=_MAX_VERTICES)
+        check_vertex_count(polytope.n)
         self.polytope = polytope
         self.ctx = ctx
         if self.ctx.n != polytope.n:
@@ -364,7 +360,7 @@ class CohomologyOracle:
         key = (support, field)
         if key not in self._profiles:
             self._profiles[key] = reduced_homology(
-                xa_complex(self.polytope, support), self.polytope.d, field)
+                self._non_cones[support], self.polytope.d, field)
         return self._profiles[key]
 
     def _nonzero_supports(self, k: int, field: Optional[int]) -> list:

@@ -45,7 +45,6 @@ class TiltingClass:
     table: dict = field(repr=False)    # arrow_table of rep's poset
     translation: str = "zp"    # the canonical_form mode it is counted in
     base: Optional[us.AntichainRep] = None     # rank two: the J-class over H
-    split: Optional[SignSplit] = None
 
     @property
     def elements(self) -> tuple[GroupElement, ...]:
@@ -191,7 +190,6 @@ def _certify_rank1(ctx: GradedDegreeGroup, classes: list[TiltingClass],
 
 
 def _tilting_class(table: dict, rep: us.AntichainRep, translation: str,
-                   split: Optional[SignSplit] = None,
                    base: Optional[us.AntichainRep] = None) -> TiltingClass:
     """The class of rep with its endomorphism quiver read off table."""
     ctx = rep.poset.ctx
@@ -199,7 +197,7 @@ def _tilting_class(table: dict, rep: us.AntichainRep, translation: str,
     return TiltingClass(rank=rank, ctx=ctx, rep=rep,
                         quiver=endomorphism_quiver(table, rep),
                         class_id=_class_id(rank, rep.elements), table=table,
-                        translation=translation, base=base, split=split)
+                        translation=translation, base=base)
 
 
 def classify_rank1(ctx: GradedDegreeGroup, mode: str = "paper",
@@ -315,7 +313,7 @@ def classify_rank2(ctx: GradedDegreeGroup, mode: str = "paper",
             raise ClassCountExceeded("class enumeration exceeded the ceiling",
                                      ceiling=max_classes) from None
         budget -= len(inner)
-        classes = [_tilting_class(table, rep, "zp", split, base)
+        classes = [_tilting_class(table, rep, "zp", base)
                    for rep in inner]
         merged = _stabilizer_merged_count(split, base, inner)
         groups.append(Rank2Group(base=base,
@@ -331,8 +329,7 @@ def apr_mutate(tclass: TiltingClass, m: GroupElement) -> TiltingClass:
     one also the cut).  The id is that of the class the mutated set lies
     in."""
     rep = us.mutate(tclass.rep, m)
-    tc = _tilting_class(tclass.table, rep, tclass.translation, tclass.split,
-                        tclass.base)
+    tc = _tilting_class(tclass.table, rep, tclass.translation, tclass.base)
     tc.class_id = _class_id(tc.rank, us.canonical_form(
         rep, tc.translation).elements)
     if tc.rank == 1:

@@ -16,8 +16,9 @@ from stacktilt.abgroup import (FgAbelianGroup, GroupElement,
 from stacktilt.cuts import (CutDetector, LatticeQuotient, _spanning_tree,
                             cut_from_detector, cut_type, enumerate_detectors,
                             is_admissible_type)
-from stacktilt.errors import (InternalInvariantBroken, NotAntichain,
-                              StacktiltError, UnboundedContribution)
+from stacktilt.errors import (InputError, InternalInvariantBroken,
+                              NotAntichain, StacktiltError,
+                              UnboundedContribution)
 from stacktilt.graded_order import GradedDegreeGroup
 from stacktilt.quiver import (Arrow, QuiverPresentation, Relation,
                               monomial_label)
@@ -388,9 +389,22 @@ def parse_dot(text: str) -> tuple[list[str], list[tuple[str, str, str]]]:
     return nodes, edges
 
 
+def xa_complex(p: sg.StackyPolytope, support) -> tuple[tuple[int, ...], ...]:
+    """Maximal faces of the boundary complex supported on a sign pattern T,
+    by sets: the reference for the maximal faces the oracle lists."""
+    t = frozenset(support)
+    if not t <= set(range(p.n)):
+        raise InputError("support must be a subset of the vertex indices")
+    gens = {tuple(sorted(set(f) & t)) for f in p.facets}
+    gens.discard(())
+    maximal = [g for g in gens
+               if not any(set(g) < set(h) for h in gens if h != g)]
+    return tuple(sorted(maximal))
+
+
 def euler_characteristic_boundary(p: sg.StackyPolytope) -> int:
     """Euler characteristic of the boundary complex, from homology dims."""
-    profile = sg.reduced_homology(sg.xa_complex(p, range(p.n)), p.d, None)
+    profile = sg.reduced_homology(xa_complex(p, range(p.n)), p.d, None)
     return 1 + sum(((-1) ** k) * v for k, v in profile.dims if k >= 0)
 
 
@@ -440,7 +454,7 @@ def cohomology_dim_scan(oracle: sg.CohomologyOracle, g: GroupElement, r: int,
         support = frozenset(i for i, b in enumerate(bits) if b)
         if (support, field) not in profiles:
             profiles[support, field] = sg.reduced_homology(
-                sg.xa_complex(p, support), p.d, field)
+                xa_complex(p, support), p.d, field)
         dim = profiles[support, field].dim(p.d - r - 1)
         if dim == 0:
             continue

@@ -281,6 +281,33 @@ def test_oracle_refuses_p10_at_once(tmp_path, capsys, argv):
     assert doc["error"]["details"] == {"n": 11, "bound": 10}
 
 
+# stdout SHA-256 of the vertex-bound refusal as the oracle printed it when
+# it alone checked the bound, after the polytope (n = 120 took 11 to 15 s)
+VERTEX_BOUND_DIGESTS = {
+    11: "bf6c91750a06e0e94c718a8d7e49706c0abcf162dfca5ad8ddcd8de3b2283aff",
+    120: "89c65aed59111773fbb91d4879f47d83bfd98a7b8a2ce16a2605fdebf0f981f0",
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "{input}", "--twist", "{zeros}", "--all-r"],
+    ["verify", "{input}", "--set", "[[0]]"]], ids=["cohomology", "verify"])
+@pytest.mark.parametrize("n", sorted(VERTEX_BOUND_DIGESTS))
+def test_vertex_bound_checked_before_the_polytope(tmp_path, capsys, argv, n):
+    """A group of n weight-one degrees is refused before its polytope is
+    derived, whose facet search solves an integer kernel of n - 2 rows for
+    each of its n candidate facets."""
+    path = _write(tmp_path, {"group": {"free_rank": 1,
+                                       "degrees": [[1]] * n}})
+    argv = [a.format(input=path, zeros=json.dumps([0] * n)) for a in argv]
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 0.1
+    out = capsys.readouterr().out
+    assert code == 2
+    assert hashlib.sha256(out.encode()).hexdigest() == VERTEX_BOUND_DIGESTS[n]
+
+
 def test_polytope_rank_refused_before_the_facet_search(tmp_path, capsys):
     """The d-dimensional cross-polytope has a Gale dual of free rank d;
     the facet search over its C(2d, d) vertex subsets took 38 s at
@@ -458,6 +485,22 @@ def test_cosets_one_over_the_bound_exit_2_at_once(tmp_path, capsys,
     error = json.loads(capsys.readouterr().out)["error"]
     assert [code, error["message"], error["details"]] == [
         2, "too many cosets to list", {"m": m, "bound": 256}]
+
+
+@pytest.mark.parametrize("command", ["classify", "cuts"])
+def test_unprintable_error_details_are_left_out(tmp_path, command):
+    """Z + Z/a + Z/b with a, b of 4001 digits has about 10^8000 cosets of
+    Zp, too many to list or to search for detectors; that count is the
+    error's `m`, which Python cannot print, so the error keeps its type and
+    drops its details."""
+    big = 10 ** 4000
+    doc = {"group": {"free_rank": 1, "torsion_orders": [big + 7, big + 9],
+                     "degrees": [[1, 0, 0], [1, 1, 0], [1, 0, 1]]}}
+    proc = _run_cli([command, _write(tmp_path, doc)], timeout=10)
+    assert proc.returncode == 2 and proc.stderr == ""
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "InputError" and error["details"] == {}
+    assert "its details cannot be printed" in error["message"]
 
 
 def test_closed_stdout_exits_2_without_traceback(tmp_path):

@@ -14,8 +14,9 @@ are derandomized, so every run checks the same inputs.
 
 A second test feeds inputs that must all exit 2: integers over Python's
 4300-digit limit in degrees and flags, a `cuts` type whose sum is over
-it, and `cuts` inputs with |L/B| up to 20,000.  It draws no parseable huge degree, as classify on one would run
-for long.
+it, torsion orders under it whose coset count is over it, and `cuts`
+inputs with |L/B| up to 20,000.  It draws no parseable huge degree, as
+classify on one would run for long.
 """
 
 import contextlib
@@ -129,11 +130,15 @@ SMALL = st.sampled_from([([[1], [1], [1]], 1), ([[2], [3]], 1),
                          ([[1, 0], [1, 1]], 2)])
 
 
+def _repdigit(draw, low: int, high: int) -> str:
+    """Decimal text of low..high equal nonzero digits."""
+    return draw(st.sampled_from("123456789")) * draw(st.integers(low, high))
+
+
 @st.composite
 def huge_integers(draw):
     """JSON text of an integer over Python's 4300-digit int() limit."""
-    digits = draw(st.sampled_from("123456789")) * draw(st.integers(4301,
-                                                                   6000))
+    digits = _repdigit(draw, 4301, 6000)
     return draw(st.sampled_from(["", "-"])) + digits
 
 
@@ -149,12 +154,18 @@ def oversize_cases(draw):
     """(document text, argv after the input path), all refused with exit 2.
 
     Huge integers go into a degree, --twist, --at, --set or --class;
-    `cuts` gets lattices and groups with m = |L/B| in 24..20,000, past
-    both of its guards (typed: 2^(m-1) m (d+1) > 2^24, untyped:
-    m (d+1) > 36).
+    `derived` draws two torsion orders of 2200..4300 digits, each printable,
+    whose 3ab cosets of Zp are not; `cuts` gets lattices and groups with
+    m = |L/B| in 24..20,000, past both of its guards (typed:
+    2^(m-1) m (d+1) > 2^24, untyped: m (d+1) > 36).
     """
     where = draw(st.sampled_from(["degree", "--twist", "--at", "--set",
-                                  "--class", "lattice", "group"]))
+                                  "--class", "derived", "lattice", "group"]))
+    if where == "derived":
+        orders = [int(_repdigit(draw, 2200, 4300)) for _ in range(2)]
+        return _derived_doc(orders), draw(st.sampled_from([
+            ["classify"], ["cuts"],
+            ["mutate", "--class", "0", "--walk-to", "0"], ["verify"]]))
     degrees, n_coords = draw(SMALL)
     group = {"free_rank": 1, "degrees": degrees,
              "torsion_orders": [2] * (n_coords - 1)}
@@ -194,6 +205,13 @@ def oversize_cases(draw):
     return json.dumps({"lattice": lattice}), ["cuts"]
 
 
+def _derived_doc(orders) -> str:
+    """A group of two torsion orders whose cosets of Zp number 3ab."""
+    return json.dumps({"group": {"free_rank": 1, "torsion_orders": orders,
+                                 "degrees": [[1, 0, 0], [1, 1, 0],
+                                             [1, 0, 1]]}})
+
+
 def _cuts_case(spec):
     return json.dumps(spec), ["cuts"]
 
@@ -209,6 +227,8 @@ def _cuts_case(spec):
                                     "degrees": [[1], [20_000]]}}))
 @example(case=_cuts_case({"lattice": {"d": 1, "b_generators": [[2, -2]],
                                       "gamma": [int("9" * 4300)] * 2}}))
+@example(case=(_derived_doc([10 ** 4000 + 7, 10 ** 4000 + 9]),
+               ["mutate", "--class", "0", "--walk-to", "0"]))
 def test_cli_fuzz_oversize_inputs(tmp_path_factory, case):
     doc, argv = case
     path = tmp_path_factory.mktemp("oversize") / "input.json"

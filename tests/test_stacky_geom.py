@@ -7,7 +7,7 @@ import pytest
 
 from oracles import (cohomology_dim_scan, count_lattice_points,
                      euler_characteristic_boundary, ext_dim,
-                     fiber_constraints, is_trivial)
+                     fiber_constraints, is_trivial, xa_complex)
 from stacktilt import stacky_geom as sg
 from stacktilt import tilting
 from stacktilt.abgroup import direct_sum_group
@@ -74,22 +74,22 @@ def test_group_to_polytope_round_trip(ctx_p23, ctx_p1p1, ctx_sigma1,
 def test_xa_homology_profiles():
     p2 = sg.parse_polytope(P2_VERTICES)
     # full support: boundary of the simplex is a circle
-    prof = sg.reduced_homology(sg.xa_complex(p2, range(3)), p2.d, None)
+    prof = sg.reduced_homology(xa_complex(p2, range(3)), p2.d, None)
     assert prof.dim(1) == 1 and prof.dim(0) == 0 and prof.dim(-1) == 0
     # empty support
-    prof = sg.reduced_homology(sg.xa_complex(p2, ()), p2.d, None)
+    prof = sg.reduced_homology(xa_complex(p2, ()), p2.d, None)
     assert prof.dim(-1) == 1 and prof.dim(0) == 0
     # an edge is contractible
-    prof = sg.reduced_homology(sg.xa_complex(p2, (0, 1)), p2.d, None)
+    prof = sg.reduced_homology(xa_complex(p2, (0, 1)), p2.d, None)
     assert is_trivial(prof)
     # two antipodal vertices of the square: S^0
     p1p1 = sg.parse_polytope(P1P1_VERTICES)
-    prof = sg.reduced_homology(sg.xa_complex(p1p1, (0, 1)), p1p1.d, None)
+    prof = sg.reduced_homology(xa_complex(p1p1, (0, 1)), p1p1.d, None)
     assert prof.dim(0) == 1
 
     for p in (p2, p1p1):
         d = p.d
-        full = sg.reduced_homology(sg.xa_complex(p, range(p.n)), d, None)
+        full = sg.reduced_homology(xa_complex(p, range(p.n)), d, None)
         assert full.dim(d - 1) == 1
         assert all(full.dim(k) == 0 for k in range(-1, d - 1))
 
@@ -170,9 +170,9 @@ def test_field_independence(ctx_p23, ctx_p1p1):
         p = sg.group_to_polytope(ctx)
         for bits in itertools.product((0, 1), repeat=p.n):
             t = frozenset(i for i, b in enumerate(bits) if b)
-            q = sg.reduced_homology(sg.xa_complex(p, t), p.d, None)
+            q = sg.reduced_homology(xa_complex(p, t), p.d, None)
             for char in (2, 3):
-                assert sg.reduced_homology(sg.xa_complex(p, t), p.d,
+                assert sg.reduced_homology(xa_complex(p, t), p.d,
                                            char).dims == q.dims
 
 
@@ -388,15 +388,25 @@ def test_skipped_supports_have_no_homology(case):
     p = oracle.polytope
     supports = _supports(p.n)
     kept = set(oracle._non_cones)
-    assert [t for t in supports if t in kept] == oracle._non_cones
+    assert [t for t in supports if t in kept] == list(oracle._non_cones)
     for field in (None, 2, 3):
-        profiles = {t: sg.reduced_homology(sg.xa_complex(p, t), p.d, field)
+        profiles = {t: sg.reduced_homology(xa_complex(p, t), p.d, field)
                     for t in supports}
         assert all(is_trivial(profiles[t]) for t in supports if t not in kept)
         for k in range(-1, p.d):
             assert oracle._nonzero_supports(k, field) == [
                 (t, profiles[t].dim(k)) for t in supports
                 if profiles[t].dim(k)]
+
+
+@pytest.mark.parametrize("case", list(_CORPUS))
+def test_non_cone_faces_match_the_set_reference(case):
+    """The support pass lists each non-cone support's maximal faces as the
+    set-based xa_complex finds them."""
+    oracle = _oracle(*_CORPUS[case])
+    p = oracle.polytope
+    for t, faces in oracle._non_cones.items():
+        assert faces == xa_complex(p, t), (case, sorted(t))
 
 
 def _count_outcome(fn, *args):

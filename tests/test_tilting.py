@@ -594,7 +594,7 @@ def test_mutation_closure_rank2(ctx_p1p1):
                         nxt.append(tilting.TiltingClass(
                             rank=2, ctx=tc.ctx, rep=child_rep,
                             quiver=tc.quiver, class_id="tmp",
-                            table=tc.table, base=tc.base, split=tc.split))
+                            table=tc.table, base=tc.base))
             frontier = nxt
         assert seen == {us.canonical_form(tc.rep, "zp").key()
                         for tc in grp.classes}
