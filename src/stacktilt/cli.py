@@ -163,16 +163,20 @@ def _build_context(doc: dict):
     return GradedDegreeGroup.build(group, degrees), None
 
 
-def _oracle_context(args):
-    """(ctx, oracle, field) of cohomology and verify; the vertex bound is
-    checked before a group's polytope and its C(n, d) facet search."""
+def _oracle_context(args, classify: bool = False):
+    """(ctx, oracle, field, classes) of cohomology and verify.  The bounds
+    come before the work they guard: the vertex bound before a group's
+    polytope and its C(n, d) facet search, and with classify the classes,
+    and so the coset bound, before the oracle's Smith forms."""
     doc = _load_document(args.input)
     ctx, polytope = _build_context(doc)
     check_vertex_count(ctx.n)
+    field = _parse_field(args.field or doc.get("field"))
+    classes = (_classify(ctx, args.mode, args.max_classes)[0] if classify
+               else None)
     if polytope is None:
         polytope = group_to_polytope(ctx)
-    oracle = CohomologyOracle(polytope, ctx)
-    return ctx, oracle, _parse_field(args.field or doc.get("field"))
+    return ctx, CohomologyOracle(polytope, ctx), field, classes
 
 
 def _class_entry(tc) -> dict:
@@ -294,7 +298,7 @@ def cmd_mutate(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
-    ctx, oracle, field = _oracle_context(args)
+    ctx, oracle, field, _ = _oracle_context(args)
     exponents = _int_vector(_json_flag(args.twist, "--twist"), "--twist")
     if len(exponents) != ctx.n:
         raise InputError(
@@ -315,7 +319,8 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ctx, oracle, field = _oracle_context(args)
+    ctx, oracle, field, classes = _oracle_context(
+        args, classify=args.set is None)
     entries = []
     ok = True
     if args.set is not None:
@@ -330,7 +335,6 @@ def cmd_verify(args) -> int:
         ok = report.ok
         entries.append({"id": "explicit", **report.to_json()})
     else:
-        classes, _ = _classify(ctx, args.mode, args.max_classes)
         if args.class_id is not None:
             classes = [_find_class(classes, args.class_id)]
         for tc in classes:

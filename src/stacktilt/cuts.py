@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -46,13 +45,15 @@ def l_vector(c: Sequence[int]) -> list[int]:
     return v
 
 
-@dataclass
 class LatticeQuotient:
-    d: int
-    m: int
-    group: FgAbelianGroup                 # L/B on the alpha_1..alpha_d basis
-    b_gens_alpha: tuple[tuple[int, ...], ...]
-    alpha_images: tuple[GroupElement, ...]  # images of alpha_0..alpha_d
+    def __init__(self, d: int, m: int, group: FgAbelianGroup,
+                 b_gens_alpha: tuple[tuple[int, ...], ...],
+                 alpha_images: tuple[GroupElement, ...]):
+        self.d = d
+        self.m = m
+        self.group = group                  # L/B on the alpha_1..alpha_d basis
+        self.b_gens_alpha = b_gens_alpha
+        self.alpha_images = alpha_images    # images of alpha_0..alpha_d
 
     @cached_property
     def targets(self) -> dict[tuple, tuple[tuple, ...]]:
@@ -71,13 +72,14 @@ class LatticeQuotient:
         return [(v, i) for v in self.vertices for i in range(self.d + 1)]
 
 
-@dataclass
 class CutDetector:
     """f: L/B -> Z with f(0) = 0 and arrow increments gamma_i or gamma_i - m."""
 
-    lq: LatticeQuotient
-    gamma: tuple[int, ...]
-    table: dict
+    def __init__(self, lq: LatticeQuotient, gamma: tuple[int, ...],
+                 table: dict):
+        self.lq = lq
+        self.gamma = gamma
+        self.table = table
 
 
 def build_quotient(d: int, b_generators: Iterable[Sequence[int]]) -> LatticeQuotient:

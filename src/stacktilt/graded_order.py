@@ -10,8 +10,7 @@ enumeration performed here, so all searches terminate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .abgroup import FgAbelianGroup, GroupElement, GroupHom
 from .errors import (DegenerateSplit, DimensionMismatch, G1Violation,
@@ -105,8 +104,7 @@ def _find_theta(us: list[tuple[int, ...]], rank: int):
     return theta, None
 
 
-@dataclass(frozen=True)
-class SignSplit:
+class SignSplit(NamedTuple):
     """Rank-two preprocessing: split degrees by the sign of pi = free(G/Zp)."""
 
     order: tuple[int, ...]          # original indices, positives then negatives

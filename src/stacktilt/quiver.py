@@ -10,8 +10,7 @@ both sides of the rank-one certificate apply to the steps they derive.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 def monomial_label(exponents: Sequence[int]) -> str:
@@ -24,15 +23,13 @@ def monomial_label(exponents: Sequence[int]) -> str:
     return "*".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True, order=True)
-class Arrow:
+class Arrow(NamedTuple):
     source: tuple
     target: tuple
     label: str
 
 
-@dataclass(frozen=True, order=True)
-class Relation:
+class Relation(NamedTuple):
     """Two parallel length-two paths declared equal (commutativity square)."""
 
     source: tuple
@@ -61,16 +58,21 @@ def commuting_squares(steps: dict, n: int) -> list[Relation]:
     return relations
 
 
-@dataclass
 class QuiverPresentation:
-    vertices: tuple
-    arrows: tuple[Arrow, ...]
-    relations: tuple[Relation, ...] = ()
+    """Vertices, arrows and relations, each held sorted; equal exactly
+    when all three are, and unhashable, as it is mutable."""
 
-    def __post_init__(self):
-        self.vertices = tuple(sorted(self.vertices))
-        self.arrows = tuple(sorted(self.arrows))
-        self.relations = tuple(sorted(self.relations))
+    def __init__(self, vertices: tuple, arrows: tuple[Arrow, ...],
+                 relations: tuple[Relation, ...] = ()):
+        self.vertices = tuple(sorted(vertices))
+        self.arrows = tuple(sorted(arrows))
+        self.relations = tuple(sorted(relations))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.vertices, self.arrows, self.relations)
+                == (other.vertices, other.arrows, other.relations))
 
     def to_json(self) -> dict:
         return {

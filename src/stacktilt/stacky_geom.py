@@ -11,8 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import _intlinalg as la
 from .abgroup import (FgAbelianGroup, GroupElement, relation_kernel,
@@ -22,8 +21,7 @@ from .errors import (InputError, InternalInvariantBroken, NotAVertex,
 from .graded_order import GradedDegreeGroup
 
 
-@dataclass
-class StackyPolytope:
+class StackyPolytope(NamedTuple):
     d: int
     vertices: tuple[tuple[int, ...], ...]
     facets: tuple[tuple[int, ...], ...]          # sorted index tuples, 0-based
@@ -99,8 +97,7 @@ def group_to_polytope(ctx: GradedDegreeGroup) -> StackyPolytope:
     return parse_polytope(vertices)
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
+class HomologyProfile(NamedTuple):
     dims: tuple[tuple[int, int], ...]  # (degree k, dim H~_k), k = -1..top
 
     def dim(self, k: int) -> int:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import cuts as cuts_mod
@@ -35,16 +34,19 @@ from .quiver import (Arrow, QuiverPresentation, commuting_squares,
 from .stacky_geom import CohomologyOracle
 
 
-@dataclass
 class TiltingClass:
-    rank: int
-    ctx: GradedDegreeGroup
-    rep: us.AntichainRep
-    quiver: QuiverPresentation
-    class_id: str
-    table: dict = field(repr=False)    # arrow_table of rep's poset
-    translation: str = "zp"    # the canonical_form mode it is counted in
-    base: Optional[us.AntichainRep] = None     # rank two: the J-class over H
+    def __init__(self, rank: int, ctx: GradedDegreeGroup,
+                 rep: us.AntichainRep, quiver: QuiverPresentation,
+                 class_id: str, table: dict, translation: str = "zp",
+                 base: Optional[us.AntichainRep] = None):
+        self.rank = rank
+        self.ctx = ctx
+        self.rep = rep
+        self.quiver = quiver
+        self.class_id = class_id
+        self.table = table              # arrow_table of rep's poset
+        self.translation = translation  # the canonical_form mode counted in
+        self.base = base                # rank two: the J-class over H
 
     @property
     def elements(self) -> tuple[GroupElement, ...]:
@@ -225,20 +227,21 @@ def classify_rank1(ctx: GradedDegreeGroup, mode: str = "paper",
     return classes
 
 
-@dataclass
 class Rank2Group:
     """All inner classes over one base class J."""
 
-    base: us.AntichainRep
-    base_id: str
-    classes: list[TiltingClass]
-    merged_class_count: int = 0
+    def __init__(self, base: us.AntichainRep, base_id: str,
+                 classes: list[TiltingClass], merged_class_count: int = 0):
+        self.base = base
+        self.base_id = base_id
+        self.classes = classes
+        self.merged_class_count = merged_class_count
 
 
-@dataclass
 class Rank2Classification:
-    split: SignSplit
-    groups: list[Rank2Group]
+    def __init__(self, split: SignSplit, groups: list[Rank2Group]):
+        self.split = split
+        self.groups = groups
 
     @property
     def classes(self) -> list[TiltingClass]:
@@ -337,12 +340,13 @@ def apr_mutate(tclass: TiltingClass, m: GroupElement) -> TiltingClass:
     return tc
 
 
-@dataclass
 class VerificationReport:
-    ok: bool
-    checked: list
-    failures: list
-    thick_generation: str = "by theorem"
+    def __init__(self, ok: bool, checked: list, failures: list,
+                 thick_generation: str = "by theorem"):
+        self.ok = ok
+        self.checked = checked
+        self.failures = failures
+        self.thick_generation = thick_generation
 
     def to_json(self) -> dict:
         return {

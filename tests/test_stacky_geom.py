@@ -45,6 +45,13 @@ def test_parse_polytope_errors():
         sg.parse_polytope([[1]])
 
 
+def test_polytope_and_profile_read_as_before():
+    p = sg.parse_polytope([[1, 0], [0, 1], [-1, -1]])
+    assert (p.d, p.n, p.facets) == (2, 3, ((0, 1), (0, 2), (1, 2)))
+    profile = sg.HomologyProfile(((-1, 0), (0, 2), (1, 1)))
+    assert [profile.dim(k) for k in range(-1, 3)] == [0, 2, 1, 0]
+
+
 def test_gale_dual_examples(ctx_p1p1):
     ctx = sg.gale_dual(sg.parse_polytope(P2_VERTICES))
     assert ctx.group.free_rank == 1 and ctx.group.torsion_orders == ()

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 
@@ -330,25 +329,31 @@ def test_arrow_search_runs_once_per_poset(monkeypatch, case):
     assert len(set(map(id, posets))) == len(posets) < len(classes)
 
 
+def _rebuilt(qp, **changes):
+    """qp built again with some of its vertices, arrows or relations
+    replaced."""
+    parts = {"vertices": qp.vertices, "arrows": qp.arrows,
+             "relations": qp.relations}
+    return QuiverPresentation(**{**parts, **changes})
+
+
 def _retarget(qp, field, k):
     """qp with the target of its k-th arrow or relation moved elsewhere."""
     items = list(getattr(qp, field))
     item = items[k]
     other = next(v for v in qp.vertices
                  if v not in (item.source, item.target))
-    items[k] = dataclasses.replace(item, target=other)
-    return dataclasses.replace(qp, **{field: tuple(items)})
+    items[k] = item._replace(target=other)
+    return _rebuilt(qp, **{field: tuple(items)})
 
 
 _PERTURBATIONS = {
     "retarget-arrow": lambda qp: _retarget(qp, "arrows", 0),
     "retarget-relation": lambda qp: _retarget(qp, "relations", 0),
-    "drop-arrow": lambda qp: dataclasses.replace(qp, arrows=qp.arrows[1:]),
-    "add-composite-arrow": lambda qp: dataclasses.replace(
-        qp, arrows=qp.arrows + (dataclasses.replace(
-            qp.arrows[0], label="x1*x2"),)),
-    "drop-relation": lambda qp: dataclasses.replace(
-        qp, relations=qp.relations[1:]),
+    "drop-arrow": lambda qp: _rebuilt(qp, arrows=qp.arrows[1:]),
+    "add-composite-arrow": lambda qp: _rebuilt(
+        qp, arrows=qp.arrows + (qp.arrows[0]._replace(label="x1*x2"),)),
+    "drop-relation": lambda qp: _rebuilt(qp, relations=qp.relations[1:]),
 }
 
 
@@ -367,7 +372,9 @@ def test_certify_rank1_rejects_perturbed_quivers():
         quiver = perturb(tc.quiver)
         assert quiver != tc.quiver, name
         perturbed = list(classes)
-        perturbed[k] = dataclasses.replace(tc, quiver=quiver)
+        perturbed[k] = tilting.TiltingClass(
+            tc.rank, tc.ctx, tc.rep, quiver, tc.class_id, tc.table,
+            tc.translation, tc.base)
         with pytest.raises(InternalInvariantBroken):
             tilting._certify_rank1(ctx, perturbed, *cut_data)
 
@@ -528,12 +535,12 @@ def test_two_presentations_per_rank1_class(monkeypatch, mode, classes):
     """Each class builds its endomorphism quiver and its cut's presentation,
     named by the members, and nothing else (P(5,7,11))."""
     built = []
-    post_init = QuiverPresentation.__post_init__
+    init = QuiverPresentation.__init__
 
-    def counted(qp):
+    def counted(qp, *args, **kwargs):
         built.append(qp)
-        post_init(qp)
-    monkeypatch.setattr(QuiverPresentation, "__post_init__", counted)
+        init(qp, *args, **kwargs)
+    monkeypatch.setattr(QuiverPresentation, "__init__", counted)
     found = tilting.classify_rank1(_ctx(1, [], [(5,), (7,), (11,)]), mode)
     assert len(found) == classes and len(built) == 2 * classes
 
