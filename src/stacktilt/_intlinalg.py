@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from .errors import InternalInvariantBroken
+
 Matrix = list[list[int]]
 Vector = list[int]
 
@@ -30,8 +32,8 @@ def smith(m: Sequence[Sequence[int]], ncols: int):
     """
     nrows = len(m)
     d = [list(row) for row in m]
-    for row in d:
-        assert len(row) == ncols
+    if any(len(row) != ncols for row in d):
+        raise InternalInvariantBroken(f"smith: a row is not {ncols} long")
     u, uinv = identity(nrows), identity(nrows)
     v = identity(ncols)
 
@@ -182,7 +184,8 @@ def _with_slack(rows_exact: Sequence[Sequence[int]],
     nmod = len(rows_mod)
     m: Matrix = [list(row) + [0] * nmod for row in rows_exact]
     for k, (row, mod) in enumerate(rows_mod):
-        assert mod >= 1
+        if mod < 1:
+            raise InternalInvariantBroken(f"modulus {mod} is below 1")
         m.append(list(row) + [mod if j == k else 0 for j in range(nmod)])
     return m
 

@@ -5,16 +5,24 @@ matrix.  Smith normal form of the relations gives canonical coordinates
 (torsion residues first, then free coordinates), a deterministic
 canonical form for every element, and an explicit section back to
 generator coordinates.  All values are immutable; operations are pure.
+
+An element is its group and a canonical coordinate tuple, torsion slots
+first.  Every operation maps over the tuples in C and hands the result to
+the group's one reduction routine, which takes only the torsion slots mod
+their orders: a torsion-free group does no per-coordinate work.  Elements
+hash by their coordinates and compare equal only within one group.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from operator import add, mod, mul, neg, sub
 from typing import Callable, Optional, Sequence
 
 from . import _intlinalg as la
-from .errors import DimensionMismatch, EnumerateInfinite, InputError
+from .errors import (DimensionMismatch, EnumerateInfinite, InputError,
+                     InternalInvariantBroken)
 
 
 class GroupElement:
@@ -32,32 +40,30 @@ class GroupElement:
         return self.group is other.group and self.coords == other.coords
 
     def __hash__(self):
-        return hash((id(self.group), self.coords))
+        return hash(self.coords)
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
-        self._check(other)
-        return self.group.from_coords(
-            tuple(a + b for a, b in zip(self.coords, other.coords)))
+        group = self.group
+        if other.group is not group:
+            raise DimensionMismatch("elements belong to different groups")
+        return group._reduce(tuple(map(add, self.coords, other.coords)))
 
     def __sub__(self, other: "GroupElement") -> "GroupElement":
-        self._check(other)
-        return self.group.from_coords(
-            tuple(a - b for a, b in zip(self.coords, other.coords)))
+        group = self.group
+        if other.group is not group:
+            raise DimensionMismatch("elements belong to different groups")
+        return group._reduce(tuple(map(sub, self.coords, other.coords)))
 
     def __neg__(self) -> "GroupElement":
-        return self.group.from_coords(tuple(-a for a in self.coords))
+        return self.group._reduce(tuple(map(neg, self.coords)))
 
     def __mul__(self, n: int) -> "GroupElement":
-        return self.group.from_coords(tuple(n * a for a in self.coords))
+        return self.group._reduce(tuple([n * c for c in self.coords]))
 
     __rmul__ = __mul__
 
-    def _check(self, other: "GroupElement") -> None:
-        if self.group is not other.group:
-            raise DimensionMismatch("elements belong to different groups")
-
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
+        return not any(self.coords)
 
     def torsion_part(self) -> tuple[int, ...]:
         return self.coords[: len(self.group.torsion_orders)]
@@ -85,12 +91,13 @@ class FgAbelianGroup:
         orders = la.diagonal(d, n_gens) if len(relations) else [0] * n_gens
         # one canonical slot per U-row whose order is not 1
         self._slots = [k for k in range(n_gens) if orders[k] != 1]
-        self._slot_orders = [orders[k] for k in self._slots]
-        self.torsion_orders = tuple(o for o in self._slot_orders if o >= 2)
-        self.free_rank = sum(1 for o in self._slot_orders if o == 0)
-        # torsion slots come before free slots in SNF order already
-        assert self._slot_orders == (
-            list(self.torsion_orders) + [0] * self.free_rank)
+        slot_orders = [orders[k] for k in self._slots]
+        self.torsion_orders = tuple(o for o in slot_orders if o >= 2)
+        self.free_rank = sum(1 for o in slot_orders if o == 0)
+        # `_reduce` relies on the SNF order: torsion slots, then free slots
+        if slot_orders != list(self.torsion_orders) + [0] * self.free_rank:
+            raise InternalInvariantBroken(
+                "Smith normal form puts a free slot before a torsion slot")
 
     # -- construction -------------------------------------------------
 
@@ -102,9 +109,15 @@ class FgAbelianGroup:
         if len(coords) != self.n_coords:
             raise DimensionMismatch(
                 f"expected {self.n_coords} canonical coordinates")
-        reduced = tuple(
-            c % o if o else c for c, o in zip(coords, self._slot_orders))
-        return GroupElement(self, reduced)
+        return self._reduce(tuple(coords))
+
+    def _reduce(self, coords: tuple[int, ...]) -> GroupElement:
+        """The element of a coordinate tuple of the right length: each
+        torsion slot is taken mod its order, the free slots pass through."""
+        if self.torsion_orders:
+            coords = (tuple(map(mod, coords, self.torsion_orders))
+                      + coords[len(self.torsion_orders):])
+        return GroupElement(self, coords)
 
     def canonicalize(self, vec: Sequence[int]) -> GroupElement:
         """Canonical form of a vector in generator coordinates."""
@@ -174,6 +187,8 @@ class GroupHom:
                  section: Optional[Callable[[GroupElement], GroupElement]] = None):
         if len(images) != source.n_coords:
             raise DimensionMismatch("one image per canonical generator required")
+        if any(img.group is not target for img in images):
+            raise DimensionMismatch("image not in hom target")
         for i, o in enumerate(source.torsion_orders):
             if not (o * images[i]).is_zero():
                 raise InputError(
@@ -183,15 +198,16 @@ class GroupHom:
         self.target = target
         self.images = tuple(images)
         self._section = section
+        # column j: the j-th target coordinate of each generator's image
+        self._columns = tuple(tuple(img.coords[j] for img in self.images)
+                              for j in range(target.n_coords))
 
     def __call__(self, e: GroupElement) -> GroupElement:
         if e.group is not self.source:
             raise DimensionMismatch("element not in hom source")
-        acc = [0] * self.target.n_coords
-        for c, img in zip(e.coords, self.images):
-            for j, x in enumerate(img.coords):
-                acc[j] += c * x
-        return self.target.from_coords(acc)
+        coords = e.coords
+        return self.target._reduce(
+            tuple([sum(map(mul, coords, col)) for col in self._columns]))
 
     def section(self, e: GroupElement) -> GroupElement:
         """A preimage of e (projection homs only)."""

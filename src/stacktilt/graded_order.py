@@ -10,6 +10,7 @@ enumeration performed here, so all searches terminate.
 from __future__ import annotations
 
 import itertools
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .abgroup import FgAbelianGroup, GroupElement, GroupHom
@@ -125,6 +126,8 @@ class GradedDegreeGroup:
         self.degrees = tuple(degrees)
         self.n = len(self.degrees)
         self.theta = theta
+        # theta on canonical coordinates: zero on the torsion slots
+        self._theta_coords = (0,) * len(group.torsion_orders) + tuple(theta)
         self.p = group.zero()
         for x in self.degrees:
             self.p = self.p + x
@@ -175,7 +178,8 @@ class GradedDegreeGroup:
     # -- the order ------------------------------------------------------
 
     def theta_val(self, e: GroupElement) -> int:
-        return _dot(self.theta, e.free_part())
+        """theta of the free part of e, an element of this context's group."""
+        return sum(map(mul, self._theta_coords, e.coords))
 
     def hom_dim(self, g: GroupElement) -> int:
         """dim S_g: number of exponent vectors a >= 0 with sum a_i x_i = g."""

@@ -102,6 +102,26 @@ def test_pinned_zp_report(name, tmp_path, capsys):
     assert [code, _sha256(capsys.readouterr().out)] == [0, sha256]
 
 
+# Rank two with torsion, where canonical coordinates and the projection
+# G -> H = G/Zp meet in the fibered posets: Z^2 + Z/2 (85 classes in
+# paper mode).  mode -> stdout SHA-256
+TORSION_DOC = {"group": {"free_rank": 2, "torsion_orders": [2],
+                         "degrees": [[1, 0, 0], [1, 0, 1], [0, 1, 0],
+                                     [0, 1, 1]]}}
+TORSION_PINS = {
+    "paper": "53ee18a78c1e413c7421892e024a2267234e4d9df0859b8ce43f4228098efb89",
+    "zp": "b3ef901ba08925800a3969ba8a142b574da6c1a09686b3c0ffd877e8892e6536",
+}
+
+
+@pytest.mark.parametrize("mode", list(TORSION_PINS))
+def test_pinned_rank2_torsion_report(mode, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(TORSION_DOC), encoding="utf-8")
+    code = cli.main(["classify", str(path), "--mode", mode])
+    assert [code, _sha256(capsys.readouterr().out)] == [0, TORSION_PINS[mode]]
+
+
 @pytest.mark.parametrize("seed", [workloads.DEFAULT_SEED, 1, 2])
 def test_every_benchmark_command_line_is_scanned(seed):
     """Each job's command line is read from the command table, not by

@@ -1,10 +1,15 @@
+import ast
 import random
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stacktilt
 from oracles import determinant, lattice_contains, mat_mul
 from stacktilt import _intlinalg as la
+from stacktilt.errors import InternalInvariantBroken
 
 matrices = st.integers(1, 6).flatmap(
     lambda r: st.integers(1, 6).flatmap(
@@ -87,3 +92,21 @@ def test_solve_with_moduli():
     sol = la.solve_with_moduli([[1, 1]], [5], [([1, 0], 3)], [1], 2)
     assert sol is not None
     assert sol[0] + sol[1] == 5 and sol[0] % 3 == 1
+
+
+def test_internal_checks_raise_under_python_O():
+    """A ragged matrix and a modulus below 1 are internal faults; they are
+    raised as such, not by `assert`, so `python -O` keeps them."""
+    with pytest.raises(InternalInvariantBroken):
+        la.smith([[1, 2], [3]], 2)
+    with pytest.raises(InternalInvariantBroken):
+        la.kernel_with_moduli([[1, 1]], [([1, 0], 0)], 2)
+
+
+def test_library_has_no_assert():
+    src = Path(stacktilt.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
