@@ -179,21 +179,21 @@ def _oracle_context(args, classify: bool = False):
     return ctx, CohomologyOracle(polytope, ctx), field, classes
 
 
-def _class_entry(tc) -> dict:
-    """A class with its quiver and the downward edges of the enumeration."""
-    return {
-        "id": tc.class_id,
-        "line_bundles": tc.degrees_json(),
-        "quiver": tc.quiver.to_json(),
-        "mutation_neighbors": [{"at": list(m.coords),
-                                "to": tilting._class_id(tc.rank, n.elements)}
-                               for m, n in tc.rep.edges],
-    }
+def _class_entries(classes) -> list:
+    """The classes with their quivers and the downward edges of the
+    enumeration, whose targets are classes of the same list."""
+    ids = {tc.rep: tc.class_id for tc in classes}
+    return [{"id": tc.class_id,
+             "line_bundles": tc.degrees_json(),
+             "quiver": tc.quiver.to_json(),
+             "mutation_neighbors": [{"at": list(m.coords), "to": ids[n]}
+                                    for m, n in tc.rep.edges]}
+            for tc in classes]
 
 
 def _rank1_report(classes, mode: str) -> dict:
     return {"rank": 1, "mode": mode, "class_count": len(classes),
-            "classes": [_class_entry(tc) for tc in classes]}
+            "classes": _class_entries(classes)}
 
 
 def _rank2_report(result) -> dict:
@@ -206,7 +206,7 @@ def _rank2_report(result) -> dict:
             "elements": [list(e.coords) for e in grp.base.elements],
             "class_count": len(grp.classes),
             "merged_class_count": grp.merged_class_count,
-            "classes": [_class_entry(tc) for tc in grp.classes],
+            "classes": _class_entries(grp.classes),
         })
     return {
         "rank": 2,

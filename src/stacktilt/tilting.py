@@ -231,7 +231,7 @@ class Rank2Group:
     """All inner classes over one base class J."""
 
     def __init__(self, base: us.AntichainRep, base_id: str,
-                 classes: list[TiltingClass], merged_class_count: int = 0):
+                 classes: list[TiltingClass], merged_class_count: int):
         self.base = base
         self.base_id = base_id
         self.classes = classes
@@ -341,12 +341,13 @@ def apr_mutate(tclass: TiltingClass, m: GroupElement) -> TiltingClass:
 
 
 class VerificationReport:
-    def __init__(self, ok: bool, checked: list, failures: list,
-                 thick_generation: str = "by theorem"):
+    # the classification theorems' claim, not a check
+    thick_generation = "by theorem"
+
+    def __init__(self, ok: bool, checked: list, failures: list):
         self.ok = ok
         self.checked = checked
         self.failures = failures
-        self.thick_generation = thick_generation
 
     def to_json(self) -> dict:
         return {

@@ -224,7 +224,7 @@ def canonical_form(rep: AntichainRep, mode: str = "zp") -> AntichainRep:
     returned when it is the winner.
     """
     space = rep.poset.space
-    k = min(space.orbit(space.point(rep), mode), key=space.key)
+    k = space.head(space.orbit(space.point(rep), mode))
     return rep if space.key(k) == rep.key() else space.rep(k)
 
 
@@ -386,21 +386,18 @@ def enumerate_classes(poset, mode: str = "full",
     of its translate: the orbits of the neighbours of one point of an
     orbit are those of every point of it.  The orbits thus form a
     connected quotient of the move graph, and a BFS from the theta slab
-    that expands one point per orbit, the first one a move reaches (not
-    its head, the least key), meets every class while testing sites at
-    one point per class (isomorph-free generation, McKay 1998).  In "zp"
-    mode every orbit is one point, so the walk expands each point once
-    and misses a point only where a site scan misses a move.  It stops
-    once max_classes + 1 orbits are formed.  Each class's edges are
-    re-read at its head, unless the head is the point expanded (as every
-    zp head is), whose down moves are kept from the walk; a move from it
-    to a point outside the orbits found is an internal fault.  The walk
-    reads only the gaps; where the classifiers build quivers, the arrow
-    table's closure has checked them first.
+    that expands one point per orbit, its head, meets every class while
+    testing sites at one point per class (isomorph-free generation, McKay
+    1998).  The head names the class, and its down moves, each walked in
+    turn, are the class's edges.  In "zp" mode every orbit is one point,
+    so the walk expands each point once and misses a point only where a
+    site scan misses a move.  It stops once max_classes + 1 orbits are
+    formed.  The walk reads only the gaps; where the classifiers build
+    quivers, the arrow table's closure has checked them first.
     """
     space = poset.space
     # every point reached by a move, in BFS order; the first one of each
-    # orbit forms the orbit and is the one expanded
+    # orbit forms the orbit, whose head is expanded
     class_of, heads = {}, []
     reached = [space.point(seed_slab(poset))]
     for k in reached:
@@ -412,19 +409,12 @@ def enumerate_classes(poset, mode: str = "full",
             raise ClassCountExceeded("class enumeration exceeded the ceiling",
                                      ceiling=max_classes)
         head = space.head(orbit)
-        down = {a: space.step(k, a, 1) for a in space.down(k)}
-        # a head that is the expanded point (every zp head) keeps its down
-        # moves for its edges
-        heads.append((head, len(orbit), down if head == k else None))
+        down = {a: space.step(head, a, 1) for a in space.down(head)}
+        heads.append((head, len(orbit), down))
         reached += down.values()
-        reached += [space.step(k, a, -1) for a in space.up(k)]
+        reached += [space.step(head, a, -1) for a in space.up(head)]
     reps = [space.rep(k) for k, _, _ in heads]
-    for (k, size, down), rep in zip(heads, reps):
-        if down is None:
-            down = {a: space.step(k, a, 1) for a in space.down(k)}
-        if any(t not in class_of for t in down.values()):
-            raise InternalInvariantBroken(
-                "a mutation leaves the classes the walk found")
+    for (_, size, down), rep in zip(heads, reps):
         sites = [(e, space.index[poset.fiber_key(e)]) for e in rep.elements]
         rep.edges = tuple((e, reps[class_of[down[a]]]) for e, a in sites
                           if a in down)

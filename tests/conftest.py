@@ -1,4 +1,13 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
+
+# The checkout's src comes last, and only when stacktilt imports from
+# nowhere else, so a tree on PYTHONPATH is the one tested.
+if importlib.util.find_spec("stacktilt") is None:
+    sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
 
 from stacktilt.abgroup import FgAbelianGroup, direct_sum_group
 from stacktilt.graded_order import GradedDegreeGroup

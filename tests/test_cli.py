@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -419,6 +420,46 @@ def _cli_env():
     src = Path(stacktilt.__file__).resolve().parents[1]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     return {**env, "PYTHONPATH": str(src)}
+
+
+_PROBE = """\
+import stacktilt
+
+
+def test_probe():
+    print("stacktilt at", stacktilt.__file__)
+"""
+
+
+def test_pythonpath_wins_over_the_checkout_under_pytest(tmp_path):
+    """Under pytest, a stacktilt on PYTHONPATH is the one imported; the
+    checkout's src serves only when no other imports, as conftest.py
+    appends it last.  pyproject's pythonpath = ["src"] used to put the
+    checkout's src first, so a run aimed at another tree tested this one."""
+    root = Path(__file__).resolve().parents[1]
+    package = Path(stacktilt.__file__).resolve().parent
+    checkout, other = tmp_path / "checkout", tmp_path / "other"
+    for tree in (checkout, other):
+        shutil.copytree(package, tree / "src" / "stacktilt",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    (checkout / "tests").mkdir()
+    shutil.copy(root / "pyproject.toml", checkout)
+    shutil.copy(root / "tests" / "conftest.py", checkout / "tests")
+    (checkout / "tests" / "test_probe.py").write_text(_PROBE)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    for extra, tree in (({}, checkout),
+                        ({"PYTHONPATH": str(other / "src")}, other)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-s",
+             "-p", "no:cacheprovider"],
+            cwd=checkout, env={**env, **extra}, capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        found = next(line.split("stacktilt at ", 1)[1]
+                     for line in proc.stdout.splitlines()
+                     if "stacktilt at " in line)
+        assert Path(found).resolve() == (
+            tree / "src" / "stacktilt" / "__init__.py").resolve()
 
 
 def _run_cli(argv, timeout, stdout=subprocess.PIPE):
