@@ -345,6 +345,15 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _check_detector_search(m: int, d: int) -> None:
+    """Refuse a detector search over 2^(m - 1) candidate tables of
+    m * (d + 1) arrows each; the detail is the log, printable at any m,
+    and every m > 24 is refused before 2^(m - 1) is built."""
+    if m > 24 or 2 ** (m - 1) * m * (d + 1) > 2 ** 24:
+        raise InputError("too many candidate tables for detector "
+                         "enumeration", m=m, candidates_log2=m - 1)
+
+
 def cmd_cuts(args) -> int:
     doc = _load_document(args.input)
     if "lattice" in doc:
@@ -362,6 +371,9 @@ def cmd_cuts(args) -> int:
         ctx, _ = _build_context(doc)
         if ctx.group.free_rank != 1:
             raise InputError("cut systems come from rank-one graded groups")
+        # m = |G/Zp| and d = n - 1, checked before L/B is built
+        _check_detector_search(ctx.group.quotient_by([ctx.p])[0].size(),
+                               ctx.n - 1)
         lq, gamma = cuts_mod.data_of_group(ctx)
     else:
         raise InputError("cuts needs a 'lattice', 'group' or 'polytope' "
@@ -376,13 +388,7 @@ def cmd_cuts(args) -> int:
             report["reason"] = f"inadmissible: {reason}"
             _emit(report)
             return 0
-        # the detector search prunes 2^(m - 1) candidate tables, one per
-        # choice along the tree edges, of m * (d + 1) arrows each; the detail
-        # is the log, printable at any m, and every m > 24 is refused before
-        # 2^(m - 1) is built
-        if lq.m > 24 or 2 ** (lq.m - 1) * lq.m * (lq.d + 1) > 2 ** 24:
-            raise InputError("too many candidate tables for detector "
-                             "enumeration", m=lq.m, candidates_log2=lq.m - 1)
+        _check_detector_search(lq.m, lq.d)
         detectors = cuts_mod.enumerate_detectors(lq, gamma)
         entries = []
         for det in detectors:

@@ -277,12 +277,12 @@ def _stabilizer_merged_count(split: SignSplit, base: us.AntichainRep,
             continue
         if {(e + cand).coords for e in base.elements} == base_set:
             stab.append(cand)
-    space = inner[0].poset.space
-    lifts = [space.offsets(split.q.section(t)) for t in stab]
-    known = {space.point(rep) for rep in inner}
+    poset = inner[0].poset
+    lifts = [poset.offsets(split.q.section(t)) for t in stab]
+    known = {poset.point(rep) for rep in inner}
     orbits = set()
     for k in known:
-        orbit = frozenset([k, *(space.translate(k, moves) for moves in lifts)])
+        orbit = frozenset([k, *(poset.translate(k, moves) for moves in lifts)])
         if not orbit <= known:
             raise InternalInvariantBroken(
                 "stabilizer translate left the class list")

@@ -31,6 +31,17 @@ class GroupPoset:
     q^{-1}(J) inside a rank-two G, one shift orbit per element h of the base
     class J over H = G/Zp, with projection split.q and samples
     split.q.section(h).
+
+    The poset's classes up to shifts are integer points.  A class is the
+    level vector k, over self.fibers, of its members s_a + k_a*shift; the
+    classes are the integer points of k_a - k_b <= -gaps[a][b] modulo the
+    all-ones vector, and the slab shift (min theta into [0, theta_p))
+    picks one point per class.  Fiber a is a down site (its member is
+    minimal in J) when k_a < k_b - gaps[a][b] for every b != a, an up site
+    when k_a > k_b + gaps[b][a].  Raising k_a at a down site keeps every
+    constraint, since the site test is the constraint on k_a + 1 and the
+    others only loosen; lowering at an up site is the mirror case.  So no
+    move is re-tested.
     """
 
     def __init__(self, ctx: GradedDegreeGroup,
@@ -52,6 +63,7 @@ class GroupPoset:
             self._samples = {h.coords: split.q.section(h)
                              for h in base.elements}
         self.fibers = tuple(sorted(self._samples))
+        self.index = {a: i for i, a in enumerate(self.fibers)}
         self.sample_theta = {a: self.theta(s) for a, s in self._samples.items()}
         # G/Zp, the fibers of the rank-one cut picture
         self.supports_local_check = (self.whole_group
@@ -68,11 +80,6 @@ class GroupPoset:
             while not self.leq(self.shift(s[b], out[a][b]), s[a]):
                 out[a][b] -= 1
         return out
-
-    @functools.cached_property
-    def space(self) -> "_LevelSpace":
-        """The poset's classes up to shifts as integer points."""
-        return _LevelSpace(self)
 
     def _level(self, e: GroupElement) -> Optional[tuple]:
         """(a, k) with e = s_a + k*shift, or None when e lies over no fiber
@@ -103,6 +110,104 @@ class GroupPoset:
 
     def theta(self, a: GroupElement) -> int:
         return self.ctx.theta_val(a)
+
+    # the site tables, built on first use: gaps[a][b] and its transpose,
+    # with -inf on the diagonal taking b = a out of the site tests
+    @functools.cached_property
+    def _rows(self) -> list:
+        fibers, gaps = self.fibers, self.gaps
+        return [[-math.inf if a == b else gaps[a][b] for b in fibers]
+                for a in fibers]
+
+    @functools.cached_property
+    def _cols(self) -> list:
+        return list(zip(*self._rows))
+
+    @functools.cached_property
+    def _floor(self) -> list:
+        return [self.sample_theta[a] // self.theta_p for a in self.fibers]
+
+    def normal(self, k) -> tuple:
+        # min over b of (theta(s_b) + k_b*theta_p) // theta_p
+        n = min(map(operator.add, k, self._floor))
+        return tuple([x - n for x in k]) if n else tuple(k)
+
+    def down(self, k: tuple) -> list[int]:
+        return [a for a, (x, row) in enumerate(zip(k, self._rows))
+                if x < min(map(operator.sub, k, row))]
+
+    def up(self, k: tuple) -> list[int]:
+        return [a for a, (x, col) in enumerate(zip(k, self._cols))
+                if x > max(map(operator.add, k, col))]
+
+    def step(self, k: tuple, a: int, direction: int) -> tuple:
+        k = list(k)
+        k[a] += direction
+        return self.normal(k)
+
+    def point(self, rep: AntichainRep) -> tuple:
+        """The normalised level vector of rep's members."""
+        return self.normal([self.level(rep.by_fiber[a])[1]
+                            for a in self.fibers])
+
+    def offsets(self, t: GroupElement) -> list[tuple]:
+        """The translation by t, as (source index, level offset) per target
+        fiber: s_a + t = s_b + j*shift moves the member (a, k) to
+        (b, k + j)."""
+        moves = [None] * len(self.index)
+        for a, i in self.index.items():
+            over = self.level(self._samples[a] + t)
+            if over is None:
+                raise InternalInvariantBroken(
+                    f"translation by {t.coords} leaves the poset's fibers")
+            b, j = over
+            moves[self.index[b]] = (i, j)
+        return moves
+
+    def translate(self, k: tuple, moves: list[tuple]) -> tuple:
+        return self.normal([k[i] + j for i, j in moves])
+
+    @functools.cached_property
+    def _translations(self) -> list:
+        """The offsets of the translation by each fiber sample."""
+        if not self.whole_group:
+            raise ValueError("translations by fiber samples need the whole "
+                             "group")
+        return [self.offsets(self._samples[c]) for c in self.fibers]
+
+    def translates(self, k: tuple) -> list[tuple]:
+        """The points of k's orbit under all translations."""
+        return [self.translate(k, moves) for moves in self._translations]
+
+    def orbit(self, k: tuple, mode: str) -> list[tuple]:
+        """The points of k's class: its translates in "full" mode, k itself
+        in "zp" mode."""
+        if mode == "full":
+            return self.translates(k)
+        if mode == "zp":
+            return [k]
+        raise ValueError(f"unknown canonical form mode {mode!r}")
+
+    def key(self, k: tuple) -> tuple:
+        return tuple(sorted(self.element(a, x).coords
+                            for a, x in zip(self.fibers, k)))
+
+    def head(self, points) -> tuple:
+        """min(points, key=self.key), keying only the points whose least
+        member is least, as a key begins with its least member; a single
+        point is its own head, unkeyed."""
+        if len(points) == 1:
+            return next(iter(points))
+        element, fibers = self.element, self.fibers
+        coords = operator.attrgetter("coords")
+        least = [min(map(coords, map(element, fibers, k))) for k in points]
+        low = min(least)
+        return min((k for k, m in zip(points, least) if m == low),
+                   key=self.key)
+
+    def rep(self, k: tuple) -> AntichainRep:
+        return AntichainRep(self, [self.element(a, x)
+                                   for a, x in zip(self.fibers, k)])
 
 
 class AntichainRep:
@@ -138,7 +243,7 @@ def is_antichain_rep(poset, elements: Sequence[GroupElement]):
     missing = [k for k in poset.fibers if k not in seen]
     if missing:
         return False, {"reason": "missing_fiber", "fiber": missing[0]}
-    extra = [k for k in seen if k not in poset.gaps]
+    extra = [k for k in seen if k not in poset.index]
     if extra:
         return False, {"reason": "extra_fiber", "fiber": extra[0]}
     lv, gaps = [poset.level(e) for e in elements], poset.gaps
@@ -204,18 +309,18 @@ def seed_slab(poset) -> AntichainRep:
     force theta(x) >= theta(y) + theta(p) >= theta(p), impossible inside the
     slab.  A slab failing the test is therefore an internal fault.
     """
-    chosen = [poset.element(a, -(poset.sample_theta[a] // poset.theta_p))
-              for a in poset.fibers]
-    ok, witness = is_antichain_rep(poset, chosen)
+    slab = poset.rep([-f for f in poset._floor])
+    ok, witness = is_antichain_rep(poset, slab.elements)
     if not ok:
         raise InternalInvariantBroken(f"the theta slab is no antichain: "
                                       f"{witness}")
-    return AntichainRep(poset, chosen)
+    return slab
 
 
-def canonical_form(rep: AntichainRep, mode: str = "zp") -> AntichainRep:
+def canonical_form(rep: AntichainRep, mode: str) -> AntichainRep:
     """Deterministic orbit representative: the least key among the points
-    of rep's class (see _LevelSpace.orbit).
+    of rep's class (GroupPoset.orbit), picked by GroupPoset.head, the rule
+    enumerate_classes names its classes by.
 
     mode "zp": translate by a multiple of the shift so min theta lands in
     [0, theta_p).  mode "full": additionally minimize over the translations
@@ -223,9 +328,9 @@ def canonical_form(rep: AntichainRep, mode: str = "zp") -> AntichainRep:
     to translations" counting used for class reporting).  rep itself is
     returned when it is the winner.
     """
-    space = rep.poset.space
-    k = space.head(space.orbit(space.point(rep), mode))
-    return rep if space.key(k) == rep.key() else space.rep(k)
+    poset = rep.poset
+    k = poset.head(poset.orbit(poset.point(rep), mode))
+    return rep if poset.key(k) == rep.key() else poset.rep(k)
 
 
 def check_closure(poset, steps: Iterable[tuple], message: str) -> None:
@@ -239,7 +344,7 @@ def check_closure(poset, steps: Iterable[tuple], message: str) -> None:
     systems with the same integer points are equal (Mine, PADO 2001), so
     the Floyd-Warshall closure of the step constraints must be -gaps.
     """
-    index = {a: i for i, a in enumerate(poset.fibers)}
+    index = poset.index
     n = len(index)
     d = [[0 if i == j else math.inf for j in range(n)] for i in range(n)]
     for a, b, t in steps:
@@ -258,164 +363,52 @@ def check_closure(poset, steps: Iterable[tuple], message: str) -> None:
         raise InternalInvariantBroken(message)
 
 
-class _LevelSpace:
-    """A poset's classes up to shifts as integer points.
-
-    A class is the level vector k, over poset.fibers, of its members
-    s_a + k_a*shift; the classes are the integer points of
-    k_a - k_b <= -gaps[a][b] modulo the all-ones vector, and the slab
-    shift (min theta into [0, theta_p)) picks one point per class.  Fiber
-    a is a down site (its member is minimal in J) when
-    k_a < k_b - gaps[a][b] for every b != a, an up site when
-    k_a > k_b + gaps[b][a].  Raising k_a at a down site keeps every
-    constraint, since the site test is the constraint on k_a + 1 and the
-    others only loosen; lowering at an up site is the mirror case.  So no
-    move is re-tested.
-    """
-
-    def __init__(self, poset):
-        self.poset = poset
-        fibers, gaps = poset.fibers, poset.gaps
-        self.index = {a: i for i, a in enumerate(fibers)}
-        # -inf on the diagonal takes b = a out of the site tests
-        self._rows = [[-math.inf if a == b else gaps[a][b] for b in fibers]
-                      for a in fibers]
-        self._cols = [[-math.inf if a == b else gaps[b][a] for b in fibers]
-                      for a in fibers]
-        self._floor = [poset.sample_theta[a] // poset.theta_p for a in fibers]
-
-    def normal(self, k) -> tuple:
-        # min over b of (theta(s_b) + k_b*theta_p) // theta_p
-        n = min(map(operator.add, k, self._floor))
-        return tuple([x - n for x in k]) if n else tuple(k)
-
-    def down(self, k: tuple) -> list[int]:
-        return [a for a, (x, row) in enumerate(zip(k, self._rows))
-                if x < min(map(operator.sub, k, row))]
-
-    def up(self, k: tuple) -> list[int]:
-        return [a for a, (x, col) in enumerate(zip(k, self._cols))
-                if x > max(map(operator.add, k, col))]
-
-    def step(self, k: tuple, a: int, direction: int) -> tuple:
-        k = list(k)
-        k[a] += direction
-        return self.normal(k)
-
-    def point(self, rep: AntichainRep) -> tuple:
-        """The normalised level vector of rep's members."""
-        level = self.poset.level
-        return self.normal([level(rep.by_fiber[a])[1]
-                            for a in self.poset.fibers])
-
-    def offsets(self, t: GroupElement) -> list[tuple]:
-        """The translation by t, as (source index, level offset) per target
-        fiber: s_a + t = s_b + j*shift moves the member (a, k) to
-        (b, k + j)."""
-        moves = [None] * len(self.index)
-        for a, i in self.index.items():
-            over = self.poset.level(self.poset.fiber_sample(a) + t)
-            if over is None:
-                raise InternalInvariantBroken(
-                    f"translation by {t.coords} leaves the poset's fibers")
-            b, j = over
-            moves[self.index[b]] = (i, j)
-        return moves
-
-    def translate(self, k: tuple, moves: list[tuple]) -> tuple:
-        return self.normal([k[i] + j for i, j in moves])
-
-    @functools.cached_property
-    def _translations(self) -> list:
-        """The offsets of the translation by each fiber sample."""
-        if not self.poset.whole_group:
-            raise ValueError("translations by fiber samples need the whole "
-                             "group")
-        return [self.offsets(self.poset.fiber_sample(c))
-                for c in self.poset.fibers]
-
-    def translates(self, k: tuple) -> list[tuple]:
-        """The points of k's orbit under all translations."""
-        return [self.translate(k, moves) for moves in self._translations]
-
-    def orbit(self, k: tuple, mode: str) -> list[tuple]:
-        """The points of k's class: its translates in "full" mode, k itself
-        in "zp" mode."""
-        if mode == "full":
-            return self.translates(k)
-        if mode == "zp":
-            return [k]
-        raise ValueError(f"unknown canonical form mode {mode!r}")
-
-    def key(self, k: tuple) -> tuple:
-        element = self.poset.element
-        return tuple(sorted(element(a, x).coords
-                            for a, x in zip(self.poset.fibers, k)))
-
-    def head(self, points) -> tuple:
-        """min(points, key=self.key), keying only the points whose least
-        member is least, as a key begins with its least member; a single
-        point is its own head, unkeyed."""
-        if len(points) == 1:
-            return next(iter(points))
-        element, fibers = self.poset.element, self.poset.fibers
-        coords = operator.attrgetter("coords")
-        least = [min(map(coords, map(element, fibers, k))) for k in points]
-        low = min(least)
-        return min((k for k, m in zip(points, least) if m == low),
-                   key=self.key)
-
-    def rep(self, k: tuple) -> AntichainRep:
-        return AntichainRep(self.poset, [self.poset.element(a, x) for a, x
-                                         in zip(self.poset.fibers, k)])
-
-
-def enumerate_classes(poset, mode: str = "full",
+def enumerate_classes(poset, mode: str,
                       max_classes: int = 10_000) -> list[AntichainRep]:
     """All antichain classes up to the chosen translations, sorted by key,
     each with its edges, (site, neighbour class) per downward mutation,
     and its orbit_len, the number of points (classes up to shifts) it
     holds.
 
-    The classes up to shifts are the points of _LevelSpace, a distributive
-    lattice connected by the moves (Propp).  A class is the orbit of a
-    point, _LevelSpace.orbit: its translates in "full" mode, the point
-    alone in "zp" mode, and the least key in it names the class, as
-    canonical_form does.  A translation is an order automorphism commuting
-    with the shift, so it maps the moves out of a point onto the moves out
-    of its translate: the orbits of the neighbours of one point of an
-    orbit are those of every point of it.  The orbits thus form a
-    connected quotient of the move graph, and a BFS from the theta slab
-    that expands one point per orbit, its head, meets every class while
-    testing sites at one point per class (isomorph-free generation, McKay
-    1998).  The head names the class, and its down moves, each walked in
-    turn, are the class's edges.  In "zp" mode every orbit is one point,
-    so the walk expands each point once and misses a point only where a
-    site scan misses a move.  It stops once max_classes + 1 orbits are
-    formed.  The walk reads only the gaps; where the classifiers build
-    quivers, the arrow table's closure has checked them first.
+    The classes up to shifts are the poset's level points (GroupPoset), a
+    distributive lattice connected by the moves (Propp).  A class is the
+    orbit of a point, GroupPoset.orbit: its translates in "full" mode, the
+    point alone in "zp" mode, and the least key in it, GroupPoset.head,
+    names the class, as canonical_form does.  A translation is an order
+    automorphism commuting with the shift, so it maps the moves out of a
+    point onto the moves out of its translate: the orbits of the
+    neighbours of one point of an orbit are those of every point of it.
+    The orbits thus form a connected quotient of the move graph, and a BFS
+    from the theta slab that expands one point per orbit, its head, meets
+    every class while testing sites at one point per class (isomorph-free
+    generation, McKay 1998).  The head names the class, and its down
+    moves, each walked in turn, are the class's edges.  In "zp" mode every
+    orbit is one point, so the walk expands each point once and misses a
+    point only where a site scan misses a move.  It stops once
+    max_classes + 1 orbits are formed.  The walk reads only the gaps;
+    where the classifiers build quivers, the arrow table's closure has
+    checked them first.
     """
-    space = poset.space
     # every point reached by a move, in BFS order; the first one of each
     # orbit forms the orbit, whose head is expanded
     class_of, heads = {}, []
-    reached = [space.point(seed_slab(poset))]
+    reached = [poset.point(seed_slab(poset))]
     for k in reached:
         if k in class_of:
             continue
-        orbit = dict.fromkeys(space.orbit(k, mode), len(heads))
+        orbit = dict.fromkeys(poset.orbit(k, mode), len(heads))
         class_of.update(orbit)
         if len(heads) >= max_classes:   # this is orbit max_classes + 1
             raise ClassCountExceeded("class enumeration exceeded the ceiling",
                                      ceiling=max_classes)
-        head = space.head(orbit)
-        down = {a: space.step(head, a, 1) for a in space.down(head)}
+        head = poset.head(orbit)
+        down = {a: poset.step(head, a, 1) for a in poset.down(head)}
         heads.append((head, len(orbit), down))
         reached += down.values()
-        reached += [space.step(head, a, -1) for a in space.up(head)]
-    reps = [space.rep(k) for k, _, _ in heads]
+        reached += [poset.step(head, a, -1) for a in poset.up(head)]
+    reps = [poset.rep(k) for k, _, _ in heads]
     for (_, size, down), rep in zip(heads, reps):
-        sites = [(e, space.index[poset.fiber_key(e)]) for e in rep.elements]
+        sites = [(e, poset.index[poset.fiber_key(e)]) for e in rep.elements]
         rep.edges = tuple((e, reps[class_of[down[a]]]) for e, a in sites
                           if a in down)
         rep.orbit_len = size
@@ -423,11 +416,11 @@ def enumerate_classes(poset, mode: str = "full",
 
 
 def connect(rep1: AntichainRep, rep2: AntichainRep,
-            mode: str = "zp") -> list[tuple]:
+            mode: str) -> list[tuple]:
     """Mutation moves taking rep1 to a translate of rep2.
 
     Returns [(fiber_key, +1 | -1), ...]; +1 is a downward mutation (remove a
-    minimal element of the upper set).  A BFS over the level-space points
+    minimal element of the upper set).  A BFS over the poset's level points
     (fiber keys are shift-invariant, so the moves replay verbatim) from
     rep1's point: each point's down sites, then its up sites, each in the
     order of the members' coordinates.  It stops after expanding the first
@@ -435,19 +428,19 @@ def connect(rep1: AntichainRep, rep2: AntichainRep,
     """
     if rep1.poset is not rep2.poset:
         raise NotAntichain("antichains live on different posets")
-    poset, space = rep1.poset, rep1.poset.space
-    target = set(space.orbit(space.point(rep2), mode))
-    start = space.point(rep1)
+    poset = rep1.poset
+    target = set(poset.orbit(poset.point(rep2), mode))
+    start = poset.point(rep1)
     parents = {start: None}
     goal = start if start in target else None
     frontier = [start]
     while frontier and goal is None:
         nxt = []
         for k in frontier:
-            for direction, sites in ((1, space.down(k)), (-1, space.up(k))):
+            for direction, sites in ((1, poset.down(k)), (-1, poset.up(k))):
                 for a in sorted(sites, key=lambda a: poset.element(
                         poset.fibers[a], k[a]).coords):
-                    c = space.step(k, a, direction)
+                    c = poset.step(k, a, direction)
                     if c not in parents:
                         parents[c] = (k, a, direction)
                         nxt.append(c)
@@ -465,9 +458,9 @@ def connect(rep1: AntichainRep, rep2: AntichainRep,
     moves.reverse()
     k = start
     for a, direction in moves:
-        if a not in (space.down(k) if direction == 1 else space.up(k)):
+        if a not in (poset.down(k) if direction == 1 else poset.up(k)):
             raise InternalInvariantBroken("replaying the mutation walk failed")
-        k = space.step(k, a, direction)
+        k = poset.step(k, a, direction)
     if k not in target:
         raise InternalInvariantBroken("replaying the mutation walk failed")
     return [(poset.fibers[a], direction) for a, direction in moves]

@@ -561,6 +561,31 @@ def test_verify_reaches_the_coset_bound_before_the_oracle(tmp_path):
                "e1764087fd89479ee68ead2ad88fa93a")
 
 
+def test_cuts_refuses_a_group_before_building_its_cut_data(tmp_path, capsys,
+                                                           monkeypatch):
+    """The detector guard needs only m = |G/Zp| and d = n - 1, so a group
+    whose search it refuses never reaches data_of_group and the Smith
+    forms of L/B (0.5-0.7 s on this group while it came first); the bytes
+    are those recorded then."""
+    calls = []
+    data_of_group = cuts.data_of_group
+
+    def counted(ctx):
+        calls.append(ctx)
+        return data_of_group(ctx)
+
+    monkeypatch.setattr(cuts, "data_of_group", counted)
+    doc = {"group": {"free_rank": 1,
+                     "torsion_orders": [10 ** 2200 + 7, 10 ** 4299 + 9],
+                     "degrees": [[1, 0, 0], [1, 1, 0], [1, 0, 1]]}}
+    code = main(["cuts", _write(tmp_path, doc)])
+    out = capsys.readouterr().out
+    assert code == 2 and calls == []
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "087d2835c6d91e846f498b3c0bcc6c4a"
+               "b108c48e704796e9ac08639deac55027")
+
+
 def test_closed_stdout_exits_2_without_traceback(tmp_path):
     """The P1xP3 report is 291 KB, more than a pipe holds, so the write
     fails once the reader has gone."""
@@ -714,14 +739,14 @@ def test_paper_ceiling_stops_the_walk_at_the_next_orbit(tmp_path, capsys,
                                                         monkeypatch):
     """P(3,4,5) has 48 classes up to shifts, in 4 orbits of 12: at a
     ceiling of 3 the orbit walk forms the 4th orbit, once, and stops."""
-    translates = us._LevelSpace.translates
+    translates = us.GroupPoset.translates
     orbits = []
 
-    def counted(space, k):
+    def counted(poset, k):
         orbits.append(k)
-        return translates(space, k)
+        return translates(poset, k)
 
-    monkeypatch.setattr(us._LevelSpace, "translates", counted)
+    monkeypatch.setattr(us.GroupPoset, "translates", counted)
     code, report = _run(capsys, ["classify", _write(tmp_path, P345),
                                  "--max-classes", "3"])
     assert code == 2 and report["error"]["type"] == "ClassCountExceeded"

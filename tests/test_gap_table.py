@@ -73,11 +73,10 @@ def _rank2_posets(ctx):
         for base in us.enumerate_classes(h_poset, "zp")]
 
 
-def _check_point(space, k, counts):
-    """Run the element-level routines on the level-space point k: the
+def _check_point(poset, k, counts):
+    """Run the element-level routines on the poset's level point k: the
     antichain tests, both site scans, and each move."""
-    poset = space.poset
-    rep = space.rep(k)
+    rep = poset.rep(k)
     elements = list(rep.elements)
     assert (us.is_antichain_rep(poset, elements)
             == is_antichain_rep_elementwise(poset, elements)
@@ -87,9 +86,9 @@ def _check_point(space, k, counts):
         assert local_check_elementwise(poset, rep.by_fiber)
         counts["local"] += 1
     for direction, sites, table_scan, reference in (
-            (1, space.down(k), us.mutable_elements,
+            (1, poset.down(k), us.mutable_elements,
              mutable_elements_elementwise),
-            (-1, space.up(k), us.upward_mutable_elements,
+            (-1, poset.up(k), us.upward_mutable_elements,
              upward_mutable_elements_elementwise)):
         at = {rep.by_fiber[poset.fibers[a]]: a for a in sites}
         assert (sorted(at, key=lambda e: e.coords)
@@ -98,7 +97,7 @@ def _check_point(space, k, counts):
             moved = us.AntichainRep(poset, [
                 poset.shift(e, direction) if e == m else e
                 for e in elements])
-            assert (space.rep(space.step(k, a, direction)).key()
+            assert (poset.rep(poset.step(k, a, direction)).key()
                     == canonical_form_elementwise(moved).key())
         counts["sites"] += 1
     _perturb(poset, elements, counts)
@@ -126,7 +125,7 @@ def test_table_agrees_with_the_order_on_every_visited_state(name):
     counts = {"states": 0, "local": 0, "sites": 0, "perturbed": 0}
     for poset, _ in _posets(name):
         for rep in us.enumerate_classes(poset, "zp"):
-            _check_point(poset.space, poset.space.point(rep), counts)
+            _check_point(poset, poset.point(rep), counts)
     assert counts["states"] and counts["sites"]
     assert bool(counts["local"]) == (name in RANK1)
     assert bool(counts["perturbed"]) == (name in RANK1
@@ -355,17 +354,17 @@ def test_full_canonical_forms_project_few_elements(monkeypatch):
 
 
 def _count_scans(monkeypatch) -> collections.Counter:
-    """Count the level space's translate and site scans, and the orbits
+    """Count the poset's translate and site scans, and the orbits
     every walk returns."""
     calls = collections.Counter()
 
     def counted(name):
-        method = getattr(us._LevelSpace, name)
+        method = getattr(us.GroupPoset, name)
 
-        def call(space, *args):
+        def call(poset, *args):
             calls[name] += 1
-            return method(space, *args)
-        monkeypatch.setattr(us._LevelSpace, name, call)
+            return method(poset, *args)
+        monkeypatch.setattr(us.GroupPoset, name, call)
 
     for name in ("translates", "down", "up"):
         counted(name)
@@ -437,10 +436,10 @@ def test_a_point_the_walk_misses_is_caught_by_the_cut_count(monkeypatch,
     and only the count against the cuts of type gamma can notice."""
     ctx = _ctx(*RANK1[name])
     poset = us.GroupPoset(ctx)
-    points = [poset.space.point(rep)
+    points = [poset.point(rep)
               for rep in us.enumerate_classes(poset, "zp")]
     dropped = points[-1]
-    down, up = us._LevelSpace.down, us._LevelSpace.up
+    down, up = us.GroupPoset.down, us.GroupPoset.up
 
     def missing(scan, direction):
         def sites(self, k):
@@ -448,9 +447,9 @@ def test_a_point_the_walk_misses_is_caught_by_the_cut_count(monkeypatch,
                     if self.step(k, a, direction) != dropped]
         return sites
 
-    monkeypatch.setattr(us._LevelSpace, "down", missing(down, 1))
-    monkeypatch.setattr(us._LevelSpace, "up", missing(up, -1))
-    assert [poset.space.point(rep)
+    monkeypatch.setattr(us.GroupPoset, "down", missing(down, 1))
+    monkeypatch.setattr(us.GroupPoset, "up", missing(up, -1))
+    assert [poset.point(rep)
             for rep in us.enumerate_classes(poset, "zp")] == points[:-1]
     with pytest.raises(InternalInvariantBroken, match="miss a cut"):
         tilting.classify_rank1(ctx, "zp")

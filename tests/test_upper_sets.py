@@ -1,4 +1,5 @@
 import ast
+import collections
 import hashlib
 import importlib
 from pathlib import Path
@@ -175,7 +176,7 @@ def test_class_ceiling_counts_orbits(ctx_p23, monkeypatch):
     bound, max_classes * len(fibers) points, holds: with every point made
     its own orbit, P(2,3)'s 10 points are 10 classes."""
     from stacktilt.errors import ClassCountExceeded
-    monkeypatch.setattr(us._LevelSpace, "translates", lambda space, k: [k])
+    monkeypatch.setattr(us.GroupPoset, "translates", lambda poset, k: [k])
     poset = _poset(ctx_p23)
     assert len(us.enumerate_classes(poset, "full", max_classes=10)) == 10
     with pytest.raises(ClassCountExceeded):
@@ -196,25 +197,24 @@ def test_orbit_sizes_add_up_to_the_zp_classes(ctx_p23, ctx_zz2_d1, ctx_zz2_d2,
 
 def test_paper_mode_keys_one_point_per_class(z_group, monkeypatch):
     """P(5,7,11) has 43 classes over 989 points.  Each orbit's head is the
-    least key, min(orbit, key=space.key), but only points whose least
+    least key, min(orbit, key=poset.key), but only points whose least
     member is least are keyed: here one per class."""
     ctx = GradedDegreeGroup.build(
         z_group, [z_group.canonicalize([w]) for w in (5, 7, 11)])
     keyed = []
-    key = us._LevelSpace.key
+    key = us.GroupPoset.key
 
-    def counted(space, k):
+    def counted(poset, k):
         keyed.append(k)
-        return key(space, k)
-    monkeypatch.setattr(us._LevelSpace, "key", counted)
+        return key(poset, k)
+    monkeypatch.setattr(us.GroupPoset, "key", counted)
     poset = _poset(ctx)
     classes = us.enumerate_classes(poset, "full")
     assert len(classes) == 43 and len(keyed) == 43
-    space = poset.space
     assert sum(rep.orbit_len for rep in classes) == 989
     for rep in classes:
-        k = space.point(rep)
-        assert k == min(space.translates(k), key=lambda t: key(space, t))
+        k = poset.point(rep)
+        assert k == min(poset.translates(k), key=lambda t: key(poset, t))
 
 
 def _library_references(module) -> set:
@@ -240,16 +240,23 @@ def _library_references(module) -> set:
     return used
 
 
-def _traced(module) -> set:
-    """The top-level names of module that the benchmark tracer wraps or
-    reads (perfbench/tracing.py, read here, not imported)."""
+def _tracer_entries() -> set:
+    """(module, attribute path) of every entry point the benchmark tracer
+    wraps or reads (perfbench/tracing.py, read here, not imported)."""
     tracing = Path(us.__file__).parents[2] / "perfbench" / "tracing.py"
-    return {entry[1].split(".")[0]
+    return {tuple(entry[:2])
             for node in ast.parse(tracing.read_text()).body
             if isinstance(node, ast.Assign)
             and {t.id for t in node.targets} & {"SPANS", "COUNTERS"}
-            for entry in ast.literal_eval(node.value)
-            if entry[0] == Path(module.__file__).stem}
+            for entry in ast.literal_eval(node.value)}
+
+
+def _traced(module) -> set:
+    """The top-level names of module that the benchmark tracer wraps or
+    reads."""
+    stem = Path(module.__file__).stem
+    return {path.split(".")[0] for owner, path in _tracer_entries()
+            if owner == stem}
 
 
 def _defined(module) -> list:
@@ -285,6 +292,61 @@ def test_every_library_name_has_a_caller(name):
         == _TRACED_ONLY.get(name, set())
 
 
+def _uncalled_methods() -> list:
+    """(module, "Class.method") for each non-dunder method of a library
+    class whose name nothing in the library references outside the
+    method's own definition."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(Path(us.__file__).parent.glob("*.py"))}
+    references = collections.defaultdict(list)
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                references[n.id].append(id(n))
+            elif isinstance(n, ast.Attribute):
+                references[n.attr].append(id(n))
+    uncalled = []
+    for stem, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if (not isinstance(fn, ast.FunctionDef)
+                        or fn.name.startswith("__")
+                        and fn.name.endswith("__")):
+                    continue
+                own = {id(n) for n in ast.walk(fn)}
+                if all(r in own for r in references[fn.name]):
+                    uncalled.append((stem, f"{cls.name}.{fn.name}"))
+    return uncalled
+
+
+def test_every_library_method_has_a_caller():
+    """Each method of a library class is used somewhere in the library
+    other than its own definition, or is an entry point the benchmark
+    tracer wraps.  Only GradedDegreeGroup's hom_dim and monomials are
+    uncalled in the library: the tests call them, and the tracer names
+    them."""
+    uncalled = _uncalled_methods()
+    assert [m for m in uncalled if m not in _tracer_entries()] == []
+    assert uncalled == [
+        ("graded_order", "GradedDegreeGroup.hom_dim"),
+        ("graded_order", "GradedDegreeGroup.monomials")]
+
+
+@pytest.mark.parametrize("call", [
+    lambda poset, rep: us.enumerate_classes(poset, "paper"),
+    lambda poset, rep: us.canonical_form(rep, "paper"),
+    lambda poset, rep: us.connect(rep, rep, "paper"),
+], ids=["enumerate_classes", "canonical_form", "connect"])
+def test_an_unknown_mode_is_refused(ctx_p23, call):
+    """The class walk, canonical forms and the mutation walk all read a
+    class through GroupPoset.orbit, which knows only "full" and "zp"."""
+    poset = _poset(ctx_p23)
+    with pytest.raises(ValueError, match="unknown canonical form mode"):
+        call(poset, us.seed_slab(poset))
+
+
 def test_every_upper_sets_name_has_a_library_caller():
     traced, used = _traced(us), _library_references(us)
     assert {"connect", "enumerate_classes", "mutate"} <= used
@@ -308,12 +370,12 @@ def test_zp_walk_scans_each_point_once(z_group, monkeypatch):
     ctx = GradedDegreeGroup.build(
         z_group, [z_group.canonicalize([w]) for w in (5, 7, 11)])
     scans = []
-    down = us._LevelSpace.down
+    down = us.GroupPoset.down
 
-    def counted(space, k):
+    def counted(poset, k):
         scans.append(k)
-        return down(space, k)
-    monkeypatch.setattr(us._LevelSpace, "down", counted)
+        return down(poset, k)
+    monkeypatch.setattr(us.GroupPoset, "down", counted)
     classes = us.enumerate_classes(_poset(ctx), "zp")
     assert len(classes) == 989 and len(scans) == 989
     listing = repr([(rep.key(), [(e.coords, n.key()) for e, n in rep.edges],
