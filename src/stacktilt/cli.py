@@ -287,7 +287,7 @@ def cmd_mutate(args) -> int:
                           "line_bundles": mutated.degrees_json()}})
         return 0
     target = _find_class(classes, args.walk_to)
-    if tc.rank == 2 and (tc.base is not target.base):
+    if tc.rep.poset is not target.rep.poset:
         raise InputError("classes live over different base classes",
                          source=tc.class_id, target=target.class_id)
     moves = us.connect(tc.rep, target.rep, mode=tc.translation)
@@ -416,11 +416,18 @@ def cmd_cuts(args) -> int:
     return 0
 
 
+def non_negative_int(token: str) -> int:
+    """An int option refused below 0, a ceiling that no walk can keep."""
+    if int(token) < 0:
+        raise ValueError(token)
+    return int(token)
+
+
 _CLASSIFIES = (
     ("--mode", {"choices": ("paper", "zp"), "default": "paper",
                 "help": "class counting: full translations (paper) "
                         "or shifts by p only"}),
-    ("--max-classes", {"type": int, "default": 10_000}),
+    ("--max-classes", {"type": non_negative_int, "default": 10_000}),
 )
 _FIELD = ("--field", {"help": '"Q" or "F<p>"'})
 

@@ -37,8 +37,7 @@ from .stacky_geom import CohomologyOracle
 class TiltingClass:
     def __init__(self, rank: int, ctx: GradedDegreeGroup,
                  rep: us.AntichainRep, quiver: QuiverPresentation,
-                 class_id: str, table: dict, translation: str = "zp",
-                 base: Optional[us.AntichainRep] = None):
+                 class_id: str, table: dict, translation: str = "zp"):
         self.rank = rank
         self.ctx = ctx
         self.rep = rep
@@ -46,7 +45,6 @@ class TiltingClass:
         self.class_id = class_id
         self.table = table              # arrow_table of rep's poset
         self.translation = translation  # the canonical_form mode counted in
-        self.base = base                # rank two: the J-class over H
 
     @property
     def elements(self) -> tuple[GroupElement, ...]:
@@ -191,15 +189,15 @@ def _certify_rank1(ctx: GradedDegreeGroup, classes: list[TiltingClass],
     return out
 
 
-def _tilting_class(table: dict, rep: us.AntichainRep, translation: str,
-                   base: Optional[us.AntichainRep] = None) -> TiltingClass:
+def _tilting_class(table: dict, rep: us.AntichainRep,
+                   translation: str) -> TiltingClass:
     """The class of rep with its endomorphism quiver read off table."""
     ctx = rep.poset.ctx
     rank = ctx.group.free_rank
     return TiltingClass(rank=rank, ctx=ctx, rep=rep,
                         quiver=endomorphism_quiver(table, rep),
                         class_id=_class_id(rank, rep.elements), table=table,
-                        translation=translation, base=base)
+                        translation=translation)
 
 
 def classify_rank1(ctx: GradedDegreeGroup, mode: str = "paper",
@@ -259,34 +257,16 @@ def _certify_rank2(h_poset: us.GroupPoset) -> None:
     arrow_table(h_poset)
 
 
-def _stabilizer_merged_count(split: SignSplit, base: us.AntichainRep,
-                             inner: list[us.AntichainRep]) -> int:
-    """Inner classes identified also under translations fixing the base.
-
-    A translation fixing the finite base class setwise preserves its theta
-    multiset, so it must be torsion in H; only those are tried.  They form
-    a group, so the translates of one class are its whole orbit.  Each
-    lift moves the classes' points by its level offsets, read once.
-    """
-    h_group = split.h_ctx.group
-    base_set = set(rep_h.coords for rep_h in base.elements)
-    stab = []
-    for tors in itertools.product(*(range(o) for o in h_group.torsion_orders)):
-        cand = h_group.from_coords(tors + (0,) * h_group.free_rank)
-        if cand.is_zero():
-            continue
-        if {(e + cand).coords for e in base.elements} == base_set:
-            stab.append(cand)
+def _stabilizer_merged_count(inner: list[us.AntichainRep]) -> int:
+    """Inner classes identified also under the translations fixing their
+    base class: the distinct full orbits (GroupPoset.orbit) of their
+    points.  The translations form a group, so each orbit is whole."""
     poset = inner[0].poset
-    lifts = [poset.offsets(split.q.section(t)) for t in stab]
     known = {poset.point(rep) for rep in inner}
-    orbits = set()
-    for k in known:
-        orbit = frozenset([k, *(poset.translate(k, moves) for moves in lifts)])
-        if not orbit <= known:
-            raise InternalInvariantBroken(
-                "stabilizer translate left the class list")
-        orbits.add(orbit)
+    orbits = {frozenset(poset.orbit(k, "full")) for k in known}
+    if not set().union(*orbits) <= known:
+        raise InternalInvariantBroken(
+            "stabilizer translate left the class list")
     return len(orbits)
 
 
@@ -316,9 +296,8 @@ def classify_rank2(ctx: GradedDegreeGroup, mode: str = "paper",
             raise ClassCountExceeded("class enumeration exceeded the ceiling",
                                      ceiling=max_classes) from None
         budget -= len(inner)
-        classes = [_tilting_class(table, rep, "zp", base)
-                   for rep in inner]
-        merged = _stabilizer_merged_count(split, base, inner)
+        classes = [_tilting_class(table, rep, "zp") for rep in inner]
+        merged = _stabilizer_merged_count(inner)
         groups.append(Rank2Group(base=base,
                                  base_id=_class_id(0, base.elements),
                                  classes=classes,
@@ -332,7 +311,7 @@ def apr_mutate(tclass: TiltingClass, m: GroupElement) -> TiltingClass:
     one also the cut).  The id is that of the class the mutated set lies
     in."""
     rep = us.mutate(tclass.rep, m)
-    tc = _tilting_class(tclass.table, rep, tclass.translation, tclass.base)
+    tc = _tilting_class(tclass.table, rep, tclass.translation)
     tc.class_id = _class_id(tc.rank, us.canonical_form(
         rep, tc.translation).elements)
     if tc.rank == 1:

@@ -27,10 +27,14 @@ class GroupPoset:
 
     Whole-group form (over=None): the fibers are the cosets of G modulo the
     shift, which defaults to p; their number must be finite, which for the
-    in-scope inputs means free rank one.  Fibered form (over=(split, base)):
-    q^{-1}(J) inside a rank-two G, one shift orbit per element h of the base
-    class J over H = G/Zp, with projection split.q and samples
-    split.q.section(h).
+    in-scope inputs means free rank one.  Its translations are those by the
+    fiber samples, all translations modulo the shift.  Fibered form
+    (over=(split, base)): q^{-1}(J) inside a rank-two G, one shift orbit
+    per element h of the base class J over H = G/Zp, with projection
+    split.q and samples split.q.section(h).  Its translations are the lifts
+    split.q.section(t) of the t in H fixing J setwise; such a t keeps J's
+    theta multiset, so it is torsion, and tors(H) embeds in H/Zs, whose
+    cosets H's coset_reps has capped at 256, so the search is bounded.
 
     The poset's classes up to shifts are integer points.  A class is the
     level vector k, over self.fibers, of its members s_a + k_a*shift; the
@@ -54,6 +58,7 @@ class GroupPoset:
         self.level = functools.cache(self._level)
         self.element = functools.cache(self._element)
         self.whole_group = over is None
+        self.over = over
         if over is None:
             reps, _, self._proj = ctx.coset_reps(self.shift_element)
             self._samples = {self._proj(r).coords: r for r in reps}
@@ -169,11 +174,17 @@ class GroupPoset:
 
     @functools.cached_property
     def _translations(self) -> list:
-        """The offsets of the translation by each fiber sample."""
-        if not self.whole_group:
-            raise ValueError("translations by fiber samples need the whole "
-                             "group")
-        return [self.offsets(self._samples[c]) for c in self.fibers]
+        """The offsets of each translation (see the class docstring), the
+        identity included."""
+        if self.whole_group:
+            return [self.offsets(self._samples[c]) for c in self.fibers]
+        split, base = self.over
+        h_group, members = split.h_ctx.group, set(base.elements)
+        free = (0,) * h_group.free_rank
+        torsion = (h_group.from_coords(t + free) for t in itertools.product(
+            *(range(o) for o in h_group.torsion_orders)))
+        return [self.offsets(split.q.section(t)) for t in torsion
+                if {h + t for h in base.elements} == members]
 
     def translates(self, k: tuple) -> list[tuple]:
         """The points of k's orbit under all translations."""
@@ -323,10 +334,9 @@ def canonical_form(rep: AntichainRep, mode: str) -> AntichainRep:
     enumerate_classes names its classes by.
 
     mode "zp": translate by a multiple of the shift so min theta lands in
-    [0, theta_p).  mode "full": additionally minimize over the translations
-    by the fiber samples, i.e. all translations modulo the shift (the "up
-    to translations" counting used for class reporting).  rep itself is
-    returned when it is the winner.
+    [0, theta_p).  mode "full": additionally minimize over the poset's
+    translations (the "up to translations" counting used for class
+    reporting).  rep itself is returned when it is the winner.
     """
     poset = rep.poset
     k = poset.head(poset.orbit(poset.point(rep), mode))

@@ -171,6 +171,34 @@ def _slab_shift_elementwise(rep: AntichainRep) -> AntichainRep:
                                 for e in rep.elements])
 
 
+def _stabilizer_elementwise(split, base: AntichainRep) -> list:
+    """The torsion elements t of H with base + t = base as sets, the
+    identity included, found by adding t to every member."""
+    h_group = split.h_ctx.group
+    base_set = {e.coords for e in base.elements}
+    stab = []
+    for tors in itertools.product(*(range(o) for o in h_group.torsion_orders)):
+        cand = h_group.from_coords(tors + (0,) * h_group.free_rank)
+        if {(e + cand).coords for e in base.elements} == base_set:
+            stab.append(cand)
+    return stab
+
+
+def _translates_elementwise(rep: AntichainRep) -> list[AntichainRep]:
+    """rep moved by every translation of its poset, built as elements: the
+    fiber samples on the whole group, the lifts of the base class's
+    stabilizer on a fibered poset."""
+    poset = rep.poset
+    if poset.whole_group:
+        moves = [poset.fiber_sample(c) for c in poset.fibers]
+    else:
+        split, base = poset.over
+        moves = [split.q.section(t)
+                 for t in _stabilizer_elementwise(split, base)]
+    return [_slab_shift_elementwise(AntichainRep(
+        poset, [e + t for e in rep.elements])) for t in moves]
+
+
 def canonical_form_elementwise(rep: AntichainRep,
                                mode: str = "zp") -> AntichainRep:
     """upper_sets.canonical_form by group arithmetic: every translate is
@@ -180,23 +208,17 @@ def canonical_form_elementwise(rep: AntichainRep,
         return _slab_shift_elementwise(rep)
     if mode != "full":
         raise ValueError(f"unknown canonical form mode {mode!r}")
-    poset = rep.poset
-    return min((_slab_shift_elementwise(AntichainRep(
-        poset, [e + poset.fiber_sample(c) for e in rep.elements]))
-        for c in poset.fibers), key=AntichainRep.key)
+    return min(_translates_elementwise(rep), key=AntichainRep.key)
 
 
 def orbit_size_elementwise(rep: AntichainRep, mode: str) -> int:
     """How many classes up to shifts rep's mode-class holds: the distinct
-    zp canonical forms among its translates by the fiber samples, built
-    as elements (1 in zp mode).  The reference for the orbit_len that
+    zp canonical forms among its translates, built as elements (1 in zp
+    mode).  The reference for the orbit_len that
     upper_sets.enumerate_classes records."""
     if mode == "zp":
         return 1
-    poset = rep.poset
-    return len({_slab_shift_elementwise(AntichainRep(
-        poset, [e + poset.fiber_sample(c) for e in rep.elements])).key()
-        for c in poset.fibers})
+    return len({moved.key() for moved in _translates_elementwise(rep)})
 
 
 def connect_elementwise(rep1: AntichainRep, rep2: AntichainRep,
@@ -258,14 +280,7 @@ def stabilizer_merged_count_elementwise(split, base: AntichainRep,
     """tilting._stabilizer_merged_count by group arithmetic: every
     stabilizer translate of every inner class is built as elements and
     slab-shifted by its own thetas."""
-    h_group = split.h_ctx.group
-    base_set = {e.coords for e in base.elements}
-    stab = []
-    for tors in itertools.product(*(range(o) for o in h_group.torsion_orders)):
-        cand = h_group.from_coords(tors + (0,) * h_group.free_rank)
-        if not cand.is_zero() and {(e + cand).coords
-                                   for e in base.elements} == base_set:
-            stab.append(cand)
+    stab = _stabilizer_elementwise(split, base)
     known = {rep.key() for rep in inner}
     orbits = set()
     for rep in inner:

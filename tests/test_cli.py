@@ -162,13 +162,14 @@ LATTICE = {"d": 1, "b_generators": [[5, -5]], "gamma": [2, 3]}
     ({"group": {"free_rank": 1, "degrees": [[1], [1], [1]]}},
      ["cohomology", "--twist", "[1000000000000, 0, 0]", "--r", "0"]),
     (P23, ["cohomology", "--twist", "[" + "9" * 4300 + ", 0]", "--r", "0"]),
+    (P23, ["classify", "--max-classes", "-1"]),
 ], ids=["twist-json", "at-json", "set-json", "lattice-no-d", "gamma-str",
         "gamma-float", "field-flag", "field-doc", "doc-number",
         "polytope-list", "vertex-str", "degree-number", "free-rank-float",
         "d-float", "twist-float",
         "twist-bool", "at-float", "set-entry", "F4", "Fp-6", "verify-F9",
         "set-and-class", "class-negative", "twist-fiber-too-large",
-        "twist-coords-unprintable"])
+        "twist-coords-unprintable", "max-classes-negative"])
 def test_malformed_input_exits_2(tmp_path, capsys, doc, argv):
     path = _write(tmp_path, doc)
     code = main(argv[:1] + [path] + argv[1:])
@@ -693,13 +694,28 @@ P2 = {"group": {"free_rank": 1, "torsion_orders": [],
                  "degrees": [[1], [1], [1]]}}
 
 
-@pytest.mark.parametrize("ceiling", ["0", "-5"])
+@pytest.mark.parametrize("ceiling", ["0"])
 def test_max_classes_below_one(tmp_path, capsys, ceiling):
-    # P^2 has one class; a ceiling below 1 refuses even the first
+    # P^2 has one class; a ceiling of 0 refuses even the first
     code, doc = _run(capsys, ["classify", _write(tmp_path, P2),
                               "--max-classes", ceiling])
     assert code == 2 and doc["error"]["type"] == "ClassCountExceeded"
     assert doc["error"]["details"] == {"ceiling": int(ceiling)}
+
+
+@pytest.mark.parametrize("command", ["classify", "mutate", "verify"])
+def test_a_negative_max_classes_is_refused_by_name(tmp_path, capsys,
+                                                   command):
+    """A ceiling below 0, which every walk would overrun, is a bad command
+    line in each command that classifies: argparse refuses it, naming the
+    option, and the scan leaves it to argparse."""
+    argv = [command, _write(tmp_path, P2), "--max-classes", "-5"]
+    if command == "mutate":
+        argv += ["--class", "0", "--at", "[0]"]
+    code, doc = _run(capsys, argv)
+    assert code == 2 and doc["error"]["type"] == "InputError"
+    assert "--max-classes" in doc["error"]["message"]
+    assert cli._scan(argv) is None
 
 
 P1P2 = {"group": {"free_rank": 2, "torsion_orders": [],

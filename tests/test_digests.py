@@ -122,6 +122,22 @@ def test_pinned_rank2_torsion_report(mode, tmp_path, capsys):
     assert [code, _sha256(capsys.readouterr().out)] == [0, TORSION_PINS[mode]]
 
 
+# Z^2 + Z/3, paper mode (18 base classes, 899 classes): H = Z + Z/6, and
+# its base classes have stabilizers of order 2, 3 and 6, the only one of
+# order 6 among the inputs, so its merged counts read the most lifts.  Its
+# zp report (8,908 classes) is left out.
+Z3_DOC = {"group": {"free_rank": 2, "torsion_orders": [3],
+                    "degrees": [[1, 0, 0], [1, 0, 1], [0, 1, 2], [0, 1, 0]]}}
+Z3_PAPER_PIN = "46f2ef2f1abe702b4a1f33bca21f13ab0005e001c5176012b595758b6b446a70"
+
+
+def test_pinned_rank2_order_three_stabilizer_report(tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(Z3_DOC), encoding="utf-8")
+    code = cli.main(["classify", str(path)])
+    assert [code, _sha256(capsys.readouterr().out)] == [0, Z3_PAPER_PIN]
+
+
 @pytest.mark.parametrize("seed", [workloads.DEFAULT_SEED, 1, 2])
 def test_every_benchmark_command_line_is_scanned(seed):
     """Each job's command line is read from the command table, not by

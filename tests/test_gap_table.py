@@ -65,11 +65,12 @@ def _posets(name):
 
 def _rank2_posets(ctx):
     """H with shift s, and the fibered poset over every base class up to
-    s-shifts (the classifier walks those in zp mode only)."""
+    s-shifts, each in both modes (the classifier walks the fibered posets
+    in zp mode, and counts their full orbits)."""
     split = ctx.sign_split()
     h_poset = us.GroupPoset(split.h_ctx, shift_element=split.s)
     return [(h_poset, ("full", "zp"))] + [
-        (us.GroupPoset(ctx, over=(split, base)), ("zp",))
+        (us.GroupPoset(ctx, over=(split, base)), ("full", "zp"))
         for base in us.enumerate_classes(h_poset, "zp")]
 
 
@@ -298,11 +299,21 @@ def test_level_space_forms_on_base_and_inner_posets(name):
         _assert_forms_agree(poset, modes, rng)
 
 
-def test_full_translations_need_the_whole_group():
-    inner, _ = _posets("P1xP2")[1]
-    rep = us.enumerate_classes(inner, "zp")[0]
-    with pytest.raises(ValueError, match="whole group"):
-        us.canonical_form(rep, "full")
+def test_full_forms_on_fibered_posets_match_the_elementwise_forms():
+    """On a fibered poset, "full" is up to the lifts of the translations
+    fixing the base class: the canonical form of every zp class over each
+    base of Z^2 + Z/2, and of its shift translates, is the least of its
+    translates by those lifts, built as elements.  Some base's lifts merge
+    classes, so the forms are not all zp forms."""
+    rng, merged = random.Random("Z2+Z/2"), 0
+    for poset, _ in _rank2_posets(_ctx(*RANK2_CORPUS["Z2+Z/2"]))[1:]:
+        for rep in us.enumerate_classes(poset, "zp"):
+            for moved in _with_translates(poset, rep, rng):
+                form = us.canonical_form(moved, "full")
+                assert form.key() == canonical_form_elementwise(
+                    moved, "full").key()
+                merged += form.key() != rep.key()
+    assert merged
 
 
 @pytest.mark.parametrize("degrees", [
@@ -482,16 +493,17 @@ def test_every_walk_scans_each_orbit_once_each_way(monkeypatch, name, mode):
     in each direction, in either mode: in zp mode, one down scan and one
     up scan per point.  Counts as pinned: P2xP2 paper 63 (66 down scans
     when edges were re-read at heads), P1xP3 paper 38 (40), P(5,7,11) zp
-    989.  Only paper mode's walk of the whole group or of H forms
-    translates, once per orbit."""
+    989.  In zp mode only rank two's merged count forms translates, once
+    per inner class."""
     calls = _count_scans(monkeypatch)
-    _classify(name, mode)
+    classes = _classify(name, mode)
     assert calls["down"] == calls["up"] == calls["orbits"]
     pinned = {("P2xP2", "paper"): 63, ("P1xP3", "paper"): 38,
               ("P(5,7,11)", "zp"): 989}
     assert calls["orbits"] == pinned.get((name, mode), calls["orbits"])
     if mode == "zp":
-        assert calls["translates"] == 0
+        rank2 = name in RANK2_CORPUS
+        assert calls["translates"] == (len(classes) if rank2 else 0)
 
 
 def _assert_modes_agree(poset, modes):

@@ -374,7 +374,7 @@ def test_certify_rank1_rejects_perturbed_quivers():
         perturbed = list(classes)
         perturbed[k] = tilting.TiltingClass(
             tc.rank, tc.ctx, tc.rep, quiver, tc.class_id, tc.table,
-            tc.translation, tc.base)
+            tc.translation)
         with pytest.raises(InternalInvariantBroken):
             tilting._certify_rank1(ctx, perturbed, *cut_data)
 
@@ -433,6 +433,19 @@ def test_stabilizer_count_matches_the_elementwise_count(name):
             result.split, grp.base, [tc.rep for tc in grp.classes])
 
 
+@pytest.mark.parametrize("name", list(_RANK2_CORPUS))
+def test_the_full_walk_over_each_base_finds_the_merged_classes(name):
+    """A second route to merged_class_count: the full walk of each base
+    class's poset forms one class per orbit of the translations fixing
+    the base, and its orbits hold the zp classes, each once."""
+    result = tilting.classify_rank2(_ctx(*_RANK2_CORPUS[name]), "paper")
+    for grp in result.groups:
+        poset = grp.classes[0].rep.poset
+        full = us.enumerate_classes(poset, "full")
+        assert len(full) == grp.merged_class_count
+        assert sum(rep.orbit_len for rep in full) == len(grp.classes)
+
+
 def test_a_stabilizer_translate_off_the_class_list_is_caught():
     """Drop each inner class of a base class in turn: where a translate of
     another class was the dropped one, both counts refuse the list."""
@@ -449,24 +462,25 @@ def test_a_stabilizer_translate_off_the_class_list_is_caught():
             refused += 1
             with pytest.raises(InternalInvariantBroken,
                                match="stabilizer translate left the class"):
-                tilting._stabilizer_merged_count(split, grp.base, kept)
+                tilting._stabilizer_merged_count(kept)
         else:
-            assert tilting._stabilizer_merged_count(split, grp.base,
-                                                    kept) == expected
+            assert tilting._stabilizer_merged_count(kept) == expected
     assert refused
 
 
 def test_a_stabilizer_lift_off_the_fibers_is_an_internal_fault(monkeypatch):
     """A lift over no fiber of the poset has no level; moving it past s
-    (J and J + s are disjoint) must be refused as a fault, not crash."""
+    (J and J + s are disjoint) must be refused as a fault, not crash.  A
+    poset caches its translations, so a fresh one meets the moved lifts."""
     result, merging = _merging_groups("z2-torsion")
     split, grp = result.split, merging[0]
+    poset = us.GroupPoset(grp.classes[0].ctx, over=(split, grp.base))
+    inner = us.enumerate_classes(poset, "zp")
     section = GroupHom.section
     monkeypatch.setattr(GroupHom, "section",
                         lambda hom, h: section(hom, h + split.s))
     with pytest.raises(InternalInvariantBroken, match="leaves the poset"):
-        tilting._stabilizer_merged_count(split, grp.base,
-                                         [tc.rep for tc in grp.classes])
+        tilting._stabilizer_merged_count(inner)
 
 
 def test_certificates_run_once_per_classification(ctx_p23, monkeypatch):
@@ -601,7 +615,7 @@ def test_mutation_closure_rank2(ctx_p1p1):
                         nxt.append(tilting.TiltingClass(
                             rank=2, ctx=tc.ctx, rep=child_rep,
                             quiver=tc.quiver, class_id="tmp",
-                            table=tc.table, base=tc.base))
+                            table=tc.table))
             frontier = nxt
         assert seen == {us.canonical_form(tc.rep, "zp").key()
                         for tc in grp.classes}

@@ -2,6 +2,7 @@ import ast
 import collections
 import hashlib
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -290,6 +291,25 @@ def test_every_library_name_has_a_caller(name):
     assert _uncalled(module) == []
     assert _traced(module) - _library_references(module) \
         == _TRACED_ONLY.get(name, set())
+
+
+def test_the_library_imports_only_the_standard_library():
+    """stacktilt stays stdlib-only: every import in the library names
+    stacktilt itself (relative imports included) or a module of the
+    standard library, as sys.stdlib_module_names lists them."""
+    allowed = {"stacktilt", *sys.stdlib_module_names}
+    foreign = []
+    for path in sorted(Path(us.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            foreign += [(path.stem, name) for name in names
+                        if name.split(".")[0] not in allowed]
+    assert foreign == []
 
 
 def _uncalled_methods() -> list:
