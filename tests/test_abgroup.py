@@ -2,13 +2,13 @@ import random
 
 import pytest
 
+import corpus
 from oracles import element_order, lattice_contains
 from stacktilt import _intlinalg
 from stacktilt.abgroup import (FgAbelianGroup, GroupHom, direct_sum_group,
                                relation_kernel, solve_combination)
 from stacktilt.errors import (DimensionMismatch, EnumerateInfinite, InputError,
                               InternalInvariantBroken)
-from stacktilt.graded_order import GradedDegreeGroup
 
 
 def test_from_presentation_examples():
@@ -251,9 +251,7 @@ def test_theta_val_is_theta_on_the_free_part():
     """On the rank-two context G = Z^2 + Z/2 and on its base H = G/Zp
     (Z + Z/2 + Z/2), theta read off padded coordinates equals theta dotted
     with the free part."""
-    g = direct_sum_group(2, [2])
-    ctx = GradedDegreeGroup.build(g, [g.canonicalize(v) for v in (
-        [1, 0, 0], [1, 0, 1], [0, 1, 0], [0, 1, 1])])
+    ctx = corpus.ctx("z2-torsion")
     split = ctx.sign_split()
     assert split.h_ctx.group.torsion_orders
     rng = random.Random(7)

@@ -9,6 +9,7 @@ import itertools
 import random
 import time
 
+from corpus import all_lattice_quotients
 from oracles import (apply_moves, arrow_multiset, detector_from_cut,
                      enumerate_classes_window, enumerate_cuts_exact_cover,
                      group_of, j_of_upper)
@@ -247,22 +248,6 @@ def test_criterion_07_oracle_equivalence(make_pd, ctx_p23, ctx_zz2_d1,
     _timed(7, 60.0, body)
 
 
-def _all_lattice_quotients(max_m=8):
-    """Every cofinite B with m <= 8, d <= 2 (Hermite normal forms)."""
-    out = []
-    for m in range(1, max_m + 1):
-        out.append(cuts.build_quotient(1, [cuts.l_vector([m])]))
-    for m in range(1, max_m + 1):
-        for a in range(1, m + 1):
-            if m % a:
-                continue
-            c = m // a
-            for b in range(a):
-                gens = [cuts.l_vector([a, 0]), cuts.l_vector([b, c])]
-                out.append(cuts.build_quotient(2, gens))
-    return out
-
-
 def _positive_admissible_types(lq):
     m, d = lq.m, lq.d
     for split_points in itertools.combinations(range(1, m), d):
@@ -279,7 +264,7 @@ def _positive_admissible_types(lq):
 
 def test_criterion_08_bijection_suite():
     def body():
-        for lq in _all_lattice_quotients():
+        for lq in all_lattice_quotients():
             all_cuts = enumerate_cuts_exact_cover(lq)
             by_type = {}
             for c in all_cuts:
@@ -314,7 +299,7 @@ def test_criterion_08_bijection_suite():
 
 def test_criterion_09_type_characterization():
     def body():
-        for lq in _all_lattice_quotients():
+        for lq in all_lattice_quotients():
             realized = set(cuts.enumerate_cuts(lq))
             m, d = lq.m, lq.d
             for gamma in itertools.product(range(m + 1), repeat=d + 1):

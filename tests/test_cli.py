@@ -14,15 +14,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import stacktilt
+from corpus import DOCS
 from oracles import enumerate_detectors_product, parse_dot
 from stacktilt import cli, cuts, tilting, upper_sets as us
 from stacktilt.cli import _build_context, _classify, _emit, _encode, main
 from stacktilt.errors import InputError
 
-P23 = {"group": {"free_rank": 1, "torsion_orders": [], "degrees": [[2], [3]]}}
-P1 = {"group": {"free_rank": 1, "torsion_orders": [], "degrees": [[1], [1]]}}
-ZZ2_D1 = {"group": {"free_rank": 1, "torsion_orders": [2],
-                    "degrees": [[1, 0], [1, 1]]}}
+P23 = DOCS["p23"]
 P1P1_POLYTOPE = {"polytope": {"dim": 2, "vertices": [[1, 0], [-1, 0],
                                                      [0, 1], [0, -1]]}}
 BAD_POLYTOPE = {"polytope": {"dim": 1, "vertices": [[1], [3]]}}
@@ -74,7 +72,7 @@ def test_classify_p23(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("doc_in, mode", [
-    (P23, "zp"), (ZZ2_D1, "paper"), (P1P1_POLYTOPE, "paper"),
+    (P23, "zp"), (DOCS["zz2_d1"], "paper"), (P1P1_POLYTOPE, "paper"),
 ], ids=["p23-zp", "zz2_d1", "p1p1"])
 def test_classify_mutation_neighbors(tmp_path, capsys, doc_in, mode):
     path = _write(tmp_path, doc_in)
@@ -159,7 +157,7 @@ LATTICE = {"d": 1, "b_generators": [[5, -5]], "gamma": [2, 3]}
     (P23, ["verify", "--field", "F9"]),
     (P23, ["verify", "--set", "[[0], [1]]", "--class", "0"]),
     (P23, ["mutate", "--class", "-1", "--walk-to", "0"]),
-    ({"group": {"free_rank": 1, "degrees": [[1], [1], [1]]}},
+    (DOCS["p2"],
      ["cohomology", "--twist", "[1000000000000, 0, 0]", "--r", "0"]),
     (P23, ["cohomology", "--twist", "[" + "9" * 4300 + ", 0]", "--r", "0"]),
     (P23, ["classify", "--max-classes", "-1"]),
@@ -193,7 +191,7 @@ def test_classify_dot_output(tmp_path, capsys):
 
 
 def test_mutate_single_step(tmp_path, capsys):
-    path = _write(tmp_path, P1)
+    path = _write(tmp_path, DOCS["p1"])
     code, doc = _run(capsys, ["mutate", path, "--class", "0", "--at", "[0]"])
     assert code == 0
     assert doc["result"]["line_bundles"] == [[1], [2]]
@@ -373,7 +371,7 @@ def test_torsion_order_count_refused_before_the_smith_form(tmp_path, capsys,
 
 
 def test_verify_single_class(tmp_path, capsys):
-    path = _write(tmp_path, P1)
+    path = _write(tmp_path, DOCS["p1"])
     code, doc = _run(capsys, ["verify", path, "--class", "0"])
     assert code == 0 and doc["ok"]
 
@@ -408,9 +406,7 @@ def test_cuts_detector_guard(tmp_path, capsys, monkeypatch):
         raise AssertionError("the guard let the enumeration start")
 
     monkeypatch.setattr(cuts, "enumerate_detectors", enumerate_detectors)
-    p5711 = {"group": {"free_rank": 1, "torsion_orders": [],
-                       "degrees": [[5], [7], [11]]}}
-    code, doc = _run(capsys, ["cuts", _write(tmp_path, p5711)])
+    code, doc = _run(capsys, ["cuts", _write(tmp_path, DOCS["p5711"])])
     assert code == 2 and doc["error"]["type"] == "InputError"
     assert doc["error"]["details"] == {"m": 23, "candidates_log2": 22}
 
@@ -590,11 +586,9 @@ def test_cuts_refuses_a_group_before_building_its_cut_data(tmp_path, capsys,
 def test_closed_stdout_exits_2_without_traceback(tmp_path):
     """The P1xP3 report is 291 KB, more than a pipe holds, so the write
     fails once the reader has gone."""
-    doc = {"group": {"free_rank": 2,
-                     "degrees": [[1, 0]] * 2 + [[0, 1]] * 4}}
     proc = subprocess.Popen(
         [sys.executable, "-m", "stacktilt.cli", "classify",
-         _write(tmp_path, doc)],
+         _write(tmp_path, DOCS["p1p3"])],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env())
     try:
         assert len(proc.stdout.read(10)) == 10
@@ -690,14 +684,10 @@ def test_max_classes_env(tmp_path, capsys):
     assert code == 0
 
 
-P2 = {"group": {"free_rank": 1, "torsion_orders": [],
-                 "degrees": [[1], [1], [1]]}}
-
-
 @pytest.mark.parametrize("ceiling", ["0"])
 def test_max_classes_below_one(tmp_path, capsys, ceiling):
     # P^2 has one class; a ceiling of 0 refuses even the first
-    code, doc = _run(capsys, ["classify", _write(tmp_path, P2),
+    code, doc = _run(capsys, ["classify", _write(tmp_path, DOCS["p2"]),
                               "--max-classes", ceiling])
     assert code == 2 and doc["error"]["type"] == "ClassCountExceeded"
     assert doc["error"]["details"] == {"ceiling": int(ceiling)}
@@ -709,7 +699,7 @@ def test_a_negative_max_classes_is_refused_by_name(tmp_path, capsys,
     """A ceiling below 0, which every walk would overrun, is a bad command
     line in each command that classifies: argparse refuses it, naming the
     option, and the scan leaves it to argparse."""
-    argv = [command, _write(tmp_path, P2), "--max-classes", "-5"]
+    argv = [command, _write(tmp_path, DOCS["p2"]), "--max-classes", "-5"]
     if command == "mutate":
         argv += ["--class", "0", "--at", "[0]"]
     code, doc = _run(capsys, argv)
@@ -718,12 +708,8 @@ def test_a_negative_max_classes_is_refused_by_name(tmp_path, capsys,
     assert cli._scan(argv) is None
 
 
-P1P2 = {"group": {"free_rank": 2, "torsion_orders": [],
-                  "degrees": [[1, 0]] * 2 + [[0, 1]] * 3}}
-
-
 def test_max_classes_bounds_rank2_total(tmp_path, capsys):
-    path = _write(tmp_path, P1P2)
+    path = _write(tmp_path, DOCS["p1p2"])
     code, doc = _run(capsys, ["classify", path, "--max-classes", "16"])
     assert code == 0 and doc["total_classes"] == 16
     code, doc = _run(capsys, ["classify", path, "--max-classes", "15"])
@@ -732,17 +718,12 @@ def test_max_classes_bounds_rank2_total(tmp_path, capsys):
     assert doc["error"]["details"] == {"ceiling": 15}
 
 
-P5711 = {"group": {"free_rank": 1, "torsion_orders": [],
-                   "degrees": [[5], [7], [11]]}}
-P345 = {"group": {"free_rank": 1, "torsion_orders": [],
-                  "degrees": [[3], [4], [5]]}}
-
-
-@pytest.mark.parametrize("doc, mode, count", [
-    (P5711, "paper", 43), (P345, "zp", 48)], ids=["p5711-paper", "p345-zp"])
-def test_max_classes_refuses_exactly_past_the_count(tmp_path, capsys, doc,
+@pytest.mark.parametrize("name, mode, count", [
+    ("p5711", "paper", 43), ("p345", "zp", 48)],
+    ids=["p5711-paper", "p345-zp"])
+def test_max_classes_refuses_exactly_past_the_count(tmp_path, capsys, name,
                                                     mode, count):
-    path = _write(tmp_path, doc)
+    path = _write(tmp_path, DOCS[name])
     argv = ["classify", path, "--mode", mode, "--max-classes"]
     code, report = _run(capsys, argv + [str(count)])
     assert code == 0 and report["class_count"] == count
@@ -763,7 +744,7 @@ def test_paper_ceiling_stops_the_walk_at_the_next_orbit(tmp_path, capsys,
         return translates(poset, k)
 
     monkeypatch.setattr(us.GroupPoset, "translates", counted)
-    code, report = _run(capsys, ["classify", _write(tmp_path, P345),
+    code, report = _run(capsys, ["classify", _write(tmp_path, DOCS["p345"]),
                                  "--max-classes", "3"])
     assert code == 2 and report["error"]["type"] == "ClassCountExceeded"
     assert report["error"]["details"] == {"ceiling": 3}
@@ -792,11 +773,10 @@ def test_cuts_enumerate_all_types(tmp_path, capsys):
     assert realized == {(0, 3), (1, 2), (2, 1), (3, 0)}
 
 
-@pytest.mark.parametrize("doc_in", [P23, P345, P1P2],
-                         ids=["p23", "p345", "p1p2"])
+@pytest.mark.parametrize("name", ["p23", "p345", "p1p2"])
 @pytest.mark.parametrize("mode", ["paper", "zp"])
 def test_mutate_at_names_the_listed_neighbour(tmp_path, capsys, monkeypatch,
-                                              doc_in, mode):
+                                              name, mode):
     """For every class and every neighbour classify lists, mutate --at
     prints the neighbour's id as the result's id, and the mutated set
     (the site m replaced by m + p) as its line bundles.  The input is
@@ -809,12 +789,12 @@ def test_mutate_at_names_the_listed_neighbour(tmp_path, capsys, monkeypatch,
         return classified[mode]
 
     monkeypatch.setattr(cli, "_classify", once)
-    path = _write(tmp_path, doc_in)
+    path = _write(tmp_path, DOCS[name])
     code, doc = _run(capsys, ["classify", path, "--mode", mode])
     assert code == 0
     entries = (doc["classes"] if doc["rank"] == 1 else
                [c for g in doc["j_classes"] for c in g["classes"]])
-    p = [sum(col) for col in zip(*doc_in["group"]["degrees"])]
+    p = [sum(col) for col in zip(*DOCS[name]["group"]["degrees"])]
     edges = 0
     for entry in entries:
         for edge in entry["mutation_neighbors"]:
@@ -834,7 +814,7 @@ def test_mutate_at_builds_each_arrow_table_once(tmp_path, capsys,
     """P1xP2, paper mode: the classification builds the arrow tables of H
     and of its two base classes, and the mutation reads its class's
     checked table instead of building a fourth."""
-    path = _write(tmp_path, P1P2)
+    path = _write(tmp_path, DOCS["p1p2"])
     code, doc = _run(capsys, ["classify", path])
     assert code == 0 and doc["j_class_count"] == 2
     entry = doc["j_classes"][0]["classes"][0]
@@ -857,11 +837,9 @@ def test_cuts_from_a_polytope_match_its_group(tmp_path, capsys):
     """The P^2 polytope and the group document of P^2 give the same cuts
     report; a rank-two polytope is refused as a rank-two group is."""
     p2_polytope = {"polytope": {"vertices": [[1, 0], [0, 1], [-1, -1]]}}
-    p2_group = {"group": {"free_rank": 1, "torsion_orders": [],
-                          "degrees": [[1], [1], [1]]}}
     outputs = []
     for name, doc_in in (("polytope.json", p2_polytope),
-                         ("group.json", p2_group)):
+                         ("group.json", DOCS["p2"])):
         assert main(["cuts", _write(tmp_path, doc_in, name)]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
@@ -888,7 +866,7 @@ def test_dot_dir_that_cannot_be_made_is_an_input_error(tmp_path, capsys):
 def test_walk_between_base_classes_is_an_input_error(tmp_path, capsys):
     """mutate --walk-to connects classes over one base class only: a
     target over another base exits 2 naming source and target."""
-    path = _write(tmp_path, P1P2)
+    path = _write(tmp_path, DOCS["p1p2"])
     code, doc = _run(capsys, ["classify", path])
     assert code == 0
     first, other = doc["j_classes"][0], doc["j_classes"][1]
@@ -1004,27 +982,6 @@ def test_scan_agrees_with_argparse(argv):
 ], ids=["classify", "classify_all", "cohomology", "mutate", "verify", "cuts"])
 def test_scan_reads_canonical_lines(argv):
     assert vars(cli._scan(argv)) == _argparse(argv)
-
-
-def test_every_fuzzed_command_line_is_scanned():
-    """test_fuzz_cli's command lines take the scan, except those with a
-    value that starts with "-" (--r -1, --class -1), which the scan
-    leaves to argparse."""
-    from test_fuzz_cli import cases
-
-    @settings(max_examples=200, deadline=None, derandomize=True,
-              database=None)
-    @given(case=cases())
-    def check(case):
-        _, argv = case
-        argv = argv[:1] + ["input.json"] + argv[1:]
-        scanned = cli._scan(argv)
-        if any(token[:1] == "-" and token not in FLAGS
-               for token in argv[2:]):
-            assert scanned is None
-        else:
-            assert scanned is not None and vars(scanned) == _argparse(argv)
-    check()
 
 
 # SHA-256 of (stdout, stderr) at COLUMNS=80, recorded on Python 3.11 before

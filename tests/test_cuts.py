@@ -5,13 +5,13 @@ import pytest
 
 from collections import Counter
 
+import corpus
+from corpus import all_lattice_quotients
 from oracles import (NotACut, NotAdmissible, checked, detector_from_cut,
                      element_order, enumerate_cuts_exact_cover,
                      enumerate_detectors_product, group_of, lattice_contains,
                      search_all_cuts)
 from stacktilt import cuts, upper_sets as us
-from stacktilt.graded_order import GradedDegreeGroup
-from test_acceptance import _all_lattice_quotients
 from stacktilt.errors import (InputError, InvalidDetector, NotBounding,
                               NotCofinite)
 
@@ -32,13 +32,11 @@ def test_build_quotient_examples():
     assert acc.is_zero()
 
 
-def test_arrow_table_matches_group_arithmetic(z_group):
+def test_arrow_table_matches_group_arithmetic():
     """Criterion 8's quotients, lattice m12 and the L/B of P(2,3,5,7)."""
-    p2357 = GradedDegreeGroup.build(
-        z_group, [z_group.canonicalize([w]) for w in (2, 3, 5, 7)])
-    quotients = _all_lattice_quotients() + [
+    quotients = all_lattice_quotients() + [
         cuts.build_quotient(2, [[-2, 2, 0], [0, -6, 6]]),
-        cuts.data_of_group(p2357)[0]]
+        cuts.data_of_group(corpus.ctx("p2357"))[0]]
     for lq in quotients:
         assert lq.vertices == tuple(sorted(
             e.coords for e in lq.group.enumerate_finite()))
@@ -48,12 +46,11 @@ def test_arrow_table_matches_group_arithmetic(z_group):
                     lq.group.from_coords(v) + lq.alpha_images[i]).coords
 
 
-def test_fiber_map_matches_section_vectors(z_group, ctx_p23, ctx_zz2_d1,
-                                           ctx_zz2_d2, make_pd):
+def test_fiber_map_matches_section_vectors(ctx_p23, ctx_zz2_d1, ctx_zz2_d2,
+                                           make_pd):
     """psi(v) = sum c_j (x_j + Zp) over a section vector c of v."""
-    p2357 = GradedDegreeGroup.build(
-        z_group, [z_group.canonicalize([w]) for w in (2, 3, 5, 7)])
-    for ctx in (ctx_p23, ctx_zz2_d1, ctx_zz2_d2, make_pd(2), p2357):
+    for ctx in (ctx_p23, ctx_zz2_d1, ctx_zz2_d2, make_pd(2),
+                corpus.ctx("p2357")):
         lq, _ = cuts.data_of_group(ctx)
         _, _, proj = ctx.coset_reps(ctx.p)
         qx = [proj(x) for x in ctx.degrees]
@@ -84,7 +81,7 @@ def test_search_matches_both_references(ctx_p23):
     the detectors equal the 2^(m-1) product's, in its order, and the cuts
     and their counts per type equal the exact cover's.
     """
-    quotients = _all_lattice_quotients() + [
+    quotients = all_lattice_quotients() + [
         cuts.build_quotient(1, [[m, -m]]) for m in range(1, 9)] + [
         cuts.data_of_group(ctx_p23)[0]]
     for lq in quotients:

@@ -1,22 +1,24 @@
 """Fuzz the CLI in-process over small documents and flags.
 
 Every run must exit 0, 1 or 2, print exactly one JSON object on stdout,
-and carry `error` exactly when it exits 2.  Documents are rank-one groups
-with at most three degrees of weight 1..5 and torsion of order at most 3,
-some with a malformed entry.  Only groups with |G/Zp| = (weight sum) x
-(torsion order) <= 12 are drawn, so that the test stays within seconds:
-classify grows exponentially with |G/Zp|.  `cuts` no longer does in
-practice, as its detector search prunes each branch as soon as an arrow
-fails, but its guard still refuses |G/Zp| > 24 at once (Z + Z/3 with
-degrees (2, 2), (4, 0), (5, 1), where |G/Zp| = 33, exits 2 in
-milliseconds).  Rank-two classify is left out for the same reason.  The examples
-are derandomized, so every run checks the same inputs.
+and carry `error` exactly when it exits 2.  Documents
+(`corpus.documents`) are rank-one groups with at most three degrees of
+weight 1..5 and torsion of order at most 3, some with a malformed entry.
+Only groups with |G/Zp| = (weight sum) x (torsion order) <= 12 are
+drawn, so that the test stays within seconds: classify grows
+exponentially with |G/Zp|.  `cuts` no longer does in practice, as its
+detector search prunes each branch as soon as an arrow fails, but its
+guard still refuses |G/Zp| > 24 at once (Z + Z/3 with degrees (2, 2),
+(4, 0), (5, 1), where |G/Zp| = 33, exits 2 in milliseconds).  Rank-two
+classify is left out for the same reason.  The examples are
+derandomized, so every run checks the same inputs.
 
 A second test feeds inputs that must all exit 2: integers over Python's
 4300-digit limit in degrees and flags, a `cuts` type whose sum is over
 it, torsion orders under it whose coset count is over it, and `cuts`
 inputs with |L/B| up to 20,000.  It draws no parseable huge degree, as
-classify on one would run for long.
+classify on one would run for long.  A third reads the fuzzed command
+lines through the command table's scan, as argparse reads them.
 """
 
 import contextlib
@@ -25,40 +27,12 @@ import json
 
 from hypothesis import example, given, settings, strategies as st
 
+from corpus import JUNK, documents
+from stacktilt import cli
 from stacktilt.cli import main
 
-MAX_QUOTIENT = 12
-JUNK = st.sampled_from([1.5, "1", None, True, [], [1, 0, 0]])
 TOKENS = st.sampled_from(["0", "0", "1", "1", "3", "-1", "x"])
 FIELDS = st.sampled_from(["Q", "F2", "F3", "F4", "Fx", "F0"])
-
-
-@st.composite
-def documents(draw):
-    torsion = draw(st.sampled_from([0, 2, 3]))
-    budget = MAX_QUOTIENT // max(torsion, 1)
-    weights = []
-    for _ in range(draw(st.integers(1, 3))):
-        if budget:
-            weights.append(draw(st.integers(1, min(5, budget))))
-            budget -= weights[-1]
-    degrees = [[w] + ([draw(st.integers(0, torsion - 1))] if torsion else [])
-               for w in weights]
-    group = {"free_rank": 1, "degrees": degrees}
-    if torsion:
-        group["torsion_orders"] = [torsion]
-    if draw(st.integers(0, 4)) == 0:   # one malformed entry
-        where = draw(st.sampled_from(["entry", "degree", "free_rank",
-                                      "torsion"]))
-        if where == "entry":
-            degrees[0][draw(st.integers(0, len(degrees[0]) - 1))] = draw(JUNK)
-        elif where == "degree":
-            degrees[draw(st.integers(0, len(degrees) - 1))] = draw(JUNK)
-        elif where == "free_rank":
-            group["free_rank"] = draw(JUNK)
-        else:
-            group["torsion_orders"] = [draw(JUNK)]
-    return {"group": group}
 
 
 @st.composite
@@ -107,6 +81,26 @@ def cases(draw):
     group = doc["group"]
     return doc, draw(commands(len(group["degrees"]),
                               1 + ("torsion_orders" in group)))
+
+
+FLAGS = {flag for _, _, options in cli._COMMANDS.values()
+         for flag, _ in options}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=cases())
+def test_every_fuzzed_command_line_is_scanned(case):
+    """These command lines take the scan, except those with a value that
+    starts with "-" (--r -1, --class -1), which the scan leaves to
+    argparse."""
+    _, argv = case
+    argv = argv[:1] + ["input.json"] + argv[1:]
+    scanned = cli._scan(argv)
+    if any(token[:1] == "-" and token not in FLAGS for token in argv[2:]):
+        assert scanned is None
+    else:
+        assert scanned is not None
+        assert vars(scanned) == vars(cli.build_parser().parse_args(argv))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

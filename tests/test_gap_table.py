@@ -18,55 +18,41 @@ import random
 import pytest
 from hypothesis import given, settings
 
+import corpus
+from corpus import RANK1, RANK1_ALL, RANK2, RANK2_ALL
 from oracles import (apply_moves, canonical_form_elementwise, checked,
                      connect_elementwise, enumerate_classes_bfs,
                      is_antichain_rep_elementwise,
                      local_check_elementwise, mutable_elements_elementwise,
                      upward_mutable_elements_elementwise)
-from stacktilt import cli, tilting, upper_sets as us
+from stacktilt import tilting, upper_sets as us
 from stacktilt.abgroup import GroupHom
 from stacktilt.errors import (InternalInvariantBroken, NotAntichain,
                               StacktiltError)
 from stacktilt.graded_order import GradedDegreeGroup
-from test_fuzz_cli import documents
 
-
-def _ctx(degrees, torsion=()):
-    free_rank = len(degrees[0]) - len(torsion)
-    doc = {"group": {"free_rank": free_rank, "torsion_orders": list(torsion),
-                     "degrees": [list(d) for d in degrees]}}
-    return cli._build_context(doc)[0]
-
-
-RANK1 = {
-    "P(2,3)": ([[2], [3]], ()),
-    "P(3,4,5)": ([[3], [4], [5]], ()),
-    "P(4,5,6,7)": ([[4], [5], [6], [7]], ()),
-    "zz2_d1": ([[1, 0], [1, 1]], (2,)),
-    "zz2_d2": ([[1, 0], [1, 0], [1, 1]], (2,)),
-    "zz2_b": ([[1, 0], [2, 1], [3, 0]], (2,)),
-    "zz3": ([[1, 0], [1, 1], [1, 2]], (3,)),
-}
-RANK2 = {
-    "P1xP2": [[1, 0]] * 2 + [[0, 1]] * 3,
-    "P2xP2": [[1, 0]] * 3 + [[0, 1]] * 3,
-    "sigma1": [[1, 0], [1, 0], [1, 1], [0, 1]],
-    "stacky": [[1, -1], [1, 0], [1, 1], [0, 1]],
-}
+# z3-torsion's zp walks list 8,908 classes: only the scan count reads it,
+# in paper mode
+RANK2_WALKED = [name for name in RANK2_ALL if name != "z3-torsion"]
+# parameter ids by corpus name: the labels this module has always printed,
+# so that the names of its collected tests stay put
+_ID = {"p2": "P2", "p23": "P(2,3)", "p345": "P(3,4,5)",
+       "p4567": "P(4,5,6,7)", "p457": "P(4,5,7)", "p2357": "P(2,3,5,7)",
+       "p5711": "P(5,7,11)", "p23571": "P(2,3,5,7,11)", "p1p1": "P1xP1",
+       "p1p2": "P1xP2", "p1p3": "P1xP3", "p2p2": "P2xP2",
+       "minus": "(1,0)2,(-1,1),(0,1)", "w12": "(1,0),(2,0),(0,1)2",
+       "w12-second": "(1,0)2,(0,1),(0,2)", "w23": "(2,0),(3,0),(0,1)2",
+       "diagonal": "(1,0)3,(0,1)2,(1,1)", "z2-torsion": "Z2+Z/2"}
 
 
 def _posets(name):
-    """(poset, modes): the whole-group poset of a rank-one input, or the
-    posets of a rank-two input (see _rank2_posets)."""
-    if name in RANK1:
-        return [(us.GroupPoset(_ctx(*RANK1[name])), ("full", "zp"))]
-    return _rank2_posets(_ctx(RANK2[name]))
-
-
-def _rank2_posets(ctx):
-    """H with shift s, and the fibered poset over every base class up to
-    s-shifts, each in both modes (the classifier walks the fibered posets
-    in zp mode, and counts their full orbits)."""
+    """(poset, modes): the whole-group poset of a rank-one input; of a
+    rank-two input, H with shift s and the fibered poset over every base
+    class up to s-shifts, each in both modes (the classifier walks the
+    fibered posets in zp mode, and counts their full orbits)."""
+    ctx = corpus.ctx(name)
+    if ctx.group.free_rank == 1:
+        return [(us.GroupPoset(ctx), ("full", "zp"))]
     split = ctx.sign_split()
     h_poset = us.GroupPoset(split.h_ctx, shift_element=split.s)
     return [(h_poset, ("full", "zp"))] + [
@@ -119,7 +105,7 @@ def _perturb(poset, elements, counts):
         counts["perturbed"] += 1
 
 
-@pytest.mark.parametrize("name", list(RANK1) + list(RANK2))
+@pytest.mark.parametrize("name", RANK1 + RANK2, ids=_ID.get)
 def test_table_agrees_with_the_order_on_every_visited_state(name):
     """Every zp class is one point of the level space, so the zp classes
     of each poset are every point the walk visits."""
@@ -129,11 +115,10 @@ def test_table_agrees_with_the_order_on_every_visited_state(name):
             _check_point(poset, poset.point(rep), counts)
     assert counts["states"] and counts["sites"]
     assert bool(counts["local"]) == (name in RANK1)
-    assert bool(counts["perturbed"]) == (name in RANK1
-                                         and name != "P(4,5,6,7)")
+    assert bool(counts["perturbed"]) == (name in RANK1 and name != "p4567")
 
 
-@pytest.mark.parametrize("name", list(RANK1) + list(RANK2))
+@pytest.mark.parametrize("name", RANK1 + RANK2, ids=_ID.get)
 def test_gaps_and_levels_against_the_order(name):
     for poset, _ in _posets(name):
         for a, b in itertools.product(poset.fibers, repeat=2):
@@ -148,7 +133,7 @@ def test_gaps_and_levels_against_the_order(name):
 def test_element_over_a_fiber_the_poset_lacks():
     """Such a set is no complete-representative family of q^{-1}(J): it is
     refused by fiber, before any level is read, wherever the element sits."""
-    ctx = _ctx(RANK2["P1xP2"])
+    ctx = corpus.ctx("p1p2")
     split = ctx.sign_split()
     h_poset = us.GroupPoset(split.h_ctx, shift_element=split.s)
     base = us.enumerate_classes(h_poset, "full")[0]
@@ -192,7 +177,7 @@ CLOSURE = "the arrow table's cut grading disagrees with the gap table"
 @pytest.mark.parametrize("mode, a, b, delta", [
     ("paper", 1, 2, 1), ("zp", 0, 2, -1), ("zp", 0, 1, 1)])
 def test_corrupted_rank1_table_is_caught(monkeypatch, mode, a, b, delta):
-    ctx = _ctx(*RANK1["P(2,3)"])
+    ctx = corpus.ctx("p23")
     tilting.classify_rank1(ctx, mode)
     _corrupt(monkeypatch, lambda poset: True, a, b, delta)
     with pytest.raises(InternalInvariantBroken, match=CLOSURE):
@@ -205,7 +190,7 @@ def test_corrupted_inner_table_is_caught_by_rank2_certificate(monkeypatch,
     """A gap one too low lets sets that are no classes in.  The arrow
     table's closure refuses them at the first base class; without it, the
     quiver's offset check refuses the first such class."""
-    ctx = _ctx(RANK2["P1xP2"])
+    ctx = corpus.ctx("p1p2")
     tilting.classify_rank2(ctx, mode)
     _corrupt(monkeypatch, lambda poset: poset.ctx is ctx, 0, 1, -1)
     with pytest.raises(InternalInvariantBroken,
@@ -237,29 +222,18 @@ def test_order_questions_come_from_the_table_only(monkeypatch):
 
     _patch_gaps(monkeypatch, gaps)
     monkeypatch.setattr(GradedDegreeGroup, "leq", counted_leq)
-    classes = tilting.classify_rank1(_ctx([[5], [7], [11]]), "paper")
+    classes = tilting.classify_rank1(corpus.ctx("p5711"), "paper")
     assert len(classes) == 43
     assert calls["all"] == calls["building"] <= 1000
 
 
 def test_sites_of_a_set_with_two_members_over_one_fiber():
-    poset = us.GroupPoset(_ctx(*RANK1["P(2,3)"]))
+    poset = us.GroupPoset(corpus.ctx("p23"))
     z = poset.ctx.group
     rep = us.AntichainRep(poset, [z.canonicalize([v]) for v in range(6)])
     assert us.mutable_elements(rep) == mutable_elements_elementwise(rep)
     assert (us.upward_mutable_elements(rep)
             == upward_mutable_elements_elementwise(rep))
-
-
-# the rank-one benchmark documents: RANK1 and five more weighted lines
-RANK1_CORPUS = {
-    **RANK1,
-    "P2": ([[1]] * 3, ()),
-    "P(4,5,7)": ([[4], [5], [7]], ()),
-    "P(2,3,5,7)": ([[2], [3], [5], [7]], ()),
-    "P(5,7,11)": ([[5], [7], [11]], ()),
-    "P(2,3,5,7,11)": ([[2], [3], [5], [7], [11]], ()),
-}
 
 
 def _with_translates(poset, rep, rng, count=2):
@@ -286,13 +260,13 @@ def _assert_forms_agree(poset, modes, rng):
                         == canonical_form_elementwise(moved, mode).key())
 
 
-@pytest.mark.parametrize("name", list(RANK1_CORPUS))
+@pytest.mark.parametrize("name", RANK1_ALL, ids=_ID.get)
 def test_level_space_forms_on_the_rank1_corpus(name):
-    _assert_forms_agree(us.GroupPoset(_ctx(*RANK1_CORPUS[name])),
-                        ("full", "zp"), random.Random(name))
+    _assert_forms_agree(us.GroupPoset(corpus.ctx(name)), ("full", "zp"),
+                        random.Random(name))
 
 
-@pytest.mark.parametrize("name", list(RANK2))
+@pytest.mark.parametrize("name", RANK2, ids=_ID.get)
 def test_level_space_forms_on_base_and_inner_posets(name):
     rng = random.Random(name)
     for poset, modes in _posets(name):
@@ -305,8 +279,8 @@ def test_full_forms_on_fibered_posets_match_the_elementwise_forms():
     base of Z^2 + Z/2, and of its shift translates, is the least of its
     translates by those lifts, built as elements.  Some base's lifts merge
     classes, so the forms are not all zp forms."""
-    rng, merged = random.Random("Z2+Z/2"), 0
-    for poset, _ in _rank2_posets(_ctx(*RANK2_CORPUS["Z2+Z/2"]))[1:]:
+    rng, merged = random.Random("z2-torsion"), 0
+    for poset, _ in _posets("z2-torsion")[1:]:
         for rep in us.enumerate_classes(poset, "zp"):
             for moved in _with_translates(poset, rep, rng):
                 form = us.canonical_form(moved, "full")
@@ -316,16 +290,15 @@ def test_full_forms_on_fibered_posets_match_the_elementwise_forms():
     assert merged
 
 
-@pytest.mark.parametrize("degrees", [
-    RANK1["P(2,3)"], ([[2], [3], [5]], ()), RANK1["P(3,4,5)"],
-    RANK1["zz2_b"]])
-def test_every_raised_gap_is_caught_or_harmless(monkeypatch, degrees):
+@pytest.mark.parametrize("name", ["p23", "p235", "p345", "zz2_b"],
+                         ids=[f"degrees{i}" for i in range(4)])
+def test_every_raised_gap_is_caught_or_harmless(monkeypatch, name):
     """A gap one too high makes the order too strict, which can only lose
     classes; one too low lets sets in that are no classes.  The arrow
     table's θ bound reads the gaps, but its entries come from the level
     map, so the closure of their cut grading must refuse every such
     entry before the walk, in both modes."""
-    ctx = _ctx(*degrees)
+    ctx = corpus.ctx(name)
     n = len(us.GroupPoset(ctx).fibers)
     expected = {mode: [(tc.rep.key(), tc.quiver)
                        for tc in tilting.classify_rank1(ctx, mode)]
@@ -358,7 +331,7 @@ def test_full_canonical_forms_project_few_elements(monkeypatch):
         return project(self, e)
 
     monkeypatch.setattr(GroupHom, "__call__", counted)
-    classes = us.enumerate_classes(us.GroupPoset(_ctx([[5], [7], [11]])),
+    classes = us.enumerate_classes(us.GroupPoset(corpus.ctx("p5711")),
                                    "full")
     assert len(classes) == 43
     assert calls < 32_000
@@ -390,7 +363,7 @@ def _count_scans(monkeypatch) -> collections.Counter:
 
 
 def _classify(name, mode):
-    ctx = _ctx(*{**RANK1_CORPUS, **RANK2_CORPUS}[name])
+    ctx = corpus.ctx(name)
     if ctx.group.free_rank == 1:
         return tilting.classify_rank1(ctx, mode)
     return tilting.classify_rank2(ctx, mode).classes
@@ -403,7 +376,7 @@ def test_paper_mode_tests_sites_at_one_point_per_class(monkeypatch):
     first point reached and re-reading edges at the heads made 70 down
     scans; a walk over all 989 points makes 1,032."""
     calls = _count_scans(monkeypatch)
-    classes = _classify("P(5,7,11)", "paper")
+    classes = _classify("p5711", "paper")
     assert len(classes) == 43
     assert calls["translates"] == calls["down"] == calls["up"] == 43
 
@@ -422,7 +395,7 @@ def test_each_element_is_projected_once_per_poset(monkeypatch):
         return project(self, e)
 
     monkeypatch.setattr(GroupHom, "__call__", counted)
-    classes = tilting.classify_rank1(_ctx(*RANK1["P(4,5,6,7)"]), "zp")
+    classes = tilting.classify_rank1(corpus.ctx("p4567"), "zp")
     assert len(classes) > 100
     assert calls < 1000
 
@@ -432,20 +405,20 @@ def test_a_slab_that_fails_the_antichain_test_is_an_internal_fault(
     """The theta slab is an antichain by theorem, so a slab refused by a
     corrupted table is no invalid input (NotAntichain, exit 2).  The arrow
     table's closure refuses this table first, so it is patched out."""
-    ctx = _ctx(RANK2["P1xP2"])
+    ctx = corpus.ctx("p1p2")
     _corrupt(monkeypatch, lambda poset: not poset.whole_group, 0, 0, 1)
     monkeypatch.setattr(us, "check_closure", lambda *args: None)
     with pytest.raises(InternalInvariantBroken, match="theta slab"):
         tilting.classify_rank2(ctx, "paper")
 
 
-@pytest.mark.parametrize("name", ["P(2,3)", "P(3,4,5)", "zz2_b"])
+@pytest.mark.parametrize("name", ["p23", "p345", "zz2_b"], ids=_ID.get)
 def test_a_point_the_walk_misses_is_caught_by_the_cut_count(monkeypatch,
                                                             name):
     """Drop the last zp class and every move into it, as a site test
     that misses moves would: the other points and edges stay consistent,
     and only the count against the cuts of type gamma can notice."""
-    ctx = _ctx(*RANK1[name])
+    ctx = corpus.ctx(name)
     poset = us.GroupPoset(ctx)
     points = [poset.point(rep)
               for rep in us.enumerate_classes(poset, "zp")]
@@ -471,38 +444,25 @@ def _classes_and_edges(reps):
             for rep in reps]
 
 
-# the rank-two inputs of ROADMAP item 2: the benchmark documents, five
-# more degree sets and Z^2 + Z/2, as (degrees, torsion)
-RANK2_CORPUS = {
-    **{name: (degrees, ()) for name, degrees in RANK2.items()},
-    "P1xP1": ([[1, 0]] * 2 + [[0, 1]] * 2, ()),
-    "P1xP3": ([[1, 0]] * 2 + [[0, 1]] * 4, ()),
-    "(1,0)2,(-1,1),(0,1)": ([[1, 0], [1, 0], [-1, 1], [0, 1]], ()),
-    "(1,0),(2,0),(0,1)2": ([[1, 0], [2, 0], [0, 1], [0, 1]], ()),
-    "(1,0)2,(0,1),(0,2)": ([[1, 0], [1, 0], [0, 1], [0, 2]], ()),
-    "(2,0),(3,0),(0,1)2": ([[2, 0], [3, 0], [0, 1], [0, 1]], ()),
-    "(1,0)3,(0,1)2,(1,1)": ([[1, 0]] * 3 + [[0, 1]] * 2 + [[1, 1]], ()),
-    "Z2+Z/2": ([[1, 0, 0], [1, 0, 1], [0, 1, 0], [0, 1, 1]], (2,)),
-}
-
-
-@pytest.mark.parametrize("name", list(RANK1_CORPUS) + list(RANK2_CORPUS))
-@pytest.mark.parametrize("mode", ["paper", "zp"])
+@pytest.mark.parametrize("mode, name", [
+    (mode, name) for name in RANK1_ALL + RANK2_ALL for mode in ("paper", "zp")
+    if mode == "paper" or name in RANK1_ALL + RANK2_WALKED], ids=_ID.get)
 def test_every_walk_scans_each_orbit_once_each_way(monkeypatch, name, mode):
     """A whole classification scans the sites of each orbit it walks once
     in each direction, in either mode: in zp mode, one down scan and one
     up scan per point.  Counts as pinned: P2xP2 paper 63 (66 down scans
     when edges were re-read at heads), P1xP3 paper 38 (40), P(5,7,11) zp
-    989.  In zp mode only rank two's merged count forms translates, once
-    per inner class."""
+    989, Z^2 + Z/3 paper 917 (18 base classes and 899 inner ones).  In zp
+    mode only rank two's merged count forms translates, once per inner
+    class."""
     calls = _count_scans(monkeypatch)
     classes = _classify(name, mode)
     assert calls["down"] == calls["up"] == calls["orbits"]
-    pinned = {("P2xP2", "paper"): 63, ("P1xP3", "paper"): 38,
-              ("P(5,7,11)", "zp"): 989}
+    pinned = {("p2p2", "paper"): 63, ("p1p3", "paper"): 38,
+              ("p5711", "zp"): 989, ("z3-torsion", "paper"): 917}
     assert calls["orbits"] == pinned.get((name, mode), calls["orbits"])
     if mode == "zp":
-        rank2 = name in RANK2_CORPUS
+        rank2 = name in RANK2_ALL
         assert calls["translates"] == (len(classes) if rank2 else 0)
 
 
@@ -520,30 +480,26 @@ def _assert_modes_agree(poset, modes):
         assert grouped == {rep.key(): rep.orbit_len for rep in walks["full"]}
 
 
-@pytest.mark.parametrize("name", list(RANK1_CORPUS) + list(RANK2_CORPUS))
+@pytest.mark.parametrize("name", RANK1_ALL + RANK2_WALKED, ids=_ID.get)
 def test_walk_matches_the_mutation_bfs(name):
-    if name in RANK1_CORPUS:
-        posets = [(us.GroupPoset(_ctx(*RANK1_CORPUS[name])), ("full", "zp"))]
-    else:
-        posets = _rank2_posets(_ctx(*RANK2_CORPUS[name]))
-    for poset, modes in posets:
+    for poset, modes in _posets(name):
         _assert_modes_agree(poset, modes)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(doc=documents())
+@given(doc=corpus.documents())
 def test_paper_mode_walks_the_orbits_of_the_zp_walk_on_fuzz_groups(doc):
     """The rank-one groups the CLI fuzz test draws (|G/Zp| <= 12), in both
     modes; drawn documents that are malformed or no valid input are
     skipped."""
     try:
-        poset = us.GroupPoset(cli._build_context(doc)[0])
+        poset = us.GroupPoset(corpus.ctx(doc))
     except StacktiltError:
         return
     _assert_modes_agree(poset, ("full", "zp"))
 
 
-@pytest.mark.parametrize("name", list(RANK2_CORPUS) + list(RANK1_CORPUS))
+@pytest.mark.parametrize("name", RANK2_WALKED + RANK1_ALL, ids=_ID.get)
 def test_rank2_closure_certificate_holds_on_the_corpus(name, monkeypatch):
     """The arrow table's cut-grading constraints close to -gaps on the
     rank-one poset, and in rank two on the base order H (its single steps)
@@ -562,12 +518,12 @@ def test_rank2_closure_certificate_holds_on_the_corpus(name, monkeypatch):
 
     monkeypatch.setattr(us, "check_closure", counted)
     monkeypatch.setattr(us, "enumerate_classes", walked)
-    if name in RANK1_CORPUS:
-        tilting.classify_rank1(_ctx(*RANK1_CORPUS[name]), "paper")
+    ctx = corpus.ctx(name)
+    if ctx.group.free_rank == 1:
+        tilting.classify_rank1(ctx, "paper")
         posets = 1
     else:
-        result = tilting.classify_rank2(_ctx(*RANK2_CORPUS[name]), "paper")
-        posets = len(result.groups) + 1
+        posets = len(tilting.classify_rank2(ctx, "paper").groups) + 1
     closed = [poset for event, poset in events if event == "closure"]
     assert len(closed) == len(set(map(id, closed))) == posets
     for poset in closed:
@@ -580,7 +536,7 @@ def test_every_raised_inner_gap_is_caught(monkeypatch):
     the order too strict.  Without the arrow table's closure, 9 of the 36
     entries lost classes silently ((0, 1) gave 7 of 16); now the closure
     refuses each before the walk, and each gap one too low as well."""
-    ctx = _ctx(RANK2["P1xP2"])
+    ctx = corpus.ctx("p1p2")
     for a, b, delta in itertools.product(range(6), range(6), (1, -1)):
         _corrupt(monkeypatch, lambda poset: poset.ctx is ctx, a, b, delta)
         with pytest.raises(InternalInvariantBroken, match=CLOSURE):
@@ -588,19 +544,20 @@ def test_every_raised_inner_gap_is_caught(monkeypatch):
 
 
 @pytest.mark.parametrize("name, mode", [
-    ("P(2,3)", "paper"), ("P(2,3)", "zp"), ("P(4,5,6,7)", "paper"),
-    ("P(4,5,6,7)", "zp"), ("P(3,4,5)", "zp"), ("zz2_b", "zp"),
-    ("P1xP2", "paper"), ("sigma1", "paper")])
+    ("p23", "paper"), ("p23", "zp"), ("p4567", "paper"), ("p4567", "zp"),
+    ("p345", "zp"), ("zz2_b", "zp"), ("p1p2", "paper"), ("sigma1", "paper")],
+    ids=_ID.get)
 def test_connect_matches_the_elementwise_walk(name, mode):
     """The level-space walk reports the moves of the walk over
     AntichainReps, tie-break included, from the first class to the last
     (of the largest base class in rank two) and on three seeded pairs;
     the moves replay by mutate and mutate_up onto the target's class."""
-    if name in RANK1:
-        groups = [tilting.classify_rank1(_ctx(*RANK1[name]), mode)]
+    ctx = corpus.ctx(name)
+    if ctx.group.free_rank == 1:
+        groups = [tilting.classify_rank1(ctx, mode)]
     else:
-        groups = [grp.classes for grp in
-                  tilting.classify_rank2(_ctx(RANK2[name]), mode).groups]
+        groups = [grp.classes
+                  for grp in tilting.classify_rank2(ctx, mode).groups]
     rng = random.Random(f"{name}-{mode}")
     largest = max(groups, key=len)
     pairs = [(largest[0], largest[-1])]
@@ -626,7 +583,7 @@ def test_a_mutation_off_the_walked_points_is_an_internal_fault(monkeypatch):
     head and walks every down move of it, so every edge lands on a walked
     orbit; the classifier refuses the corrupted gap as a fault before the
     walk, by the closure of H's arrow table."""
-    ctx = _ctx(*RANK2_CORPUS["P1xP3"])
+    ctx = corpus.ctx("p1p3")
     _corrupt(monkeypatch, lambda poset: poset.ctx is not ctx, 1, 0, -1)
     with pytest.raises(InternalInvariantBroken, match=CLOSURE):
         tilting.classify_rank2(ctx, "paper")
@@ -639,7 +596,7 @@ def test_closure_is_the_check_on_the_base_order(monkeypatch):
     classification lists other classes.  (Some changes that let in such a
     class, as (0, 3) one too low does, list the same classes without the
     closure: the orbit walk expands no point whose move reaches it.)"""
-    ctx = _ctx(RANK2["sigma1"])
+    ctx = corpus.ctx("sigma1")
     expected = [tc.rep.key()
                 for tc in tilting.classify_rank2(ctx, "paper").classes]
     _corrupt(monkeypatch, lambda poset: poset.ctx is not ctx, 1, 0, -1)
@@ -650,14 +607,15 @@ def test_closure_is_the_check_on_the_base_order(monkeypatch):
     assert got and got != expected
 
 
-@pytest.mark.parametrize("name", ["P1xP1", "P1xP2", "sigma1", "stacky"])
+@pytest.mark.parametrize("name", ["p1p1", "p1p2", "sigma1", "stacky"],
+                         ids=_ID.get)
 def test_every_base_gap_change_is_caught_before_the_base_walk(monkeypatch,
                                                               name):
     """zp mode: every single-entry ±1 change to H's gaps is refused by the
     closure of H's arrow table before H is walked.  Without it, some
     classifications lost or gained classes silently (P1xP2 with
     (fibers[0], fibers[1]) one higher listed 71 classes instead of 96)."""
-    ctx = _ctx(*RANK2_CORPUS[name])
+    ctx = corpus.ctx(name)
     walked = []
     enumerate_classes = us.enumerate_classes
 

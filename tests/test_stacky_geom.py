@@ -1,19 +1,17 @@
 import itertools
 import json
 import random
-from pathlib import Path
 
 import pytest
 
+import corpus
 from oracles import (cohomology_dim_scan, count_lattice_points,
                      euler_characteristic_boundary, ext_dim,
                      fiber_constraints, is_trivial, xa_complex)
 from stacktilt import stacky_geom as sg
 from stacktilt import tilting
-from stacktilt.abgroup import direct_sum_group
 from stacktilt.errors import (InputError, NotAVertex, NotSimplicial,
                               OriginNotInterior, UnboundedContribution)
-from stacktilt.graded_order import GradedDegreeGroup
 
 
 P2_VERTICES = [[1, 0], [0, 1], [-1, -1]]
@@ -238,13 +236,9 @@ def test_fiber_count_guard(monkeypatch):
         oracle.cohomology_dim(100 * x, 0, None)
 
 
-_SCAN_CASES = {   # case: (free rank, torsion orders, degrees, free box)
-    "p2p2": (2, [], [(1, 0)] * 3 + [(0, 1)] * 3, range(-4, 2)),
-    "stacky": (2, [], [(1, -1), (1, 0), (1, 1), (0, 1)], range(-4, 3)),
-    "sigma1": (2, [], [(1, 0), (1, 0), (1, 1), (0, 1)], range(-4, 3)),
-    "p23571": (1, [], [(2,), (3,), (5,), (7,), (11,)], range(-31, 4)),
-    "zz2_b": (1, [2], [(1, 0), (2, 1), (3, 0)], range(-8, 4)),
-}
+_SCAN_BOXES = {"p2p2": range(-4, 2), "stacky": range(-4, 3),   # free box
+               "sigma1": range(-4, 3), "p23571": range(-31, 4),
+               "zz2_b": range(-8, 4)}
 
 
 def _outcome(fn, *args):
@@ -255,7 +249,7 @@ def _outcome(fn, *args):
 
 
 @pytest.mark.parametrize("homology", ["exact", "scaled"])
-@pytest.mark.parametrize("case", list(_SCAN_CASES))
+@pytest.mark.parametrize("case", list(_SCAN_BOXES))
 def test_cohomology_dim_matches_scan(case, homology, monkeypatch):
     """One shared oracle answers every (twist, r, field) of a box as the
     plain scan does, queried in shuffled order with the fields interleaved.
@@ -263,10 +257,8 @@ def test_cohomology_dim_matches_scan(case, homology, monkeypatch):
     over Q, F2 and F3; the scaled run multiplies each dim by the
     characteristic, so that a memo keyed without the field fails too.
     The oracle solves one preimage per canonical coordinate, in order."""
-    free_rank, torsion, degrees, box = _SCAN_CASES[case]
-    group = direct_sum_group(free_rank, torsion)
-    ctx = GradedDegreeGroup.build(
-        group, [group.canonicalize(list(v)) for v in degrees])
+    ctx = corpus.ctx(case)
+    group = ctx.group
     if homology == "scaled":
         exact = sg.reduced_homology
 
@@ -283,9 +275,10 @@ def test_cohomology_dim_matches_scan(case, homology, monkeypatch):
         return solve(degrees, g)
     monkeypatch.setattr(sg, "solve_combination", counted_solve)
     oracle = sg.CohomologyOracle(sg.group_to_polytope(ctx), ctx)
-    twists = [group.from_coords(t + f)
-              for t in itertools.product(*(range(o) for o in torsion))
-              for f in itertools.product(box, repeat=free_rank)]
+    twists = [group.from_coords(t + f) for t in itertools.product(
+                  *(range(o) for o in group.torsion_orders))
+              for f in itertools.product(_SCAN_BOXES[case],
+                                         repeat=group.free_rank)]
     queries = [(g, r, field) for g in twists
                for r in range(oracle.polytope.d + 1) for field in (None, 2, 3)]
     random.Random(59).shuffle(queries)
@@ -302,12 +295,10 @@ def test_verify_solves_each_twist_once(monkeypatch):
     """Verifying a stored P(2,3,5,7,11) set solves one preimage, that of
     the group's one canonical coordinate, forms each twist h - g once per
     pair for all r, and counts each fiber at most once."""
-    stored = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
-                         / "data" / "classes.json").read_text())["p23571"][0]
-    group = direct_sum_group(1, [])
-    ctx = GradedDegreeGroup.build(
-        group, [group.canonicalize([w]) for w in (2, 3, 5, 7, 11)])
-    elements = [group.from_coords(v) for v in stored]
+    stored = json.loads((corpus.PERFBENCH / "data" / "classes.json")
+                        .read_text())["p23571"][0]
+    ctx = corpus.ctx("p23571")
+    elements = [ctx.group.from_coords(v) for v in stored]
     solves, counts, twists = [], [], []
     solve, count = sg.solve_combination, sg.CohomologyOracle._fiber_count
     dim = sg.CohomologyOracle.cohomology_dim
@@ -359,24 +350,12 @@ def test_unbounded_contribution_names_the_first_support(monkeypatch):
     assert raised == 15   # every r but H^1 of P2, whose sum is empty
 
 
-_CORPUS = {   # case: (free rank, torsion orders, degrees)
-    "p2": (1, [], [(1,)] * 3),
-    "p1p1": (2, [], [(1, 0)] * 2 + [(0, 1)] * 2),
-    "p2p2": _SCAN_CASES["p2p2"][:3],
-    "p23571": _SCAN_CASES["p23571"][:3],
-    "sigma1": _SCAN_CASES["sigma1"][:3],
-    "stacky": _SCAN_CASES["stacky"][:3],
-    "zz2_d1": (1, [2], [(1, 0), (1, 1)]),
-    "zz2_d2": (1, [2], [(1, 0), (1, 0), (1, 1)]),
-    "zz2_b": _SCAN_CASES["zz2_b"][:3],
-    "zz3": (1, [3], [(1, 0), (1, 1), (1, 2)]),
-}
+_CORPUS = ["p2", "p1p1", "p2p2", "p23571", "sigma1", "stacky", "zz2_d1",
+           "zz2_d2", "zz2_b", "zz3"]
 
 
-def _oracle(free_rank, torsion, degrees):
-    group = direct_sum_group(free_rank, torsion)
-    ctx = GradedDegreeGroup.build(
-        group, [group.canonicalize(list(v)) for v in degrees])
+def _oracle(doc):
+    ctx = corpus.ctx(doc)
     return sg.CohomologyOracle(sg.group_to_polytope(ctx), ctx)
 
 
@@ -386,12 +365,12 @@ def _supports(n):
             for bits in itertools.product((0, 1), repeat=n)]
 
 
-@pytest.mark.parametrize("case", list(_CORPUS))
+@pytest.mark.parametrize("case", _CORPUS)
 def test_skipped_supports_have_no_homology(case):
     """Over Q, F2 and F3, every support the oracle skips as a cone has an
     all-zero profile, and the supports it tables per degree are those of
     the plain 2^n scan, in the same order."""
-    oracle = _oracle(*_CORPUS[case])
+    oracle = _oracle(case)
     p = oracle.polytope
     supports = _supports(p.n)
     kept = set(oracle._non_cones)
@@ -406,11 +385,11 @@ def test_skipped_supports_have_no_homology(case):
                 if profiles[t].dim(k)]
 
 
-@pytest.mark.parametrize("case", list(_CORPUS))
+@pytest.mark.parametrize("case", _CORPUS)
 def test_non_cone_faces_match_the_set_reference(case):
     """The support pass lists each non-cone support's maximal faces as the
     set-based xa_complex finds them."""
-    oracle = _oracle(*_CORPUS[case])
+    oracle = _oracle(case)
     p = oracle.polytope
     for t, faces in oracle._non_cones.items():
         assert faces == xa_complex(p, t), (case, sorted(t))
@@ -438,11 +417,10 @@ def test_eliminated_counts_match_fresh_constraints(monkeypatch):
              "zz3": range(-6, 6)}
     seen = set()
     for case, box in boxes.items():
-        free_rank, torsion, degrees = _CORPUS[case]
-        oracle = _oracle(free_rank, torsion, degrees)
+        oracle = _oracle(case)
         group = oracle.ctx.group
-        for t in itertools.product(*(range(o) for o in torsion)):
-            for f in itertools.product(box, repeat=free_rank):
+        for t in itertools.product(*(range(o) for o in group.torsion_orders)):
+            for f in itertools.product(box, repeat=group.free_rank):
                 g = group.from_coords(t + f)
                 for support in _supports(oracle.polytope.n):
                     outcome = _count_outcome(oracle._fiber_count, g.coords,
@@ -469,7 +447,7 @@ def test_homology_only_of_non_cone_supports(case, computed, supports,
         calls.append(faces)
         return exact(faces, ambient_dim, field)
     monkeypatch.setattr(sg, "reduced_homology", counted)
-    oracle = _oracle(*_CORPUS[case])
+    oracle = _oracle(case)
     oracle.all_r(oracle.ctx.degrees[0], None)
     assert 2 ** oracle.polytope.n == supports and len(calls) == computed
 
@@ -477,9 +455,9 @@ def test_homology_only_of_non_cone_supports(case, computed, supports,
 def test_oracle_refuses_more_than_max_vertices():
     """The support scan is exponential in n: P^9 (n = 10) is accepted and
     P^10 refused before any scan."""
-    one = (1,)
-    oracle = _oracle(1, [], [one] * sg._MAX_VERTICES)
-    assert len(oracle._non_cones) == 2
+    doc = {"group": {"free_rank": 1, "degrees": [[1]] * sg._MAX_VERTICES}}
+    assert len(_oracle(doc)._non_cones) == 2
+    doc["group"]["degrees"].append([1])
     with pytest.raises(InputError) as info:
-        _oracle(1, [], [one] * (sg._MAX_VERTICES + 1))
+        _oracle(doc)
     assert info.value.details == {"n": 11, "bound": 10}

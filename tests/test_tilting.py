@@ -3,12 +3,14 @@ import itertools
 
 import pytest
 
+import corpus
+from corpus import PAPER_ONLY, RANK1_ALL, RANK2_ALL
 from oracles import (arrow_multiset, checked, endomorphism_quiver_bruteforce,
                      endomorphism_quiver_search, enumerate_classes_window,
                      i_contains, j_of_upper,
                      stabilizer_merged_count_elementwise)
 from stacktilt import cuts, tilting, upper_sets as us
-from stacktilt.abgroup import GroupHom, direct_sum_group
+from stacktilt.abgroup import GroupHom
 from stacktilt.errors import InternalInvariantBroken, NotMinimal
 from stacktilt.graded_order import GradedDegreeGroup
 from stacktilt.quiver import QuiverPresentation
@@ -142,12 +144,6 @@ def test_a_vector_with_a_landing_sub_vector_is_reducible(ctx_p1p1):
     assert degrees == {1, 2}
 
 
-def _ctx(free_rank, torsion, degrees):
-    group = direct_sum_group(free_rank, torsion)
-    return GradedDegreeGroup.build(group, [group.canonicalize(list(v))
-                                           for v in degrees])
-
-
 def _one_class_per_base(ctx):
     """The seed class over every base class: no inner enumeration."""
     split = ctx.sign_split()
@@ -157,51 +153,13 @@ def _one_class_per_base(ctx):
             for base in us.enumerate_classes(h_poset, "full")]
 
 
-def _product(a, b):
-    return (2, [], [(1, 0)] * (a + 1) + [(0, 1)] * (b + 1))
-
-
-_RANK1_CORPUS = {   # name: (free rank, torsion orders, degrees)
-    "p23": (1, [], [(2,), (3,)]),
-    "p345": (1, [], [(3,), (4,), (5,)]),
-    "p4567": (1, [], [(4,), (5,), (6,), (7,)]),
-    "p2": (1, [], [(1,)] * 3),
-    "p457": (1, [], [(4,), (5,), (7,)]),
-    "p2357": (1, [], [(2,), (3,), (5,), (7,)]),
-    "p5711": (1, [], [(5,), (7,), (11,)]),
-    "p23571": (1, [], [(2,), (3,), (5,), (7,), (11,)]),
-    "zz2_d1": (1, [2], [(1, 0), (1, 1)]),
-    "zz2_d2": (1, [2], [(1, 0), (1, 0), (1, 1)]),
-    "zz2_b": (1, [2], [(1, 0), (2, 1), (3, 0)]),
-    "zz3": (1, [3], [(1, 0), (1, 1), (1, 2)]),
-}
-# the rank-two benchmark documents, then more Picard-rank-two degree sets,
-# two of them with torsion
-_RANK2_CORPUS = {
-    "p1p1": _product(1, 1),
-    "p1p2": _product(1, 2),
-    "p1p3": _product(1, 3),
-    "p2p2": _product(2, 2),
-    "sigma1": (2, [], [(1, 0), (1, 0), (1, 1), (0, 1)]),
-    "stacky": (2, [], [(1, -1), (1, 0), (1, 1), (0, 1)]),
-    "minus": (2, [], [(1, 0), (1, 0), (-1, 1), (0, 1)]),
-    "w12": (2, [], [(1, 0), (2, 0), (0, 1), (0, 1)]),
-    "w12-second": (2, [], [(1, 0), (1, 0), (0, 1), (0, 2)]),
-    "w23": (2, [], [(2, 0), (3, 0), (0, 1), (0, 1)]),
-    "diagonal": (2, [], [(1, 0)] * 3 + [(0, 1)] * 2 + [(1, 1)]),
-    "z2-torsion": (2, [2], [(1, 0, 0), (1, 0, 1), (0, 1, 0), (0, 1, 1)]),
-    "z3-torsion": (2, [3], [(1, 0, 0), (1, 0, 1), (0, 1, 2), (0, 1, 0)]),
-}
-# zp mode lists 3,660 and 8,908 classes on these, too many for the suite
-_PAPER_ONLY = {"w23", "z3-torsion"}
-_QUIVER_CASES = {   # case: (group, mode); "-zp" marks zp mode
-    **{name: (spec, "paper") for name, spec in _RANK1_CORPUS.items()},
-    "p345-zp": (_RANK1_CORPUS["p345"], "zp"),
-    **{name: (spec, "paper") for name, spec in _RANK2_CORPUS.items()},
-    **{f"{name}-zp": (spec, "zp") for name, spec in _RANK2_CORPUS.items()
-       if name not in _PAPER_ONLY},
-    "p2p2-bases": (_product(2, 2), None),
-    "p1p1-powers": (_product(1, 1), None),
+_QUIVER_CASES = {   # case: (input, mode); "-zp" marks zp mode
+    **{name: (name, "paper") for name in RANK1_ALL + RANK2_ALL},
+    "p345-zp": ("p345", "zp"),
+    **{f"{name}-zp": (name, "zp") for name in RANK2_ALL
+       if name not in PAPER_ONLY},
+    "p2p2-bases": ("p2p2", None),
+    "p1p1-powers": ("p1p1", None),
 }
 
 
@@ -232,8 +190,8 @@ def test_endomorphism_quiver_matches_bruteforce(case):
     has an arrow with a squared variable, so p1p1-powers takes sets that
     are not tilting and have such arrows; only the per-class search serves
     those."""
-    spec, mode = _QUIVER_CASES[case]
-    ctx = _ctx(*spec)
+    name, mode = _QUIVER_CASES[case]
+    ctx = corpus.ctx(name)
     if case == "p2p2-bases":
         quivers = [(rep.elements, tilting.endomorphism_quiver(
                         tilting.arrow_table(rep.poset), rep))
@@ -254,7 +212,7 @@ def test_table_entry_off_the_cut_grading_is_caught(monkeypatch, case):
     """Every table entry out of a class member has offset e in {0, 1}: an
     entry whose level t is moved by 2 has e in {2, 3} for every class and
     must raise, in rank one and in rank two."""
-    ctx = _ctx(*_QUIVER_CASES[case][0])
+    ctx = corpus.ctx(case)
     build = tilting.arrow_table
 
     def corrupted(poset):
@@ -276,8 +234,8 @@ def test_a_class_one_level_off_is_refused_by_the_offset_check(case):
     with a member above another plus p (top Ext S_(g-h-p) != 0) are
     refused by the quiver's offset check, and the others are classes and
     get quivers.  So no set that a top-Ext test would refuse gets one."""
-    spec, mode = _QUIVER_CASES[case]
-    ctx = _ctx(*spec)
+    name, mode = _QUIVER_CASES[case]
+    ctx = corpus.ctx(name)
     refused = 0
     for grp in tilting.classify_rank2(ctx, mode).groups:
         poset = grp.classes[0].rep.poset
@@ -306,8 +264,8 @@ def test_arrow_search_runs_once_per_poset(monkeypatch, case):
     """One arrow table per classification in rank one; in rank two one
     for the base order H, then one per base class, each on its own poset.
     The classes only read them."""
-    spec, mode = _QUIVER_CASES[case]
-    ctx = _ctx(*spec)
+    name, mode = _QUIVER_CASES[case]
+    ctx = corpus.ctx(name)
     posets = []
     build = tilting.arrow_table
 
@@ -361,7 +319,7 @@ def test_certify_rank1_rejects_perturbed_quivers():
     """The rank-one certificate compares whole presentations: a quiver
     that differs from the cut's algebra in one arrow target, one relation
     target, one arrow or one relation is refused."""
-    ctx = _ctx(1, [], [(3,), (4,), (5,)])
+    ctx = corpus.ctx("p345")
     cut_data = cuts.data_of_group(ctx)
     classes = tilting.classify_rank1(ctx, mode="zp")
     # the last class with relations, so a check of fewer classes misses it
@@ -419,7 +377,7 @@ def test_an_orbit_size_off_by_one_misses_a_cut(ctx_zz2_d1, monkeypatch,
 def _merging_groups(name):
     """A paper classification, and its base classes whose stabilizer
     merges some inner classes."""
-    result = tilting.classify_rank2(_ctx(*_RANK2_CORPUS[name]), "paper")
+    result = tilting.classify_rank2(corpus.ctx(name), "paper")
     return result, [grp for grp in result.groups
                     if grp.merged_class_count < len(grp.classes)]
 
@@ -433,12 +391,12 @@ def test_stabilizer_count_matches_the_elementwise_count(name):
             result.split, grp.base, [tc.rep for tc in grp.classes])
 
 
-@pytest.mark.parametrize("name", list(_RANK2_CORPUS))
+@pytest.mark.parametrize("name", RANK2_ALL)
 def test_the_full_walk_over_each_base_finds_the_merged_classes(name):
     """A second route to merged_class_count: the full walk of each base
     class's poset forms one class per orbit of the translations fixing
     the base, and its orbits hold the zp classes, each once."""
-    result = tilting.classify_rank2(_ctx(*_RANK2_CORPUS[name]), "paper")
+    result = tilting.classify_rank2(corpus.ctx(name), "paper")
     for grp in result.groups:
         poset = grp.classes[0].rep.poset
         full = us.enumerate_classes(poset, "full")
@@ -532,8 +490,8 @@ def test_certificates_run_once_per_classification(ctx_p23, monkeypatch):
         assert calls["fiber_map"] == 2
     assert calls["coset_reps"] == 0
 
-    for a, b in ((1, 2), (2, 2)):
-        ctx = _ctx(2, [], [(1, 0)] * (a + 1) + [(0, 1)] * (b + 1))
+    for name in ("p1p2", "p2p2"):
+        ctx = corpus.ctx(name)
         calls["certify2"] = calls["h_closure"] = 0
         result = tilting.classify_rank2(ctx)
         assert calls["certify2"] == calls["h_closure"] == 1
@@ -555,7 +513,7 @@ def test_two_presentations_per_rank1_class(monkeypatch, mode, classes):
         built.append(qp)
         init(qp, *args, **kwargs)
     monkeypatch.setattr(QuiverPresentation, "__init__", counted)
-    found = tilting.classify_rank1(_ctx(1, [], [(5,), (7,), (11,)]), mode)
+    found = tilting.classify_rank1(corpus.ctx("p5711"), mode)
     assert len(found) == classes and len(built) == 2 * classes
 
 

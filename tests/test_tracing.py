@@ -13,6 +13,8 @@ import sys
 import time
 from pathlib import Path
 
+import corpus
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
 
@@ -50,8 +52,7 @@ def test_traced_cuts_counters(tmp_path):
     candidate table, when every one of the 2^4 tables was checked whole.
     """
     doc = tmp_path / "p23.json"
-    doc.write_text(json.dumps({"group": {"free_rank": 1,
-                                         "degrees": [[2], [3]]}}))
+    doc.write_text(json.dumps(corpus.DOCS["p23"]))
     spec = {"src": str(ROOT / "src"), "argv": ["cuts", str(doc)],
             "input": str(doc), "spawn": time.perf_counter(), "trace": True}
     proc = subprocess.run(

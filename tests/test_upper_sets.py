@@ -7,12 +7,12 @@ from pathlib import Path
 
 import pytest
 
+import corpus
 from oracles import (TrivialUpperSet, admits_proper_superset, checked,
                      enumerate_classes_window, i_contains, j_of_upper,
                      orbit_size_elementwise)
 from stacktilt import stacky_geom as sg, upper_sets as us
 from stacktilt.errors import NotAntichain, NotMinimal
-from stacktilt.graded_order import GradedDegreeGroup
 
 
 def _poset(ctx):
@@ -196,12 +196,11 @@ def test_orbit_sizes_add_up_to_the_zp_classes(ctx_p23, ctx_zz2_d1, ctx_zz2_d2,
         assert {rep.orbit_len for rep in zp} == {1}
 
 
-def test_paper_mode_keys_one_point_per_class(z_group, monkeypatch):
+def test_paper_mode_keys_one_point_per_class(monkeypatch):
     """P(5,7,11) has 43 classes over 989 points.  Each orbit's head is the
     least key, min(orbit, key=poset.key), but only points whose least
     member is least are keyed: here one per class."""
-    ctx = GradedDegreeGroup.build(
-        z_group, [z_group.canonicalize([w]) for w in (5, 7, 11)])
+    ctx = corpus.ctx("p5711")
     keyed = []
     key = us.GroupPoset.key
 
@@ -383,12 +382,11 @@ def test_every_stacky_geom_name_has_a_library_caller():
     assert _uncalled(sg) == []
 
 
-def test_zp_walk_scans_each_point_once(z_group, monkeypatch):
+def test_zp_walk_scans_each_point_once(monkeypatch):
     """In zp mode every class is its own head and expanded point, so its
     down sites are scanned once, by the walk, and its edges reuse them.
     The classes, edges and orbit lengths are those recorded before."""
-    ctx = GradedDegreeGroup.build(
-        z_group, [z_group.canonicalize([w]) for w in (5, 7, 11)])
+    ctx = corpus.ctx("p5711")
     scans = []
     down = us.GroupPoset.down
 
