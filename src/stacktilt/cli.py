@@ -331,6 +331,13 @@ def cmd_verify(args) -> int:
             raise InputError("--set must be a list of coordinate vectors")
         elements = [ctx.group.from_coords(_int_vector(v, "a --set vector"))
                     for v in vectors]
+        if not elements:
+            raise InputError("--set names no line bundle")
+        repeated = sorted({e.coords for e in elements
+                           if elements.count(e) > 1})
+        if repeated:
+            raise InputError("--set names a line bundle more than once",
+                             repeated=[list(c) for c in repeated])
         report = tilting.verify_class(oracle, elements, field=field)
         ok = report.ok
         entries.append({"id": "explicit", **report.to_json()})

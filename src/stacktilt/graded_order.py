@@ -20,10 +20,10 @@ from .errors import (DegenerateSplit, DimensionMismatch, G1Violation,
 
 # The most cosets coset_reps lists.  A poset on m cosets learns its gap
 # table from m^2 `leq` calls and checks its arrow table's closure in m^3
-# steps, so `classify` of one class took 0.12 s on P(1,1,62) (m = 64),
-# 0.55 s on P(1,1,126), 3.8 s on P(1,1,254) and 5.4 s on P(1,1,1,1,252)
-# (both m = 256), and 11 s on P(1,1,400) (m = 402; in-process, 2-vCPU
-# x86-64 host).
+# steps, and those two are most of the time: `classify` of one class takes
+# 0.06 s on P(1,1,62) (m = 64), 0.35 s on P(1,1,126) (m = 128) and 2.1 s
+# on P(1,1,254) (m = 256), of which the gaps take 0.3 s and the closure
+# 1.6 s (in-process, one run each, 2-vCPU x86-64 Xeon host).
 COSET_BOUND = 256
 
 

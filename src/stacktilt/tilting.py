@@ -69,54 +69,145 @@ def arrow_table(poset: us.GroupPoset) -> dict:
 
     table[a] lists (b, t, c) for each exponent vector c minimal with
     s_a + deg c over the poset: s_a + deg c = s_b + t*shift, and no
-    nonzero proper sub-vector of c lands over a fiber.  The search goes
-    one degree at a time and admits c only when every c - e_j is open
-    (lands over no fiber), all of which lie on the layer just done; an
-    admitted c that lands is an entry and is not extended.  Each c is met
-    once, from c - e_i with i its last nonzero index.  It stops at
-    theta(c) <= max over b of theta(s_b) - theta(s_a) - gaps[b][a]*theta_p,
-    the most any class's member over b rises above its member over a
-    (k_b - k_a <= -gaps[b][a]).  On the whole group every vector lands, so
-    the table is the n single steps per fiber.  Each entry is proved
-    irreducible, and the entries' cut grading must close to the gaps.
+    nonzero proper sub-vector of c lands over a fiber; entries come by
+    degree, and within one degree by exponent vector, largest first.  Only
+    vectors with theta(c) <= max over b of theta(s_b) - theta(s_a) -
+    gaps[b][a]*theta_p are searched, the most any class's member over b
+    rises above its member over a (k_b - k_a <= -gaps[b][a]).  On the
+    whole group every vector lands, so the table is the n single steps per
+    fiber (GroupPoset.single_steps).  Over a rank-two base class the search
+    runs on integers (_fibered_entries), and each entry it finds is
+    re-derived by group arithmetic and proved irreducible.  The entries'
+    cut grading must close to the gaps.
     """
     ctx, gaps, theta = poset.ctx, poset.gaps, poset.sample_theta
-    n = ctx.n
-    steps = [(x, ctx.theta_val(x)) for x in ctx.degrees]
+    weights = [ctx.theta_val(x) for x in ctx.degrees]
+    units = [tuple(int(j == i) for j in range(ctx.n)) for i in range(ctx.n)]
+    search = None if poset.whole_group else _fibered_moves(poset)
     table = {}
     for a in poset.fibers:
         bound = max(theta[b] - theta[a] - gaps[b][a] * poset.theta_p
                     for b in poset.fibers)
-        found = []
-        layer = {(0,) * n: (poset.fiber_sample(a), 0)}
-        while layer:
-            nxt = {}
-            for b, (mid, t) in layer.items():
-                last = max((j for j in range(n) if b[j]), default=0)
-                for i in range(last, n):
-                    x, tx = steps[i]
-                    c = b[:i] + (b[i] + 1,) + b[i + 1:]
-                    if t + tx > bound or any(
-                            c[j] and c[:j] + (c[j] - 1,) + c[j + 1:]
-                            not in layer for j in range(n)):
-                        continue
-                    h = mid + x
-                    over = poset.level(h)
-                    if over is None:
-                        nxt[c] = (h, t + tx)
-                    elif _is_irreducible(poset, a, c):
-                        found.append((*over, c))
-                    else:
-                        raise InternalInvariantBroken(
-                            f"arrow table met a reducible monomial {c} "
-                            f"out of fiber {a}")
-            layer = nxt
-        table[a] = tuple(found)
+        if search is None:
+            table[a] = tuple((*over, unit) for over, unit, w in zip(
+                poset.single_steps[a], units, weights) if w <= bound)
+        else:
+            table[a] = _fibered_entries(poset, a, bound, weights, *search)
     us.check_closure(poset, ((a, b, t) for a, entries in table.items()
                              for b, t, _ in entries),
                      "the arrow table's cut grading disagrees with the gap "
                      "table")
     return table
+
+
+def _fibered_moves(poset: us.GroupPoset) -> tuple:
+    """The integer data of the search over the base class J of a fibered
+    poset, read off H's single steps (poset.over[1].poset.single_steps).
+
+    A vector c out of fiber a is the state (f, d) of q(s_a + deg c) =
+    h_f + k*s in H, with h_f the sample of H-fiber f and d = k - k_f the
+    H-level above J's member h_f + k_f*s over f.  moves[i][f] = (g, dd)
+    moves a state by q(x_i): by the step +ybar_j when x_i is the j-th
+    positive degree of split.order, by the inverse of the step ybar_j when
+    it is a negative one.  member[f] is the coordinates of J's member over
+    f, the fibered fiber it is, and start[a] the H-fiber of fiber a.  The
+    moves must commute, as translations do; one step off by a level fails
+    that, and a search reading it would drop or invent entries.
+    """
+    split, base = poset.over
+    h_poset = base.poset
+    index = h_poset.index
+    m = len(index)
+    level, member, start = [None] * m, [None] * m, {}
+    for h in base.elements:
+        f, k = h_poset.level(h)
+        level[index[f]], member[index[f]] = k, h.coords
+        start[h.coords] = index[f]
+    steps = [[None] * m for _ in split.order]
+    for f, row in h_poset.single_steps.items():
+        i = index[f]
+        for j, (g, dk) in enumerate(row):
+            steps[j][i] = (index[g], dk + level[i] - level[index[g]])
+    moves = [None] * len(split.order)
+    for j, i in enumerate(split.order):
+        if j < split.l:
+            moves[i] = steps[j]
+        else:
+            moves[i] = [None] * m
+            for f, (g, dd) in enumerate(steps[j]):
+                moves[i][g] = (f, -dd)
+    for mi, mj in itertools.combinations(moves, 2):
+        for f in range(m):
+            (g, di), (h, dj) = mi[f], mj[f]
+            g, dij = mj[g]
+            h, dji = mi[h]
+            if g != h or di + dij != dj + dji:
+                raise InternalInvariantBroken(
+                    "the base order's single steps do not commute")
+    return moves, member, start
+
+
+def _fibered_entries(poset: us.GroupPoset, a, bound: int,
+                     weights: list[int], moves: list, member: list,
+                     start: dict) -> tuple:
+    """table[a] of a fibered poset (arrow_table), searched on integers.
+
+    Each vector is a mixed-radix code, c_0 the most significant digit, so
+    a larger code is a larger vector; no digit reaches its radix, as
+    c_i*theta(x_i) <= theta(c) <= bound.  A layer maps the codes of one
+    degree to their states (H-fiber, H-level above J, theta(c), support
+    bits; see _fibered_moves).  A vector lands when its H-level is J's;
+    it is admitted when the open layer below generated it |supp c| times,
+    once from each c - e_j, so that every one of them is open.  An
+    admitted vector that lands is an entry, the others form the next
+    layer.
+    """
+    n = len(weights)
+    radix = [bound // w + 1 for w in weights]
+    place = [1] * n
+    for i in reversed(range(n - 1)):
+        place[i] = place[i + 1] * radix[i + 1]
+    # lightest degree first, so that a code stops at the first too heavy
+    steps = sorted((weights[i], place[i], moves[i], 1 << i) for i in range(n))
+    theta_a, theta_p = poset.sample_theta[a], poset.theta_p
+    found = []
+    layer = {0: (start[a], 0, 0, 0)}
+    while layer:
+        states, counts = {}, {}
+        for code, (f, d, th, supp) in layer.items():
+            room = bound - th
+            for w, p, move, bit in steps:
+                if w > room:
+                    break
+                c = code + p
+                if c in states:
+                    counts[c] += 1
+                else:
+                    counts[c] = 1
+                    g, dd = move[f]
+                    states[c] = (g, d + dd, th + w, supp | bit)
+        layer, landed = {}, []
+        for c, state in states.items():
+            if counts[c] == state[3].bit_count():
+                if state[1]:
+                    layer[c] = state
+                else:
+                    landed.append(c)
+        for c in sorted(landed, reverse=True):
+            g, _, th, _ = states[c]
+            b = member[g]
+            t = (theta_a + th - poset.sample_theta[b]) // theta_p
+            mono = tuple(c // p % r for p, r in zip(place, radix))
+            if _over(poset, a, mono) != (b, t):
+                raise InternalInvariantBroken(
+                    f"arrow table entry {mono} out of fiber {a} does not "
+                    f"land at level {t} over {b}")
+            if not _is_irreducible(poset, a, mono):
+                raise InternalInvariantBroken(
+                    f"arrow table met a reducible monomial {mono} "
+                    f"out of fiber {a}")
+            found.append((b, t, mono))
+    return tuple(found)
 
 
 def endomorphism_quiver(table: dict,
@@ -157,19 +248,21 @@ def endomorphism_quiver(table: dict,
                               arrows=tuple(arrows), relations=tuple(relations))
 
 
+def _over(poset: us.GroupPoset, a, mono: tuple[int, ...]):
+    """poset.level(s_a + deg mono), by group arithmetic."""
+    mid = poset.fiber_sample(a)
+    for x, e in zip(poset.ctx.degrees, mono):
+        if e:
+            mid = mid + e * x
+    return poset.level(mid)
+
+
 def _is_irreducible(poset: us.GroupPoset, a, mono: tuple[int, ...]) -> bool:
     """No nonzero proper sub-vector of mono lands over a fiber from s_a, so
     no member of any class of poset splits the monomial."""
-    for split in itertools.product(*(range(e + 1) for e in mono)):
-        if not any(split) or split == mono:
-            continue
-        mid = poset.fiber_sample(a)
-        for i, e in enumerate(split):
-            if e:
-                mid = mid + e * poset.ctx.degrees[i]
-        if poset.level(mid) is not None:
-            return False
-    return True
+    return all(_over(poset, a, split) is None
+               for split in itertools.product(*(range(e + 1) for e in mono))
+               if any(split) and split != mono)
 
 
 def _certify_rank1(ctx: GradedDegreeGroup, classes: list[TiltingClass],
@@ -252,7 +345,8 @@ def _certify_rank2(h_poset: us.GroupPoset) -> None:
     Each step lands at offset 0 or 1 from every base class, as xbar_i <= s
     (s sums the positive images and the negated negative ones): a member
     h has h <= h + xbar_i <= h + s.  Chains of steps give back the class
-    constraints, so the closure is -gaps on every valid input.
+    constraints, so the closure is -gaps on every valid input.  The steps
+    are H's GroupPoset.single_steps, which the fibered arrow searches read.
     """
     arrow_table(h_poset)
 

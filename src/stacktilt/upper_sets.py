@@ -86,6 +86,16 @@ class GroupPoset:
                 out[a][b] -= 1
         return out
 
+    @functools.cached_property
+    def single_steps(self) -> dict:
+        """single_steps[a][i] = level(s_a + x_i), by group arithmetic: the
+        (fiber, level change) of the degree x_i out of fiber a.  Whole-group
+        form only, where every element lies over a fiber; the fibered
+        posets over H's classes read H's table."""
+        degrees, level = self.ctx.degrees, self.level
+        return {a: [level(s + x) for x in degrees]
+                for a, s in self._samples.items()}
+
     def _level(self, e: GroupElement) -> Optional[tuple]:
         """(a, k) with e = s_a + k*shift, or None when e lies over no fiber
         of the poset; self.level caches it per e."""

@@ -5,11 +5,13 @@ named here, not copied; every other named input is one CLI document
 below.  The selections name what the cross-checks read: `RANK1` and
 `RANK2` the element-level and corruption routes of `test_gap_table`,
 `RANK1_ALL` and `RANK2_ALL` the walk-against-BFS, closure and quiver
-routes (every benchmark stack and more).  `documents()` draws the fuzz
-groups and `all_lattice_quotients()` lists the type-A~ lattices.
+routes (every benchmark stack and more).  `documents()` draws the
+rank-one fuzz groups, `products()` the rank-two ones, and
+`all_lattice_quotients()` lists the type-A~ lattices.
 """
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -100,6 +102,50 @@ def documents(draw):
         else:
             group["torsion_orders"] = [draw(JUNK)]
     return {"group": group}
+
+
+def _axis(draw, most):
+    """Two or three weights of 1..3, of gcd 1 and sum at most most (>= 2)."""
+    count = draw(st.integers(2, min(3, most)))
+    weights = []
+    for left in reversed(range(count)):
+        room = most - sum(weights) - left    # each weight left needs 1
+        weights.append(draw(st.integers(1, min(3, room))))
+    if math.gcd(*weights) != 1:
+        weights[0] = 1
+    return weights
+
+
+def _tied(weights, parities):
+    """The Z/2 values of an axis that vanish on every relation among its
+    weights: none, or each weight's own parity."""
+    return parities in ([0] * len(weights), [w % 2 for w in weights])
+
+
+@st.composite
+def products(draw):
+    """Valid rank-two documents: weighted products such as w12 and w23,
+    degrees (w, 0) and (0, v) with two or three weights of 1..3 per axis,
+    each axis of gcd 1.  One in two adds a Z/2 coordinate, which the
+    degrees generate when the parities on some axis are not _tied; a draw
+    tied on both axes gets a parity flipped on the first axis.  |H/Zs|,
+    with H = G/Zp and s the sum of one axis's degrees, is (sum of w) x
+    (sum of v) x (2 with Z/2), at most MAX_QUOTIENT."""
+    order = draw(st.sampled_from([1, 2]))
+    first = _axis(draw, MAX_QUOTIENT // (2 * order))
+    second = _axis(draw, MAX_QUOTIENT // (sum(first) * order))
+    degrees = [[w, 0] for w in first] + [[0, v] for v in second]
+    if order == 1:
+        return _group(2, (), *degrees)
+    parities = [[draw(st.integers(0, 1)) for _ in axis]
+                for axis in (first, second)]
+    if _tied(first, parities[0]) and _tied(second, parities[1]):
+        # flipping x1 leaves the first axis tied only when its weights'
+        # parities are (1, 0, ...), and then flipping x2 does not
+        flipped = [1 - parities[0][0]] + parities[0][1:]
+        parities[0][1 if _tied(first, flipped) else 0] ^= 1
+    return _group(2, (2,), *(d + [t] for d, t in zip(
+        degrees, parities[0] + parities[1])))
 
 
 def all_lattice_quotients():

@@ -23,6 +23,7 @@ from stacktilt.graded_order import GradedDegreeGroup
 from stacktilt.quiver import (Arrow, QuiverPresentation, Relation,
                               monomial_label)
 from stacktilt import upper_sets as us
+from stacktilt.tilting import _is_irreducible
 from stacktilt.upper_sets import AntichainRep, is_antichain_rep
 
 _SEARCH_CAP = 10_000
@@ -306,6 +307,62 @@ def local_check_elementwise(poset, by_fiber: dict) -> bool:
             if h != r and h != poset.shift(r, 1):
                 return False
     return True
+
+
+def arrow_table_elementwise(poset: us.GroupPoset) -> dict:
+    """tilting.arrow_table by group arithmetic on every searched vector,
+    the reference for its integer search on the fibered posets.
+
+    table[a] lists (b, t, c) for each exponent vector c minimal with
+    s_a + deg c over the poset: s_a + deg c = s_b + t*shift, and no
+    nonzero proper sub-vector of c lands over a fiber.  The search goes
+    one degree at a time and admits c only when every c - e_j is open
+    (lands over no fiber), all of which lie on the layer just done; an
+    admitted c that lands is an entry and is not extended.  Each c is met
+    once, from c - e_i with i its last nonzero index.  It stops at
+    theta(c) <= max over b of theta(s_b) - theta(s_a) - gaps[b][a]*theta_p,
+    the most any class's member over b rises above its member over a
+    (k_b - k_a <= -gaps[b][a]).  On the whole group every vector lands, so
+    the table is the n single steps per fiber.  Each entry is proved
+    irreducible, and the entries' cut grading must close to the gaps.
+    """
+    ctx, gaps, theta = poset.ctx, poset.gaps, poset.sample_theta
+    n = ctx.n
+    steps = [(x, ctx.theta_val(x)) for x in ctx.degrees]
+    table = {}
+    for a in poset.fibers:
+        bound = max(theta[b] - theta[a] - gaps[b][a] * poset.theta_p
+                    for b in poset.fibers)
+        found = []
+        layer = {(0,) * n: (poset.fiber_sample(a), 0)}
+        while layer:
+            nxt = {}
+            for b, (mid, t) in layer.items():
+                last = max((j for j in range(n) if b[j]), default=0)
+                for i in range(last, n):
+                    x, tx = steps[i]
+                    c = b[:i] + (b[i] + 1,) + b[i + 1:]
+                    if t + tx > bound or any(
+                            c[j] and c[:j] + (c[j] - 1,) + c[j + 1:]
+                            not in layer for j in range(n)):
+                        continue
+                    h = mid + x
+                    over = poset.level(h)
+                    if over is None:
+                        nxt[c] = (h, t + tx)
+                    elif _is_irreducible(poset, a, c):
+                        found.append((*over, c))
+                    else:
+                        raise InternalInvariantBroken(
+                            f"arrow table met a reducible monomial {c} "
+                            f"out of fiber {a}")
+            layer = nxt
+        table[a] = tuple(found)
+    us.check_closure(poset, ((a, b, t) for a, entries in table.items()
+                             for b, t, _ in entries),
+                     "the arrow table's cut grading disagrees with the gap "
+                     "table")
+    return table
 
 
 def endomorphism_quiver_search(ctx, elements) -> QuiverPresentation:

@@ -161,13 +161,16 @@ LATTICE = {"d": 1, "b_generators": [[5, -5]], "gamma": [2, 3]}
      ["cohomology", "--twist", "[1000000000000, 0, 0]", "--r", "0"]),
     (P23, ["cohomology", "--twist", "[" + "9" * 4300 + ", 0]", "--r", "0"]),
     (P23, ["classify", "--max-classes", "-1"]),
+    (P23, ["verify", "--set", "[]"]),
+    (DOCS["zz2_d1"], ["verify", "--set", "[[1, 0], [3, 0]]"]),
 ], ids=["twist-json", "at-json", "set-json", "lattice-no-d", "gamma-str",
         "gamma-float", "field-flag", "field-doc", "doc-number",
         "polytope-list", "vertex-str", "degree-number", "free-rank-float",
         "d-float", "twist-float",
         "twist-bool", "at-float", "set-entry", "F4", "Fp-6", "verify-F9",
         "set-and-class", "class-negative", "twist-fiber-too-large",
-        "twist-coords-unprintable", "max-classes-negative"])
+        "twist-coords-unprintable", "max-classes-negative", "set-empty",
+        "set-repeated"])
 def test_malformed_input_exits_2(tmp_path, capsys, doc, argv):
     path = _write(tmp_path, doc)
     code = main(argv[:1] + [path] + argv[1:])
@@ -175,6 +178,18 @@ def test_malformed_input_exits_2(tmp_path, capsys, doc, argv):
     assert code == 2
     assert json.loads(captured.out)["error"]["type"] == "InputError"
     assert "Traceback" not in captured.err
+
+
+def test_verify_set_names_its_repeated_line_bundles(tmp_path, capsys):
+    """On Z + Z/2 (torsion slot first) [1, 0] and [3, 0] are one line
+    bundle; the details list each repeated one once, canonically."""
+    path = _write(tmp_path, DOCS["zz2_d1"])
+    code, doc = _run(capsys, ["verify", path, "--set",
+                              "[[1, 0], [0, 1], [3, 0], [1, 1], [0, 1]]"])
+    assert code == 2
+    assert doc["error"]["message"] == ("--set names a line bundle more "
+                                       "than once")
+    assert doc["error"]["details"] == {"repeated": [[0, 1], [1, 0]]}
 
 
 def test_classify_dot_output(tmp_path, capsys):

@@ -152,13 +152,15 @@ def test_element_over_a_fiber_the_poset_lacks():
 
 
 BUILD_GAPS = us.GroupPoset.__dict__["gaps"].func
+BUILD_STEPS = us.GroupPoset.__dict__["single_steps"].func
 
 
-def _patch_gaps(monkeypatch, gaps):
-    """Make GroupPoset.gaps the cached result of gaps(poset)."""
-    prop = functools.cached_property(gaps)
-    prop.__set_name__(us.GroupPoset, "gaps")
-    monkeypatch.setattr(us.GroupPoset, "gaps", prop)
+def _patch(monkeypatch, name, build):
+    """Make the GroupPoset property name the cached result of
+    build(poset)."""
+    prop = functools.cached_property(build)
+    prop.__set_name__(us.GroupPoset, name)
+    monkeypatch.setattr(us.GroupPoset, name, prop)
 
 
 def _corrupt(monkeypatch, applies, a, b, delta):
@@ -168,7 +170,7 @@ def _corrupt(monkeypatch, applies, a, b, delta):
         if applies(poset):
             table[poset.fibers[a]][poset.fibers[b]] += delta
         return table
-    _patch_gaps(monkeypatch, gaps)
+    _patch(monkeypatch, "gaps", gaps)
 
 
 CLOSURE = "the arrow table's cut grading disagrees with the gap table"
@@ -220,7 +222,7 @@ def test_order_questions_come_from_the_table_only(monkeypatch):
         finally:
             building.pop()
 
-    _patch_gaps(monkeypatch, gaps)
+    _patch(monkeypatch, "gaps", gaps)
     monkeypatch.setattr(GradedDegreeGroup, "leq", counted_leq)
     classes = tilting.classify_rank1(corpus.ctx("p5711"), "paper")
     assert len(classes) == 43
@@ -607,6 +609,19 @@ def test_closure_is_the_check_on_the_base_order(monkeypatch):
     assert got and got != expected
 
 
+def _walks(monkeypatch):
+    """The posets enumerate_classes walks, in order."""
+    walked = []
+    enumerate_classes = us.enumerate_classes
+
+    def walk(poset, *args):
+        walked.append(poset)
+        return enumerate_classes(poset, *args)
+
+    monkeypatch.setattr(us, "enumerate_classes", walk)
+    return walked
+
+
 @pytest.mark.parametrize("name", ["p1p1", "p1p2", "sigma1", "stacky"],
                          ids=_ID.get)
 def test_every_base_gap_change_is_caught_before_the_base_walk(monkeypatch,
@@ -616,17 +631,94 @@ def test_every_base_gap_change_is_caught_before_the_base_walk(monkeypatch,
     classifications lost or gained classes silently (P1xP2 with
     (fibers[0], fibers[1]) one higher listed 71 classes instead of 96)."""
     ctx = corpus.ctx(name)
-    walked = []
-    enumerate_classes = us.enumerate_classes
-
-    def walk(poset, *args):
-        walked.append(poset)
-        return enumerate_classes(poset, *args)
-
-    monkeypatch.setattr(us, "enumerate_classes", walk)
+    walked = _walks(monkeypatch)
     n = len(_h_poset(ctx).fibers)
     for a, b, delta in itertools.product(range(n), range(n), (1, -1)):
         _corrupt(monkeypatch, lambda poset: poset.ctx is not ctx, a, b, delta)
         with pytest.raises(InternalInvariantBroken, match=CLOSURE):
             tilting.classify_rank2(ctx, "zp")
     assert not walked
+
+
+def _move_steps(steps, fibers, j, delta):
+    """Move the level of the step x_j out of each of fibers by delta."""
+    for a in fibers:
+        b, t = steps[a][j]
+        steps[a][j] = (b, t + delta)
+
+
+def _after_the_closure(monkeypatch, move):
+    """Apply move to H's single steps once H's closure has passed."""
+    certify = tilting._certify_rank2
+
+    def certified(h_poset):
+        certify(h_poset)
+        move(h_poset)
+
+    monkeypatch.setattr(tilting, "_certify_rank2", certified)
+
+
+@pytest.mark.parametrize("name", ["p1p1", "p1p2", "sigma1", "stacky"],
+                         ids=_ID.get)
+def test_every_base_single_step_change_is_caught_before_the_walks(
+        monkeypatch, name):
+    """Both modes: every single ±1 change to the level of one of H's
+    single steps, the table the fibered search reads (a negative degree
+    of G reads its step's inverse).  Made as the table is built, the
+    closure of H's arrow table refuses it before any poset is walked.
+    Made after that closure passed, the fibered search refuses it before
+    any inner class is walked: the changed step no longer commutes with
+    the others.  Without that check, 16 of the paper-mode changes were
+    let through with other quivers (an entry missing whose constraint the
+    fibered closure also drew from other entries), where paper mode
+    searches fewer base classes than zp mode."""
+    ctx = corpus.ctx(name)
+    split = ctx.sign_split()
+    assert split.l < ctx.n      # H's last degrees are negated ones of G
+    walked = _walks(monkeypatch)
+    n = len(_h_poset(ctx).fibers)
+    for mode, a, j, delta in itertools.product(
+            ("paper", "zp"), range(n), range(ctx.n), (1, -1)):
+        walked.clear()
+
+        def build(poset):
+            steps = BUILD_STEPS(poset)
+            _move_steps(steps, poset.fibers[a:a + 1], j, delta)
+            return steps
+
+        with monkeypatch.context() as patched:
+            _patch(patched, "single_steps", build)
+            with pytest.raises(InternalInvariantBroken, match=CLOSURE):
+                tilting.classify_rank2(ctx, mode)
+        assert not walked
+        with monkeypatch.context() as patched:
+            _after_the_closure(patched, lambda h_poset: _move_steps(
+                h_poset.single_steps, h_poset.fibers[a:a + 1], j, delta))
+            with pytest.raises(InternalInvariantBroken,
+                               match="single steps do not commute"):
+                tilting.classify_rank2(ctx, mode)
+        assert all(poset.whole_group for poset in walked)
+
+
+@pytest.mark.parametrize("name", ["p1p1", "p1p2", "sigma1", "stacky"],
+                         ids=_ID.get)
+def test_a_base_degree_one_level_off_is_caught_by_the_entries(monkeypatch,
+                                                              name):
+    """Both modes: one of H's degrees moved by ±1 on every fiber after
+    H's closure passed.  Its steps still commute, so the fibered search
+    reads an order that is consistent and wrong.  The re-derivation of
+    each entry by group arithmetic refuses the first vector that lands
+    falsely, before any inner class is walked.  (Without that check,
+    _is_irreducible or the closure of the fibered table refuse every such
+    change on the rank-two corpus.)"""
+    ctx = corpus.ctx(name)
+    walked = _walks(monkeypatch)
+    for mode, j, delta in itertools.product(("paper", "zp"), range(ctx.n),
+                                            (1, -1)):
+        with monkeypatch.context() as patched:
+            _after_the_closure(patched, lambda h_poset: _move_steps(
+                h_poset.single_steps, h_poset.fibers, j, delta))
+            with pytest.raises(InternalInvariantBroken,
+                               match="does not land at level"):
+                tilting.classify_rank2(ctx, mode)
+        assert all(poset.whole_group for poset in walked)
