@@ -321,8 +321,6 @@ def cmd_cohomology(args) -> int:
 def cmd_verify(args) -> int:
     ctx, oracle, field, classes = _oracle_context(
         args, classify=args.set is None)
-    entries = []
-    ok = True
     if args.set is not None:
         if args.class_id is not None:
             raise InputError("verify takes at most one of --set or --class")
@@ -338,16 +336,15 @@ def cmd_verify(args) -> int:
         if repeated:
             raise InputError("--set names a line bundle more than once",
                              repeated=[list(c) for c in repeated])
-        report = tilting.verify_class(oracle, elements, field=field)
-        ok = report.ok
-        entries.append({"id": "explicit", **report.to_json()})
+        sets = [("explicit", elements)]
     else:
         if args.class_id is not None:
             classes = [_find_class(classes, args.class_id)]
-        for tc in classes:
-            report = tilting.verify_class(oracle, tc.elements, field=field)
-            ok = ok and report.ok
-            entries.append({"id": tc.class_id, **report.to_json()})
+        sets = [(tc.class_id, tc.elements) for tc in classes]
+    entries = [{"id": set_id, **tilting.verify_class(
+                    oracle, elements, field=field).to_json()}
+               for set_id, elements in sets]
+    ok = all(entry["ok"] for entry in entries)
     _emit({"command": "verify", "ok": ok, "classes": entries})
     return 0 if ok else 1
 

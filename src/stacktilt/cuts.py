@@ -65,8 +65,35 @@ class LatticeQuotient:
     def vertices(self) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted(self.targets))
 
-    def arrow_target(self, source: tuple, i: int) -> tuple:
-        return self.targets[source][i]
+    @cached_property
+    def tree(self) -> list[tuple[tuple, tuple, int, int]]:
+        """BFS spanning tree of the undirected Cayley graph from the zero
+        vertex, built on first use.
+
+        Edges are (parent, child, type, sign): sign +1 when child is
+        parent + alpha_type, -1 when child is parent - alpha_type.
+        """
+        source = {(w, i): v for v, ws in self.targets.items()
+                  for i, w in enumerate(ws)}
+        zero = self.group.zero().coords
+        tree = []
+        seen = {zero}
+        frontier = [zero]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for i, w in enumerate(self.targets[v]):
+                    if w not in seen:
+                        seen.add(w)
+                        tree.append((v, w, i, +1))
+                        nxt.append(w)
+                    u = source[v, i]
+                    if u not in seen:
+                        seen.add(u)
+                        tree.append((v, u, i, -1))
+                        nxt.append(u)
+            frontier = nxt
+        return tree
 
     def all_arrows(self) -> list[tuple[tuple, int]]:
         return [(v, i) for v in self.vertices for i in range(self.d + 1)]
@@ -135,36 +162,6 @@ def cut_type(lq: LatticeQuotient, cut: frozenset) -> tuple[int, ...]:
     return tuple(gamma)
 
 
-def _spanning_tree(lq: LatticeQuotient) -> list[tuple[tuple, tuple, int, int]]:
-    """BFS spanning tree of the undirected Cayley graph from the zero vertex.
-
-    Edges are (parent, child, type, sign): sign +1 when child is
-    parent + alpha_type, -1 when child is parent - alpha_type.
-    """
-    source = {(w, i): v for v, ws in lq.targets.items()
-              for i, w in enumerate(ws)}
-    zero = lq.group.zero().coords
-    tree = []
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(lq.d + 1):
-                w = lq.arrow_target(v, i)
-                if w not in seen:
-                    seen.add(w)
-                    tree.append((v, w, i, +1))
-                    nxt.append(w)
-                u = source[v, i]
-                if u not in seen:
-                    seen.add(u)
-                    tree.append((v, u, i, -1))
-                    nxt.append(u)
-        frontier = nxt
-    return tree
-
-
 def cut_from_detector(det: CutDetector) -> frozenset:
     """The arrows where det drops by gamma_i - m, once det is checked:
     f(0) = 0, a value at every vertex, and each arrow's increment in
@@ -176,7 +173,7 @@ def cut_from_detector(det: CutDetector) -> frozenset:
         raise InvalidDetector("detector table does not cover L/B")
     cut = []
     for (v, i) in lq.all_arrows():
-        inc = table[lq.arrow_target(v, i)] - table[v]
+        inc = table[lq.targets[v][i]] - table[v]
         if inc == gamma[i] - lq.m:
             cut.append((v, i))
         elif inc != gamma[i]:
@@ -210,20 +207,20 @@ def is_bounding(lq: LatticeQuotient, cut: frozenset) -> bool:
     return acyclic
 
 
-def _detector_search(lq: LatticeQuotient, tree: list, gamma: tuple,
-                     emit) -> None:
-    """Call emit(values, cut) on every cut detector of type gamma, in order.
+def _detector_search(lq: LatticeQuotient, gamma: tuple, emit) -> int:
+    """Call emit(values, cut) on every cut detector of type gamma, in order,
+    and return how many there were.
 
-    Depth-first over the drop bit of each edge of tree (lq's
-    `_spanning_tree`) in tree order, 0 (increment gamma_i) before 1
-    (gamma_i - m), which is the order of all 2^(m-1) bit vectors.  Each
-    arrow is checked once both of its ends have values, and a branch ends
-    once a type i has more than gamma_i drops: a detector drops exactly
-    gamma_i arrows of type i, as its increments along that type sum to
-    zero.  values[k] is f at the k-th vertex reached (the zero vertex,
-    then the tree children in order); emit sees the live lists.
+    Depth-first over the drop bit of each edge of `lq.tree` in tree order,
+    0 (increment gamma_i) before 1 (gamma_i - m), which is the order of
+    all 2^(m-1) bit vectors.  Each arrow is checked once both of its ends
+    have values, and a branch ends once a type i has more than gamma_i
+    drops: a detector drops exactly gamma_i arrows of type i, as its
+    increments along that type sum to zero.  values[k] is f at the k-th
+    vertex reached (the zero vertex, then the tree children in order);
+    emit sees the live lists.
     """
-    m = lq.m
+    m, tree = lq.m, lq.tree
     step = {lq.group.zero().coords: 0}
     for k, (_, child, _, _) in enumerate(tree, start=1):
         step[child] = k
@@ -237,8 +234,10 @@ def _detector_search(lq: LatticeQuotient, tree: list, gamma: tuple,
     values = [0] * (len(tree) + 1)
     drops = [0] * (lq.d + 1)
     cut: list = []
+    found = 0
 
     def rec(k: int) -> None:
+        nonlocal found
         mark = len(cut)
         for a, b, keep, drop, i, arrow in checks[k]:
             inc = values[b] - values[a]
@@ -250,6 +249,7 @@ def _detector_search(lq: LatticeQuotient, tree: list, gamma: tuple,
             cut.append(arrow)
         else:
             if k == len(tree):
+                found += 1
                 emit(values, cut)
             else:
                 parent, keep, drop = edges[k]
@@ -260,6 +260,7 @@ def _detector_search(lq: LatticeQuotient, tree: list, gamma: tuple,
             drops[cut.pop()[1]] -= 1
 
     rec(0)
+    return found
 
 
 def enumerate_cuts(lq: LatticeQuotient) -> dict[tuple, int]:
@@ -268,38 +269,27 @@ def enumerate_cuts(lq: LatticeQuotient) -> dict[tuple, int]:
     The detector search runs once for every type.  A type is the multiset
     of the types of its m arrows, so there are C(m + d, d) of them.
     """
-    tree = _spanning_tree(lq)
     counts: dict[tuple, int] = {}
-
-    def count(values, cut) -> None:
-        counts[gamma] = counts.get(gamma, 0) + 1
-
     for c in itertools.combinations_with_replacement(range(lq.d + 1), lq.m):
         gamma = tuple(c.count(i) for i in range(lq.d + 1))
-        _detector_search(lq, tree, gamma, count)
+        found = count_detectors(lq, gamma)
+        if found:
+            counts[gamma] = found
     return counts
 
 
 def count_detectors(lq: LatticeQuotient, gamma: Sequence[int]) -> int:
     """The number of cut detectors of the given type, none of them built."""
-    found = 0
-
-    def count(values, cut) -> None:
-        nonlocal found
-        found += 1
-
-    _detector_search(lq, _spanning_tree(lq), tuple(gamma), count)
-    return found
+    return _detector_search(lq, tuple(gamma), lambda values, cut: None)
 
 
 def enumerate_detectors(lq: LatticeQuotient,
                         gamma: Sequence[int]) -> list[CutDetector]:
     """All cut detectors of the given type, exhaustively."""
     gamma = tuple(gamma)
-    tree = _spanning_tree(lq)
-    order = [lq.group.zero().coords] + [child for _, child, _, _ in tree]
+    order = [lq.group.zero().coords] + [child for _, child, _, _ in lq.tree]
     out: list[CutDetector] = []
-    _detector_search(lq, tree, gamma, lambda values, cut: out.append(
+    _detector_search(lq, gamma, lambda values, cut: out.append(
         CutDetector(lq, gamma, dict(zip(order, values)))))
     return out
 
@@ -338,7 +328,7 @@ def fiber_map(lq: LatticeQuotient, ctx: GradedDegreeGroup) -> dict:
     _, proj = ctx.group.quotient_by([ctx.p])
     qx = [proj(x) for x in ctx.degrees]
     image = {lq.group.zero().coords: qx[0].group.zero()}
-    for parent, child, i, sign in _spanning_tree(lq):
+    for parent, child, i, sign in lq.tree:
         image[child] = image[parent] + sign * qx[i]
     out = {v: e.coords for v, e in image.items()}
     if len(set(out.values())) != lq.m:

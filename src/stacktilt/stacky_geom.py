@@ -89,6 +89,8 @@ def gale_dual(p: StackyPolytope) -> GradedDegreeGroup:
 
 def group_to_polytope(ctx: GradedDegreeGroup) -> StackyPolytope:
     """Inverse Gale construction: vertices from the degree relation lattice."""
+    if ctx.n < 2:
+        raise InputError("need at least two degrees (d >= 1)")
     kernel = relation_kernel(list(ctx.degrees))
     d = len(kernel)
     if d != ctx.n - ctx.group.free_rank:
@@ -253,9 +255,6 @@ def _count_eliminated(eliminated: tuple[list, list],
 
     def rec(k: int) -> None:
         nonlocal count, steps
-        if k == nvars:
-            count += 1
-            return
         lows, ups = levels[k]
         if not lows or not ups:
             raise _Unbounded()

@@ -13,9 +13,8 @@ from stacktilt import _intlinalg as la
 from stacktilt import stacky_geom as sg
 from stacktilt.abgroup import (FgAbelianGroup, GroupElement,
                                solve_combination)
-from stacktilt.cuts import (CutDetector, LatticeQuotient, _spanning_tree,
-                            cut_from_detector, cut_type, enumerate_detectors,
-                            is_admissible_type)
+from stacktilt.cuts import (CutDetector, LatticeQuotient, cut_from_detector,
+                            cut_type, enumerate_detectors, is_admissible_type)
 from stacktilt.errors import (InputError, InternalInvariantBroken,
                               NotAntichain, StacktiltError,
                               UnboundedContribution)
@@ -681,7 +680,7 @@ def elementary_cycles(lq: LatticeQuotient) -> list[frozenset]:
             arrows = []
             for i in perm:
                 arrows.append((cur, i))
-                cur = lq.arrow_target(cur, i)
+                cur = lq.targets[cur][i]
             assert cur == v
             cycles.add(frozenset(arrows))
     return sorted(cycles, key=sorted)
@@ -753,7 +752,7 @@ def enumerate_detectors_product(lq: LatticeQuotient,
     """
     gamma = tuple(gamma)
     zero = lq.group.zero().coords
-    tree = _spanning_tree(lq)
+    tree = lq.tree
     m = lq.m
     out = []
     for choices in itertools.product((0, 1), repeat=len(tree)):
@@ -761,7 +760,7 @@ def enumerate_detectors_product(lq: LatticeQuotient,
         for (parent, child, i, sign), drop in zip(tree, choices):
             inc = gamma[i] - (m if drop else 0)
             table[child] = table[parent] + sign * inc
-        if all(table[lq.arrow_target(v, i)] - table[v]
+        if all(table[lq.targets[v][i]] - table[v]
                in (gamma[i], gamma[i] - m) for v, i in lq.all_arrows()):
             out.append(CutDetector(lq, gamma, table))
     return out
@@ -789,11 +788,11 @@ def detector_from_cut(lq: LatticeQuotient, cut: Iterable) -> CutDetector:
         return gamma[i] - m if (v, i) in cut else gamma[i]
 
     table = {lq.group.zero().coords: 0}
-    for parent, child, i, sign in _spanning_tree(lq):
+    for parent, child, i, sign in lq.tree:
         source = parent if sign > 0 else child
         table[child] = table[parent] + sign * inc(source, i)
     for (v, i) in lq.all_arrows():
-        if table[lq.arrow_target(v, i)] - table[v] != inc(v, i):
+        if table[lq.targets[v][i]] - table[v] != inc(v, i):
             raise NotACut("path sums are inconsistent; not a cut",
                           source=list(v), type=i)
     det = CutDetector(lq, gamma, table)

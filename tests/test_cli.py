@@ -133,7 +133,14 @@ def test_classify_malformed_inputs(tmp_path, capsys):
 LATTICE = {"d": 1, "b_generators": [[5, -5]], "gamma": [2, 3]}
 
 
-@pytest.mark.parametrize("doc, argv", [
+ONE_DEGREE = {"group": {"free_rank": 1, "degrees": [[1]]}}
+TRIANGLE = [[1, 0], [0, 1], [-1, -1]]
+
+
+# (document, argv, the fields the printed error object must hold); most
+# rows are refused as InputErrors and name only that type
+@pytest.mark.parametrize("doc, argv, error", [
+    (doc, argv, {"type": "InputError"}) for doc, argv in [
     (P23, ["cohomology", "--twist", "[1,"]),
     (P23, ["mutate", "--class", "0", "--at", "[0"]),
     (P23, ["verify", "--set", "[[0]"]),
@@ -163,6 +170,25 @@ LATTICE = {"d": 1, "b_generators": [[5, -5]], "gamma": [2, 3]}
     (P23, ["classify", "--max-classes", "-1"]),
     (P23, ["verify", "--set", "[]"]),
     (DOCS["zz2_d1"], ["verify", "--set", "[[1, 0], [3, 0]]"]),
+    (P23, ["cohomology", "--twist", "[0, 0]", "--r", "2"]),
+    (P23, ["mutate", "--class", "0", "--at", "[99]"]),
+    (P23, ["verify", "--set", '{"a": 1}']),
+    ({}, ["cuts"]),
+    ({"polytope": {"dim": 3, "vertices": TRIANGLE}}, ["classify"]),
+    ({"polytope": {"vertices": [[]]}}, ["classify"]),
+    ({"group": {"free_rank": 1, "degrees": []}}, ["classify"]),
+    ({"lattice": {**LATTICE, "d": 0}}, ["cuts"]),
+    ({"lattice": {**LATTICE, "b_generators": [[5, -5, 0]]}}, ["cuts"]),
+]] + [(ONE_DEGREE, argv, {"type": "InputError",
+                          "message": "need at least two degrees (d >= 1)"})
+      for argv in (["cohomology", "--twist", "[0]"],
+                   ["verify", "--set", "[[0]]"])] + [
+    ({"group": {"free_rank": 0, "torsion_orders": [2], "degrees": [[1]]}},
+     ["classify"], {"type": "G3Violation",
+                    "message": "all degrees are torsion"}),
+    ({"group": {"free_rank": 2, "degrees": [[1, 0], [1, 0], [0, 1]]}},
+     ["classify"], {"type": "DegenerateSplit",
+                    "details": {"positives": 2, "negatives": 1}}),
 ], ids=["twist-json", "at-json", "set-json", "lattice-no-d", "gamma-str",
         "gamma-float", "field-flag", "field-doc", "doc-number",
         "polytope-list", "vertex-str", "degree-number", "free-rank-float",
@@ -170,14 +196,27 @@ LATTICE = {"d": 1, "b_generators": [[5, -5]], "gamma": [2, 3]}
         "twist-bool", "at-float", "set-entry", "F4", "Fp-6", "verify-F9",
         "set-and-class", "class-negative", "twist-fiber-too-large",
         "twist-coords-unprintable", "max-classes-negative", "set-empty",
-        "set-repeated"])
-def test_malformed_input_exits_2(tmp_path, capsys, doc, argv):
+        "set-repeated", "r-outside", "at-missing", "set-not-list",
+        "cuts-no-input", "polytope-dim", "vertex-empty", "degrees-empty",
+        "lattice-d-0", "b-generator-length", "one-degree-cohomology",
+        "one-degree-verify-set", "all-torsion", "degenerate-split"])
+def test_malformed_input_exits_2(tmp_path, capsys, doc, argv, error):
     path = _write(tmp_path, doc)
     code = main(argv[:1] + [path] + argv[1:])
     captured = capsys.readouterr()
     assert code == 2
-    assert json.loads(captured.out)["error"]["type"] == "InputError"
+    printed = json.loads(captured.out)["error"]
+    assert {key: printed[key] for key in error} == error
     assert "Traceback" not in captured.err
+
+
+def test_negative_lattice_type_is_reported_inadmissible(tmp_path, capsys):
+    path = _write(tmp_path, {"lattice": {**LATTICE, "gamma": [-1, 6]}})
+    code, doc = _run(capsys, ["cuts", path])
+    assert code == 0
+    assert doc["admissible"] is False
+    assert doc["reason"] == ("inadmissible: type must be a nonnegative "
+                             "(d+1)-vector")
 
 
 def test_verify_set_names_its_repeated_line_bundles(tmp_path, capsys):

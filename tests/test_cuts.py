@@ -1,9 +1,10 @@
 import itertools
+import json
 import random
+from collections import Counter
+from functools import cached_property
 
 import pytest
-
-from collections import Counter
 
 import corpus
 from corpus import all_lattice_quotients
@@ -11,7 +12,7 @@ from oracles import (NotACut, NotAdmissible, checked, detector_from_cut,
                      element_order, enumerate_cuts_exact_cover,
                      enumerate_detectors_product, group_of, lattice_contains,
                      search_all_cuts)
-from stacktilt import cuts, upper_sets as us
+from stacktilt import cli, cuts, tilting, upper_sets as us
 from stacktilt.errors import (InputError, InvalidDetector, NotBounding,
                               NotCofinite)
 
@@ -42,7 +43,7 @@ def test_arrow_table_matches_group_arithmetic():
             e.coords for e in lq.group.enumerate_finite()))
         for v in lq.vertices:
             for i in range(lq.d + 1):
-                assert lq.arrow_target(v, i) == (
+                assert lq.targets[v][i] == (
                     lq.group.from_coords(v) + lq.alpha_images[i]).coords
 
 
@@ -95,6 +96,42 @@ def test_search_matches_both_references(ctx_p23):
         assert search_all_cuts(lq) == exact
         assert cuts.enumerate_cuts(lq) == Counter(
             cuts.cut_type(lq, c) for c in exact)
+
+
+def test_tree_is_built_once_and_counts_match_detectors(tmp_path,
+                                                       monkeypatch, capsys):
+    """One spanning tree per L/B: a rank-one classification builds it once
+    for both the detector count and psi, and so does `cuts` on a group.
+    The search's own count equals the detectors it lists, type by type."""
+    builds = []
+    build = cuts.LatticeQuotient.tree.func
+
+    def counted(lq):
+        builds.append(lq)
+        return build(lq)
+
+    tree = cached_property(counted)
+    tree.__set_name__(cuts.LatticeQuotient, "tree")
+    monkeypatch.setattr(cuts.LatticeQuotient, "tree", tree)
+    for name in ("p5711", "zz2_d1"):
+        builds.clear()
+        tilting.classify_rank1(corpus.ctx(name))
+        assert len(builds) == 1, name
+    builds.clear()
+    path = tmp_path / "p457.json"
+    path.write_text(json.dumps(corpus.DOCS["p457"]))
+    assert cli.main(["cuts", str(path)]) == 0
+    capsys.readouterr()
+    assert len(builds) == 1
+
+    lattice = corpus.workloads.DOCS["lattice_m12"]["lattice"]
+    for lq in (cuts.data_of_group(corpus.ctx("p23"))[0],
+               cuts.build_quotient(lattice["d"], lattice["b_generators"])):
+        counts = cuts.enumerate_cuts(lq)
+        assert counts
+        for gamma, count in counts.items():
+            assert (cuts.count_detectors(lq, gamma)
+                    == len(cuts.enumerate_detectors(lq, gamma)) == count)
 
 
 def test_detector_cut_round_trips():
@@ -152,7 +189,7 @@ def test_path_independence_and_b_invariance():
             val, cur = 0, start
             for i in types:
                 val += gamma[i] - (lq.m if (cur, i) in cut else 0)
-                cur = lq.arrow_target(cur, i)
+                cur = lq.targets[cur][i]
             return val, cur
 
         for _ in range(10):
@@ -178,7 +215,7 @@ def test_f_vanishes_on_b_generators():
                 steps = cj % (orders[j] * lq.m)
                 for _ in range(steps):
                     total += gamma[j] - (lq.m if (cur, j) in cut else 0)
-                    cur = lq.arrow_target(cur, j)
+                    cur = lq.targets[cur][j]
             assert cur == lq.group.zero().coords
             assert total == 0
 

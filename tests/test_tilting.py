@@ -13,7 +13,8 @@ from oracles import (arrow_multiset, arrow_table_elementwise, checked,
                      stabilizer_merged_count_elementwise)
 from stacktilt import cuts, tilting, upper_sets as us
 from stacktilt.abgroup import GroupHom
-from stacktilt.errors import InternalInvariantBroken, NotMinimal
+from stacktilt.errors import (InputError, InternalInvariantBroken,
+                              NotMinimal)
 from stacktilt.graded_order import GradedDegreeGroup
 from stacktilt.quiver import QuiverPresentation
 from stacktilt.stacky_geom import CohomologyOracle, group_to_polytope
@@ -41,6 +42,13 @@ def test_classify_rank1_p23(ctx_p23):
     # the two classes are connected by a mutation walk
     moves = us.connect(classes[0].rep, classes[1].rep, mode="full")
     assert len(moves) >= 1
+
+
+def test_classifiers_refuse_the_other_rank(ctx_p23, ctx_p1p1):
+    with pytest.raises(InputError, match="rank-one"):
+        tilting.classify_rank1(ctx_p1p1)
+    with pytest.raises(InputError, match="rank-two"):
+        tilting.classify_rank2(ctx_p23)
 
 
 def test_classify_rank1_torsion_examples(ctx_zz2_d1, ctx_zz2_d2):

@@ -56,6 +56,10 @@ def test_is_antichain_rep(ctx_p23):
     assert not ok and wit["reason"] == "antichain"
     ok, wit = us.is_antichain_rep(poset, _mk(ctx_p23, [0, 1, 2, 3]))
     assert not ok and wit["reason"] == "missing_fiber"
+    # 0 and 5 lie over one fiber of G/Zp, p = 5
+    ok, wit = us.is_antichain_rep(poset, _mk(ctx_p23, [0, 1, 2, 3, 5]))
+    assert not ok and wit["reason"] == "duplicate_fiber"
+    assert wit["elements"] == [[0], [5]]
 
 
 def test_mutable_and_mutate(ctx_p23, make_pd):
