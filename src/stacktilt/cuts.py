@@ -302,8 +302,6 @@ def data_of_group(ctx: GradedDegreeGroup):
     """
     if ctx.group.free_rank != 1:
         raise InputError("data_of_group needs a rank-one graded group")
-    if ctx.n < 2:
-        raise InputError("need at least two degrees (d >= 1)")
     d = ctx.n - 1
     quot, proj = ctx.group.quotient_by([ctx.p])
     m = quot.size()
@@ -341,10 +339,13 @@ def cut_of_antichain(ctx: GradedDegreeGroup, rep: AntichainRep,
     """(cut, detector) of the antichain class, via f_J(x) = pi(g) - n*m.
 
     (lq, gamma) is the cut data of ctx, as data_of_group returns it, and
-    psi is fiber_map(lq, ctx); rep must come from GroupPoset(ctx) with
-    shift p, whose fibers are G/Zp.
+    psi is fiber_map(lq, ctx).  rep must hold one member per coset of G/Zp:
+    its poset must order ctx with shift p, and its fibers must be psi's
+    image.  Both are checked, since a shift of the same index as p can
+    give fibers whose coordinates are psi's.
     """
-    if (rep.poset.ctx is not ctx or not rep.poset.supports_local_check
+    poset = rep.poset
+    if (poset.ctx is not ctx or poset.shift_element != ctx.p
             or set(rep.by_fiber) != set(psi.values())):
         raise InputError("antichain does not represent G/Zp")
     j0 = rep.by_fiber[psi[lq.group.zero().coords]]

@@ -173,6 +173,10 @@ class GradedDegreeGroup:
                 witness = degrees[circuit[0][0]]
             raise G3Violation("positive cone is not pointed",
                               witness=list(witness.coords))
+        if len(degrees) <= rank:
+            # d = n - rank is the dimension of the stack
+            raise InputError(f"need at least {('two', 'three')[rank - 1]} "
+                             "degrees (d >= 1)")
         return cls(group, degrees, theta)
 
     # -- the order ------------------------------------------------------

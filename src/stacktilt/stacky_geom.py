@@ -89,8 +89,6 @@ def gale_dual(p: StackyPolytope) -> GradedDegreeGroup:
 
 def group_to_polytope(ctx: GradedDegreeGroup) -> StackyPolytope:
     """Inverse Gale construction: vertices from the degree relation lattice."""
-    if ctx.n < 2:
-        raise InputError("need at least two degrees (d >= 1)")
     kernel = relation_kernel(list(ctx.degrees))
     d = len(kernel)
     if d != ctx.n - ctx.group.free_rank:

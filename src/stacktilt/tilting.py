@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import cuts as cuts_mod
 from . import upper_sets as us
@@ -31,7 +31,9 @@ from .errors import (ClassCountExceeded, InputError,
 from .graded_order import GradedDegreeGroup, SignSplit
 from .quiver import (Arrow, QuiverPresentation, commuting_squares,
                      monomial_label)
-from .stacky_geom import CohomologyOracle
+
+if TYPE_CHECKING:
+    from .stacky_geom import CohomologyOracle
 
 
 class TiltingClass:
@@ -379,7 +381,7 @@ def classify_rank2(ctx: GradedDegreeGroup, mode: str = "paper",
     _certify_rank2(h_poset)
     base_classes = us.enumerate_classes(h_poset, _translation(mode),
                                         max_classes)
-    groups = []
+    walked = []
     budget = max_classes
     for base in base_classes:
         poset = us.GroupPoset(ctx, over=(split, base))
@@ -390,12 +392,14 @@ def classify_rank2(ctx: GradedDegreeGroup, mode: str = "paper",
             raise ClassCountExceeded("class enumeration exceeded the ceiling",
                                      ceiling=max_classes) from None
         budget -= len(inner)
-        classes = [_tilting_class(table, rep, "zp") for rep in inner]
-        merged = _stabilizer_merged_count(inner)
-        groups.append(Rank2Group(base=base,
-                                 base_id=_class_id(0, base.elements),
-                                 classes=classes,
-                                 merged_class_count=merged))
+        walked.append((base, table, inner))
+    # every base is walked before any quiver is built, so the ceiling
+    # fires first
+    groups = [Rank2Group(base=base, base_id=_class_id(0, base.elements),
+                         classes=[_tilting_class(table, rep, "zp")
+                                  for rep in inner],
+                         merged_class_count=_stabilizer_merged_count(inner))
+              for base, table, inner in walked]
     return Rank2Classification(split=split, groups=groups)
 
 

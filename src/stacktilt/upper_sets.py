@@ -70,9 +70,6 @@ class GroupPoset:
         self.fibers = tuple(sorted(self._samples))
         self.index = {a: i for i, a in enumerate(self.fibers)}
         self.sample_theta = {a: self.theta(s) for a, s in self._samples.items()}
-        # G/Zp, the fibers of the rank-one cut picture
-        self.supports_local_check = (self.whole_group
-                                     and self.shift_element == ctx.p)
 
     @functools.cached_property
     def gaps(self) -> dict:

@@ -126,6 +126,11 @@ def test_quotient_section(z2_group):
     for e in [q.from_coords([1, 0]), q.from_coords([0, 3]),
               q.from_coords([1, -2])]:
         assert hom(hom.section(e)) == e
+    # a hom given by its images alone has no section
+    plain = GroupHom(z2_group, q, [hom(z2_group.from_coords(v))
+                                   for v in ([1, 0], [0, 1])])
+    with pytest.raises(InputError, match="no section"):
+        plain.section(q.from_coords([1, 0]))
 
 
 def test_relation_kernel_and_solve(ctx_p23):

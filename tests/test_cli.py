@@ -134,6 +134,7 @@ LATTICE = {"d": 1, "b_generators": [[5, -5]], "gamma": [2, 3]}
 
 
 ONE_DEGREE = {"group": {"free_rank": 1, "degrees": [[1]]}}
+TWO_DEGREES_RANK2 = {"group": {"free_rank": 2, "degrees": [[1, 0], [0, 1]]}}
 TRIANGLE = [[1, 0], [0, 1], [-1, -1]]
 
 
@@ -179,10 +180,18 @@ TRIANGLE = [[1, 0], [0, 1], [-1, -1]]
     ({"group": {"free_rank": 1, "degrees": []}}, ["classify"]),
     ({"lattice": {**LATTICE, "d": 0}}, ["cuts"]),
     ({"lattice": {**LATTICE, "b_generators": [[5, -5, 0]]}}, ["cuts"]),
+    ({"group": {"free_rank": -1, "degrees": [[1]]}}, ["classify"]),
+    ({"group": {"free_rank": 1, "torsion_orders": [0],
+                "degrees": [[1, 0], [1, 1]]}}, ["classify"]),
 ]] + [(ONE_DEGREE, argv, {"type": "InputError",
                           "message": "need at least two degrees (d >= 1)"})
       for argv in (["cohomology", "--twist", "[0]"],
                    ["verify", "--set", "[[0]]"])] + [
+    (TWO_DEGREES_RANK2, argv,
+     {"type": "InputError", "message": "need at least three degrees (d >= 1)"})
+    for argv in (["classify"], ["cuts"], ["cohomology", "--twist", "[0, 0]"],
+                 ["verify", "--set", "[[0, 0]]"],
+                 ["mutate", "--class", "0", "--walk-to", "1"])] + [
     ({"group": {"free_rank": 0, "torsion_orders": [2], "degrees": [[1]]}},
      ["classify"], {"type": "G3Violation",
                     "message": "all degrees are torsion"}),
@@ -198,8 +207,11 @@ TRIANGLE = [[1, 0], [0, 1], [-1, -1]]
         "twist-coords-unprintable", "max-classes-negative", "set-empty",
         "set-repeated", "r-outside", "at-missing", "set-not-list",
         "cuts-no-input", "polytope-dim", "vertex-empty", "degrees-empty",
-        "lattice-d-0", "b-generator-length", "one-degree-cohomology",
-        "one-degree-verify-set", "all-torsion", "degenerate-split"])
+        "lattice-d-0", "b-generator-length", "free-rank-negative",
+        "torsion-order-0", "one-degree-cohomology", "one-degree-verify-set",
+        "two-degrees-rank2-classify", "two-degrees-rank2-cuts",
+        "two-degrees-rank2-cohomology", "two-degrees-rank2-verify-set",
+        "two-degrees-rank2-mutate", "all-torsion", "degenerate-split"])
 def test_malformed_input_exits_2(tmp_path, capsys, doc, argv, error):
     path = _write(tmp_path, doc)
     code = main(argv[:1] + [path] + argv[1:])

@@ -15,6 +15,7 @@ from oracles import (NotACut, NotAdmissible, checked, detector_from_cut,
 from stacktilt import cli, cuts, tilting, upper_sets as us
 from stacktilt.errors import (InputError, InvalidDetector, NotBounding,
                               NotCofinite)
+from stacktilt.graded_order import GradedDegreeGroup
 
 
 def test_build_quotient_examples():
@@ -242,13 +243,15 @@ def test_group_of_examples():
     assert res05.order is None and res05.group.free_rank == 1
 
 
-def test_data_of_group_examples(ctx_p23, ctx_zz2_d1, make_pd):
+def test_data_of_group_examples(ctx_p23, ctx_zz2_d1, make_pd, ctx_p1p1):
     lq, gamma = cuts.data_of_group(ctx_p23)
     assert (lq.m, gamma) == (5, (2, 3))
     lq, gamma = cuts.data_of_group(ctx_zz2_d1)
     assert (lq.m, gamma) == (4, (2, 2))
     lq, gamma = cuts.data_of_group(make_pd(1))
     assert (lq.m, gamma) == (2, (1, 1))
+    with pytest.raises(InputError, match="rank-one"):
+        cuts.data_of_group(ctx_p1p1)
 
 
 def _graded_iso(ctx1, ctx2):
@@ -320,6 +323,37 @@ def test_cut_of_antichain_bijective_with_classes(ctx_p23, ctx_zz2_d1):
         exhaustive = {c for c in enumerate_cuts_exact_cover(lq)
                       if cuts.cut_type(lq, c) == gamma}
         assert images == exhaustive
+
+
+def test_cut_of_antichain_refuses_sets_off_g_mod_zp(ctx_p23, ctx_zz2_d2):
+    """Only a set from a poset ordering ctx with shift p has a cut: one
+    from an equal context built again, from the shift 2p, or from a shift
+    of the same index as p (on Z/2 + Z, (0, 3) against p = (1, 3), whose
+    fibers have psi's coordinates) is refused."""
+    lq, gamma = cuts.data_of_group(ctx_p23)
+    psi = cuts.fiber_map(lq, ctx_p23)
+    z = ctx_p23.group
+    again = GradedDegreeGroup.build(z, ctx_p23.degrees)
+    other = checked(us.GroupPoset(again),
+                    [z.canonicalize([v]) for v in [0, 1, 2, 3, 4]])
+    assert set(other.by_fiber) == set(psi.values())
+    doubled = us.enumerate_classes(
+        us.GroupPoset(ctx_p23, shift_element=2 * ctx_p23.p), "zp")
+    for rep in [other] + doubled:
+        with pytest.raises(InputError, match="G/Zp"):
+            cuts.cut_of_antichain(ctx_p23, rep, lq, gamma, psi)
+
+    lq, gamma = cuts.data_of_group(ctx_zz2_d2)
+    psi = cuts.fiber_map(lq, ctx_zz2_d2)
+    shift = ctx_zz2_d2.group.canonicalize([3, 0])
+    assert (shift.coords, ctx_zz2_d2.p.coords) == ((0, 3), (1, 3))
+    reps = us.enumerate_classes(
+        us.GroupPoset(ctx_zz2_d2, shift_element=shift), "zp")
+    assert reps and all(set(rep.by_fiber) == set(psi.values())
+                        for rep in reps)
+    for rep in reps:
+        with pytest.raises(InputError, match="G/Zp"):
+            cuts.cut_of_antichain(ctx_zz2_d2, rep, lq, gamma, psi)
 
 
 def test_algebra_presentation_beilinson(make_pd):

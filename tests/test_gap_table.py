@@ -69,7 +69,7 @@ def _check_point(poset, k, counts):
             == is_antichain_rep_elementwise(poset, elements)
             == (True, None))
     counts["states"] += 1
-    if poset.supports_local_check:
+    if poset.whole_group and poset.shift_element == poset.ctx.p:
         assert local_check_elementwise(poset, rep.by_fiber)
         counts["local"] += 1
     for direction, sites, table_scan, reference in (
@@ -93,7 +93,8 @@ def _check_point(poset, k, counts):
 def _perturb(poset, elements, counts):
     """On up to 12 fibers, also shift each member by -1 and +1: mostly
     sets that are no antichains, which the walk never produces."""
-    if not poset.supports_local_check or len(poset.fibers) > 12:
+    if (not (poset.whole_group and poset.shift_element == poset.ctx.p)
+            or len(poset.fibers) > 12):
         return
     for i, n in itertools.product(range(len(elements)), (-1, 1)):
         moved = list(elements)

@@ -6,7 +6,7 @@ import pytest
 from stacktilt.abgroup import FgAbelianGroup
 from stacktilt.graded_order import GradedDegreeGroup
 from stacktilt.errors import (DegenerateSplit, G1Violation, G2Violation,
-                              G3Violation, UnsupportedRank)
+                              G3Violation, InputError, UnsupportedRank)
 
 
 def test_build_examples(z_group, ctx_p23, ctx_zz2_d1):
@@ -18,7 +18,7 @@ def test_build_examples(z_group, ctx_p23, ctx_zz2_d1):
     assert "witness" in err.value.details
 
 
-def test_build_violations(z_group, zz2_group):
+def test_build_violations(z_group, zz2_group, z2_group):
     with pytest.raises(G1Violation):
         GradedDegreeGroup.build(z_group, [z_group.zero(),
                                           z_group.canonicalize([1])])
@@ -33,6 +33,29 @@ def test_build_violations(z_group, zz2_group):
     with pytest.raises(UnsupportedRank):
         GradedDegreeGroup.build(big, [big.canonicalize(v) for v in
                                       ([1, 0, 0], [0, 1, 0], [0, 0, 1])])
+    # d = n - free rank < 1, refused after the checks above
+    with pytest.raises(UnsupportedRank):
+        GradedDegreeGroup.build(big, [big.canonicalize([1, 0, 0])])
+    with pytest.raises(G2Violation):
+        GradedDegreeGroup.build(z_group, [z_group.canonicalize([2])])
+    c = z2_group.canonicalize
+    for group, degrees, word in (
+            (z_group, [z_group.canonicalize([1])], "two"),
+            (z2_group, [c([1, 0]), c([0, 1])], "three"),
+            (z2_group, [c([1, 0]), c([1, 1])], "three")):
+        with pytest.raises(InputError) as err:
+            GradedDegreeGroup.build(group, degrees)
+        assert str(err.value) == f"need at least {word} degrees (d >= 1)"
+        assert err.value.details == {}
+
+
+def test_coset_reps_refusals(ctx_p1p1, ctx_zz2_d1):
+    with pytest.raises(UnsupportedRank):
+        ctx_p1p1.coset_reps(ctx_p1p1.p)
+    torsion = ctx_zz2_d1.group.canonicalize([0, 1])
+    assert torsion.free_part() == (0,) and not torsion.is_zero()
+    with pytest.raises(DegenerateSplit):
+        ctx_zz2_d1.coset_reps(torsion)
 
 
 def test_find_theta_certificates():

@@ -12,6 +12,7 @@ from stacktilt import stacky_geom as sg
 from stacktilt import tilting
 from stacktilt.errors import (InputError, NotAVertex, NotSimplicial,
                               OriginNotInterior, UnboundedContribution)
+from stacktilt.graded_order import GradedDegreeGroup
 
 
 P2_VERTICES = [[1, 0], [0, 1], [-1, -1]]
@@ -461,3 +462,16 @@ def test_oracle_refuses_more_than_max_vertices():
     with pytest.raises(InputError) as info:
         _oracle(doc)
     assert info.value.details == {"n": 11, "bound": 10}
+
+
+def test_oracle_refuses_degrees_that_do_not_fit_the_polytope(
+        z_group, ctx_p23):
+    """P^2's polytope with the two degrees of P(2,3), and with the three
+    degrees of P(1,2,3), of which its rows are no relations."""
+    p2 = sg.parse_polytope(P2_VERTICES)
+    with pytest.raises(InputError, match="vertex count"):
+        sg.CohomologyOracle(p2, ctx_p23)
+    p123 = GradedDegreeGroup.build(
+        z_group, [z_group.canonicalize([w]) for w in (1, 2, 3)])
+    with pytest.raises(InputError, match="not relations"):
+        sg.CohomologyOracle(p2, p123)

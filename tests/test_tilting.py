@@ -13,8 +13,8 @@ from oracles import (arrow_multiset, arrow_table_elementwise, checked,
                      stabilizer_merged_count_elementwise)
 from stacktilt import cuts, tilting, upper_sets as us
 from stacktilt.abgroup import GroupHom
-from stacktilt.errors import (InputError, InternalInvariantBroken,
-                              NotMinimal)
+from stacktilt.errors import (ClassCountExceeded, InputError,
+                              InternalInvariantBroken, NotMinimal)
 from stacktilt.graded_order import GradedDegreeGroup
 from stacktilt.quiver import QuiverPresentation
 from stacktilt.stacky_geom import CohomologyOracle, group_to_polytope
@@ -49,6 +49,26 @@ def test_classifiers_refuse_the_other_rank(ctx_p23, ctx_p1p1):
         tilting.classify_rank1(ctx_p1p1)
     with pytest.raises(InputError, match="rank-two"):
         tilting.classify_rank2(ctx_p23)
+
+
+@pytest.mark.parametrize("name, ceiling", [("p1p2", 15), ("p2p2", 40)])
+def test_rank2_ceiling_fires_before_any_quiver(monkeypatch, name, ceiling):
+    """Every base class is walked before a quiver is built, so a ceiling
+    the inner classes pass costs no quiver work."""
+    built = []
+    quiver = tilting.endomorphism_quiver
+
+    def counted(table, rep):
+        built.append(rep)
+        return quiver(table, rep)
+
+    monkeypatch.setattr(tilting, "endomorphism_quiver", counted)
+    ctx = corpus.ctx(name)
+    with pytest.raises(ClassCountExceeded):
+        tilting.classify_rank2(ctx, "paper", ceiling)
+    assert built == []
+    result = tilting.classify_rank2(ctx, "paper")
+    assert len(built) == len(result.classes) > ceiling
 
 
 def test_classify_rank1_torsion_examples(ctx_zz2_d1, ctx_zz2_d2):

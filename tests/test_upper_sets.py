@@ -2,6 +2,8 @@ import ast
 import collections
 import hashlib
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -162,6 +164,10 @@ def test_connect(ctx_p23, make_pd):
     b = checked(p1, _mk(ctx1, [1, 2]))
     moves = us.connect(a, b, mode="zp")
     assert len(moves) == 1 and moves[0][1] == 1
+    # the same set on another poset of the same group
+    other = checked(_poset(ctx_p23), _mk(ctx_p23, [0, 1, 2, 3, 4]))
+    with pytest.raises(NotAntichain):
+        us.connect(j1, other, mode="full")
 
 
 def test_checked_raises(ctx_p23):
@@ -313,6 +319,25 @@ def test_the_library_imports_only_the_standard_library():
             foreign += [(path.stem, name) for name in names
                         if name.split(".")[0] not in allowed]
     assert foreign == []
+
+
+@pytest.mark.parametrize("module, loaded", [
+    ("stacktilt", []),
+    ("stacktilt.graded_order",
+     ["_intlinalg", "abgroup", "errors", "graded_order"])])
+def test_an_import_loads_only_what_it_uses(module, loaded):
+    """The package root holds only __version__, so importing it, or the
+    graded order, loads no module the importer does not use."""
+    src = str(Path(us.__file__).resolve().parents[1])
+    probe = (f"import sys, {module}\n"
+             "print(sorted(m for m in sys.modules\n"
+             "             if m.startswith('stacktilt.')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert ast.literal_eval(proc.stdout) == [f"stacktilt.{name}"
+                                             for name in loaded]
 
 
 def _uncalled_methods() -> list:
