@@ -61,9 +61,9 @@ def _encode(value, pad: str = "") -> str:
             for k in sorted(value)]
     elif value is None or kind is bool:
         return "null" if value is None else "true" if value else "false"
-    else:
-        return json.dumps(value, indent=2,
-                          sort_keys=True).replace("\n", "\n" + pad)
+    else:   # ValueError on NaN and infinities, which JSON lacks
+        return json.dumps(value, indent=2, sort_keys=True,
+                          allow_nan=False).replace("\n", "\n" + pad)
     if not items:
         return brackets
     return (f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items)
@@ -213,7 +213,7 @@ def _rank2_report(result) -> dict:
         "split": {
             "order": list(split.order),
             "l": split.l,
-            "l_prime": split.l_prime,
+            "l_prime": len(split.order) - split.l,
             "pi_values": list(split.pi_values),
             "h_free_rank": h_group.free_rank,
             "h_torsion_orders": list(h_group.torsion_orders),
@@ -437,7 +437,7 @@ _CLASSIFIES = (
     ("--mode", {"choices": ("paper", "zp"), "default": "paper",
                 "help": "class counting: full translations (paper) "
                         "or shifts by p only"}),
-    ("--max-classes", {"type": non_negative_int, "default": 10_000}),
+    ("--max-classes", {"type": non_negative_int, "default": us.MAX_CLASSES}),
 )
 _FIELD = ("--field", {"help": '"Q" or "F<p>"'})
 
@@ -558,7 +558,7 @@ def _scan(argv) -> Optional[SimpleNamespace]:
 
 
 def _error(exc: StacktiltError, file=None) -> None:
-    """Print exc's error object, without details Python cannot print."""
+    """Print exc's error object, without details JSON cannot hold."""
     try:
         text = _encode({"schema_version": SCHEMA_VERSION,
                         "error": exc.to_json()})

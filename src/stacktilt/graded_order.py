@@ -109,8 +109,7 @@ class SignSplit(NamedTuple):
     """Rank-two preprocessing: split degrees by the sign of pi = free(G/Zp)."""
 
     order: tuple[int, ...]          # original indices, positives then negatives
-    l: int
-    l_prime: int
+    l: int                          # the number of positives in order
     pi_values: tuple[int, ...]      # per original degree index
     q: GroupHom                     # G -> H = G/Zp, with section
     h_ctx: "GradedDegreeGroup"      # H with degrees q(x_i), -q(x_{l+j})
@@ -299,8 +298,7 @@ class GradedDegreeGroup:
         if s != s_check:
             raise InternalInvariantBroken("two expressions for s disagree")
         return SignSplit(order=tuple(pos + neg), l=len(pos),
-                         l_prime=len(neg), pi_values=pi_vals, q=q,
-                         h_ctx=h_ctx, s=s)
+                         pi_values=pi_vals, q=q, h_ctx=h_ctx, s=s)
 
     def __repr__(self):
         degs = ", ".join(str(x.coords) for x in self.degrees)

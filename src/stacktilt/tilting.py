@@ -8,7 +8,8 @@ enumeration over the base order H = G/Zp with shift s, then an inner
 enumeration over the fibered poset above each base class.
 
 Endomorphism quivers are read off one arrow table per poset: the exponent
-vectors minimal over its fibers, searched once and stored as integers
+vectors minimal over its fibers, found once (the single steps on the
+whole group, a search over a rank-two base class), stored as integers
 (fiber, level, exponents), and checked before the poset is walked.  A
 class takes the entries whose offset from its members' levels is 0 as
 arrows; every entry must have offset 0 or 1, the grading of a cut of the
@@ -37,12 +38,9 @@ if TYPE_CHECKING:
 
 
 class TiltingClass:
-    def __init__(self, rank: int, ctx: GradedDegreeGroup,
-                 rep: us.AntichainRep, quiver: QuiverPresentation,
+    def __init__(self, rep: us.AntichainRep, quiver: QuiverPresentation,
                  class_id: str, table: dict, translation: str = "zp"):
-        self.rank = rank
-        self.ctx = ctx
-        self.rep = rep
+        self.rep = rep                  # its poset's ctx is the graded group
         self.quiver = quiver
         self.class_id = class_id
         self.table = table              # arrow_table of rep's poset
@@ -72,33 +70,33 @@ def arrow_table(poset: us.GroupPoset) -> dict:
     table[a] lists (b, t, c) for each exponent vector c minimal with
     s_a + deg c over the poset: s_a + deg c = s_b + t*shift, and no
     nonzero proper sub-vector of c lands over a fiber; entries come by
-    degree, and within one degree by exponent vector, largest first.  Only
-    vectors with theta(c) <= max over b of theta(s_b) - theta(s_a) -
-    gaps[b][a]*theta_p are searched, the most any class's member over b
-    rises above its member over a (k_b - k_a <= -gaps[b][a]).  On the
-    whole group every vector lands, so the table is the n single steps per
-    fiber (GroupPoset.single_steps).  Over a rank-two base class the search
-    runs on integers (_fibered_entries), and each entry it finds is
-    re-derived by group arithmetic and proved irreducible.  The entries'
-    cut grading must close to the gaps.
+    degree, and within one degree by exponent vector, largest first.  On
+    the whole group every vector lands, so the table is the n single steps
+    per fiber (GroupPoset.single_steps), with unit vectors.  Over a
+    rank-two base class the search runs on integers (_fibered_entries)
+    over the vectors with theta(c) <= max over b of theta(s_b) -
+    theta(s_a) - gaps[b][a]*theta_p, the most any class's member over b
+    rises above its member over a (k_b - k_a <= -gaps[b][a]), and each
+    entry it finds is re-derived by group arithmetic and proved
+    irreducible.  The entries' cut grading must close to the gaps.
     """
-    ctx, gaps, theta = poset.ctx, poset.gaps, poset.sample_theta
-    weights = [ctx.theta_val(x) for x in ctx.degrees]
-    units = [tuple(int(j == i) for j in range(ctx.n)) for i in range(ctx.n)]
-    search = None if poset.whole_group else _fibered_moves(poset)
-    table = {}
-    for a in poset.fibers:
-        bound = max(theta[b] - theta[a] - gaps[b][a] * poset.theta_p
-                    for b in poset.fibers)
-        if search is None:
-            table[a] = tuple((*over, unit) for over, unit, w in zip(
-                poset.single_steps[a], units, weights) if w <= bound)
-        else:
+    ctx = poset.ctx
+    if poset.whole_group:
+        units = [tuple(int(j == i) for j in range(ctx.n))
+                 for i in range(ctx.n)]
+        table = {a: tuple((*over, unit) for over, unit in zip(
+            poset.single_steps[a], units)) for a in poset.fibers}
+    else:
+        gaps, theta = poset.gaps, poset.sample_theta
+        weights = [ctx.theta_val(x) for x in ctx.degrees]
+        search = _fibered_moves(poset)
+        table = {}
+        for a in poset.fibers:
+            bound = max(theta[b] - theta[a] - gaps[b][a] * poset.theta_p
+                        for b in poset.fibers)
             table[a] = _fibered_entries(poset, a, bound, weights, *search)
     us.check_closure(poset, ((a, b, t) for a, entries in table.items()
-                             for b, t, _ in entries),
-                     "the arrow table's cut grading disagrees with the gap "
-                     "table")
+                             for b, t, _ in entries))
     return table
 
 
@@ -125,18 +123,15 @@ def _fibered_moves(poset: us.GroupPoset) -> tuple:
         f, k = h_poset.level(h)
         level[index[f]], member[index[f]] = k, h.coords
         start[h.coords] = index[f]
-    steps = [[None] * m for _ in split.order]
-    for f, row in h_poset.single_steps.items():
-        i = index[f]
-        for j, (g, dk) in enumerate(row):
-            steps[j][i] = (index[g], dk + level[i] - level[index[g]])
-    moves = [None] * len(split.order)
-    for j, i in enumerate(split.order):
-        if j < split.l:
-            moves[i] = steps[j]
-        else:
-            moves[i] = [None] * m
-            for f, (g, dd) in enumerate(steps[j]):
+    moves = [[None] * m for _ in split.order]
+    for key, row in h_poset.single_steps.items():
+        f = index[key]
+        for j, (i, (g, dk)) in enumerate(zip(split.order, row)):
+            g = index[g]
+            dd = dk + level[f] - level[g]
+            if j < split.l:
+                moves[i][f] = (g, dd)
+            else:   # the inverse of the step ybar_j
                 moves[i][g] = (f, -dd)
     for mi, mj in itertools.combinations(moves, 2):
         for f in range(m):
@@ -287,16 +282,14 @@ def _certify_rank1(ctx: GradedDegreeGroup, classes: list[TiltingClass],
 def _tilting_class(table: dict, rep: us.AntichainRep,
                    translation: str) -> TiltingClass:
     """The class of rep with its endomorphism quiver read off table."""
-    ctx = rep.poset.ctx
-    rank = ctx.group.free_rank
-    return TiltingClass(rank=rank, ctx=ctx, rep=rep,
-                        quiver=endomorphism_quiver(table, rep),
-                        class_id=_class_id(rank, rep.elements), table=table,
-                        translation=translation)
+    return TiltingClass(rep=rep, quiver=endomorphism_quiver(table, rep),
+                        class_id=_class_id(rep.poset.ctx.group.free_rank,
+                                           rep.elements),
+                        table=table, translation=translation)
 
 
 def classify_rank1(ctx: GradedDegreeGroup, mode: str = "paper",
-                   max_classes: int = 10_000) -> list[TiltingClass]:
+                   max_classes: int = us.MAX_CLASSES) -> list[TiltingClass]:
     """All tilting classes of line bundles for a rank-one graded group.
 
     Distinct classes have distinct cuts of type gamma, and every cut of
@@ -367,7 +360,7 @@ def _stabilizer_merged_count(inner: list[us.AntichainRep]) -> int:
 
 
 def classify_rank2(ctx: GradedDegreeGroup, mode: str = "paper",
-                   max_classes: int = 10_000) -> Rank2Classification:
+                   max_classes: int = us.MAX_CLASSES) -> Rank2Classification:
     """d-tilting classes for a rank-two graded group, grouped by base class.
 
     The base classes over H are counted up to full translation in "paper"
@@ -409,11 +402,12 @@ def apr_mutate(tclass: TiltingClass, m: GroupElement) -> TiltingClass:
     one also the cut).  The id is that of the class the mutated set lies
     in."""
     rep = us.mutate(tclass.rep, m)
+    ctx = rep.poset.ctx
     tc = _tilting_class(tclass.table, rep, tclass.translation)
-    tc.class_id = _class_id(tc.rank, us.canonical_form(
+    tc.class_id = _class_id(ctx.group.free_rank, us.canonical_form(
         rep, tc.translation).elements)
-    if tc.rank == 1:
-        _certify_rank1(tc.ctx, [tc], *cuts_mod.data_of_group(tc.ctx))
+    if ctx.group.free_rank == 1:
+        _certify_rank1(ctx, [tc], *cuts_mod.data_of_group(ctx))
     return tc
 
 

@@ -21,6 +21,9 @@ from .errors import (InternalInvariantBroken, NotAntichain, NotMinimal,
                      ClassCountExceeded)
 from .graded_order import GradedDegreeGroup
 
+# The default class ceiling of every classification (--max-classes).
+MAX_CLASSES = 10_000
+
 
 class GroupPoset:
     """A shifted poset inside G: fibers, one sample per fiber, and a shift.
@@ -69,7 +72,8 @@ class GroupPoset:
                              for h in base.elements}
         self.fibers = tuple(sorted(self._samples))
         self.index = {a: i for i, a in enumerate(self.fibers)}
-        self.sample_theta = {a: self.theta(s) for a, s in self._samples.items()}
+        self.sample_theta = {a: ctx.theta_val(s)
+                             for a, s in self._samples.items()}
 
     @functools.cached_property
     def gaps(self) -> dict:
@@ -79,7 +83,7 @@ class GroupPoset:
         out = {a: {} for a in s}
         for a, b in itertools.product(s, repeat=2):
             out[a][b] = (t[a] - t[b]) // self.theta_p
-            while not self.leq(self.shift(s[b], out[a][b]), s[a]):
+            while not self.ctx.leq(self.shift(s[b], out[a][b]), s[a]):
                 out[a][b] -= 1
         return out
 
@@ -99,15 +103,12 @@ class GroupPoset:
         a = self.fiber_key(e)
         if a not in self._samples:
             return None
-        return a, self.theta(e - self._samples[a]) // self.theta_p
+        return a, self.ctx.theta_val(e - self._samples[a]) // self.theta_p
 
     def _element(self, a, k: int) -> GroupElement:
         """s_a + k*shift, the element at level (a, k); self.element caches
         it per (a, k)."""
         return self.shift(self._samples[a], k)
-
-    def leq(self, a: GroupElement, b: GroupElement) -> bool:
-        return self.ctx.leq(a, b)
 
     def shift(self, a: GroupElement, n: int) -> GroupElement:
         return a + n * self.shift_element
@@ -119,9 +120,6 @@ class GroupPoset:
 
     def fiber_sample(self, key) -> GroupElement:
         return self._samples[key]
-
-    def theta(self, a: GroupElement) -> int:
-        return self.ctx.theta_val(a)
 
     # the site tables, built on first use: gaps[a][b] and its transpose,
     # with -inf on the diagonal taking b = a out of the site tests
@@ -350,9 +348,9 @@ def canonical_form(rep: AntichainRep, mode: str) -> AntichainRep:
     return rep if poset.key(k) == rep.key() else poset.rep(k)
 
 
-def check_closure(poset, steps: Iterable[tuple], message: str) -> None:
-    """Raise InternalInvariantBroken(message) unless the cut-grading
-    constraints of steps have the classes as their integer points.
+def check_closure(poset, steps: Iterable[tuple]) -> None:
+    """Raise InternalInvariantBroken unless the cut-grading constraints
+    of steps have the classes as their integer points.
 
     A step (a, b, t) says that a move out of the member over a lands over
     b at level k_a + t, in J or in J + shift: k_b - k_a <= t and
@@ -377,11 +375,12 @@ def check_closure(poset, steps: Iterable[tuple], message: str) -> None:
     gaps = poset.gaps
     if any(d[i][j] != -gaps[a][b] for a, i in index.items()
            for b, j in index.items()):
-        raise InternalInvariantBroken(message)
+        raise InternalInvariantBroken(
+            "the arrow table's cut grading disagrees with the gap table")
 
 
 def enumerate_classes(poset, mode: str,
-                      max_classes: int = 10_000) -> list[AntichainRep]:
+                      max_classes: int = MAX_CLASSES) -> list[AntichainRep]:
     """All antichain classes up to the chosen translations, sorted by key,
     each with its edges, (site, neighbour class) per downward mutation,
     and its orbit_len, the number of points (classes up to shifts) it

@@ -10,7 +10,6 @@ if importlib.util.find_spec("stacktilt") is None:
     sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
 
 from stacktilt.abgroup import FgAbelianGroup, direct_sum_group
-from stacktilt.graded_order import GradedDegreeGroup
 
 
 @pytest.fixture(scope="session")
@@ -28,51 +27,20 @@ def zz2_group():
     return direct_sum_group(1, [2])
 
 
+# The graded groups are the corpus's, imported inside the fixtures so that
+# this file loads on its own.
 @pytest.fixture(scope="session")
-def ctx_p23(z_group):
-    return GradedDegreeGroup.build(
-        z_group, [z_group.canonicalize([2]), z_group.canonicalize([3])])
+def make_pd():
+    import corpus
+    return lambda d: corpus.ctx(corpus.pd(d))
 
 
-@pytest.fixture(scope="session")
-def make_pd(z_group):
-    def factory(d):
-        one = z_group.canonicalize([1])
-        return GradedDegreeGroup.build(z_group, [one] * (d + 1))
-    return factory
+def _corpus_ctx(name):
+    def fixture():
+        import corpus
+        return corpus.ctx(name)
+    return pytest.fixture(scope="session", name=f"ctx_{name}")(fixture)
 
 
-@pytest.fixture(scope="session")
-def ctx_zz2_d1(zz2_group):
-    return GradedDegreeGroup.build(
-        zz2_group,
-        [zz2_group.canonicalize([1, 0]), zz2_group.canonicalize([1, 1])])
-
-
-@pytest.fixture(scope="session")
-def ctx_zz2_d2(zz2_group):
-    return GradedDegreeGroup.build(
-        zz2_group,
-        [zz2_group.canonicalize([1, 0]), zz2_group.canonicalize([1, 0]),
-         zz2_group.canonicalize([1, 1])])
-
-
-@pytest.fixture(scope="session")
-def ctx_p1p1(z2_group):
-    c = z2_group.canonicalize
-    return GradedDegreeGroup.build(
-        z2_group, [c([1, 0]), c([1, 0]), c([0, 1]), c([0, 1])])
-
-
-@pytest.fixture(scope="session")
-def ctx_sigma1(z2_group):
-    c = z2_group.canonicalize
-    return GradedDegreeGroup.build(
-        z2_group, [c([1, 0]), c([1, 0]), c([1, 1]), c([0, 1])])
-
-
-@pytest.fixture(scope="session")
-def ctx_stacky(z2_group):
-    c = z2_group.canonicalize
-    return GradedDegreeGroup.build(
-        z2_group, [c([1, -1]), c([1, 0]), c([1, 1]), c([0, 1])])
+ctx_p23, ctx_zz2_d1, ctx_zz2_d2, ctx_p1p1, ctx_sigma1, ctx_stacky = map(
+    _corpus_ctx, ["p23", "zz2_d1", "zz2_d2", "p1p1", "sigma1", "stacky"])

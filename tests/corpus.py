@@ -7,10 +7,12 @@ below.  The selections name what the cross-checks read: `RANK1` and
 `RANK1_ALL` and `RANK2_ALL` the walk-against-BFS, closure and quiver
 routes (every benchmark stack and more).  `documents()` draws the
 rank-one fuzz groups, `products()` the rank-two ones, and
-`all_lattice_quotients()` lists the type-A~ lattices.
+`all_lattice_quotients()` lists the type-A~ lattices.  `loads` reads
+what the CLI prints as strict JSON.
 """
 
 import importlib.util
+import json
 import math
 import sys
 from pathlib import Path
@@ -39,9 +41,14 @@ def _group(free_rank, torsion, *degrees):
                       "degrees": [list(v) for v in degrees]}}
 
 
+def pd(d):
+    """The document of P^d: d + 1 degrees of weight 1."""
+    return _group(1, (), *[(1,)] * (d + 1))
+
+
 DOCS = {
     **{name: doc for name, doc in workloads.DOCS.items() if "group" in doc},
-    "p1": _group(1, (), (1,), (1,)),
+    "p1": pd(1),
     "p235": _group(1, (), (2,), (3,), (5,)),
     "minus": _group(2, (), (1, 0), (1, 0), (-1, 1), (0, 1)),
     "w12": _group(2, (), (1, 0), (2, 0), (0, 1), (0, 1)),
@@ -67,6 +74,16 @@ def ctx(doc):
     """The graded group of a corpus name or a document, as the CLI
     builds it."""
     return cli._build_context(DOCS[doc] if isinstance(doc, str) else doc)[0]
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is no JSON value")
+
+
+def loads(text):
+    """json.loads(text), refusing NaN and the infinities, which JSON
+    lacks and json.loads would accept."""
+    return json.loads(text, parse_constant=_no_constant)
 
 
 MAX_QUOTIENT = 12

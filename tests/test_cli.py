@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import stacktilt
-from corpus import DOCS
+from corpus import DOCS, loads
 from oracles import enumerate_detectors_product, parse_dot
 from stacktilt import cli, cuts, tilting, upper_sets as us
 from stacktilt.cli import _build_context, _classify, _emit, _encode, main
@@ -35,14 +36,15 @@ def _write(tmp_path, doc, name="input.json"):
 def _run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, loads(out)
 
 
 def _mutated_neighbors(tc):
     """The report's neighbours, by mutating and canonicalising afresh."""
     return [{"at": list(m.coords),
-             "to": tilting._class_id(tc.rank, us.canonical_form(
-                 us.mutate(tc.rep, m), tc.translation).elements)}
+             "to": tilting._class_id(
+                 tc.rep.poset.ctx.group.free_rank, us.canonical_form(
+                     us.mutate(tc.rep, m), tc.translation).elements)}
             for m in us.mutable_elements(tc.rep)]
 
 
@@ -183,6 +185,13 @@ TRIANGLE = [[1, 0], [0, 1], [-1, -1]]
     ({"group": {"free_rank": -1, "degrees": [[1]]}}, ["classify"]),
     ({"group": {"free_rank": 1, "torsion_orders": [0],
                 "degrees": [[1, 0], [1, 1]]}}, ["classify"]),
+]] + [
+    # non-finite floats: details JSON cannot hold are left out
+    (doc, argv, {"type": "InputError", "details": {}}) for doc, argv in [
+    (P23, ["verify", "--set", "[[1e400]]"]),
+    (P23, ["cohomology", "--twist", "[NaN, 0]"]),
+    ({"group": {"free_rank": 1, "degrees": [[2], [-math.inf]]}},
+     ["classify"]),
 ]] + [(ONE_DEGREE, argv, {"type": "InputError",
                           "message": "need at least two degrees (d >= 1)"})
       for argv in (["cohomology", "--twist", "[0]"],
@@ -208,7 +217,9 @@ TRIANGLE = [[1, 0], [0, 1], [-1, -1]]
         "set-repeated", "r-outside", "at-missing", "set-not-list",
         "cuts-no-input", "polytope-dim", "vertex-empty", "degrees-empty",
         "lattice-d-0", "b-generator-length", "free-rank-negative",
-        "torsion-order-0", "one-degree-cohomology", "one-degree-verify-set",
+        "torsion-order-0", "set-infinity", "twist-nan",
+        "degree-minus-infinity", "one-degree-cohomology",
+        "one-degree-verify-set",
         "two-degrees-rank2-classify", "two-degrees-rank2-cuts",
         "two-degrees-rank2-cohomology", "two-degrees-rank2-verify-set",
         "two-degrees-rank2-mutate", "all-torsion", "degenerate-split"])
@@ -217,7 +228,7 @@ def test_malformed_input_exits_2(tmp_path, capsys, doc, argv, error):
     code = main(argv[:1] + [path] + argv[1:])
     captured = capsys.readouterr()
     assert code == 2
-    printed = json.loads(captured.out)["error"]
+    printed = loads(captured.out)["error"]
     assert {key: printed[key] for key in error} == error
     assert "Traceback" not in captured.err
 

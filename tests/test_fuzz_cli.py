@@ -27,7 +27,7 @@ import json
 
 from hypothesis import example, given, settings, strategies as st
 
-from corpus import JUNK, documents
+from corpus import JUNK, documents, loads
 from stacktilt import cli
 from stacktilt.cli import main
 
@@ -113,7 +113,7 @@ def test_cli_fuzz_exit_codes(tmp_path_factory, case):
     with contextlib.redirect_stdout(out):
         code = main(argv[:1] + [str(path)] + argv[1:])
     assert code in (0, 1, 2)
-    report = json.loads(out.getvalue())
+    report = loads(out.getvalue())
     assert isinstance(report, dict)
     assert ("error" in report) == (code == 2)
     assert code != 1 or argv[0] == "verify"
@@ -231,5 +231,5 @@ def test_cli_fuzz_oversize_inputs(tmp_path_factory, case):
     with contextlib.redirect_stdout(out):
         code = main(argv[:1] + [str(path)] + argv[1:])
     assert code == 2
-    report = json.loads(out.getvalue())
+    report = loads(out.getvalue())
     assert isinstance(report, dict) and "error" in report

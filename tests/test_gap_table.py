@@ -4,10 +4,11 @@
 the order about every pair of elements, and translates member levels by
 the level offsets of each translation where it once added group elements;
 `enumerate_classes` and `connect` walk level vectors.  The element-level
-routines in oracles.py still ask `poset.leq` and add elements; here they
-run on every point the level-space walk produces (every zp class), the mutation walks in
-oracles.py must find the same classes, edges and moves, and a corrupted
-table must be caught by the checks that do not read it.
+routines in oracles.py still ask the order (`ctx.leq`) and add elements;
+here they run on every point the level-space walk produces (every zp
+class), the mutation walks in oracles.py must find the same classes,
+edges and moves, and a corrupted table must be caught by the checks that
+do not read it.
 """
 
 import collections
@@ -127,7 +128,7 @@ def test_gaps_and_levels_against_the_order(name):
             gap = poset.gaps[a][b]
             for k in range(gap - 3, gap + 4):
                 e = poset.shift(sb, k)
-                assert poset.leq(e, sa) == (k <= gap)
+                assert poset.ctx.leq(e, sa) == (k <= gap)
                 assert poset.level(e) == (b, k)
 
 
@@ -511,9 +512,9 @@ def test_rank2_closure_certificate_holds_on_the_corpus(name, monkeypatch):
     events = []
     check_closure, enumerate_classes = us.check_closure, us.enumerate_classes
 
-    def counted(poset, steps, message):
+    def counted(poset, steps):
         events.append(("closure", poset))
-        return check_closure(poset, steps, message)
+        return check_closure(poset, steps)
 
     def walked(poset, *args):
         events.append(("walk", poset))

@@ -179,7 +179,7 @@ def test_coset_reps(ctx_p23, ctx_zz2_d1, make_pd):
 
 def test_sign_split_examples(ctx_p1p1, ctx_sigma1, ctx_stacky):
     sp = ctx_p1p1.sign_split()
-    assert (sp.l, sp.l_prime) == (2, 2)
+    assert (sp.l, len(sp.order) - sp.l) == (2, 2)
     assert sp.h_ctx.group.free_rank == 1
     assert sp.h_ctx.group.torsion_orders == (2,)
     assert sp.h_ctx.theta_val(sp.s) == 2 and sp.s.torsion_part() == (0,)

@@ -203,6 +203,35 @@ def test_arrow_table_matches_the_element_search_on_fuzzed_products(doc,
     assert _assert_tables_agree(corpus.ctx(doc), mode)
 
 
+@pytest.mark.parametrize("name", RANK1_ALL + RANK2_ALL)
+def test_a_whole_group_table_is_its_single_steps(name):
+    """On the whole group (rank one, and H with shift s in rank two) the
+    arrow table is the single steps s_a + x_i = s_b + t*shift with unit
+    vectors, entry for entry and in degree order.  No step rises past the
+    theta bound the fibered search keeps, max over b of theta(s_b) -
+    theta(s_a) - gaps[b][a]*theta(shift): x_i <= shift and x_i != shift
+    (p sums the n >= 2 degrees x_i, s at least two of H's degrees xbar_i),
+    so no k > -t has s_a + k*shift <= s_b, gaps[b][a] <= -t, and
+    theta(x_i) = theta(s_b) - theta(s_a) + t*theta(shift) is within it."""
+    ctx = corpus.ctx(name)
+    if ctx.group.free_rank == 1:
+        poset = us.GroupPoset(ctx)
+    else:
+        split = ctx.sign_split()
+        poset = us.GroupPoset(split.h_ctx, shift_element=split.s)
+    degrees, gaps, theta = poset.ctx.degrees, poset.gaps, poset.sample_theta
+    units = [tuple(int(j == i) for j in range(len(degrees)))
+             for i in range(len(degrees))]
+    table = tilting.arrow_table(poset)
+    assert table.keys() == set(poset.fibers)
+    for a in poset.fibers:
+        assert table[a] == tuple((b, t, unit) for (b, t), unit in zip(
+            poset.single_steps[a], units))
+        bound = max(theta[b] - theta[a] - gaps[b][a] * poset.theta_p
+                    for b in poset.fibers)
+        assert all(poset.ctx.theta_val(x) <= bound for x in degrees)
+
+
 def _one_class_per_base(ctx):
     """The seed class over every base class: no inner enumeration."""
     split = ctx.sign_split()
@@ -390,8 +419,7 @@ def test_certify_rank1_rejects_perturbed_quivers():
         assert quiver != tc.quiver, name
         perturbed = list(classes)
         perturbed[k] = tilting.TiltingClass(
-            tc.rank, tc.ctx, tc.rep, quiver, tc.class_id, tc.table,
-            tc.translation)
+            tc.rep, quiver, tc.class_id, tc.table, tc.translation)
         with pytest.raises(InternalInvariantBroken):
             tilting._certify_rank1(ctx, perturbed, *cut_data)
 
@@ -491,7 +519,8 @@ def test_a_stabilizer_lift_off_the_fibers_is_an_internal_fault(monkeypatch):
     poset caches its translations, so a fresh one meets the moved lifts."""
     result, merging = _merging_groups("z2-torsion")
     split, grp = result.split, merging[0]
-    poset = us.GroupPoset(grp.classes[0].ctx, over=(split, grp.base))
+    poset = us.GroupPoset(grp.classes[0].rep.poset.ctx,
+                          over=(split, grp.base))
     inner = us.enumerate_classes(poset, "zp")
     section = GroupHom.section
     monkeypatch.setattr(GroupHom, "section",
@@ -526,9 +555,9 @@ def test_certificates_run_once_per_classification(ctx_p23, monkeypatch):
         calls["coset_reps"] += "fiber_map" in inside
         return coset_reps(self, shift)
 
-    def counted_closure(poset, steps, message):
+    def counted_closure(poset, steps):
         calls["h_closure"] += "certify2" in inside
-        return check_closure(poset, steps, message)
+        return check_closure(poset, steps)
 
     def counted_hom_dim(self, g):
         calls["hom_dim"] += 1
@@ -579,7 +608,7 @@ def test_two_presentations_per_rank1_class(monkeypatch, mode, classes):
 def test_apr_mutate(make_pd, ctx_p23, ctx_p1p1):
     classes = tilting.classify_rank1(make_pd(1))
     tc = classes[0]
-    new = tilting.apr_mutate(tc, tc.ctx.group.zero())
+    new = tilting.apr_mutate(tc, tc.rep.poset.ctx.group.zero())
     assert [e.coords[0] for e in new.elements] == [1, 2]
 
     classes = tilting.classify_rank1(ctx_p23)
@@ -606,7 +635,8 @@ def test_apr_mutate(make_pd, ctx_p23, ctx_p1p1):
     tc = res.groups[0].classes[0]
     m = us.mutable_elements(tc.rep)[0]
     child = tilting.apr_mutate(tc, m)
-    assert child.rank == 2 and len(child.elements) == 4
+    assert child.rep.poset.ctx.group.free_rank == 2
+    assert len(child.elements) == 4
 
 
 def test_mutation_closure_rank2(ctx_p1p1):
@@ -630,9 +660,8 @@ def test_mutation_closure_rank2(ctx_p1p1):
                     if key not in seen:
                         seen.add(key)
                         nxt.append(tilting.TiltingClass(
-                            rank=2, ctx=tc.ctx, rep=child_rep,
-                            quiver=tc.quiver, class_id="tmp",
-                            table=tc.table))
+                            rep=child_rep, quiver=tc.quiver,
+                            class_id="tmp", table=tc.table))
             frontier = nxt
         assert seen == {us.canonical_form(tc.rep, "zp").key()
                         for tc in grp.classes}
