@@ -120,8 +120,10 @@ def _load_document(path: str) -> dict:
     return doc
 
 
-def _build_context(doc: dict):
-    """(ctx, polytope) from an input document; the polytope may be derived."""
+def _build_context(doc: dict, refuse=lambda n, free_rank: None):
+    """(ctx, polytope) from an input document; the polytope may be derived.
+    refuse(n, free_rank), the command's own refusal, runs once both are
+    known: for a polytope, before its C(n, d) facet search."""
     has_polytope = "polytope" in doc
     has_group = "group" in doc
     if has_polytope == has_group:
@@ -134,11 +136,12 @@ def _build_context(doc: dict):
         vertices = [_int_vector(v, "a polytope vertex") for v in vertices]
         if "dim" in spec and any(len(v) != spec["dim"] for v in vertices):
             raise InputError("vertex length disagrees with polytope.dim")
-        d = len(vertices[0])
-        if d and all(len(v) == d for v in vertices):
+        n, d = len(vertices), len(vertices[0])
+        if n > d > 0 and all(len(v) == d for v in vertices):
             # the Gale dual has free rank n - d; refused before
             # parse_polytope tries every d-subset of the vertices as a facet
-            check_free_rank(len(vertices) - d)
+            check_free_rank(n - d)
+            refuse(n, n - d)
         polytope = parse_polytope(vertices)
         return gale_dual(polytope), polytope
     spec = doc["group"]
@@ -160,17 +163,18 @@ def _build_context(doc: dict):
                          count=len(torsion), bound=_MAX_TORSION_ORDERS)
     group = direct_sum_group(free_rank, torsion)
     degrees = [group.canonicalize(list(v)) for v in degree_vecs]
-    return GradedDegreeGroup.build(group, degrees), None
+    ctx = GradedDegreeGroup.build(group, degrees)
+    refuse(ctx.n, free_rank)
+    return ctx, None
 
 
 def _oracle_context(args, classify: bool = False):
     """(ctx, oracle, field, classes) of cohomology and verify.  The bounds
-    come before the work they guard: the vertex bound before a group's
-    polytope and its C(n, d) facet search, and with classify the classes,
-    and so the coset bound, before the oracle's Smith forms."""
+    come before the work they guard: the vertex bound before any C(n, d)
+    facet search, a given polytope's or a group's, and with classify the
+    classes, and so the coset bound, before the oracle's Smith forms."""
     doc = _load_document(args.input)
-    ctx, polytope = _build_context(doc)
-    check_vertex_count(ctx.n)
+    ctx, polytope = _build_context(doc, lambda n, _: check_vertex_count(n))
     field = _parse_field(args.field or doc.get("field"))
     classes = (_classify(ctx, args.mode, args.max_classes)[0] if classify
                else None)
@@ -290,7 +294,7 @@ def cmd_mutate(args) -> int:
     if tc.rep.poset is not target.rep.poset:
         raise InputError("classes live over different base classes",
                          source=tc.class_id, target=target.class_id)
-    moves = us.connect(tc.rep, target.rep, mode=tc.translation)
+    moves = us.connect(tc.rep, target.rep, mode=tc.mode)
     _emit({"command": "mutate", "from": tc.class_id, "walk_to": target.class_id,
            "moves": [{"fiber": list(f), "direction": d} for f, d in moves],
            "length": len(moves)})
@@ -364,6 +368,11 @@ def _check_detector_search(m: int, d: int) -> None:
                          "enumeration", m=m, candidates_log2=m - 1)
 
 
+def _refuse_cut_rank(n: int, free_rank: int) -> None:
+    if free_rank != 1:
+        raise InputError("cut systems come from rank-one graded groups")
+
+
 def cmd_cuts(args) -> int:
     doc = _load_document(args.input)
     if "lattice" in doc:
@@ -378,9 +387,7 @@ def cmd_cuts(args) -> int:
             raise InputError(f"malformed lattice spec: {exc}") from None
         lq = cuts_mod.build_quotient(d, b_gens)
     elif "group" in doc or "polytope" in doc:
-        ctx, _ = _build_context(doc)
-        if ctx.group.free_rank != 1:
-            raise InputError("cut systems come from rank-one graded groups")
+        ctx, _ = _build_context(doc, _refuse_cut_rank)
         # m = |G/Zp| and d = n - 1, checked before L/B is built
         _check_detector_search(ctx.group.quotient_by([ctx.p])[0].size(),
                                ctx.n - 1)

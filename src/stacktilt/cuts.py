@@ -13,14 +13,16 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .abgroup import FgAbelianGroup, GroupElement, relation_kernel
 from .errors import (InputError, InternalInvariantBroken, InvalidDetector,
                      NotBounding, NotCofinite)
-from .graded_order import GradedDegreeGroup
 from .quiver import Arrow, QuiverPresentation, commuting_squares
-from .upper_sets import AntichainRep
+
+if TYPE_CHECKING:
+    from .graded_order import GradedDegreeGroup
+    from .upper_sets import AntichainRep
 
 # An arrow of Q is (source canonical coords, type i); its target is
 # source + alpha_i.  Cuts are frozensets of arrows.

@@ -39,12 +39,12 @@ if TYPE_CHECKING:
 
 class TiltingClass:
     def __init__(self, rep: us.AntichainRep, quiver: QuiverPresentation,
-                 class_id: str, table: dict, translation: str = "zp"):
-        self.rep = rep                  # its poset's ctx is the graded group
+                 class_id: str, table: dict, mode: str):
+        self.rep = rep          # its poset's ctx is the graded group
         self.quiver = quiver
         self.class_id = class_id
-        self.table = table              # arrow_table of rep's poset
-        self.translation = translation  # the canonical_form mode counted in
+        self.table = table      # arrow_table of rep's poset
+        self.mode = mode        # the canonical_form mode counted in
 
     @property
     def elements(self) -> tuple[GroupElement, ...]:
@@ -52,11 +52,6 @@ class TiltingClass:
 
     def degrees_json(self) -> list:
         return [list(e.coords) for e in self.elements]
-
-
-def _translation(mode: str) -> str:
-    """Paper mode counts classes up to all translations, zp mode up to p."""
-    return "full" if mode == "paper" else "zp"
 
 
 def _class_id(rank: int, elements: Sequence[GroupElement]) -> str:
@@ -280,12 +275,12 @@ def _certify_rank1(ctx: GradedDegreeGroup, classes: list[TiltingClass],
 
 
 def _tilting_class(table: dict, rep: us.AntichainRep,
-                   translation: str) -> TiltingClass:
-    """The class of rep with its endomorphism quiver read off table."""
+                   mode: str) -> TiltingClass:
+    """The class named by rep, with its endomorphism quiver read off table."""
     return TiltingClass(rep=rep, quiver=endomorphism_quiver(table, rep),
                         class_id=_class_id(rep.poset.ctx.group.free_rank,
                                            rep.elements),
-                        table=table, translation=translation)
+                        table=table, mode=mode)
 
 
 def classify_rank1(ctx: GradedDegreeGroup, mode: str = "paper",
@@ -298,12 +293,11 @@ def classify_rank1(ctx: GradedDegreeGroup, mode: str = "paper",
     """
     if ctx.group.free_rank != 1:
         raise InputError("classify_rank1 needs a rank-one graded group")
-    translation = _translation(mode)
     poset = us.GroupPoset(ctx)
     table = arrow_table(poset)
-    reps = us.enumerate_classes(poset, translation, max_classes)
+    reps = us.enumerate_classes(poset, mode, max_classes)
     lq, gamma = cuts_mod.data_of_group(ctx)
-    classes = [_tilting_class(table, rep, translation) for rep in reps]
+    classes = [_tilting_class(table, rep, mode) for rep in reps]
     cuts = _certify_rank1(ctx, classes, lq, gamma)
     if len(set(cuts)) != len(cuts):
         raise InternalInvariantBroken("two classes have the same cut")
@@ -348,11 +342,11 @@ def _certify_rank2(h_poset: us.GroupPoset) -> None:
 
 def _stabilizer_merged_count(inner: list[us.AntichainRep]) -> int:
     """Inner classes identified also under the translations fixing their
-    base class: the distinct full orbits (GroupPoset.orbit) of their
+    base class: the distinct "paper" orbits (GroupPoset.orbit) of their
     points.  The translations form a group, so each orbit is whole."""
     poset = inner[0].poset
     known = {poset.point(rep) for rep in inner}
-    orbits = {frozenset(poset.orbit(k, "full")) for k in known}
+    orbits = {frozenset(poset.orbit(k, "paper")) for k in known}
     if not set().union(*orbits) <= known:
         raise InternalInvariantBroken(
             "stabilizer translate left the class list")
@@ -372,8 +366,7 @@ def classify_rank2(ctx: GradedDegreeGroup, mode: str = "paper",
     split = ctx.sign_split()
     h_poset = us.GroupPoset(split.h_ctx, shift_element=split.s)
     _certify_rank2(h_poset)
-    base_classes = us.enumerate_classes(h_poset, _translation(mode),
-                                        max_classes)
+    base_classes = us.enumerate_classes(h_poset, mode, max_classes)
     walked = []
     budget = max_classes
     for base in base_classes:
@@ -403,9 +396,10 @@ def apr_mutate(tclass: TiltingClass, m: GroupElement) -> TiltingClass:
     in."""
     rep = us.mutate(tclass.rep, m)
     ctx = rep.poset.ctx
-    tc = _tilting_class(tclass.table, rep, tclass.translation)
-    tc.class_id = _class_id(ctx.group.free_rank, us.canonical_form(
-        rep, tc.translation).elements)
+    named = us.canonical_form(rep, tclass.mode).elements
+    tc = TiltingClass(rep=rep, quiver=endomorphism_quiver(tclass.table, rep),
+                      class_id=_class_id(ctx.group.free_rank, named),
+                      table=tclass.table, mode=tclass.mode)
     if ctx.group.free_rank == 1:
         _certify_rank1(ctx, [tc], *cuts_mod.data_of_group(ctx))
     return tc

@@ -196,9 +196,9 @@ class GroupPoset:
         return [self.translate(k, moves) for moves in self._translations]
 
     def orbit(self, k: tuple, mode: str) -> list[tuple]:
-        """The points of k's class: its translates in "full" mode, k itself
+        """The points of k's class: its translates in "paper" mode, k itself
         in "zp" mode."""
-        if mode == "full":
+        if mode == "paper":
             return self.translates(k)
         if mode == "zp":
             return [k]
@@ -339,7 +339,7 @@ def canonical_form(rep: AntichainRep, mode: str) -> AntichainRep:
     enumerate_classes names its classes by.
 
     mode "zp": translate by a multiple of the shift so min theta lands in
-    [0, theta_p).  mode "full": additionally minimize over the poset's
+    [0, theta_p).  mode "paper": additionally minimize over the poset's
     translations (the "up to translations" counting used for class
     reporting).  rep itself is returned when it is the winner.
     """
@@ -388,7 +388,7 @@ def enumerate_classes(poset, mode: str,
 
     The classes up to shifts are the poset's level points (GroupPoset), a
     distributive lattice connected by the moves (Propp).  A class is the
-    orbit of a point, GroupPoset.orbit: its translates in "full" mode, the
+    orbit of a point, GroupPoset.orbit: its translates in "paper" mode, the
     point alone in "zp" mode, and the least key in it, GroupPoset.head,
     names the class, as canonical_form does.  A translation is an order
     automorphism commuting with the shift, so it maps the moves out of a

@@ -48,7 +48,7 @@ def checked(poset, elements: Iterable[GroupElement]) -> AntichainRep:
     return AntichainRep(poset, elements)
 
 
-def enumerate_classes_window(poset, mode: str = "full",
+def enumerate_classes_window(poset, mode: str = "paper",
                              window: int = 4) -> list[AntichainRep]:
     """Brute-force oracle: all shift vectors in [-window, window]^fibers.
 
@@ -80,7 +80,7 @@ def enumerate_classes_window(poset, mode: str = "full",
     return [found[k] for k in sorted(found)]
 
 
-def enumerate_classes_bfs(poset, mode: str = "full") -> list[AntichainRep]:
+def enumerate_classes_bfs(poset, mode: str = "paper") -> list[AntichainRep]:
     """upper_sets.enumerate_classes as a mutation BFS over AntichainReps.
 
     Closes the mode-canonical seed slab under mutations in both
@@ -207,7 +207,7 @@ def canonical_form_elementwise(rep: AntichainRep,
     member levels through the poset's sum table."""
     if mode == "zp":
         return _slab_shift_elementwise(rep)
-    if mode != "full":
+    if mode != "paper":
         raise ValueError(f"unknown canonical form mode {mode!r}")
     return min(_translates_elementwise(rep), key=AntichainRep.key)
 

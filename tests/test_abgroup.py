@@ -246,6 +246,26 @@ def test_hom_is_the_sum_of_scaled_images(g):
         assert proj(proj.section(proj(a))) == proj(a)
 
 
+_Z, _Z2 = FgAbelianGroup(1, []), FgAbelianGroup(2, [])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FgAbelianGroup(2, [[1, 2, 3]]), "relation has 3 entries"),
+    (lambda: _Z.quotient_by([_Z2.from_coords([1, 0])]),
+     "subgroup generator from another group"),
+    (lambda: GroupHom(_Z2, _Z, [_Z.from_coords([1])]),
+     "one image per canonical generator"),
+    (lambda: _Z.quotient_by([_Z.from_coords([2])])[1](_Z2.zero()),
+     "element not in hom source"),
+    (lambda: _Z.quotient_by([_Z.from_coords([2])])[1].section(_Z.zero()),
+     "element not in hom target"),
+], ids=["relation-length", "quotient-by-foreign", "image-count",
+        "hom-outside-source", "section-outside-target"])
+def test_arguments_of_the_wrong_shape_or_group_are_refused(call, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        call()
+
+
 def test_hom_images_must_lie_in_the_target(z_group):
     other = FgAbelianGroup(1, [])
     with pytest.raises(DimensionMismatch):

@@ -58,11 +58,11 @@ def test_criterion_02_weighted_p23(ctx_p23):
                   for a in classes[0].quiver.arrows}
         assert arrows == {(0, 2, "x1"), (1, 3, "x1"), (2, 4, "x1"),
                           (0, 3, "x2"), (1, 4, "x2")}
-        moves = us.connect(classes[0].rep, classes[1].rep, mode="full")
+        moves = us.connect(classes[0].rep, classes[1].rep, mode="paper")
         assert len(moves) >= 1
-        replay = apply_moves(us.canonical_form(classes[0].rep, "full"),
+        replay = apply_moves(us.canonical_form(classes[0].rep, "paper"),
                              moves)
-        assert us.canonical_form(replay, "full").key() \
+        assert us.canonical_form(replay, "paper").key() \
             == classes[1].rep.key()
     _timed(2, 1.0, body)
 
@@ -364,14 +364,14 @@ def test_criterion_10_property_suites(ctx_p23, ctx_zz2_d1, ctx_zz2_d2,
         # BFS enumeration agrees with the window-N=4 brute force
         for ctx in (ctx_p23, ctx_zz2_d1, ctx_zz2_d2, make_pd(2)):
             poset = us.GroupPoset(ctx)
-            for mode in ("full", "zp"):
+            for mode in ("paper", "zp"):
                 assert [r.key() for r in us.enumerate_classes(poset, mode)] \
                     == [r.key() for r in
                         enumerate_classes_window(poset, mode, 4)]
         for ctx in (ctx_p1p1, ctx_sigma1, ctx_stacky):
             split = ctx.sign_split()
             h_poset = us.GroupPoset(split.h_ctx, shift_element=split.s)
-            for base in us.enumerate_classes(h_poset, "full"):
+            for base in us.enumerate_classes(h_poset, "paper"):
                 fp = us.GroupPoset(ctx, over=(split, base))
                 assert [r.key() for r in us.enumerate_classes(fp, "zp")] \
                     == [r.key() for r in

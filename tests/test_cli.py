@@ -44,7 +44,7 @@ def _mutated_neighbors(tc):
     return [{"at": list(m.coords),
              "to": tilting._class_id(
                  tc.rep.poset.ctx.group.free_rank, us.canonical_form(
-                     us.mutate(tc.rep, m), tc.translation).elements)}
+                     us.mutate(tc.rep, m), tc.mode).elements)}
             for m in us.mutable_elements(tc.rep)]
 
 
@@ -366,16 +366,30 @@ VERTEX_BOUND_DIGESTS = {
 }
 
 
+def _projective_space(n, form):
+    """P^(n - 1) as a document of the given form: n weight-one degrees,
+    or the n vertices e_1, ..., e_(n-1), -(e_1 + ... + e_(n-1))."""
+    if form == "group":
+        return {"group": {"free_rank": 1, "degrees": [[1]] * n}}
+    return {"polytope": {"vertices": [
+        [int(i == j) for j in range(n - 1)] for i in range(n - 1)]
+        + [[-1] * (n - 1)]}}
+
+
 @pytest.mark.parametrize("argv", [
     ["cohomology", "{input}", "--twist", "{zeros}", "--all-r"],
     ["verify", "{input}", "--set", "[[0]]"]], ids=["cohomology", "verify"])
-@pytest.mark.parametrize("n", sorted(VERTEX_BOUND_DIGESTS))
-def test_vertex_bound_checked_before_the_polytope(tmp_path, capsys, argv, n):
-    """A group of n weight-one degrees is refused before its polytope is
-    derived, whose facet search solves an integer kernel of n - 2 rows for
-    each of its n candidate facets."""
-    path = _write(tmp_path, {"group": {"free_rank": 1,
-                                       "degrees": [[1]] * n}})
+@pytest.mark.parametrize("n, form", [
+    (n, form) for form in ("group", "polytope")
+    for n in sorted(VERTEX_BOUND_DIGESTS)],
+    ids=["11", "120", "11-polytope", "120-polytope"])
+def test_vertex_bound_checked_before_the_polytope(tmp_path, capsys, argv, n,
+                                                  form):
+    """P^(n - 1), as a group of n weight-one degrees or as its polytope, is
+    refused with the same bytes before any facet search, which solves an
+    integer kernel of n - 2 rows for each of its n candidate facets (the
+    polytope document of P^119 took 18 s when the bound came after it)."""
+    path = _write(tmp_path, _projective_space(n, form))
     argv = [a.format(input=path, zeros=json.dumps([0] * n)) for a in argv]
     start = time.perf_counter()
     code = main(argv)
@@ -383,6 +397,22 @@ def test_vertex_bound_checked_before_the_polytope(tmp_path, capsys, argv, n):
     out = capsys.readouterr().out
     assert code == 2
     assert hashlib.sha256(out.encode()).hexdigest() == VERTEX_BOUND_DIGESTS[n]
+
+
+def test_cuts_refuses_a_rank_two_polytope_before_the_facet_search(
+        tmp_path, capsys):
+    """e_1, ..., e_30, -(e_1 + ... + e_30) and -e_1 have a Gale dual of
+    free rank two, which `cuts` refuses; it did so after the facet search,
+    in 1.7 s."""
+    vertices = [[int(i == j) for j in range(30)] for i in range(30)]
+    vertices += [[-1] * 30, [-1] + [0] * 29]
+    path = _write(tmp_path, {"polytope": {"vertices": vertices}})
+    start = time.perf_counter()
+    code, doc = _run(capsys, ["cuts", path])
+    assert time.perf_counter() - start < 0.1
+    assert code == 2 and doc["error"]["type"] == "InputError"
+    assert doc["error"]["message"] == ("cut systems come from rank-one "
+                                       "graded groups")
 
 
 def test_polytope_rank_refused_before_the_facet_search(tmp_path, capsys):

@@ -168,6 +168,10 @@ def test_detector_example_m2():
     bad = cuts.CutDetector(lq, (1, 1), {(0,): 0, (1,): 5})
     with pytest.raises(InvalidDetector):
         cuts.cut_from_detector(bad)
+    for table, message in (({(0,): 1, (1,): 2}, "vanish at the zero vertex"),
+                           ({(0,): 0}, "does not cover L/B")):
+        with pytest.raises(InvalidDetector, match=message):
+            cuts.cut_from_detector(cuts.CutDetector(lq, (1, 1), table))
 
 
 def test_not_a_cut():

@@ -53,11 +53,11 @@ def _posets(name):
     fibered posets in zp mode, and counts their full orbits)."""
     ctx = corpus.ctx(name)
     if ctx.group.free_rank == 1:
-        return [(us.GroupPoset(ctx), ("full", "zp"))]
+        return [(us.GroupPoset(ctx), ("paper", "zp"))]
     split = ctx.sign_split()
     h_poset = us.GroupPoset(split.h_ctx, shift_element=split.s)
-    return [(h_poset, ("full", "zp"))] + [
-        (us.GroupPoset(ctx, over=(split, base)), ("full", "zp"))
+    return [(h_poset, ("paper", "zp"))] + [
+        (us.GroupPoset(ctx, over=(split, base)), ("paper", "zp"))
         for base in us.enumerate_classes(h_poset, "zp")]
 
 
@@ -138,7 +138,7 @@ def test_element_over_a_fiber_the_poset_lacks():
     ctx = corpus.ctx("p1p2")
     split = ctx.sign_split()
     h_poset = us.GroupPoset(split.h_ctx, shift_element=split.s)
-    base = us.enumerate_classes(h_poset, "full")[0]
+    base = us.enumerate_classes(h_poset, "paper")[0]
     poset = us.GroupPoset(ctx, over=(split, base))
     rep = us.enumerate_classes(poset, "zp")[0]
     h = base.elements[0] + split.s      # same s-orbit as a member: not in J
@@ -266,7 +266,7 @@ def _assert_forms_agree(poset, modes, rng):
 
 @pytest.mark.parametrize("name", RANK1_ALL, ids=_ID.get)
 def test_level_space_forms_on_the_rank1_corpus(name):
-    _assert_forms_agree(us.GroupPoset(corpus.ctx(name)), ("full", "zp"),
+    _assert_forms_agree(us.GroupPoset(corpus.ctx(name)), ("paper", "zp"),
                         random.Random(name))
 
 
@@ -278,7 +278,7 @@ def test_level_space_forms_on_base_and_inner_posets(name):
 
 
 def test_full_forms_on_fibered_posets_match_the_elementwise_forms():
-    """On a fibered poset, "full" is up to the lifts of the translations
+    """On a fibered poset, "paper" is up to the lifts of the translations
     fixing the base class: the canonical form of every zp class over each
     base of Z^2 + Z/2, and of its shift translates, is the least of its
     translates by those lifts, built as elements.  Some base's lifts merge
@@ -287,9 +287,9 @@ def test_full_forms_on_fibered_posets_match_the_elementwise_forms():
     for poset, _ in _posets("z2-torsion")[1:]:
         for rep in us.enumerate_classes(poset, "zp"):
             for moved in _with_translates(poset, rep, rng):
-                form = us.canonical_form(moved, "full")
+                form = us.canonical_form(moved, "paper")
                 assert form.key() == canonical_form_elementwise(
-                    moved, "full").key()
+                    moved, "paper").key()
                 merged += form.key() != rep.key()
     assert merged
 
@@ -336,7 +336,7 @@ def test_full_canonical_forms_project_few_elements(monkeypatch):
 
     monkeypatch.setattr(GroupHom, "__call__", counted)
     classes = us.enumerate_classes(us.GroupPoset(corpus.ctx("p5711")),
-                                   "full")
+                                   "paper")
     assert len(classes) == 43
     assert calls < 32_000
 
@@ -478,10 +478,10 @@ def _assert_modes_agree(poset, modes):
     for mode, reps in walks.items():
         assert (_classes_and_edges(reps)
                 == _classes_and_edges(enumerate_classes_bfs(poset, mode)))
-    if "full" in walks:
-        grouped = collections.Counter(us.canonical_form(rep, "full").key()
+    if "paper" in walks:
+        grouped = collections.Counter(us.canonical_form(rep, "paper").key()
                                       for rep in walks["zp"])
-        assert grouped == {rep.key(): rep.orbit_len for rep in walks["full"]}
+        assert grouped == {rep.key(): rep.orbit_len for rep in walks["paper"]}
 
 
 @pytest.mark.parametrize("name", RANK1_ALL + RANK2_WALKED, ids=_ID.get)
@@ -500,7 +500,7 @@ def test_paper_mode_walks_the_orbits_of_the_zp_walk_on_fuzz_groups(doc):
         poset = us.GroupPoset(corpus.ctx(doc))
     except StacktiltError:
         return
-    _assert_modes_agree(poset, ("full", "zp"))
+    _assert_modes_agree(poset, ("paper", "zp"))
 
 
 @pytest.mark.parametrize("name", RANK2_WALKED + RANK1_ALL, ids=_ID.get)
@@ -568,11 +568,11 @@ def test_connect_matches_the_elementwise_walk(name, mode):
     for group in (rng.choice(groups) for _ in range(3)):
         pairs.append((rng.choice(group), rng.choice(group)))
     for a, b in pairs:
-        moves = us.connect(a.rep, b.rep, a.translation)
-        assert moves == connect_elementwise(a.rep, b.rep, a.translation)
+        moves = us.connect(a.rep, b.rep, a.mode)
+        assert moves == connect_elementwise(a.rep, b.rep, a.mode)
         end = apply_moves(canonical_form_elementwise(a.rep), moves)
-        assert (canonical_form_elementwise(end, a.translation).key()
-                == canonical_form_elementwise(b.rep, a.translation).key())
+        assert (canonical_form_elementwise(end, a.mode).key()
+                == canonical_form_elementwise(b.rep, a.mode).key())
 
 
 def _h_poset(ctx):

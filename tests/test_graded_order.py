@@ -5,8 +5,9 @@ import pytest
 
 from stacktilt.abgroup import FgAbelianGroup
 from stacktilt.graded_order import GradedDegreeGroup
-from stacktilt.errors import (DegenerateSplit, G1Violation, G2Violation,
-                              G3Violation, InputError, UnsupportedRank)
+from stacktilt.errors import (DegenerateSplit, DimensionMismatch, G1Violation,
+                              G2Violation, G3Violation, InputError,
+                              UnsupportedRank)
 
 
 def test_build_examples(z_group, ctx_p23, ctx_zz2_d1):
@@ -19,6 +20,10 @@ def test_build_examples(z_group, ctx_p23, ctx_zz2_d1):
 
 
 def test_build_violations(z_group, zz2_group, z2_group):
+    with pytest.raises(G1Violation, match="no degrees given"):
+        GradedDegreeGroup.build(z_group, [])
+    with pytest.raises(DimensionMismatch, match="degree not in the given"):
+        GradedDegreeGroup.build(z_group, [z2_group.canonicalize([1, 0])])
     with pytest.raises(G1Violation):
         GradedDegreeGroup.build(z_group, [z_group.zero(),
                                           z_group.canonicalize([1])])

@@ -42,6 +42,8 @@ def test_parse_polytope_errors():
         sg.parse_polytope([[1], [1], [-1]])
     with pytest.raises(InputError):
         sg.parse_polytope([[1]])
+    with pytest.raises(InputError, match="no vertices given"):
+        sg.parse_polytope([])
 
 
 def test_polytope_and_profile_read_as_before():

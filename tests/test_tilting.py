@@ -40,7 +40,7 @@ def test_classify_rank1_p23(ctx_p23):
     assert arrows == {(0, 2, "x1"), (1, 3, "x1"), (2, 4, "x1"),
                       (0, 3, "x2"), (1, 4, "x2")}
     # the two classes are connected by a mutation walk
-    moves = us.connect(classes[0].rep, classes[1].rep, mode="full")
+    moves = us.connect(classes[0].rep, classes[1].rep, mode="paper")
     assert len(moves) >= 1
 
 
@@ -120,7 +120,7 @@ def test_rank2_inner_enumeration_matches_window(ctx_p1p1, ctx_sigma1):
     for ctx in (ctx_p1p1, ctx_sigma1):
         split = ctx.sign_split()
         h_poset = us.GroupPoset(split.h_ctx, shift_element=split.s)
-        for base in us.enumerate_classes(h_poset, "full"):
+        for base in us.enumerate_classes(h_poset, "paper"):
             fp = us.GroupPoset(ctx, over=(split, base))
             bfs = [r.key() for r in us.enumerate_classes(fp, "zp")]
             window = [r.key() for r in
@@ -162,7 +162,7 @@ def test_a_vector_with_a_landing_sub_vector_is_reducible(ctx_p1p1):
     split = ctx_p1p1.sign_split()
     h_poset = us.GroupPoset(split.h_ctx, shift_element=split.s)
     degrees = set()
-    for base in us.enumerate_classes(h_poset, "full"):
+    for base in us.enumerate_classes(h_poset, "paper"):
         poset = us.GroupPoset(ctx_p1p1, over=(split, base))
         for a, entries in tilting.arrow_table(poset).items():
             for _, _, c in entries:
@@ -180,7 +180,7 @@ def _assert_tables_agree(ctx, mode):
     fiber and in its order."""
     split = ctx.sign_split()
     h_poset = us.GroupPoset(split.h_ctx, shift_element=split.s)
-    bases = us.enumerate_classes(h_poset, tilting._translation(mode))
+    bases = us.enumerate_classes(h_poset, mode)
     for poset in [h_poset] + [us.GroupPoset(ctx, over=(split, base))
                               for base in bases]:
         assert tilting.arrow_table(poset) == arrow_table_elementwise(poset)
@@ -238,7 +238,7 @@ def _one_class_per_base(ctx):
     h_poset = us.GroupPoset(split.h_ctx, shift_element=split.s)
     return [us.canonical_form(us.seed_slab(us.GroupPoset(
                 ctx, over=(split, base))), "zp")
-            for base in us.enumerate_classes(h_poset, "full")]
+            for base in us.enumerate_classes(h_poset, "paper")]
 
 
 _QUIVER_CASES = {   # case: (input, mode); "-zp" marks zp mode
@@ -419,7 +419,7 @@ def test_certify_rank1_rejects_perturbed_quivers():
         assert quiver != tc.quiver, name
         perturbed = list(classes)
         perturbed[k] = tilting.TiltingClass(
-            tc.rep, quiver, tc.class_id, tc.table, tc.translation)
+            tc.rep, quiver, tc.class_id, tc.table, tc.mode)
         with pytest.raises(InternalInvariantBroken):
             tilting._certify_rank1(ctx, perturbed, *cut_data)
 
@@ -486,7 +486,7 @@ def test_the_full_walk_over_each_base_finds_the_merged_classes(name):
     result = tilting.classify_rank2(corpus.ctx(name), "paper")
     for grp in result.groups:
         poset = grp.classes[0].rep.poset
-        full = us.enumerate_classes(poset, "full")
+        full = us.enumerate_classes(poset, "paper")
         assert len(full) == grp.merged_class_count
         assert sum(rep.orbit_len for rep in full) == len(grp.classes)
 
@@ -620,7 +620,7 @@ def test_apr_mutate(make_pd, ctx_p23, ctx_p1p1):
         for tc in frontier:
             for m in us.mutable_elements(tc.rep):
                 child = tilting.apr_mutate(tc, m)
-                canon = us.canonical_form(child.rep, "full")
+                canon = us.canonical_form(child.rep, "paper")
                 cid = tilting._class_id(1, canon.elements)
                 if cid not in seen:
                     seen.add(cid)
@@ -661,7 +661,7 @@ def test_mutation_closure_rank2(ctx_p1p1):
                         seen.add(key)
                         nxt.append(tilting.TiltingClass(
                             rep=child_rep, quiver=tc.quiver,
-                            class_id="tmp", table=tc.table))
+                            class_id="tmp", table=tc.table, mode="zp"))
             frontier = nxt
         assert seen == {us.canonical_form(tc.rep, "zp").key()
                         for tc in grp.classes}

@@ -97,27 +97,27 @@ def test_mutate_inverse_identity(ctx_p23, ctx_zz2_d1):
 def test_canonical_form(ctx_p23):
     poset = _poset(ctx_p23)
     rep = us.AntichainRep(poset, _mk(ctx_p23, [1, 2, 3, 4, 5]))
-    assert [e.coords[0] for e in us.canonical_form(rep, "full").elements] \
+    assert [e.coords[0] for e in us.canonical_form(rep, "paper").elements] \
         == [0, 1, 2, 3, 4]
     rep = us.AntichainRep(poset, _mk(ctx_p23, [5, 6, 7, 8, 9]))
     assert [e.coords[0] for e in us.canonical_form(rep, "zp").elements] \
         == [0, 1, 2, 3, 4]
     rep = us.AntichainRep(poset, _mk(ctx_p23, [0, 2, 3, 4, 6]))
-    assert us.canonical_form(rep, "full").key() == rep.key()
+    assert us.canonical_form(rep, "paper").key() == rep.key()
 
 
 def test_enumerate_classes_counts(ctx_p23, ctx_zz2_d1, make_pd):
-    assert len(us.enumerate_classes(_poset(ctx_p23), "full")) == 2
-    assert len(us.enumerate_classes(_poset(ctx_zz2_d1), "full")) == 2
+    assert len(us.enumerate_classes(_poset(ctx_p23), "paper")) == 2
+    assert len(us.enumerate_classes(_poset(ctx_zz2_d1), "paper")) == 2
     for d in (1, 2, 3):
-        assert len(us.enumerate_classes(_poset(make_pd(d)), "full")) == 1
+        assert len(us.enumerate_classes(_poset(make_pd(d)), "paper")) == 1
 
 
 def test_enumerate_matches_window_oracle(ctx_p23, ctx_zz2_d1, ctx_zz2_d2,
                                          make_pd):
     for ctx in (ctx_p23, ctx_zz2_d1, ctx_zz2_d2, make_pd(2)):
         poset = _poset(ctx)
-        for mode in ("full", "zp"):
+        for mode in ("paper", "zp"):
             bfs = [r.key() for r in us.enumerate_classes(poset, mode)]
             window = [r.key() for r in
                       enumerate_classes_window(poset, mode, window=4)]
@@ -155,9 +155,9 @@ def test_connect(ctx_p23, make_pd):
     poset = _poset(ctx_p23)
     j1 = checked(poset, _mk(ctx_p23, [0, 1, 2, 3, 4]))
     j2 = checked(poset, _mk(ctx_p23, [0, 2, 3, 4, 6]))
-    assert us.connect(j1, j2, mode="full") == [((3,), -1)]
-    assert us.connect(j2, j1, mode="full") == [((1,), -1)]
-    assert us.connect(j1, j1, mode="full") == []
+    assert us.connect(j1, j2, mode="paper") == [((3,), -1)]
+    assert us.connect(j2, j1, mode="paper") == [((1,), -1)]
+    assert us.connect(j1, j1, mode="paper") == []
     ctx1 = make_pd(1)
     p1 = _poset(ctx1)
     a = checked(p1, _mk(ctx1, [0, 1]))
@@ -167,7 +167,7 @@ def test_connect(ctx_p23, make_pd):
     # the same set on another poset of the same group
     other = checked(_poset(ctx_p23), _mk(ctx_p23, [0, 1, 2, 3, 4]))
     with pytest.raises(NotAntichain):
-        us.connect(j1, other, mode="full")
+        us.connect(j1, other, mode="paper")
 
 
 def test_checked_raises(ctx_p23):
@@ -189,19 +189,19 @@ def test_class_ceiling_counts_orbits(ctx_p23, monkeypatch):
     from stacktilt.errors import ClassCountExceeded
     monkeypatch.setattr(us.GroupPoset, "translates", lambda poset, k: [k])
     poset = _poset(ctx_p23)
-    assert len(us.enumerate_classes(poset, "full", max_classes=10)) == 10
+    assert len(us.enumerate_classes(poset, "paper", max_classes=10)) == 10
     with pytest.raises(ClassCountExceeded):
-        us.enumerate_classes(poset, "full", max_classes=2)
+        us.enumerate_classes(poset, "paper", max_classes=2)
 
 
 def test_orbit_sizes_add_up_to_the_zp_classes(ctx_p23, ctx_zz2_d1, ctx_zz2_d2,
                                               make_pd):
     for ctx in (ctx_p23, ctx_zz2_d1, ctx_zz2_d2, make_pd(2)):
         poset = _poset(ctx)
-        full = us.enumerate_classes(poset, "full")
+        full = us.enumerate_classes(poset, "paper")
         zp = us.enumerate_classes(poset, "zp")
         assert ([rep.orbit_len for rep in full]
-                == [orbit_size_elementwise(rep, "full") for rep in full])
+                == [orbit_size_elementwise(rep, "paper") for rep in full])
         assert sum(rep.orbit_len for rep in full) == len(zp)
         assert {rep.orbit_len for rep in zp} == {1}
 
@@ -219,7 +219,7 @@ def test_paper_mode_keys_one_point_per_class(monkeypatch):
         return key(poset, k)
     monkeypatch.setattr(us.GroupPoset, "key", counted)
     poset = _poset(ctx)
-    classes = us.enumerate_classes(poset, "full")
+    classes = us.enumerate_classes(poset, "paper")
     assert len(classes) == 43 and len(keyed) == 43
     assert sum(rep.orbit_len for rep in classes) == 989
     for rep in classes:
@@ -324,10 +324,12 @@ def test_the_library_imports_only_the_standard_library():
 @pytest.mark.parametrize("module, loaded", [
     ("stacktilt", []),
     ("stacktilt.graded_order",
-     ["_intlinalg", "abgroup", "errors", "graded_order"])])
+     ["_intlinalg", "abgroup", "errors", "graded_order"]),
+    ("stacktilt.cuts", ["_intlinalg", "abgroup", "cuts", "errors", "quiver"])])
 def test_an_import_loads_only_what_it_uses(module, loaded):
-    """The package root holds only __version__, so importing it, or the
-    graded order, loads no module the importer does not use."""
+    """The package root holds only __version__, so importing it, the graded
+    order or the cut layer, whose poset types are annotations only, loads
+    no module the importer does not use."""
     src = str(Path(us.__file__).resolve().parents[1])
     probe = (f"import sys, {module}\n"
              "print(sorted(m for m in sys.modules\n"
@@ -383,13 +385,13 @@ def test_every_library_method_has_a_caller():
 
 
 @pytest.mark.parametrize("call", [
-    lambda poset, rep: us.enumerate_classes(poset, "paper"),
-    lambda poset, rep: us.canonical_form(rep, "paper"),
-    lambda poset, rep: us.connect(rep, rep, "paper"),
+    lambda poset, rep: us.enumerate_classes(poset, "full"),
+    lambda poset, rep: us.canonical_form(rep, "full"),
+    lambda poset, rep: us.connect(rep, rep, "full"),
 ], ids=["enumerate_classes", "canonical_form", "connect"])
 def test_an_unknown_mode_is_refused(ctx_p23, call):
     """The class walk, canonical forms and the mutation walk all read a
-    class through GroupPoset.orbit, which knows only "full" and "zp"."""
+    class through GroupPoset.orbit, which knows only "paper" and "zp"."""
     poset = _poset(ctx_p23)
     with pytest.raises(ValueError, match="unknown canonical form mode"):
         call(poset, us.seed_slab(poset))
